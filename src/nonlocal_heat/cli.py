@@ -1,9 +1,10 @@
 """Config-driven command line: single solves, probes, studies, sweeps.
 
 Configs are JSON.  Exit codes: 0 success, 2 fixed-point non-convergence
-(artifacts are still written), 3 invalid config, 4 I/O failure.  All
-randomness is seeded, and reports contain no timestamps or absolute paths,
-so identical config + seed reproduces byte-identical JSON artifacts.
+(artifacts are still written), 3 invalid config, 4 I/O failure.  A config
+is parsed once, before anything is written, into the objects its run needs.
+All randomness is seeded, and reports contain no timestamps or absolute
+paths, so identical config + seed reproduces byte-identical JSON artifacts.
 """
 
 from __future__ import annotations
@@ -11,16 +12,14 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import io as nio
-from .evolution import EvolutionConfig, SCHEMES
+from .evolution import EvolutionConfig
 from .fixedpoint import (
     FixedPointReport,
     PicardConfig,
@@ -35,51 +34,78 @@ from .verify import verify_all
 
 MODES = ("solve", "probe", "convergence_study", "sweep")
 FORMATS = ("csv", "json", "bin")
-THREADS_ENV = "NONLOCAL_HEAT_THREADS"
+REFINEMENTS = ("space_time", "time_only")
+SWEEP_AXES = ("T", "amplitude")
 
 EXIT_OK = 0
 EXIT_NO_CONVERGENCE = 2
 EXIT_BAD_CONFIG = 3
 EXIT_IO = 4
 
+_REQUIRED = object()
+_CONTAINERS = {"object": dict, "list": list, "string": str}
+_KINDS = {"object": "an object", "list": "a list", "string": "a string",
+          "number": "a finite number", "integer": "an integer"}
+
 
 class ConfigError(ValueError):
-    """Invalid run configuration; the message names the offending field."""
+    """Invalid run configuration; the message starts with the offending field."""
 
 
 def _fail(field: str, message: str):
-    raise ConfigError(f"{field}: {message}")
+    raise ConfigError(f"{field} {message}")
 
 
-def _section(cfg: dict, name: str, required: bool = True) -> dict:
-    value = cfg.get(name)
-    if value is None:
-        if required:
-            _fail(name, "section is missing")
-        return {}
-    if not isinstance(value, dict):
-        _fail(name, "must be an object")
-    return value
+def _build(section: str, make, *args, **kwargs):
+    """Construct a validating object whose ``ValueError`` starts with the field name."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{section}.{exc}") from None
 
 
-def _number(section: dict, path: str, key: str, default=None, required=True):
+def _typed(value, field: str, kind: str):
+    """``value`` checked against a JSON type, one of ``_KINDS``.
+
+    Numbers must be finite (``json`` accepts NaN and Infinity); booleans are
+    not numbers; an integer may be written as an integral float.
+    """
+    if kind in _CONTAINERS:
+        ok = isinstance(value, _CONTAINERS[kind])
+    else:
+        ok = (not isinstance(value, bool) and isinstance(value, (int, float))
+              and math.isfinite(value) and (kind == "number" or int(value) == value))
+    if not ok:
+        _fail(field, f"must be {_KINDS[kind]}, got {value!r}")
+    return int(value) if kind == "integer" else value
+
+
+def _get(section: dict, field: str, kind: str, default=_REQUIRED):
+    """The value of ``field`` (a dotted path ending in the key) in ``section``."""
+    key = field.rsplit(".", 1)[-1]
     if key not in section:
-        if required:
-            _fail(f"{path}.{key}", "is required")
+        if default is _REQUIRED:
+            _fail(field, "is required")
         return default
-    value = section[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        _fail(f"{path}.{key}", f"must be a number, got {value!r}")
-    return value
+    return _typed(section[key], field, kind)
 
 
-def _integer(section: dict, path: str, key: str, default=None, required=True):
-    value = _number(section, path, key, default=default, required=required)
-    if value is None:
-        return None
-    if int(value) != value:
-        _fail(f"{path}.{key}", f"must be an integer, got {value!r}")
-    return int(value)
+def _get_list(section: dict, field: str, kind: str, default=_REQUIRED, length=None) -> list:
+    """A list of ``kind`` values, of ``length`` entries when given."""
+    values = _get(section, field, "list", default)
+    if length is not None and len(values) != length:
+        _fail(field, f"must have {length} entries, got {values!r}")
+    return [_typed(v, field, kind) for v in values]
+
+
+def _per_axis(params: dict, field: str, kind: str, default, dim: int) -> list:
+    """One value per axis, given as a list or as one value for every axis."""
+    value = params.get(field.rsplit(".", 1)[-1], default)
+    values = [_typed(v, field, kind)
+              for v in (value if isinstance(value, list) else [value] * dim)]
+    if len(values) != dim:
+        _fail(field, f"must give {dim} value(s), got {value!r}")
+    return values
 
 
 def load_config(path: str | Path) -> dict:
@@ -96,71 +122,39 @@ def load_config(path: str | Path) -> dict:
     return cfg
 
 
-def build_grid(cfg: dict) -> Grid:
-    dom = _section(cfg, "domain")
-    dim = _integer(dom, "domain", "dim")
-    if dim not in (1, 2):
-        _fail("domain.dim", f"must be 1 or 2, got {dim}")
-    lengths = dom.get("lengths")
-    n = dom.get("n")
-    if not isinstance(lengths, list) or len(lengths) != dim:
-        _fail("domain.lengths", f"must be a list of {dim} positive numbers")
-    if not isinstance(n, list) or len(n) != dim:
-        _fail("domain.n", f"must be a list of {dim} integers")
-    if any(not isinstance(v, (int, float)) or v <= 0 for v in lengths):
-        _fail("domain.lengths", f"must be positive, got {lengths}")
-    if any(not isinstance(v, int) or v < 1 for v in n):
-        _fail("domain.n", f"must be integers >= 1, got {n}")
-    return Grid(tuple(float(v) for v in lengths), tuple(n))
+@dataclass(frozen=True)
+class Job:
+    """A config parsed into the objects one run needs.
+
+    Only the active mode's own settings are read from the config: ``starts``
+    (probe), ``levels`` and ``refine`` (convergence_study), ``axis`` and
+    ``values`` (sweep, sorted); the other modes' settings are None.
+    """
+
+    mode: str
+    seed: int
+    out_dir: Path
+    formats: list[str]
+    grid: Grid
+    phi: Potential
+    u0: Field
+    ecfg: EvolutionConfig
+    pcfg: PicardConfig
+    starts: int | None = None
+    levels: int | None = None
+    refine: str | None = None
+    axis: str | None = None
+    values: tuple[float, ...] | None = None
 
 
-def build_evolution_config(cfg: dict) -> EvolutionConfig:
-    sec = _section(cfg, "time")
-    T = _number(sec, "time", "T")
-    if T <= 0:
-        _fail("time.T", f"must be positive, got {T}")
-    steps = _integer(sec, "time", "steps")
-    if steps < 2:
-        _fail("time.steps", f"must be >= 2, got {steps}")
-    scheme = sec.get("scheme", "implicit_euler")
-    if str(scheme).replace("-", "_") not in SCHEMES:
-        _fail("time.scheme", f"must be one of {SCHEMES}, got {scheme!r}")
-    store_every = _integer(sec, "time", "store_every", default=1, required=False)
-    if store_every < 1:
-        _fail("time.store_every", f"must be >= 1, got {store_every}")
-    if steps % store_every != 0:
-        _fail("time.store_every", f"must divide steps={steps}, got {store_every}")
-    return EvolutionConfig(T=float(T), steps=steps, scheme=scheme, store_every=store_every)
-
-
-def build_potential(cfg: dict) -> Potential:
-    sec = _section(cfg, "potential")
-    name = sec.get("name")
-    if not isinstance(name, str):
-        _fail("potential.name", "is required")
-    params = sec.get("params", [])
-    if not isinstance(params, list) or any(
-        not isinstance(v, (int, float)) or isinstance(v, bool) for v in params
-    ):
-        _fail("potential.params", "must be a list of numbers")
-    try:
-        return catalog(name, params)
-    except ValueError as exc:
-        _fail("potential", str(exc))
-
-
-def build_initial(cfg: dict, grid: Grid) -> Field:
-    sec = _section(cfg, "initial")
-    name = sec.get("name")
-    params = sec.get("params", {})
-    if not isinstance(params, dict):
-        _fail("initial.params", "must be an object")
+def _initial_datum(sec: dict, grid: Grid) -> Field:
+    name = _get(sec, "initial.name", "string")
+    params = _get(sec, "initial.params", "object", {})
     if name == "sine_mode":
-        k = params.get("k", 1)
-        modes = k if isinstance(k, list) else [k] * grid.dim
-        if len(modes) != grid.dim or any(not isinstance(m, int) or m < 1 for m in modes):
-            _fail("initial.params.k", f"must be {grid.dim} positive integer(s), got {k}")
-        amp = _number(params, "initial.params", "amplitude", default=1.0, required=False)
+        modes = _per_axis(params, "initial.params.k", "integer", 1, grid.dim)
+        if min(modes) < 1:
+            _fail("initial.params.k", f"must be positive, got {modes}")
+        amp = _get(params, "initial.params.amplitude", "number", 1.0)
 
         def fn(*coords):
             out = float(amp) * np.ones_like(coords[0])
@@ -170,14 +164,12 @@ def build_initial(cfg: dict, grid: Grid) -> Field:
 
         field = Field.from_function(grid, fn)
     elif name == "gaussian":
-        center = params.get("center", [L / 2.0 for L in grid.lengths])
-        centers = center if isinstance(center, list) else [center] * grid.dim
-        if len(centers) != grid.dim:
-            _fail("initial.params.center", f"must give {grid.dim} coordinate(s)")
-        width = _number(params, "initial.params", "width")
+        centers = _per_axis(params, "initial.params.center", "number",
+                            [L / 2.0 for L in grid.lengths], grid.dim)
+        width = _get(params, "initial.params.width", "number")
         if width <= 0:
             _fail("initial.params.width", f"must be positive, got {width}")
-        amp = _number(params, "initial.params", "amplitude", default=1.0, required=False)
+        amp = _get(params, "initial.params.amplitude", "number", 1.0)
 
         def fn(*coords):
             r2 = sum((x - float(c)) ** 2 for x, c in zip(coords, centers))
@@ -185,71 +177,110 @@ def build_initial(cfg: dict, grid: Grid) -> Field:
 
         field = Field.from_function(grid, fn)
     elif name == "constant":
-        value = _number(params, "initial.params", "value")
-        field = Field.constant(grid, value)
+        field = Field.constant(grid, _get(params, "initial.params.value", "number"))
     elif name == "from_file":
-        path = params.get("path")
-        if not isinstance(path, str):
-            _fail("initial.params.path", "is required for from_file")
+        path = _get(params, "initial.params.path", "string")
         try:
             field = nio.read_field(path)
-        except (OSError, ValueError) as exc:
-            _fail("initial.params.path", f"cannot load field: {exc}")
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            _fail("initial.params.path",
+                  f"cannot be loaded as a field: {type(exc).__name__}: {exc}")
         if field.grid != grid:
-            _fail(
-                "initial.params.path",
-                f"field grid {field.grid.n} does not match domain.n {grid.n}",
-            )
-        scale = _number(params, "initial.params", "scale", default=1.0, required=False)
-        field = float(scale) * field
+            _fail("initial.params.path",
+                  f"holds a field on grid {field.grid.n}, but domain.n is {grid.n}")
+        field = float(_get(params, "initial.params.scale", "number", 1.0)) * field
     else:
-        _fail("initial.name", f"unknown initial datum {name!r}")
+        _fail("initial.name", f"is not a known initial datum: {name!r}")
     if sec.get("sign_check", False) and float(np.min(field.values)) < 0.0:
-        _fail("initial.sign_check", "initial datum has negative entries")
+        _fail("initial.sign_check", "rejects the datum: it has negative entries")
     return field
 
 
-def build_picard_config(cfg: dict) -> PicardConfig:
-    sec = _section(cfg, "fixedpoint", required=False)
-    tol = _number(sec, "fixedpoint", "tol", default=1e-10, required=False)
-    max_iter = _integer(sec, "fixedpoint", "max_iter", default=200, required=False)
-    damping = _number(sec, "fixedpoint", "damping", default=1.0, required=False)
-    guess = sec.get("initial_guess", "zero")
-    try:
-        return PicardConfig(tol=tol, max_iter=max_iter, damping=damping, initial_guess=guess)
-    except ValueError as exc:
-        _fail("fixedpoint", str(exc))
+def parse_config(cfg: dict) -> Job:
+    """Check a whole config and build its objects; raises ``ConfigError``.
 
-
-def _output_settings(cfg: dict) -> tuple[Path, list[str]]:
-    sec = _section(cfg, "output", required=False)
-    out_dir = Path(sec.get("dir", "out"))
-    formats = sec.get("formats", ["json"])
-    if not isinstance(formats, list) or any(f not in FORMATS for f in formats):
-        _fail("output.formats", f"must be a subset of {FORMATS}, got {formats}")
-    return out_dir, formats
-
-
-def _mode(cfg: dict) -> str:
-    mode = cfg.get("mode", "solve")
+    Only JSON types are checked here; range checks belong to ``Grid``,
+    ``EvolutionConfig`` and ``PicardConfig``, whose messages get the
+    section prepended.
+    """
+    mode = _get(cfg, "mode", "string", "solve")
     if mode not in MODES:
         _fail("mode", f"must be one of {MODES}, got {mode!r}")
-    return mode
+    seed = _get(cfg, "seed", "integer", 0)
+    out = _get(cfg, "output", "object", {})
+    out_dir = Path(_get(out, "output.dir", "string", "out"))
+    formats = _get_list(out, "output.formats", "string", ["json"])
+    if any(f not in FORMATS for f in formats):
+        _fail("output.formats", f"must be a subset of {FORMATS}, got {formats}")
 
+    dom = _get(cfg, "domain", "object")
+    dim = _get(dom, "domain.dim", "integer")
+    lengths = _get_list(dom, "domain.lengths", "number", length=dim)
+    n = _get_list(dom, "domain.n", "integer", length=dim)
+    grid = _build("domain", Grid, tuple(float(v) for v in lengths), tuple(n))
 
-def _seed(cfg: dict) -> int:
-    seed = cfg.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        _fail("seed", f"must be an integer, got {seed!r}")
-    return seed
+    time = _get(cfg, "time", "object")
+    ecfg = _build(
+        "time", EvolutionConfig,
+        T=float(_get(time, "time.T", "number")),
+        steps=_get(time, "time.steps", "integer"),
+        scheme=_get(time, "time.scheme", "string", "implicit_euler"),
+        store_every=_get(time, "time.store_every", "integer", 1),
+    )
 
-
-def _max_workers() -> int:
-    raw = os.environ.get(THREADS_ENV, "")
+    pot = _get(cfg, "potential", "object")
+    name = _get(pot, "potential.name", "string")
+    params = _get_list(pot, "potential.params", "number", [])
     try:
-        return max(int(raw), 1) if raw else 1
-    except ValueError:
-        return 1
+        phi = catalog(name, params)
+    except ValueError as exc:
+        _fail("potential", f"is invalid: {exc}")
+
+    initial = _get(cfg, "initial", "object")
+    try:
+        u0 = _initial_datum(initial, grid)
+    except ConfigError:
+        raise
+    except ValueError as exc:  # the datum's values are not all finite
+        _fail("initial", f"gives no valid datum: {exc}")
+
+    fp = _get(cfg, "fixedpoint", "object", {})
+    pcfg = _build(
+        "fixedpoint", PicardConfig,
+        tol=_get(fp, "fixedpoint.tol", "number", 1e-10),
+        max_iter=_get(fp, "fixedpoint.max_iter", "integer", 200),
+        damping=_get(fp, "fixedpoint.damping", "number", 1.0),
+        initial_guess=_get(fp, "fixedpoint.initial_guess", "string", "zero"),
+    )
+
+    settings = {}
+    if mode == "probe":
+        settings["starts"] = _get(fp, "fixedpoint.starts", "integer", 5)
+        if settings["starts"] < 2:
+            _fail("fixedpoint.starts", f"must be >= 2, got {settings['starts']}")
+    elif mode == "convergence_study":
+        study = _get(cfg, "study", "object", {})
+        levels = _get(study, "study.levels", "integer", 3)
+        refine = _get(study, "study.refine", "string", "space_time")
+        if levels < 2:
+            _fail("study.levels", f"must be >= 2, got {levels}")
+        if refine not in REFINEMENTS:
+            _fail("study.refine", f"must be one of {REFINEMENTS}, got {refine!r}")
+        if refine == "space_time" and initial["name"] == "from_file":
+            _fail("study.refine", "must be 'time_only' for a from_file datum, "
+                                  "which holds one grid")
+        settings.update(levels=levels, refine=refine)
+    elif mode == "sweep":
+        sweep = _get(cfg, "sweep", "object")
+        axis = _get(sweep, "sweep.axis", "string")
+        if axis not in SWEEP_AXES:
+            _fail("sweep.axis", f"must be one of {SWEEP_AXES}, got {axis!r}")
+        values = _get_list(sweep, "sweep.values", "number")
+        if not values:
+            _fail("sweep.values", "must not be empty")
+        settings.update(axis=axis, values=tuple(sorted(float(v) for v in values)))
+
+    return Job(mode, seed, out_dir, formats, grid, phi, u0, ecfg, pcfg, **settings)
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -278,10 +309,11 @@ def _write_trajectory_outputs(report: FixedPointReport, out_dir: Path, formats: 
     return files
 
 
-def _run_header(cfg: dict, grid: Grid, ecfg: EvolutionConfig, seed: int) -> dict:
+def _run_header(cfg: dict, job: Job) -> dict:
+    grid, ecfg = job.grid, job.ecfg
     return {
-        "mode": _mode(cfg),
-        "seed": seed,
+        "mode": job.mode,
+        "seed": job.seed,
         "grid": {"dim": grid.dim, "lengths": list(grid.lengths), "n": list(grid.n),
                  "h": list(grid.h)},
         "time": {"T": ecfg.T, "steps": ecfg.steps, "dt": ecfg.dt,
@@ -290,15 +322,9 @@ def _run_header(cfg: dict, grid: Grid, ecfg: EvolutionConfig, seed: int) -> dict
     }
 
 
-def _solve_once(cfg: dict):
-    grid = build_grid(cfg)
-    lap = assemble(grid)
-    phi = build_potential(cfg)
-    u0 = build_initial(cfg, grid)
-    ecfg = build_evolution_config(cfg)
-    pcfg = build_picard_config(cfg)
-    report = picard_solve(lap, phi, u0, ecfg, pcfg)
-    return grid, lap, phi, u0, ecfg, report
+def _solve(job: Job):
+    lap = assemble(job.grid)
+    return lap, picard_solve(lap, job.phi, job.u0, job.ecfg, job.pcfg)
 
 
 def _summary_line(report: FixedPointReport, verification) -> str:
@@ -314,55 +340,43 @@ def _summary_line(report: FixedPointReport, verification) -> str:
     )
 
 
-def run_solve(cfg: dict, out_dir: Path, formats: list[str], quiet: bool) -> int:
-    grid, lap, phi, u0, ecfg, report = _solve_once(cfg)
-    verification = verify_all(report, phi, lap)
+def run_solve(cfg: dict, job: Job, quiet: bool) -> int:
+    lap, report = _solve(job)
+    verification = verify_all(report, job.phi, lap)
 
-    payload = _run_header(cfg, grid, ecfg, _seed(cfg))
+    payload = _run_header(cfg, job)
     payload.update(report.scalar_diagnostics())
     payload["verification"] = verification.to_dict()
     files = {"config": "config.json", "report": "report.json"}
-    files.update(_write_field_outputs(report.uT, out_dir, "ut", formats))
-    files.update(_write_trajectory_outputs(report, out_dir, formats))
+    files.update(_write_field_outputs(report.uT, job.out_dir, "ut", job.formats))
+    files.update(_write_trajectory_outputs(report, job.out_dir, job.formats))
     payload["files"] = files
-    _write_json(out_dir / "report.json", payload)
+    _write_json(job.out_dir / "report.json", payload)
     if not quiet:
         print(_summary_line(report, verification))
     return EXIT_OK if report.converged else EXIT_NO_CONVERGENCE
 
 
-def run_probe(cfg: dict, out_dir: Path, formats: list[str], quiet: bool) -> int:
-    grid = build_grid(cfg)
-    lap = assemble(grid)
-    phi = build_potential(cfg)
-    u0 = build_initial(cfg, grid)
-    ecfg = build_evolution_config(cfg)
-    pcfg = build_picard_config(cfg)
-    sec = _section(cfg, "fixedpoint", required=False)
-    n_starts = _integer(sec, "fixedpoint", "starts", default=5, required=False)
-    if n_starts < 2:
-        _fail("fixedpoint.starts", f"must be >= 2, got {n_starts}")
-    seed = _seed(cfg)
-
+def run_probe(cfg: dict, job: Job, quiet: bool) -> int:
     probe = uniqueness_probe(
-        lap, phi, u0, ecfg, pcfg, n_starts=n_starts, seed=seed,
-        max_workers=_max_workers(),
+        assemble(job.grid), job.phi, job.u0, job.ecfg, job.pcfg,
+        n_starts=job.starts, seed=job.seed,
     )
-    payload = _run_header(cfg, grid, ecfg, seed)
+    payload = _run_header(cfg, job)
     payload["probe"] = probe.scalar_diagnostics()
-    thr = uniqueness_threshold(phi, u0, grid, ecfg.T)
+    thr = uniqueness_threshold(job.phi, job.u0, job.grid, job.ecfg.T)
     payload["threshold"] = thr.to_dict()
     files = {"config": "config.json", "report": "report.json"}
     for kind, run in zip(probe.start_kinds, probe.runs):
         if run.converged:
-            files.update(_write_field_outputs(run.uT, out_dir, "ut", formats))
+            files.update(_write_field_outputs(run.uT, job.out_dir, "ut", job.formats))
             payload["probe"]["ut_from_start"] = kind
             break
     payload["files"] = files
-    _write_json(out_dir / "report.json", payload)
+    _write_json(job.out_dir / "report.json", payload)
     if not quiet:
         print(
-            f"probe starts={n_starts} all_converged={probe.all_converged} "
+            f"probe starts={job.starts} all_converged={probe.all_converged} "
             f"max_pairwise_relative={probe.max_pairwise_relative:.3e}"
         )
     return EXIT_OK
@@ -378,21 +392,14 @@ def _refined_config(cfg: dict, level: int, refine: str) -> dict:
     return out
 
 
-def run_convergence_study(cfg: dict, out_dir: Path, quiet: bool) -> int:
-    sec = _section(cfg, "study", required=False)
-    levels = _integer(sec, "study", "levels", default=3, required=False)
-    if levels < 2:
-        _fail("study.levels", f"must be >= 2, got {levels}")
-    refine = sec.get("refine", "space_time")
-    if refine not in ("space_time", "time_only"):
-        _fail("study.refine", f"must be 'space_time' or 'time_only', got {refine!r}")
-
+def run_convergence_study(cfg: dict, job: Job, quiet: bool) -> int:
+    levels = job.levels
     runs = []
     for level in range(levels):
-        lcfg = _refined_config(cfg, level, refine)
-        grid, lap, phi, u0, ecfg, report = _solve_once(lcfg)
-        verification = verify_all(report, phi, lap)
-        runs.append((grid, ecfg, report, verification))
+        level_job = job if level == 0 else parse_config(_refined_config(cfg, level, job.refine))
+        lap, report = _solve(level_job)
+        verification = verify_all(report, level_job.phi, lap)
+        runs.append((level_job.grid, level_job.ecfg, report, verification))
 
     finest_grid, _, finest_report, _ = runs[-1]
 
@@ -434,27 +441,17 @@ def run_convergence_study(cfg: dict, out_dir: Path, quiet: bool) -> int:
             f"{row['uT_error_vs_finest']:.10e},{row['elliptic_residual']:.10e},"
             f"{row['energy_mismatch']:.10e},{row['observed_order']}"
         )
-    (out_dir / "study.csv").write_text("\n".join(lines) + "\n")
+    (job.out_dir / "study.csv").write_text("\n".join(lines) + "\n")
     if not quiet:
         for line in lines:
             print(line)
     return EXIT_OK
 
 
-def run_sweep(cfg: dict, out_dir: Path, quiet: bool) -> int:
-    sec = _section(cfg, "sweep")
-    axis = sec.get("axis")
-    if axis not in ("T", "amplitude"):
-        _fail("sweep.axis", f"must be 'T' or 'amplitude', got {axis!r}")
-    values = sec.get("values")
-    if not isinstance(values, list) or not values:
-        _fail("sweep.values", "must be a nonempty list of numbers")
-    if any(not isinstance(v, (int, float)) or isinstance(v, bool) for v in values):
-        _fail("sweep.values", "must be numbers")
-
+def run_sweep(cfg: dict, job: Job, quiet: bool) -> int:
     def config_for(value: float) -> dict:
         out = json.loads(json.dumps(cfg))
-        if axis == "T":
+        if job.axis == "T":
             out["time"]["T"] = value
         else:
             params = out["initial"].setdefault("params", {})
@@ -470,7 +467,7 @@ def run_sweep(cfg: dict, out_dir: Path, quiet: bool) -> int:
         row = {"value": value, "converged": "", "iterations": "",
                "threshold_product": "", "final_residual": "", "error": ""}
         try:
-            _, _, _, _, _, report = _solve_once(config_for(value))
+            _, report = _solve(parse_config(config_for(value)))
             thr = report.threshold
             row.update(
                 converged=report.converged,
@@ -484,13 +481,7 @@ def run_sweep(cfg: dict, out_dir: Path, quiet: bool) -> int:
             row["error"] = str(exc).replace(",", ";")
         return row
 
-    ordered = sorted(float(v) for v in values)
-    workers = _max_workers()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(run_row, ordered))
-    else:
-        rows = [run_row(v) for v in ordered]
+    rows = [run_row(v) for v in job.values]
 
     header = "value,converged,iterations,threshold_product,final_residual,error"
     lines = [header] + [
@@ -498,7 +489,7 @@ def run_sweep(cfg: dict, out_dir: Path, quiet: bool) -> int:
         f"{r['threshold_product']},{r['final_residual']},{r['error']}"
         for r in rows
     ]
-    (out_dir / "sweep.csv").write_text("\n".join(lines) + "\n")
+    (job.out_dir / "sweep.csv").write_text("\n".join(lines) + "\n")
     if not quiet:
         for line in lines:
             print(line)
@@ -512,38 +503,28 @@ def run(
     seed: int | None = None,
     quiet: bool = False,
 ) -> int:
-    """Execute one config; returns the process exit code."""
+    """Execute one config; returns the process exit code.
+
+    The whole config is parsed before the output directory is created.
+    """
     try:
         cfg = load_config(config_path)
         if mode is not None:
             cfg["mode"] = mode
         if out is not None:
-            cfg.setdefault("output", {})["dir"] = str(out)
+            cfg["output"] = {**_get(cfg, "output", "object", {}), "dir": str(out)}
         if seed is not None:
             cfg["seed"] = seed
-        _seed(cfg)
-        active_mode = _mode(cfg)
-        out_dir, formats = _output_settings(cfg)
-        # validate the core sections up front so bad configs fail before work
-        grid = build_grid(cfg)
-        build_potential(cfg)
-        build_initial(cfg, grid)
-        build_evolution_config(cfg)
-        build_picard_config(cfg)
-    except ConfigError as exc:
-        print(f"invalid config: {exc}", file=sys.stderr)
-        return EXIT_BAD_CONFIG
-
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        _write_json(out_dir / "config.json", cfg)
-        if active_mode == "solve":
-            return run_solve(cfg, out_dir, formats, quiet)
-        if active_mode == "probe":
-            return run_probe(cfg, out_dir, formats, quiet)
-        if active_mode == "convergence_study":
-            return run_convergence_study(cfg, out_dir, quiet)
-        return run_sweep(cfg, out_dir, quiet)
+        job = parse_config(cfg)
+        job.out_dir.mkdir(parents=True, exist_ok=True)
+        _write_json(job.out_dir / "config.json", cfg)
+        if job.mode == "solve":
+            return run_solve(cfg, job, quiet)
+        if job.mode == "probe":
+            return run_probe(cfg, job, quiet)
+        if job.mode == "convergence_study":
+            return run_convergence_study(cfg, job, quiet)
+        return run_sweep(cfg, job, quiet)
     except ConfigError as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG

@@ -9,7 +9,6 @@ resulting trajectory.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -39,8 +38,8 @@ class EvolutionConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "scheme", str(self.scheme).replace("-", "_"))
-        if self.T <= 0.0:
-            raise ValueError(f"T must be positive, got {self.T}")
+        if not 0.0 < self.T < np.inf:
+            raise ValueError(f"T must be positive and finite, got {self.T}")
         if int(self.steps) != self.steps or self.steps < 2:
             raise ValueError(f"steps must be an integer >= 2, got {self.steps}")
         object.__setattr__(self, "steps", int(self.steps))
@@ -105,16 +104,9 @@ class Trajectory:
     def final(self) -> Field:
         return self.state(self.num_samples - 1)
 
-    def samples(self) -> Iterator[tuple[float, Field]]:
-        for k in range(self.num_samples):
-            yield float(self.times[k]), self.state(k)
-
     def time_integral(self) -> Field:
         """Pointwise trapezoidal rule over the stored samples."""
         return Field(self.grid, _trapezoid_weights(self.times) @ self.states)
-
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.states)))
 
     def min_value(self) -> float:
         return float(np.min(self.states))

@@ -9,7 +9,6 @@ iteration contracts outside the small-data regime.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -33,14 +32,14 @@ class PicardConfig:
     initial_guess: str | Field = "zero"  # "zero" | "scaled_datum" | explicit Field
 
     def __post_init__(self) -> None:
-        if self.tol <= 0.0:
+        if not self.tol > 0.0:
             raise ValueError(f"tol must be positive, got {self.tol}")
         if int(self.max_iter) != self.max_iter or self.max_iter < 1:
             raise ValueError(f"max_iter must be a positive integer, got {self.max_iter}")
         object.__setattr__(self, "max_iter", int(self.max_iter))
         if not 0.0 < self.damping <= 1.0:
             raise ValueError(f"damping must lie in (0, 1], got {self.damping}")
-        if isinstance(self.initial_guess, str) and self.initial_guess not in (
+        if not isinstance(self.initial_guess, Field) and self.initial_guess not in (
             "zero",
             "scaled_datum",
         ):
@@ -273,7 +272,6 @@ def uniqueness_probe(
     pcfg: PicardConfig | None = None,
     n_starts: int = 5,
     seed: int = 0,
-    max_workers: int = 1,
 ) -> ProbeReport:
     """Run Picard from several initial guesses and compare the limits.
 
@@ -297,14 +295,10 @@ def uniqueness_probe(
         )
         guesses.append((f"random_{i}", Field(u0.grid, values)))
 
-    def run_one(guess: Field) -> FixedPointReport:
-        return picard_solve(lap, phi, u0, ecfg, replace(pcfg, initial_guess=guess))
-
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            runs = list(pool.map(run_one, (g for _, g in guesses)))
-    else:
-        runs = [run_one(g) for _, g in guesses]
+    runs = [
+        picard_solve(lap, phi, u0, ecfg, replace(pcfg, initial_guess=guess))
+        for _, guess in guesses
+    ]
 
     converged_uts = [r.uT for r in runs if r.converged]
     max_dist = 0.0

@@ -39,13 +39,6 @@ class DirichletLaplacian:
 
     grid: Grid
 
-    @property
-    def diagonal(self) -> float:
-        return 2.0 * sum(1.0 / h**2 for h in self.grid.h)
-
-    def offdiagonal(self, axis: int) -> float:
-        return -1.0 / self.grid.h[axis] ** 2
-
     def apply_array(self, v: np.ndarray) -> np.ndarray:
         """Stencil product on a raw value array (implicit zero boundary)."""
         g = self.grid

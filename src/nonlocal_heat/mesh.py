@@ -30,13 +30,13 @@ class Grid:
         object.__setattr__(self, "lengths", lengths)
         object.__setattr__(self, "n", n)
         if len(lengths) not in (1, 2):
-            raise ValueError(f"only 1D/2D grids are supported, got dim {len(lengths)}")
+            raise ValueError(f"dim must be 1 or 2, got {len(lengths)}")
         if len(n) != len(lengths):
             raise ValueError("lengths and n must have one entry per axis")
-        if any(v <= 0.0 for v in lengths):
-            raise ValueError(f"domain lengths must be positive, got {lengths}")
+        if not all(v > 0.0 for v in lengths):
+            raise ValueError(f"lengths must be positive, got {lengths}")
         if any(v < 1 for v in n):
-            raise ValueError(f"need at least one interior node per axis, got {n}")
+            raise ValueError(f"n must be >= 1 on every axis, got {n}")
 
     @property
     def dim(self) -> int:

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -64,12 +65,22 @@ def test_solve_heat_closed_form(tmp_path, capsys):
     assert report["verification"]["energy"]["bound_ok"] is True
 
 
+def test_readme_example_config(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("Example config:\n\n```json\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "readme.json"
+    path.write_text(block)
+    assert cli.run(path, out=tmp_path / "out", quiet=True) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["verification"]["passed"] is True
+
+
 def test_invalid_steps_names_field(tmp_path, capsys):
     cfg = base_config(tmp_path / "out")
     cfg["time"]["steps"] = 1
     code = cli.run(write_config(tmp_path, cfg), quiet=True)
     assert code == 3
-    assert "time.steps" in capsys.readouterr().err
+    assert "time.steps must be an integer >= 2, got 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -84,12 +95,43 @@ def test_invalid_steps_names_field(tmp_path, capsys):
         lambda c: c["output"].update(formats=["xml"]),
         lambda c: c.update(mode="meditate"),
         lambda c: c.update(seed="zero"),
+        lambda c: c["time"].update(T=math.nan),
+        lambda c: c["time"].update(T=math.inf),
+        lambda c: c["initial"]["params"].update(amplitude=math.nan),
+        lambda c: c["fixedpoint"].update(tol=math.nan),
+        lambda c: c.update(mode="sweep", sweep={"axis": "T", "values": [math.nan, 0.1]}),
+        lambda c: c["output"].update(dir=5),
+        lambda c: c["fixedpoint"].update(initial_guess=[1, 2]),
+        lambda c: c["domain"].update(n=[True]),
+        lambda c: c["initial"]["params"].update(k=True),
+        pytest.param(
+            lambda c: c.update(initial={"name": "gaussian", "params": {"width": 1e-300}}),
+            marks=pytest.mark.filterwarnings("ignore::RuntimeWarning"),  # 1/width**2 overflows
+        ),
     ],
 )
 def test_invalid_configs_exit_3(tmp_path, mutate):
     cfg = base_config(tmp_path / "out")
     mutate(cfg)
     assert cli.run(write_config(tmp_path, cfg), quiet=True) == 3
+
+
+def test_invalid_mode_settings_exit_3_before_any_write(tmp_path):
+    first = tmp_path / "first"
+    assert cli.run(write_config(tmp_path, base_config(first), "c0.json"), quiet=True) == 0
+    from_file = {"name": "from_file", "params": {"path": str(first / "ut.json")}}
+    out = tmp_path / "out"
+    probe = base_config(out, mode="probe")
+    probe["fixedpoint"]["starts"] = 1
+    short_study = base_config(out, mode="convergence_study", study={"levels": 1})
+    # a file holds one grid, so a from_file datum cannot be refined in space
+    file_study = base_config(out, mode="convergence_study", initial=from_file,
+                             study={"levels": 2, "refine": "space_time"})
+    for i, cfg in enumerate([probe, short_study, file_study], start=1):
+        assert cli.run(write_config(tmp_path, cfg, f"c{i}.json"), quiet=True) == 3
+        assert not out.exists()
+    file_study["study"]["refine"] = "time_only"
+    assert cli.run(write_config(tmp_path, file_study), quiet=True) == 0
 
 
 def test_missing_config_exits_3(tmp_path):
@@ -245,6 +287,9 @@ def test_from_file_initial(tmp_path):
     first = read_field_json(out1 / "ut.json")
     report = json.loads((out2 / "report.json").read_text())
     assert report["s0"] == pytest.approx(0.1 * 2.0 * np.max(np.abs(first.values)))
+    # a JSON file that is not a field is an invalid config
+    cfg2["initial"]["params"]["path"] = str(out1 / "config.json")
+    assert cli.run(write_config(tmp_path, cfg2, "c3.json"), quiet=True) == 3
 
 
 def test_gaussian_initial_2d(tmp_path):
@@ -269,21 +314,6 @@ def test_io_failure_exits_4(tmp_path):
     blocker.write_text("a file where the output directory should go")
     cfg = base_config(blocker)
     assert cli.run(write_config(tmp_path, cfg), quiet=True) == 4
-
-
-def test_sweep_threaded_matches_sequential(tmp_path, monkeypatch):
-    cfgs, outs = [], []
-    for name in ("seq", "par"):
-        out = tmp_path / name
-        cfg = base_config(out, mode="sweep")
-        cfg["sweep"] = {"axis": "amplitude", "values": [0.1, 0.3, 0.5]}
-        cfgs.append(write_config(tmp_path, cfg, f"{name}.json"))
-        outs.append(out)
-    monkeypatch.delenv(cli.THREADS_ENV, raising=False)
-    assert cli.run(cfgs[0], quiet=True) == 0
-    monkeypatch.setenv(cli.THREADS_ENV, "3")
-    assert cli.run(cfgs[1], quiet=True) == 0
-    assert (outs[0] / "sweep.csv").read_text() == (outs[1] / "sweep.csv").read_text()
 
 
 def test_bin_format_writes_trajectory(tmp_path):
