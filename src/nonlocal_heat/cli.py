@@ -1,7 +1,8 @@
 """Config-driven command line: single solves, probes, studies, sweeps.
 
 Configs are JSON.  Exit codes: 0 success, 2 fixed-point non-convergence
-(artifacts are still written), 3 invalid config, 4 I/O failure.  A config
+(artifacts are still written), 3 invalid config, 4 I/O failure, 5 numerical
+failure (``report.json`` names the error).  A config
 is parsed once, before anything is written, into the objects its run needs.
 All randomness is seeded, and reports contain no timestamps or absolute
 paths, so identical config + seed reproduces byte-identical JSON artifacts.
@@ -13,7 +14,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -27,13 +28,14 @@ from .fixedpoint import (
     uniqueness_probe,
     uniqueness_threshold,
 )
-from .laplacian import assemble
+from .laplacian import SolverFailure, assemble
 from .mesh import Field, Grid, norm_lp, restrict
-from .potential import Potential, catalog
+from .potential import EvaluationError, Potential, catalog
 from .verify import verify_all
 
 MODES = ("solve", "probe", "convergence_study", "sweep")
 FORMATS = ("csv", "json", "bin")
+TRAJECTORY_FORMATS = ("csv", "bin")
 REFINEMENTS = ("space_time", "time_only")
 SWEEP_AXES = ("T", "amplitude")
 
@@ -41,6 +43,7 @@ EXIT_OK = 0
 EXIT_NO_CONVERGENCE = 2
 EXIT_BAD_CONFIG = 3
 EXIT_IO = 4
+EXIT_NUMERICAL = 5
 
 _REQUIRED = object()
 _CONTAINERS = {"object": dict, "list": list, "string": str}
@@ -145,6 +148,14 @@ class Job:
     refine: str | None = None
     axis: str | None = None
     values: tuple[float, ...] | None = None
+
+    @property
+    def stepping(self) -> EvolutionConfig:
+        """``ecfg`` as solved: only a solve that writes its trajectory stores
+        more than ``u0`` and ``u_K``; the map output is the same either way."""
+        if self.mode == "solve" and any(f in TRAJECTORY_FORMATS for f in self.formats):
+            return self.ecfg
+        return replace(self.ecfg, store_every=self.ecfg.steps)
 
 
 def _initial_datum(sec: dict, grid: Grid) -> Field:
@@ -324,7 +335,7 @@ def _run_header(cfg: dict, job: Job) -> dict:
 
 def _solve(job: Job):
     lap = assemble(job.grid)
-    return lap, picard_solve(lap, job.phi, job.u0, job.ecfg, job.pcfg)
+    return lap, picard_solve(lap, job.phi, job.u0, job.stepping, job.pcfg)
 
 
 def _summary_line(report: FixedPointReport, verification) -> str:
@@ -359,7 +370,7 @@ def run_solve(cfg: dict, job: Job, quiet: bool) -> int:
 
 def run_probe(cfg: dict, job: Job, quiet: bool) -> int:
     probe = uniqueness_probe(
-        assemble(job.grid), job.phi, job.u0, job.ecfg, job.pcfg,
+        assemble(job.grid), job.phi, job.u0, job.stepping, job.pcfg,
         n_starts=job.starts, seed=job.seed,
     )
     payload = _run_header(cfg, job)
@@ -505,7 +516,10 @@ def run(
 ) -> int:
     """Execute one config; returns the process exit code.
 
-    The whole config is parsed before the output directory is created.
+    The whole config is parsed before the output directory is created.  A
+    numerical failure (a potential value or a linear solve that breaks
+    down) ends in ``EXIT_NUMERICAL`` with the run header and the error in
+    ``report.json``.
     """
     try:
         cfg = load_config(config_path)
@@ -518,13 +532,16 @@ def run(
         job = parse_config(cfg)
         job.out_dir.mkdir(parents=True, exist_ok=True)
         _write_json(job.out_dir / "config.json", cfg)
-        if job.mode == "solve":
-            return run_solve(cfg, job, quiet)
-        if job.mode == "probe":
-            return run_probe(cfg, job, quiet)
-        if job.mode == "convergence_study":
-            return run_convergence_study(cfg, job, quiet)
-        return run_sweep(cfg, job, quiet)
+        runner = {"solve": run_solve, "probe": run_probe,
+                  "convergence_study": run_convergence_study, "sweep": run_sweep}[job.mode]
+        try:
+            return runner(cfg, job, quiet)
+        except (EvaluationError, SolverFailure) as exc:
+            payload = _run_header(cfg, job)
+            payload["error"] = {"type": type(exc).__name__, "message": str(exc)}
+            _write_json(job.out_dir / "report.json", payload)
+            print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return EXIT_NUMERICAL
     except ConfigError as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG

@@ -2,8 +2,8 @@
 
 One outer iterate freezes the potential field ``w = phi(v)``; the inner
 problem ``du/dt + (L + diag(w)) u = 0`` is then advanced by implicit Euler
-or Crank-Nicolson.  The map output is the trapezoidal time integral of the
-resulting trajectory.
+or Crank-Nicolson.  The map output is the trapezoidal time integral over
+every step, accumulated while stepping; states are kept only for output.
 """
 
 from __future__ import annotations
@@ -13,22 +13,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from .laplacian import DirichletLaplacian, shifted_system
-from .mesh import Field, Grid, _trapezoid_weights
+from .mesh import Field, Grid
 from .potential import Potential, nemytskii
 
 IMPLICIT_EULER = "implicit_euler"
 CRANK_NICOLSON = "crank_nicolson"
 SCHEMES = (IMPLICIT_EULER, CRANK_NICOLSON)
 
+#: Size of the block of consecutive states that ``evolve`` reduces at once.
+BLOCK_BYTES = 1 << 20
+
 
 @dataclass(frozen=True)
 class EvolutionConfig:
-    """Time discretization: final time T, step count, scheme, sample thinning.
+    """Time discretization: final time T, step count, scheme, output thinning.
 
-    ``store_every`` keeps every k-th state (it must divide ``steps`` so the
-    stored samples stay uniform and include t=0 and t=T).  The quadrature
-    for the map output runs on the stored samples, so verification runs
-    must use ``store_every=1``.
+    ``store_every`` keeps every k-th state for output (it must divide
+    ``steps`` so the stored samples stay uniform and include t=0 and t=T).
+    It changes nothing else: the map output and the bounds that
+    verification checks are taken over every step.
     """
 
     T: float
@@ -59,13 +62,47 @@ class EvolutionConfig:
 
 
 @dataclass(frozen=True)
+class StateBounds:
+    """Extremes over a set of states: what the norm and positivity checks need."""
+
+    max_sum_sq: float  # max_k sum_i u_k[i]^2
+    max_abs: float     # max_k max_i |u_k[i]|
+    min_value: float   # min_k min_i u_k[i]
+
+    @classmethod
+    def of(cls, states: np.ndarray, overwrite: bool = False) -> "StateBounds":
+        """Bounds over the rows of a ``(rows, num_nodes)`` array.
+
+        With ``overwrite`` the array is squared in place instead of into a copy.
+        """
+        lo, hi = float(states.min()), float(states.max())
+        squares = np.multiply(states, states, out=states if overwrite else None)
+        return cls(float(np.max(np.sum(squares, axis=1))), max(hi, -lo), lo)
+
+    def merge(self, other: "StateBounds") -> "StateBounds":
+        return StateBounds(
+            max(self.max_sum_sq, other.max_sum_sq),
+            max(self.max_abs, other.max_abs),
+            min(self.min_value, other.min_value),
+        )
+
+
+@dataclass(frozen=True)
 class Trajectory:
-    """Stored states of one linear evolution on a uniform time partition."""
+    """One linear evolution on a uniform time partition.
+
+    ``states`` holds every ``store_every``-th state.  ``integral``, the
+    trapezoidal time integral, and ``bounds`` are measured by ``evolve`` on
+    every state as it is produced, stored or not.  A trajectory built from
+    samples alone has no ``integral``, and its ``bounds`` are the samples'.
+    """
 
     grid: Grid
     times: np.ndarray
     states: np.ndarray  # shape (num_samples, num_nodes), row k is u(t_k)
     scheme: str
+    integral: np.ndarray | None = None
+    bounds: StateBounds | None = None
 
     def __post_init__(self) -> None:
         times = np.asarray(self.times, dtype=float)
@@ -86,6 +123,10 @@ class Trajectory:
         states.setflags(write=False)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "states", states)
+        if self.integral is not None:
+            self.integral.setflags(write=False)
+        if self.bounds is None:
+            object.__setattr__(self, "bounds", StateBounds.of(states))
 
     @property
     def T(self) -> float:
@@ -104,12 +145,8 @@ class Trajectory:
     def final(self) -> Field:
         return self.state(self.num_samples - 1)
 
-    def time_integral(self) -> Field:
-        """Pointwise trapezoidal rule over the stored samples."""
-        return Field(self.grid, _trapezoid_weights(self.times) @ self.states)
-
     def min_value(self) -> float:
-        return float(np.min(self.states))
+        return self.bounds.min_value
 
 
 def evolve(
@@ -124,12 +161,18 @@ def evolve(
     Crank-Nicolson solves ``(I + dt/2*(L+W)) u_{k+1} = (I - dt/2*(L+W)) u_k``.
     Implicit Euler preserves positivity and is non-expansive for ``w >= 0``;
     Crank-Nicolson trades those guarantees for second-order accuracy.
+
+    States ``u_1 .. u_K`` are reduced in blocks of ``BLOCK_BYTES`` (fewer
+    when there are fewer steps) into the trapezoidal integral and the state
+    bounds.  The blocks do not depend on ``store_every``, so neither do
+    those results, bit for bit.
     """
     if w.grid != lap.grid or u0.grid != lap.grid:
         raise ValueError("operands live on different grids")
     dt = cfg.dt
-    n_stored = cfg.steps // cfg.store_every
-    stored = np.empty((n_stored + 1, lap.grid.num_nodes))
+    steps, every = cfg.steps, cfg.store_every
+    num_nodes = lap.grid.num_nodes
+    stored = np.empty((steps // every + 1, num_nodes))
     stored[0] = u0.values
     u = u0.values.copy()
     w_vals = w.values
@@ -141,17 +184,38 @@ def evolve(
         system = shifted_system(lap, w_vals, 0.5 * dt)
         half = 0.5 * dt
 
-    for k in range(1, cfg.steps + 1):
-        if half is None:
-            u = system.solve(u)
-        else:
-            rhs = u - half * (lap.apply_array(u) + w_vals * u)
-            u = system.solve(rhs)
-        if k % cfg.store_every == 0:
-            stored[k // cfg.store_every] = u
+    rows = max(1, min(steps, BLOCK_BYTES // (8 * num_nodes)))
+    # with every state stored, the blocks are windows of the stored array
+    scratch = stored[1:] if every == 1 else np.empty((rows, num_nodes))
+    weights = np.full(rows, dt)
+    integral = (0.5 * dt) * u0.values
+    bounds = StateBounds.of(stored[:1])
 
-    times = dt * cfg.store_every * np.arange(n_stored + 1)
-    return Trajectory(lap.grid, times, stored, cfg.scheme)
+    for start in range(0, steps, rows):
+        count = min(rows, steps - start)
+        block = scratch[start:start + count] if every == 1 else scratch[:count]
+        for r in range(count):
+            if half is None:
+                u = system.solve(u)
+            else:
+                rhs = u - half * (lap.apply_array(u) + w_vals * u)
+                u = system.solve(rhs)
+            block[r] = u
+        if every > 1:  # block row r holds u_{start+r+1}
+            first = -(start + 1) % every
+            kept = block[first::every]
+            k0 = (start + first + 1) // every
+            stored[k0:k0 + kept.shape[0]] = kept
+        block_weights = weights[:count]
+        if start + count == steps:  # the block ends with u_K
+            block_weights = block_weights.copy()
+            block_weights[-1] = 0.5 * dt
+        integral += block_weights @ block
+        # a scratch block is spent once reduced, so it can hold the squares
+        bounds = bounds.merge(StateBounds.of(block, overwrite=every > 1))
+
+    times = dt * every * np.arange(stored.shape[0])
+    return Trajectory(lap.grid, times, stored, cfg.scheme, integral, bounds)
 
 
 def phi_map(
@@ -164,9 +228,10 @@ def phi_map(
     """One evaluation of the fixed-point map.
 
     Freezes the potential at the trial integral ``vT``, evolves ``u0`` under
-    it, and returns the trapezoidal time integral of the trajectory together
-    with the trajectory itself.
+    it, and returns the trapezoidal time integral over every step together
+    with the trajectory, whose stored samples ``store_every`` thins without
+    changing the integral.
     """
     w = nemytskii(phi, vT)
     trajectory = evolve(lap, w, u0, cfg)
-    return trajectory.time_integral(), trajectory
+    return Field(lap.grid, trajectory.integral), trajectory

@@ -147,9 +147,9 @@ def picard_solve(
     drops below ``tol`` or ``max_iter`` sweeps have run.
 
     Residuals are ``||v_next - v||_2 / max(||v||_2, 1e-300)``.  The reported
-    ``uT`` is the map output of the final sweep, so it always equals the
-    trapezoidal integral of the reported trajectory exactly; with no damping
-    this is the final iterate itself.
+    ``uT`` is the map output of the final sweep, the trapezoidal integral
+    over every step of the reported trajectory, whatever its
+    ``store_every``; with no damping this is the final iterate itself.
     """
     pcfg = pcfg or PicardConfig()
     theta = pcfg.damping
@@ -162,6 +162,7 @@ def picard_solve(
     trajectory: Trajectory | None = None
 
     for _ in range(pcfg.max_iter):
+        trajectory = None  # free the last sweep's states before the next are made
         uT, trajectory = phi_map(lap, phi, u0, v, ecfg)
         v_next = uT if theta == 1.0 else (1.0 - theta) * v + theta * uT
         residual = norm_lp(v_next - v, 2) / max(norm_lp(v, 2), RESIDUAL_FLOOR)

@@ -112,7 +112,7 @@ def write_trajectory_bin(traj: Trajectory, path: str | Path) -> None:
     with open(path, "wb") as fh:
         fh.write(header.tobytes())
         fh.write(np.ascontiguousarray(traj.times, dtype=_F8).tobytes())
-        fh.write(np.ascontiguousarray(traj.states, dtype=_F8).tobytes())
+        fh.write(memoryview(np.ascontiguousarray(traj.states, dtype=_F8)))  # no copy
 
 
 def read_trajectory_bin(path: str | Path) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:

@@ -338,3 +338,46 @@ def test_main_entry_point(tmp_path, capsys):
     assert cli.main([str(path), "--quiet"]) == 0
     assert cli.main([str(path), "--out", str(tmp_path / "o2"), "--seed", "5"]) == 0
     assert "converged=True" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("initial", [
+    {"name": "sine_mode", "params": {"k": 1, "amplitude": 1e200}},
+    {"name": "from_file", "params": {"scale": 1e308}},
+])
+def test_numerical_failure_exits_5_with_report(tmp_path, capsys, initial):
+    if initial["name"] == "from_file":
+        datum = tmp_path / "datum.json"
+        grid = {"dim": 1, "lengths": [1.0], "n": [49]}
+        datum.write_text(json.dumps({"grid": grid, "values": [0.01] * 49}))
+        initial["params"]["path"] = str(datum)
+    out = tmp_path / "out"
+    cfg = base_config(out, initial=initial)
+    assert cli.run(write_config(tmp_path, cfg)) == cli.EXIT_NUMERICAL == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numerical failure: EvaluationError: ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    report = json.loads((out / "report.json").read_text())
+    assert report["error"]["type"] == "EvaluationError"
+    assert "non-finite" in report["error"]["message"]
+    assert report["mode"] == "solve" and report["grid"]["n"] == [49]
+    assert not (out / "ut.json").exists()
+
+
+def test_store_every_thins_trajectory_output_only(tmp_path):
+    # a solve writing no trajectory keeps only u0 and u_K while stepping;
+    # its integral and verification block equal those of a run storing states
+    outputs = {}
+    for formats in (["json"], ["json", "bin"]):
+        out = tmp_path / "_".join(formats)
+        cfg = base_config(out)
+        cfg["time"]["store_every"] = 4
+        cfg["output"]["formats"] = formats
+        assert cli.run(write_config(tmp_path, cfg, f"{out.name}.json"), quiet=True) == 0
+        outputs[out.name] = json.loads((out / "report.json").read_text())
+        outputs[out.name]["ut"] = (out / "ut.json").read_bytes()
+    lean, stored = outputs["json"], outputs["json_bin"]
+    assert lean["time"]["store_every"] == stored["time"]["store_every"] == 4
+    assert lean["ut"] == stored["ut"]
+    assert lean["verification"] == stored["verification"]
+    assert stored["files"]["trajectory_bin"] == "trajectory.bin"

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from nonlocal_heat import (
     evolve,
     norm_lp,
     phi_map,
+    trapezoid_time_integral,
 )
 
 
@@ -217,5 +219,46 @@ def test_phi_map_integral_consistent_with_trajectory():
     L = assemble(g)
     u0 = sine_datum(g)
     uT, traj = phi_map(L, catalog("quadratic"), u0, 0.5 * u0, EvolutionConfig(T=0.1, steps=50))
-    again = traj.time_integral()
-    assert np.array_equal(uT.values, again.values)
+    again = trapezoid_time_integral(
+        [(t, traj.state(k)) for k, t in enumerate(traj.times)]
+    )
+    assert norm_lp(uT - again, 2) <= 1e-13 * norm_lp(again, 2)
+
+
+@pytest.mark.parametrize("scheme", ["implicit_euler", "crank_nicolson"])
+@pytest.mark.parametrize("grid, steps", [
+    (Grid((1.0,), (33,)), 60),
+    (Grid((1.0,), (1500,)), 300),  # several reduction blocks, the last one short
+    (Grid((1.0, 1.0), (9, 7)), 24),
+])
+def test_phi_map_output_independent_of_store_every(scheme, grid, steps):
+    rng = np.random.default_rng(19)
+    L = assemble(grid)
+    u0 = Field(grid, rng.standard_normal(grid.num_nodes))
+    v = Field(grid, rng.uniform(0.0, 1.0, grid.num_nodes))
+    outputs = []
+    for every in (1, 4, steps):
+        uT, traj = phi_map(L, catalog("quadratic"), u0, v,
+                           EvolutionConfig(T=0.1, steps=steps, scheme=scheme,
+                                           store_every=every))
+        assert traj.num_samples == steps // every + 1
+        outputs.append((uT.values, traj.bounds, traj.final().values))
+    for values, bounds, final in outputs[1:]:
+        assert np.array_equal(values, outputs[0][0])
+        assert bounds == outputs[0][1]
+        assert np.array_equal(final, outputs[0][2])
+
+
+def test_bounds_cover_unstored_states():
+    g = Grid((1.0,), (21,))
+    L = assemble(g)
+    u0 = Field(g, np.r_[np.zeros(10), 1.0, np.zeros(10)])
+    cfg = EvolutionConfig(T=0.05, steps=10, scheme="crank_nicolson")
+    full = evolve(L, Field.zeros(g), u0, cfg)
+    thin = evolve(L, Field.zeros(g), u0, replace(cfg, store_every=10))
+    # Crank-Nicolson rings on a spike: an unstored state dips below every
+    # stored one, and the thinned run still sees it
+    assert full.states.min() < min(thin.states.min(), 0.0)
+    assert thin.min_value() == full.states.min()
+    assert thin.bounds.max_sum_sq == max(float(np.sum(s * s)) for s in full.states)
+    assert thin.bounds.max_abs == np.abs(full.states).max()

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from nonlocal_heat import (
     norm_lp,
     phi_map,
     picard_solve,
+    trapezoid_time_integral,
     uniqueness_probe,
     uniqueness_threshold,
 )
@@ -69,8 +71,33 @@ def test_constant_potential_converges_in_exactly_two_iterations():
 
 def test_report_integral_matches_trajectory():
     report = picard_solve(LAP, catalog("quadratic"), sine_datum(0.5), ECFG)
-    recomputed = report.trajectory.time_integral()
-    assert norm_lp(report.uT - recomputed, 2) <= 1e-12 * max(norm_lp(report.uT, 2), 1.0)
+    traj = report.trajectory
+    recomputed = trapezoid_time_integral(
+        [(t, traj.state(k)) for k, t in enumerate(traj.times)]
+    )
+    assert norm_lp(report.uT - recomputed, 2) <= 1e-13 * norm_lp(recomputed, 2)
+
+
+def test_streamed_solve_matches_stored_in_constant_memory():
+    # n=199, K=20000: a stored trajectory would be 32 MB; the streamed map
+    # keeps u0, u_K and one reduction block of at most 1 MiB
+    grid = Grid((1.0,), (199,))
+    lap = assemble(grid)
+    u0 = Field.from_function(grid, lambda x: 0.5 * np.sin(math.pi * x))
+    stored = picard_solve(lap, catalog("quadratic"), u0,
+                          EvolutionConfig(T=0.1, steps=20000))
+    tracemalloc.start()
+    try:
+        streamed = picard_solve(lap, catalog("quadratic"), u0,
+                                EvolutionConfig(T=0.1, steps=20000, store_every=20000))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert streamed.converged and stored.converged
+    assert streamed.trajectory.num_samples == 2
+    assert np.array_equal(streamed.uT.values, stored.uT.values)
+    assert streamed.residual_history == stored.residual_history
+    assert peak <= 2 * 2**20
 
 
 def test_quadratic_small_data_vs_tol_refined_oracle():

@@ -13,6 +13,7 @@ from nonlocal_heat import (
     check_energy,
     check_solution_bounds,
     dirichlet_lambda1_discrete,
+    norm_lp,
     picard_solve,
     verify_all,
 )
@@ -52,8 +53,6 @@ def test_bounds_heat_decay_ratios():
     assert check.norm_ratios[2.0] == pytest.approx(1.0)
     lam = dirichlet_lambda1_discrete(grid)
     dt = report.trajectory.times[1]
-    from nonlocal_heat import norm_lp
-
     u0 = report.trajectory.initial()
     for k in (1, 50, 200):
         ratio = norm_lp(report.trajectory.state(k), 2) / norm_lp(u0, 2)
@@ -75,6 +74,40 @@ def test_bounds_signed_datum_skips_positivity():
     assert check.positivity_min is None
     assert check.positivity_ok is None
     assert check.passed  # norm checks still bind
+
+
+@pytest.mark.parametrize("scheme", ["implicit_euler", "crank_nicolson"])
+def test_bounds_streamed_equal_per_state_recomputation(scheme):
+    grid = Grid((1.0,), (49,))
+    lap = assemble(grid)
+    u0 = Field(grid, np.r_[np.zeros(24), 1.0, np.zeros(24)])  # CN rings below 0
+    phi = catalog("quadratic")
+
+    def solve(every):
+        return picard_solve(lap, phi, u0, EvolutionConfig(T=0.1, steps=20, scheme=scheme,
+                                                          store_every=every))
+
+    stored, streamed = solve(1), solve(20)
+    assert streamed.trajectory.num_samples == 2
+    states = [stored.trajectory.state(k) for k in range(stored.trajectory.num_samples)]
+    check = check_solution_bounds(streamed)
+    for p in (2.0, math.inf):
+        expected = max(norm_lp(s, p) for s in states) / norm_lp(u0, p)
+        assert check.norm_ratios[p] == pytest.approx(expected, rel=1e-14, abs=0.0)
+    expected_min = min(float(np.min(s.values)) for s in states)
+    assert check.positivity_min == pytest.approx(expected_min, rel=1e-14, abs=0.0)
+    if scheme == "crank_nicolson":
+        # the dip lies strictly between the two states the streamed run keeps
+        assert expected_min < min(float(np.min(s.values)) for s in (states[0], states[-1]))
+
+
+def test_bounds_reject_other_norms():
+    grid = Grid((1.0,), (19,))
+    report = picard_solve(assemble(grid), catalog("zero"), Field.constant(grid, 1.0),
+                          EvolutionConfig(T=0.1, steps=10))
+    for p_list in ((1.0,), (2.0, 3.0)):
+        with pytest.raises(ValueError, match="p must be 2 or inf"):
+            check_solution_bounds(report, p_list)
 
 
 # ---------------------------------------------------------------- energy
