@@ -517,8 +517,8 @@ def run(
     """Execute one config; returns the process exit code.
 
     The whole config is parsed before the output directory is created.  A
-    numerical failure (a potential value or a linear solve that breaks
-    down) ends in ``EXIT_NUMERICAL`` with the run header and the error in
+    numerical failure (a potential value, a stepping overflow or a linear
+    solve that breaks down) ends in ``EXIT_NUMERICAL`` with the run header and the error in
     ``report.json``.
     """
     try:

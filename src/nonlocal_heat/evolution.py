@@ -14,7 +14,7 @@ import numpy as np
 
 from .laplacian import DirichletLaplacian, shifted_system
 from .mesh import Field, Grid
-from .potential import Potential, nemytskii
+from .potential import EvaluationError, Potential, nemytskii
 
 IMPLICIT_EULER = "implicit_euler"
 CRANK_NICOLSON = "crank_nicolson"
@@ -230,8 +230,12 @@ def phi_map(
     Freezes the potential at the trial integral ``vT``, evolves ``u0`` under
     it, and returns the trapezoidal time integral over every step together
     with the trajectory, whose stored samples ``store_every`` thins without
-    changing the integral.
+    changing the integral.  Raises :class:`EvaluationError` if the states
+    overflow, which leaves the integral non-finite.
     """
     w = nemytskii(phi, vT)
     trajectory = evolve(lap, w, u0, cfg)
+    if not np.all(np.isfinite(trajectory.integral)):
+        raise EvaluationError(
+            "the map returned a non-finite time integral: the states overflowed")
     return Field(lap.grid, trajectory.integral), trajectory

@@ -9,7 +9,7 @@ iteration contracts outside the small-data regime.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -75,17 +75,7 @@ class UniquenessThreshold:
         return self.product < 1.0
 
     def to_dict(self) -> dict:
-        return {
-            "applicable": self.applicable,
-            "s0": self.s0,
-            "lipschitz": self.lipschitz,
-            "lipschitz_exact": self.lipschitz_exact,
-            "c_omega": self.c_omega,
-            "product": self.product,
-            "met": self.met,
-            "lambda1_continuous": self.lambda1_continuous,
-            "lambda1_discrete": self.lambda1_discrete,
-        }
+        return {**asdict(self), "met": self.met}
 
 
 @dataclass
@@ -208,29 +198,17 @@ def uniqueness_threshold(
     """
     s0 = T * norm_lp(u0, math.inf)
     lam1 = dirichlet_lambda1(grid)
-    lam1_h = dirichlet_lambda1_discrete(grid)
     c_omega = 1.0 / lam1
-    if not phi.lipschitz_estimable:
-        return UniquenessThreshold(
-            s0=s0,
-            lipschitz=None,
-            c_omega=c_omega,
-            product=None,
-            applicable=False,
-            lipschitz_exact=False,
-            lambda1_continuous=lam1,
-            lambda1_discrete=lam1_h,
-        )
-    lip = lipschitz_on(phi, s0)
+    lip = lipschitz_on(phi, s0) if phi.lipschitz_estimable else None
     return UniquenessThreshold(
         s0=s0,
         lipschitz=lip,
         c_omega=c_omega,
-        product=c_omega * s0 * lip,
-        applicable=True,
-        lipschitz_exact=phi.lipschitz_exact,
+        product=None if lip is None else c_omega * s0 * lip,
+        applicable=lip is not None,
+        lipschitz_exact=lip is not None and phi.lipschitz_exact,
         lambda1_continuous=lam1,
-        lambda1_discrete=lam1_h,
+        lambda1_discrete=dirichlet_lambda1_discrete(grid),
     )
 
 

@@ -35,27 +35,30 @@ class SolverFailure(RuntimeError):
 
 @dataclass(frozen=True)
 class DirichletLaplacian:
-    """Matrix-free stencil operator for -Laplace with zero boundary data."""
+    """Matrix-free stencil operator for -Laplace with zero boundary data.
+
+    The stencil is built once; it is not a field, so ``==`` compares grids.
+    """
 
     grid: Grid
 
+    def __post_init__(self) -> None:
+        coefficients = tuple(1.0 / h**2 for h in self.grid.h)
+        axes = []
+        for axis, c in enumerate(coefficients):
+            before = (slice(None),) * axis
+            axes.append((c, before + (slice(None, -1),), before + (slice(1, None),)))
+        object.__setattr__(self, "_diagonal", sum(2.0 * c for c in coefficients))
+        object.__setattr__(self, "_axes", tuple(axes))
+
     def apply_array(self, v: np.ndarray) -> np.ndarray:
-        """Stencil product on a raw value array (implicit zero boundary)."""
-        g = self.grid
-        if g.dim == 1:
-            inv = 1.0 / g.h[0] ** 2
-            out = 2.0 * inv * v
-            out[1:] -= inv * v[:-1]
-            out[:-1] -= inv * v[1:]
-            return out
-        V = v.reshape(g.n)
-        inv0 = 1.0 / g.h[0] ** 2
-        inv1 = 1.0 / g.h[1] ** 2
-        out = (2.0 * inv0 + 2.0 * inv1) * V
-        out[1:, :] -= inv0 * V[:-1, :]
-        out[:-1, :] -= inv0 * V[1:, :]
-        out[:, 1:] -= inv1 * V[:, :-1]
-        out[:, :-1] -= inv1 * V[:, 1:]
+        """Stencil product on a raw value array (implicit zero boundary):
+        the diagonal, then each axis's lower and upper neighbour, axis 0 first."""
+        V = v.reshape(self.grid.n)
+        out = self._diagonal * V
+        for c, lower, upper in self._axes:
+            out[upper] -= c * V[lower]
+            out[lower] -= c * V[upper]
         return out.ravel()
 
 

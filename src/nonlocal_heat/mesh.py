@@ -66,12 +66,8 @@ class Grid:
 
     def coordinates(self) -> tuple[np.ndarray, ...]:
         """Per-axis coordinates of every interior node, row-major in 2D."""
-        if self.dim == 1:
-            return (self.axis_coordinates(0),)
-        X, Y = np.meshgrid(
-            self.axis_coordinates(0), self.axis_coordinates(1), indexing="ij"
-        )
-        return X.ravel(), Y.ravel()
+        axes = (self.axis_coordinates(a) for a in range(self.dim))
+        return tuple(X.ravel() for X in np.meshgrid(*axes, indexing="ij"))
 
     def refine(self) -> "Grid":
         """Halve the spacing; the old interior nodes embed in the new grid."""
@@ -160,12 +156,9 @@ def h1_seminorm_sq(f: Field) -> float:
     """
     g = f.grid
     meas = g.cell_measure
-    if g.dim == 1:
-        d = np.diff(f.values, prepend=0.0, append=0.0)
-        return float(np.sum(d * d) / g.h[0] ** 2 * meas)
     V = f.reshaped()
     total = 0.0
-    for axis in (0, 1):
+    for axis in range(g.dim):
         d = np.diff(V, axis=axis, prepend=0.0, append=0.0)
         total += np.sum(d * d) / g.h[axis] ** 2 * meas
     return float(total)
@@ -216,6 +209,4 @@ def restrict(fine: Field, coarse: Grid) -> Field:
             raise ValueError(f"grid with n={nf} does not nest over n={nc}")
         strides.append((nf + 1) // (nc + 1))
     index = [s * np.arange(1, nc + 1) - 1 for s, nc in zip(strides, coarse.n)]
-    if fg.dim == 1:
-        return Field(coarse, fine.values[index[0]])
-    return Field(coarse, fine.reshaped()[np.ix_(index[0], index[1])].ravel())
+    return Field(coarse, fine.reshaped()[np.ix_(*index)].ravel())

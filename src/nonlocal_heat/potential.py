@@ -23,7 +23,7 @@ CERTIFICATE_TOL = 1e-14
 
 
 class EvaluationError(ValueError):
-    """Potential evaluation produced a non-finite or certificate-breaking value."""
+    """The potential or the map produced a non-finite or certificate-breaking value."""
 
 
 @dataclass(frozen=True)

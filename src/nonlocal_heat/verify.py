@@ -9,7 +9,7 @@ converged integral.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -41,15 +41,10 @@ class SolutionBoundsCheck:
         return all(self.norm_ok.values()) and self.positivity_ok is not False
 
     def to_dict(self) -> dict:
-        return {
-            "norm_ratios": {_p_key(p): v for p, v in self.norm_ratios.items()},
-            "norm_ok": {_p_key(p): v for p, v in self.norm_ok.items()},
-            "positivity_min": self.positivity_min,
-            "positivity_ok": self.positivity_ok,
-            "norm_tolerance": self.norm_tolerance,
-            "positivity_tolerance": self.positivity_tolerance,
-            "passed": self.passed,
-        }
+        out = asdict(self)
+        for name in ("norm_ratios", "norm_ok"):
+            out[name] = {_p_key(p): v for p, v in out[name].items()}
+        return {**out, "passed": self.passed}
 
 
 @dataclass
@@ -78,19 +73,7 @@ class EnergyCheck:
         return self.bound_ok and self.final_norm_ok and self.integral_norm_ok
 
     def to_dict(self) -> dict:
-        return {
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "relative_mismatch": self.relative_mismatch,
-            "bound": self.bound,
-            "bound_ok": self.bound_ok,
-            "final_norm_ratio": self.final_norm_ratio,
-            "final_norm_ok": self.final_norm_ok,
-            "integral_norm_ratio": self.integral_norm_ratio,
-            "integral_norm_ok": self.integral_norm_ok,
-            "bound_tolerance": self.bound_tolerance,
-            "passed": self.passed,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 @dataclass
@@ -109,7 +92,7 @@ class EllipticCheck:
     relative_residual: float
 
     def to_dict(self) -> dict:
-        return {"relative_residual": self.relative_residual}
+        return asdict(self)
 
 
 @dataclass
@@ -123,41 +106,32 @@ class VerificationReport:
         return self.solution_bounds.passed and self.energy.passed
 
     def to_dict(self) -> dict:
-        return {
-            "solution_bounds": self.solution_bounds.to_dict(),
-            "energy": self.energy.to_dict(),
-            "elliptic": self.elliptic.to_dict(),
-            "passed": self.passed,
-        }
+        checks = {f.name: getattr(self, f.name).to_dict() for f in fields(self)}
+        return {**checks, "passed": self.passed}
 
 
 def _p_key(p: float) -> str:
     return "inf" if math.isinf(p) else f"{p:g}"
 
 
-def check_solution_bounds(
-    report: FixedPointReport, p_list: tuple[float, ...] = (2.0, math.inf)
-) -> SolutionBoundsCheck:
-    """Check ``max_k ||u_k||_p <= ||u0||_p`` and positivity over every step.
+def check_solution_bounds(report: FixedPointReport) -> SolutionBoundsCheck:
+    """Check ``max_k ||u_k||_p <= ||u0||_p`` for p = 2 and inf, and positivity.
 
-    Reads the bounds ``evolve`` measured on every state; ``p`` is 2 or inf.
+    Reads the bounds ``evolve`` measured on every state of the last sweep;
+    the results are keyed by p (``"2"`` and ``"inf"`` in ``to_dict``).
     """
     traj = report.trajectory
     bounds = traj.bounds
     u0 = traj.initial()
+    worst_by_p = {
+        2.0: (u0.grid.cell_measure * bounds.max_sum_sq) ** 0.5,
+        math.inf: bounds.max_abs,
+    }
     ratios: dict[float, float] = {}
-    ok: dict[float, bool] = {}
-    for p in p_list:
-        if p == 2.0:
-            worst = (u0.grid.cell_measure * bounds.max_sum_sq) ** 0.5
-        elif p == math.inf:
-            worst = bounds.max_abs
-        else:
-            raise ValueError(f"p must be 2 or inf, got {p}")
+    for p, worst in worst_by_p.items():
         base = norm_lp(u0, p)
-        ratio = 0.0 if base == 0.0 and worst == 0.0 else worst / max(base, EPS)
-        ratios[p] = ratio
-        ok[p] = ratio <= 1.0 + NORM_TOL
+        ratios[p] = 0.0 if base == 0.0 and worst == 0.0 else worst / max(base, EPS)
+    ok = {p: ratio <= 1.0 + NORM_TOL for p, ratio in ratios.items()}
     if np.all(u0.values >= 0.0):
         pos_min = traj.min_value()
         pos_ok = pos_min >= -POSITIVITY_TOL
@@ -221,14 +195,11 @@ def check_elliptic(
 
 
 def verify_all(
-    report: FixedPointReport,
-    phi: Potential,
-    lap: DirichletLaplacian,
-    p_list: tuple[float, ...] = (2.0, math.inf),
+    report: FixedPointReport, phi: Potential, lap: DirichletLaplacian
 ) -> VerificationReport:
-    """Run every check on a completed fixed-point report."""
+    """Run every check on a completed fixed-point report (norms 2 and inf)."""
     return VerificationReport(
-        solution_bounds=check_solution_bounds(report, p_list),
+        solution_bounds=check_solution_bounds(report),
         energy=check_energy(report, phi),
         elliptic=check_elliptic(report, phi, lap),
     )

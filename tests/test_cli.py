@@ -340,18 +340,24 @@ def test_main_entry_point(tmp_path, capsys):
     assert "converged=True" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("initial", [
-    {"name": "sine_mode", "params": {"k": 1, "amplitude": 1e200}},
-    {"name": "from_file", "params": {"scale": 1e308}},
-])
-def test_numerical_failure_exits_5_with_report(tmp_path, capsys, initial):
-    if initial["name"] == "from_file":
-        datum = tmp_path / "datum.json"
+@pytest.mark.parametrize("initial,potential,datum", [
+    # the potential of the iterate overflows
+    ({"name": "sine_mode", "params": {"k": 1, "amplitude": 1e200}}, "quadratic", None),
+    ({"name": "from_file", "params": {"scale": 1e308}}, "quadratic", 0.01),
+    # the states overflow while stepping
+    ({"name": "sine_mode", "params": {"k": 1, "amplitude": 1e308}}, "quadratic", None),
+    ({"name": "sine_mode", "params": {"k": 1, "amplitude": 1e200}}, "constant", None),
+    ({"name": "from_file", "params": {"scale": 1e308}}, "quadratic", 1.0),
+], ids=[f"initial{i}" for i in range(5)])
+def test_numerical_failure_exits_5_with_report(tmp_path, capsys, initial, potential, datum):
+    if datum is not None:
+        path = tmp_path / "datum.json"
         grid = {"dim": 1, "lengths": [1.0], "n": [49]}
-        datum.write_text(json.dumps({"grid": grid, "values": [0.01] * 49}))
-        initial["params"]["path"] = str(datum)
+        path.write_text(json.dumps({"grid": grid, "values": [datum] * 49}))
+        initial["params"]["path"] = str(path)
     out = tmp_path / "out"
-    cfg = base_config(out, initial=initial)
+    params = [-2000.0] if potential == "constant" else []
+    cfg = base_config(out, initial=initial, potential={"name": potential, "params": params})
     assert cli.run(write_config(tmp_path, cfg)) == cli.EXIT_NUMERICAL == 5
     captured = capsys.readouterr()
     assert captured.out == ""

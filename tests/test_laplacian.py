@@ -61,6 +61,19 @@ def test_assemble_2d_stencil_entries():
     assert A[0, 1] == -9.0 and A[0, 2] == -9.0 and A[0, 3] == 0.0
 
 
+def test_assemble_anisotropic_equals_kronecker_sum():
+    # unequal lengths and node counts: every entry of the n-d stencil equals
+    # the Kronecker sum of the two 1D second-difference matrices
+    L = assemble(Grid((1.0, 2.0), (4, 6)))  # h = (1/5, 2/7)
+
+    def second_difference(h, n):
+        return (1.0 / h**2) * (2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1))
+
+    T0, T1 = second_difference(1.0 / 5, 4), second_difference(2.0 / 7, 6)
+    expected = np.kron(T0, np.eye(6)) + np.kron(np.eye(4), T1)
+    assert np.array_equal(dense_matrix(L), expected)
+
+
 def test_assemble_is_m_matrix_and_spd():
     g = Grid((1.0, 2.0), (4, 5))
     A = dense_matrix(assemble(g))

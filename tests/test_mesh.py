@@ -30,6 +30,9 @@ def test_grid_basic_1d():
     assert g.h == (1.0 / 200.0,)
     assert g.num_nodes == 199
     assert np.allclose(g.axis_coordinates(0), np.arange(1, 200) / 200.0)
+    coords = g.coordinates()
+    assert isinstance(coords, tuple) and len(coords) == 1
+    assert np.array_equal(coords[0], g.axis_coordinates(0))
 
 
 def test_grid_basic_2d():
@@ -282,3 +285,7 @@ def test_restrict_2d_and_validation():
     assert np.allclose(r.values, expected.values, atol=1e-14)
     with pytest.raises(ValueError):
         restrict(f, Grid((1.0, 1.0), (4, 4)))
+    # unequal strides: 2 on axis 0, 1 on axis 1
+    fine = Grid((1.0, 2.0), (7, 5))
+    r = restrict(Field(fine, np.arange(35.0)), Grid((1.0, 2.0), (3, 5)))
+    assert np.array_equal(r.reshaped(), np.arange(35.0).reshape(7, 5)[[1, 3, 5], :])

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from nonlocal_heat import (
     EvolutionConfig,
     Field,
     Grid,
+    Potential,
     assemble,
     catalog,
     check_elliptic,
@@ -101,15 +103,6 @@ def test_bounds_streamed_equal_per_state_recomputation(scheme):
         assert expected_min < min(float(np.min(s.values)) for s in (states[0], states[-1]))
 
 
-def test_bounds_reject_other_norms():
-    grid = Grid((1.0,), (19,))
-    report = picard_solve(assemble(grid), catalog("zero"), Field.constant(grid, 1.0),
-                          EvolutionConfig(T=0.1, steps=10))
-    for p_list in ((1.0,), (2.0, 3.0)):
-        with pytest.raises(ValueError, match="p must be 2 or inf"):
-            check_solution_bounds(report, p_list)
-
-
 # ---------------------------------------------------------------- energy
 
 def test_energy_zero_datum():
@@ -200,6 +193,16 @@ def test_elliptic_residual_vanishes_under_joint_refinement():
 
 # -------------------------------------------------------------- combined
 
+# the exact report.json schema: a new dataclass field must show up here first
+BOUNDS_KEYS = {"norm_ratios", "norm_ok", "positivity_min", "positivity_ok",
+               "norm_tolerance", "positivity_tolerance", "passed"}
+ENERGY_KEYS = {"lhs", "rhs", "relative_mismatch", "bound", "bound_ok",
+               "final_norm_ratio", "final_norm_ok", "integral_norm_ratio",
+               "integral_norm_ok", "bound_tolerance", "passed"}
+THRESHOLD_KEYS = {"applicable", "s0", "lipschitz", "lipschitz_exact", "c_omega",
+                  "product", "met", "lambda1_continuous", "lambda1_discrete"}
+
+
 def test_verify_all_bundles_and_serializes():
     grid, lap, report = solve_on(99, 200, catalog("quadratic"),
                                  lambda x: 0.5 * np.sin(math.pi * x))
@@ -210,3 +213,22 @@ def test_verify_all_bundles_and_serializes():
     assert d["solution_bounds"]["norm_ok"] == {"2": True, "inf": True}
     assert isinstance(d["energy"]["relative_mismatch"], float)
     assert isinstance(d["elliptic"]["relative_residual"], float)
+
+    flat = Potential("flat", lambda s: np.zeros_like(s), nonnegative=True,
+                     lipschitz_estimable=False)
+    for phi in (catalog("quadratic"), flat):
+        grid, lap, report = solve_on(19, 20, phi, lambda x: 0.5 * np.sin(math.pi * x))
+        d = verify_all(report, phi, lap).to_dict()
+        assert set(d["solution_bounds"]) == BOUNDS_KEYS
+        assert set(d["solution_bounds"]["norm_ratios"]) == {"2", "inf"}
+        assert set(d["energy"]) == ENERGY_KEYS
+        assert set(d["elliptic"]) == {"relative_residual"}
+        threshold = report.threshold.to_dict()
+        assert set(threshold) == THRESHOLD_KEYS
+        if phi is flat:
+            assert threshold["applicable"] is threshold["lipschitz_exact"] is False
+            assert threshold["lipschitz"] is threshold["product"] is threshold["met"] is None
+        else:
+            assert threshold["applicable"] is threshold["lipschitz_exact"] is True
+            assert threshold["met"] is (threshold["product"] < 1.0)
+        json.dumps([d, threshold], allow_nan=False)  # serializable as stored
