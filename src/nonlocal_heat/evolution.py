@@ -70,14 +70,11 @@ class StateBounds:
     min_value: float   # min_k min_i u_k[i]
 
     @classmethod
-    def of(cls, states: np.ndarray, overwrite: bool = False) -> "StateBounds":
-        """Bounds over the rows of a ``(rows, num_nodes)`` array.
-
-        With ``overwrite`` the array is squared in place instead of into a copy.
-        """
+    def of(cls, states: np.ndarray) -> "StateBounds":
+        """Bounds over the rows of a ``(rows, num_nodes)`` array."""
         lo, hi = float(states.min()), float(states.max())
-        squares = np.multiply(states, states, out=states if overwrite else None)
-        return cls(float(np.max(np.sum(squares, axis=1))), max(hi, -lo), lo)
+        sum_sq = np.einsum("ij,ij->i", states, states)
+        return cls(float(sum_sq.max()), max(hi, -lo), lo)
 
     def merge(self, other: "StateBounds") -> "StateBounds":
         return StateBounds(
@@ -93,16 +90,15 @@ class Trajectory:
 
     ``states`` holds every ``store_every``-th state.  ``integral``, the
     trapezoidal time integral, and ``bounds`` are measured by ``evolve`` on
-    every state as it is produced, stored or not.  A trajectory built from
-    samples alone has no ``integral``, and its ``bounds`` are the samples'.
+    every state as it is produced, stored or not.
     """
 
     grid: Grid
     times: np.ndarray
     states: np.ndarray  # shape (num_samples, num_nodes), row k is u(t_k)
     scheme: str
-    integral: np.ndarray | None = None
-    bounds: StateBounds | None = None
+    integral: np.ndarray
+    bounds: StateBounds
 
     def __post_init__(self) -> None:
         times = np.asarray(self.times, dtype=float)
@@ -123,10 +119,7 @@ class Trajectory:
         states.setflags(write=False)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "states", states)
-        if self.integral is not None:
-            self.integral.setflags(write=False)
-        if self.bounds is None:
-            object.__setattr__(self, "bounds", StateBounds.of(states))
+        self.integral.setflags(write=False)
 
     @property
     def T(self) -> float:
@@ -157,8 +150,10 @@ def evolve(
 ) -> Trajectory:
     """Advance ``u' + (L + diag(w)) u = 0`` from ``u0`` to time T.
 
-    Implicit Euler solves ``(I + dt*(L+W)) u_{k+1} = u_k`` each step;
-    Crank-Nicolson solves ``(I + dt/2*(L+W)) u_{k+1} = (I - dt/2*(L+W)) u_k``.
+    Each step makes one solve: implicit Euler sets
+    ``u_{k+1} = (I + dt*(L+W))^{-1} u_k`` and Crank-Nicolson sets
+    ``u_{k+1} = 2 (I + dt/2*(L+W))^{-1} u_k - u_k``, which equals
+    ``(I + dt/2*(L+W))^{-1} (I - dt/2*(L+W)) u_k`` without its stencil product.
     Implicit Euler preserves positivity and is non-expansive for ``w >= 0``;
     Crank-Nicolson trades those guarantees for second-order accuracy.
 
@@ -174,15 +169,9 @@ def evolve(
     num_nodes = lap.grid.num_nodes
     stored = np.empty((steps // every + 1, num_nodes))
     stored[0] = u0.values
-    u = u0.values.copy()
-    w_vals = w.values
-
-    if cfg.scheme == IMPLICIT_EULER:
-        system = shifted_system(lap, w_vals, dt)
-        half = None
-    else:
-        system = shifted_system(lap, w_vals, 0.5 * dt)
-        half = 0.5 * dt
+    u = u0.values
+    reflect = cfg.scheme == CRANK_NICOLSON
+    system = shifted_system(lap, w.values, 0.5 * dt if reflect else dt)
 
     rows = max(1, min(steps, BLOCK_BYTES // (8 * num_nodes)))
     # with every state stored, the blocks are windows of the stored array
@@ -195,11 +184,8 @@ def evolve(
         count = min(rows, steps - start)
         block = scratch[start:start + count] if every == 1 else scratch[:count]
         for r in range(count):
-            if half is None:
-                u = system.solve(u)
-            else:
-                rhs = u - half * (lap.apply_array(u) + w_vals * u)
-                u = system.solve(rhs)
+            y = system.solve(u)
+            u = 2.0 * y - u if reflect else y
             block[r] = u
         if every > 1:  # block row r holds u_{start+r+1}
             first = -(start + 1) % every
@@ -211,8 +197,7 @@ def evolve(
             block_weights = block_weights.copy()
             block_weights[-1] = 0.5 * dt
         integral += block_weights @ block
-        # a scratch block is spent once reduced, so it can hold the squares
-        bounds = bounds.merge(StateBounds.of(block, overwrite=every > 1))
+        bounds = bounds.merge(StateBounds.of(block))
 
     times = dt * every * np.arange(stored.shape[0])
     return Trajectory(lap.grid, times, stored, cfg.scheme, integral, bounds)
@@ -234,7 +219,8 @@ def phi_map(
     overflow, which leaves the integral non-finite.
     """
     w = nemytskii(phi, vT)
-    trajectory = evolve(lap, w, u0, cfg)
+    with np.errstate(over="ignore", invalid="ignore"):  # the integral is checked below
+        trajectory = evolve(lap, w, u0, cfg)
     if not np.all(np.isfinite(trajectory.integral)):
         raise EvaluationError(
             "the map returned a non-finite time integral: the states overflowed")

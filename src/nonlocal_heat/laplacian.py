@@ -18,14 +18,14 @@ from scipy.linalg import get_lapack_funcs
 
 from .mesh import Field, Grid
 
-_gttrf, _gttrs = get_lapack_funcs(("gttrf", "gttrs"), (np.empty(0, dtype=float),))
+_pttrf, _pttrs = get_lapack_funcs(("pttrf", "pttrs"), (np.empty(0, dtype=float),))
 
 #: Relative residual target for the 2D conjugate-gradient solve.
 CG_RTOL = 1e-10
 
 
 class SolverFailure(RuntimeError):
-    """Linear solve did not reach its residual target within max iterations."""
+    """A linear solve broke down: indefinite operator, non-finite data or CG budget."""
 
     def __init__(self, message: str, residual: float, iterations: int):
         super().__init__(message)
@@ -88,28 +88,29 @@ def dirichlet_lambda1_discrete(grid: Grid) -> float:
 
 
 class _TridiagonalSystem:
-    """LU-factored tridiagonal system, solved by direct elimination."""
+    """Symmetric tridiagonal system, factored as ``L D L^T`` (LAPACK pttrf).
+
+    The factorization exists, with ``D > 0``, exactly when the matrix is
+    positive definite, which ``I + tau*(L + diag(w))`` is for ``w >= 0``;
+    otherwise it raises :class:`SolverFailure`.
+    """
 
     def __init__(self, diag: np.ndarray, off: float):
-        n = diag.size
-        self._n = n
-        if n == 1:
-            self._pivot = float(diag[0])
-            return
-        dl = np.full(n - 1, off)
-        du = np.full(n - 1, off)
-        dlf, df, duf, du2, ipiv, info = _gttrf(dl, diag, du)
-        if info != 0:  # pragma: no cover - SPD systems never hit this
-            raise SolverFailure("tridiagonal factorization failed", math.nan, 0)
-        self._fact = (dlf, df, duf, du2, ipiv)
+        if diag.size == 1:  # scipy's pttrf rejects n = 1
+            self._d, self._e = diag, None
+            info = 0 if diag[0] > 0.0 else 1
+        else:
+            self._d, self._e, info = _pttrf(diag, np.full(diag.size - 1, off))
+        if info != 0:
+            raise SolverFailure(
+                "the step operator I + tau*(L + diag(w)) is not positive definite "
+                f"(leading minor {info} of {diag.size}): w is too negative",
+                math.nan, 0)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        if self._n == 1:
-            return b / self._pivot
-        x, info = _gttrs(*self._fact, b)
-        if info != 0:  # pragma: no cover
-            raise SolverFailure("tridiagonal back-substitution failed", math.nan, 0)
-        return x
+        if self._e is None:
+            return b / self._d
+        return _pttrs(self._d, self._e, b)[0]
 
 
 class _ConjugateGradientSystem:
@@ -125,7 +126,10 @@ class _ConjugateGradientSystem:
         return self._shift * v + self._tau * self._lap.apply_array(v)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        b_norm = np.linalg.norm(b)
+        with np.errstate(over="ignore", invalid="ignore"):
+            b_norm = float(np.linalg.norm(b))
+        if not math.isfinite(b_norm):
+            raise SolverFailure("CG right-hand side has a non-finite norm", math.nan, 0)
         if b_norm == 0.0:
             return np.zeros_like(b)
         target = CG_RTOL * b_norm
@@ -170,7 +174,7 @@ def shifted_system(
 ):
     """Prepare ``(I + tau*(L + diag(w)))`` for repeated solves.
 
-    1D grids get a factored tridiagonal elimination; 2D grids get
+    1D grids get an ``L D L^T`` tridiagonal factorization; 2D grids get
     unpreconditioned CG with relative tolerance ``CG_RTOL`` and a default
     iteration cap of ``10 * num_nodes``.
     """
@@ -197,8 +201,9 @@ def solve_shifted(
 ) -> Field:
     """Solve ``(I + tau*(L + diag(w))) x = b`` for one right-hand side.
 
-    Raises :class:`SolverFailure` (carrying the relative residual) if the 2D
-    CG loop exhausts its iteration budget.
+    Raises :class:`SolverFailure` if the 1D operator is not positive definite,
+    or if 2D CG gets a right-hand side with a non-finite norm or exhausts its
+    iteration budget (carrying the relative residual).
     """
     if w.grid != lap.grid or b.grid != lap.grid:
         raise ValueError("operands live on different grids")

@@ -131,13 +131,19 @@ class Field:
 
 
 def norm_lp(f: Field, p: float) -> float:
-    """Discrete L^p norm: ``(prod(h) * sum |f_i|^p)^(1/p)``, max norm for p=inf."""
+    """Discrete L^p norm: ``(prod(h) * sum |f_i|^p)^(1/p)``, max norm for p=inf.
+
+    The values are scaled by their largest magnitude before the power, so a
+    finite norm is computed without overflow.
+    """
     p = float(p)
-    if math.isinf(p):
-        return float(np.max(np.abs(f.values)))
-    if p < 1.0:
+    if not (math.isinf(p) or p >= 1.0):
         raise ValueError(f"p must be >= 1 or inf, got {p}")
-    return float((f.grid.cell_measure * np.sum(np.abs(f.values) ** p)) ** (1.0 / p))
+    a = np.abs(f.values)
+    top = float(np.max(a))
+    if math.isinf(p) or top == 0.0:
+        return top
+    return top * float((f.grid.cell_measure * np.sum((a / top) ** p)) ** (1.0 / p))
 
 
 def inner_product(f: Field, g: Field) -> float:

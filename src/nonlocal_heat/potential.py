@@ -58,7 +58,8 @@ def nemytskii(phi: Potential, v: Field) -> Field:
     Raises :class:`EvaluationError` naming the first offending node if the
     output is non-finite or violates a declared certificate.
     """
-    w = phi(v.values)
+    with np.errstate(over="ignore", invalid="ignore"):  # finiteness is checked below
+        w = phi(v.values)
     if w.shape != v.values.shape:
         w = np.broadcast_to(w, v.values.shape).astype(float)
     bad = ~np.isfinite(w)

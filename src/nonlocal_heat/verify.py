@@ -124,7 +124,7 @@ def check_solution_bounds(report: FixedPointReport) -> SolutionBoundsCheck:
     bounds = traj.bounds
     u0 = traj.initial()
     worst_by_p = {
-        2.0: (u0.grid.cell_measure * bounds.max_sum_sq) ** 0.5,
+        2.0: math.sqrt(u0.grid.cell_measure * bounds.max_sum_sq),
         math.inf: bounds.max_abs,
     }
     ratios: dict[float, float] = {}
@@ -155,7 +155,7 @@ def check_energy(report: FixedPointReport, phi: Potential) -> EnergyCheck:
     mismatch = abs(lhs - rhs) / max(abs(rhs), EPS)
 
     u0_l2 = norm_lp(u0, 2)
-    bound = 2.0 * T * u0_l2**2
+    bound = 2.0 * T * u0_l2 * u0_l2
     final_ratio = norm_lp(uK, 2) / max(u0_l2, EPS)
     integral_ratio = norm_lp(uT, 2) / max(T * u0_l2, EPS)
     return EnergyCheck(

@@ -340,16 +340,32 @@ def test_main_entry_point(tmp_path, capsys):
     assert "converged=True" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("initial,potential,datum", [
+def sine(amplitude):
+    return {"name": "sine_mode", "params": {"k": 1, "amplitude": amplitude}}
+
+
+GRID_2D = {"domain": {"dim": 2, "lengths": [1.0, 1.0], "n": [31, 31]}}
+CN = {"time": {"T": 0.1, "steps": 100, "scheme": "crank_nicolson"}}
+
+
+@pytest.mark.parametrize("initial,potential,datum,overrides,error,cause", [
     # the potential of the iterate overflows
-    ({"name": "sine_mode", "params": {"k": 1, "amplitude": 1e200}}, "quadratic", None),
-    ({"name": "from_file", "params": {"scale": 1e308}}, "quadratic", 0.01),
+    (sine(1e200), "quadratic", None, {}, "EvaluationError", "non-finite"),
+    ({"name": "from_file", "params": {"scale": 1e308}}, "quadratic", 0.01, {},
+     "EvaluationError", "non-finite"),
     # the states overflow while stepping
-    ({"name": "sine_mode", "params": {"k": 1, "amplitude": 1e308}}, "quadratic", None),
-    ({"name": "sine_mode", "params": {"k": 1, "amplitude": 1e200}}, "constant", None),
-    ({"name": "from_file", "params": {"scale": 1e308}}, "quadratic", 1.0),
-], ids=[f"initial{i}" for i in range(5)])
-def test_numerical_failure_exits_5_with_report(tmp_path, capsys, initial, potential, datum):
+    (sine(1e308), "quadratic", None, {}, "EvaluationError", "non-finite"),
+    # constant(-2000): I + dt*(L - 2000 I) is indefinite, whatever the datum
+    (sine(1e200), "constant", None, {}, "SolverFailure", "not positive definite"),
+    ({"name": "from_file", "params": {"scale": 1e308}}, "quadratic", 1.0, {},
+     "EvaluationError", "non-finite"),
+    (sine(1.0), "constant", None, {}, "SolverFailure", "not positive definite"),
+    # the norm of a 2D right-hand side overflows: CG stops before iterating
+    (sine(1e308), "quadratic", None, GRID_2D, "SolverFailure", "non-finite norm"),
+    (sine(1e308), "quadratic", None, CN, "EvaluationError", "non-finite"),
+], ids=[f"initial{i}" for i in range(8)])
+def test_numerical_failure_exits_5_with_report(
+        tmp_path, capsys, initial, potential, datum, overrides, error, cause):
     if datum is not None:
         path = tmp_path / "datum.json"
         grid = {"dim": 1, "lengths": [1.0], "n": [49]}
@@ -357,16 +373,17 @@ def test_numerical_failure_exits_5_with_report(tmp_path, capsys, initial, potent
         initial["params"]["path"] = str(path)
     out = tmp_path / "out"
     params = [-2000.0] if potential == "constant" else []
-    cfg = base_config(out, initial=initial, potential={"name": potential, "params": params})
+    cfg = base_config(out, initial=initial, potential={"name": potential, "params": params},
+                      **overrides)
     assert cli.run(write_config(tmp_path, cfg)) == cli.EXIT_NUMERICAL == 5
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("numerical failure: EvaluationError: ")
+    assert captured.err.startswith(f"numerical failure: {error}: ")
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
     report = json.loads((out / "report.json").read_text())
-    assert report["error"]["type"] == "EvaluationError"
-    assert "non-finite" in report["error"]["message"]
-    assert report["mode"] == "solve" and report["grid"]["n"] == [49]
+    assert report["error"]["type"] == error
+    assert cause in report["error"]["message"]
+    assert report["mode"] == "solve" and report["grid"]["n"] == cfg["domain"]["n"]
     assert not (out / "ut.json").exists()
 
 

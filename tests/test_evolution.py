@@ -17,6 +17,7 @@ from nonlocal_heat import (
     phi_map,
     trapezoid_time_integral,
 )
+from nonlocal_heat.evolution import StateBounds
 
 
 def sine_datum(grid, amplitude=1.0):
@@ -47,12 +48,14 @@ def test_config_validation():
 
 def test_trajectory_validation():
     g = Grid((1.0,), (3,))
+    measured = (np.zeros(3), StateBounds(0.0, 0.0, 0.0))
     with pytest.raises(ValueError):
-        Trajectory(g, np.array([0.0]), np.zeros((1, 3)), "implicit_euler")
+        Trajectory(g, np.array([0.0]), np.zeros((1, 3)), "implicit_euler", *measured)
     with pytest.raises(ValueError):
-        Trajectory(g, np.array([0.1, 0.2]), np.zeros((2, 3)), "implicit_euler")
+        Trajectory(g, np.array([0.1, 0.2]), np.zeros((2, 3)), "implicit_euler", *measured)
     with pytest.raises(ValueError):
-        Trajectory(g, np.array([0.0, 0.1, 0.15]), np.zeros((3, 3)), "implicit_euler")
+        Trajectory(g, np.array([0.0, 0.1, 0.15]), np.zeros((3, 3)), "implicit_euler",
+                   *measured)
 
 
 # ------------------------------------------------------------ evolve

@@ -6,7 +6,8 @@ step, summing the steps of one frozen-potential evolution gives
 - Crank-Nicolson: ``A_w uT = u0 - u_K``;
 - implicit Euler: ``A_w uT = (I + dt/2 A_w)(u0 - u_K)``;
 
-exactly in exact arithmetic, whatever ``h``, ``dt`` and ``w >= 0``.  The
+exactly in exact arithmetic, whatever ``h``, ``dt`` and ``w >= 0``, and each
+Crank-Nicolson step satisfies ``(I + dt/2 A_w) u_{k+1} = (I - dt/2 A_w) u_k``.  The
 1D tridiagonal solve leaves only rounding; 2D CG leaves a residual of its
 relative tolerance ``CG_RTOL`` per step.
 """
@@ -21,10 +22,12 @@ from nonlocal_heat import EvolutionConfig, Field, Grid, assemble, evolve
 from nonlocal_heat.laplacian import CG_RTOL, shifted_system
 
 # Backward errors (see ``backward_error``), largest over 1500 examples per
-# test: 1D 1.6e-15 (identities) and 1.6e-16 (one shifted solve); 2D 7.5e-10
-# (identities: up to 40 CG solves, each to CG_RTOL) and 4.8e-11 (one solve).
-# The bounds leave a margin of 13x or more; one 2D solve is held to CG_RTOL,
-# which the CG stopping test on the true residual guarantees.
+# test: 1D 1.4e-15 (identities), 2.7e-16 (one Crank-Nicolson step) and
+# 1.6e-16 (one shifted solve); 2D 8.1e-10 (identities: up to 40 CG solves,
+# each to CG_RTOL, and a Crank-Nicolson step doubles its solve's residual),
+# 9.5e-11 (one Crank-Nicolson step) and 4.9e-11 (one solve).  The bounds
+# leave a margin of 12x or more; one 2D solve is held to CG_RTOL, which the
+# CG stopping test on the true residual guarantees.
 TOL_1D = 1e-13
 TOL_2D_STEPS = 1e-8
 
@@ -63,14 +66,14 @@ def backward_error(residual: np.ndarray, *terms: float) -> float:
     return float(np.linalg.norm(residual)) / sum(terms)
 
 
-def integral_and_final(grid, w, u0, scheme, T, steps):
-    """``A_w``'s stencil, ``uT``, ``u_K`` and ``dt * sum_k ||u_k||``, the size
+def evolve_problem(grid, w, u0, scheme, T, steps):
+    """``A_w``'s stencil, the trajectory and ``dt * sum_k ||u_k||``, the size
     of the terms the integral sums (they cancel when ``u_k`` alternates)."""
     lap = assemble(grid)
     traj = evolve(lap, Field(grid, w), Field(grid, u0),
                   EvolutionConfig(T=T, steps=steps, scheme=scheme))
     terms = T / steps * float(np.sum(np.linalg.norm(traj.states, axis=1)))
-    return lap, traj.integral, traj.final().values, terms
+    return lap, traj, terms
 
 
 TIMES = dict(T=st.sampled_from([0.01, 0.1, 1.0]), steps=st.integers(2, 40))
@@ -79,17 +82,27 @@ TIMES = dict(T=st.sampled_from([0.01, 0.1, 1.0]), steps=st.integers(2, 40))
 @given(problem=problems(), **TIMES)
 def test_crank_nicolson_identity(problem, T, steps):
     grid, w, u0 = problem
-    lap, uT, uK, terms = integral_and_final(grid, w, u0, "crank_nicolson", T, steps)
-    residual = lap.apply_array(uT) + w * uT - (u0 - uK)
+    lap, traj, terms = evolve_problem(grid, w, u0, "crank_nicolson", T, steps)
+    uT, uK = traj.integral, traj.final().values
     norm = np.linalg.norm
+    residual = lap.apply_array(uT) + w * uT - (u0 - uK)
     error = backward_error(residual, a_norm(grid, w) * terms, norm(u0), norm(uK))
     assert error <= tolerance(grid)
+    # and every step: (I + dt/2 A_w) u_{k+1} = (I - dt/2 A_w) u_k
+    half = 0.5 * T / steps
+    scale = 1.0 + half * a_norm(grid, w)
+    for before, after in zip(traj.states[:-1], traj.states[1:]):
+        residual = (after + half * (lap.apply_array(after) + w * after)
+                    - before + half * (lap.apply_array(before) + w * before))
+        error = backward_error(residual, scale * norm(after), scale * norm(before))
+        assert error <= tolerance(grid)
 
 
 @given(problem=problems(), **TIMES)
 def test_implicit_euler_identity(problem, T, steps):
     grid, w, u0 = problem
-    lap, uT, uK, terms = integral_and_final(grid, w, u0, "implicit_euler", T, steps)
+    lap, traj, terms = evolve_problem(grid, w, u0, "implicit_euler", T, steps)
+    uT, uK = traj.integral, traj.final().values
     dt = T / steps
     drop = u0 - uK
     residual = lap.apply_array(uT) + w * uT - drop - 0.5 * dt * (lap.apply_array(drop) + w * drop)

@@ -261,3 +261,20 @@ def test_single_interior_node():
     x = solve_shifted(L, Field.constant(g, 1.0), 0.5, b)
     # (1 + 0.5*(8 + 1)) x = 2
     assert x.values[0] == pytest.approx(2.0 / 5.5, rel=1e-14)
+
+
+@pytest.mark.parametrize("n", [49, 1])
+def test_indefinite_step_operator_raises(n):
+    # I + dt*(L - 2000 I) at dt = 1e-3 has 1 + dt*(lambda1 - 2000) < 0
+    g = Grid((1.0,), (n,))
+    with pytest.raises(SolverFailure, match="not positive definite") as info:
+        solve_shifted(assemble(g), Field.constant(g, -2000.0), 1e-3, Field.constant(g, 1.0))
+    assert info.value.iterations == 0
+
+
+def test_cg_rejects_a_right_hand_side_whose_norm_overflows():
+    # every entry is finite, their Euclidean norm is not
+    g = Grid((1.0, 1.0), (5, 5))
+    with pytest.raises(SolverFailure, match="non-finite norm") as info:
+        solve_shifted(assemble(g), Field.zeros(g), 0.1, Field.constant(g, 1e308))
+    assert info.value.iterations == 0

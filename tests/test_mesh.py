@@ -137,6 +137,14 @@ def test_norm_homogeneity():
             assert norm_lp(c * f, p) == pytest.approx(abs(c) * norm_lp(f, p), rel=1e-12)
 
 
+def test_norm_of_huge_values_does_not_overflow():
+    # |f|^p overflows at 1e200; the norm itself is finite
+    g = Grid((1.0,), (9,))
+    f = Field.constant(g, -1e200)
+    for p in (1.0, 2.0, 3.0, math.inf):
+        assert norm_lp(f, p) == pytest.approx(1e200 * 0.9 ** (1.0 / p), rel=1e-14)
+
+
 def test_norm_inf_dominates_measured_p_norms():
     rng = np.random.default_rng(8)
     g = Grid((2.0,), (17,))
