@@ -26,7 +26,6 @@ from .fixedpoint import (
     PicardConfig,
     picard_solve,
     uniqueness_probe,
-    uniqueness_threshold,
 )
 from .laplacian import SolverFailure, assemble
 from .mesh import Field, Grid, norm_lp, restrict
@@ -218,6 +217,8 @@ def parse_config(cfg: dict) -> Job:
     if mode not in MODES:
         _fail("mode", f"must be one of {MODES}, got {mode!r}")
     seed = _get(cfg, "seed", "integer", 0)
+    if seed < 0:
+        _fail("seed", f"must be >= 0, got {seed}")
     out = _get(cfg, "output", "object", {})
     out_dir = Path(_get(out, "output.dir", "string", "out"))
     formats = _get_list(out, "output.formats", "string", ["json"])
@@ -298,26 +299,24 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _write_field_outputs(field: Field, out_dir: Path, stem: str, formats: list[str]) -> dict:
+def _write_outputs(obj, kind: str, stem: str, job: Job) -> dict:
+    """Write ``obj`` with each ``nio.write_<kind>_<format>`` the job's formats
+    name, looked up at call time; returns the ``files`` entries made."""
     files = {}
-    if "csv" in formats:
-        nio.write_field_csv(field, out_dir / f"{stem}.csv")
-        files[f"{stem}_csv"] = f"{stem}.csv"
-    if "json" in formats:
-        nio.write_field_json(field, out_dir / f"{stem}.json")
-        files[f"{stem}_json"] = f"{stem}.json"
+    for fmt in FORMATS:
+        write = getattr(nio, f"write_{kind}_{fmt}", None)
+        if fmt in job.formats and write is not None:
+            write(obj, job.out_dir / f"{stem}.{fmt}")
+            files[f"{stem}_{fmt}"] = f"{stem}.{fmt}"
     return files
 
 
-def _write_trajectory_outputs(report: FixedPointReport, out_dir: Path, formats: list[str]) -> dict:
-    files = {}
-    if "csv" in formats:
-        nio.write_trajectory_csv(report.trajectory, out_dir / "trajectory.csv")
-        files["trajectory_csv"] = "trajectory.csv"
-    if "bin" in formats:
-        nio.write_trajectory_bin(report.trajectory, out_dir / "trajectory.bin")
-        files["trajectory_bin"] = "trajectory.bin"
-    return files
+def _write_table(path: Path, lines: list[str], quiet: bool) -> None:
+    """Write CSV lines to ``path`` and, unless ``quiet``, echo them."""
+    path.write_text("\n".join(lines) + "\n")
+    if not quiet:
+        for line in lines:
+            print(line)
 
 
 def _run_header(cfg: dict, job: Job) -> dict:
@@ -340,7 +339,7 @@ def _solve(job: Job):
 
 def _summary_line(report: FixedPointReport, verification) -> str:
     thr = report.threshold
-    product = "n/a" if thr is None or not thr.applicable else f"{thr.product:.3e}"
+    product = f"{thr.product:.3e}" if thr.applicable else "n/a"
     return (
         f"converged={report.converged} iterations={report.iterations} "
         f"final_residual={report.final_residual:.3e} threshold_product={product} "
@@ -359,8 +358,8 @@ def run_solve(cfg: dict, job: Job, quiet: bool) -> int:
     payload.update(report.scalar_diagnostics())
     payload["verification"] = verification.to_dict()
     files = {"config": "config.json", "report": "report.json"}
-    files.update(_write_field_outputs(report.uT, job.out_dir, "ut", job.formats))
-    files.update(_write_trajectory_outputs(report, job.out_dir, job.formats))
+    files.update(_write_outputs(report.uT, "field", "ut", job))
+    files.update(_write_outputs(report.trajectory, "trajectory", "trajectory", job))
     payload["files"] = files
     _write_json(job.out_dir / "report.json", payload)
     if not quiet:
@@ -375,12 +374,11 @@ def run_probe(cfg: dict, job: Job, quiet: bool) -> int:
     )
     payload = _run_header(cfg, job)
     payload["probe"] = probe.scalar_diagnostics()
-    thr = uniqueness_threshold(job.phi, job.u0, job.grid, job.ecfg.T)
-    payload["threshold"] = thr.to_dict()
+    payload["threshold"] = probe.runs[0].threshold.to_dict()
     files = {"config": "config.json", "report": "report.json"}
     for kind, run in zip(probe.start_kinds, probe.runs):
         if run.converged:
-            files.update(_write_field_outputs(run.uT, job.out_dir, "ut", job.formats))
+            files.update(_write_outputs(run.uT, "field", "ut", job))
             payload["probe"]["ut_from_start"] = kind
             break
     payload["files"] = files
@@ -452,10 +450,7 @@ def run_convergence_study(cfg: dict, job: Job, quiet: bool) -> int:
             f"{row['uT_error_vs_finest']:.10e},{row['elliptic_residual']:.10e},"
             f"{row['energy_mismatch']:.10e},{row['observed_order']}"
         )
-    (job.out_dir / "study.csv").write_text("\n".join(lines) + "\n")
-    if not quiet:
-        for line in lines:
-            print(line)
+    _write_table(job.out_dir / "study.csv", lines, quiet)
     return EXIT_OK
 
 
@@ -483,9 +478,7 @@ def run_sweep(cfg: dict, job: Job, quiet: bool) -> int:
             row.update(
                 converged=report.converged,
                 iterations=report.iterations,
-                threshold_product=(
-                    f"{thr.product:.10e}" if thr and thr.applicable else "n/a"
-                ),
+                threshold_product=f"{thr.product:.10e}" if thr.applicable else "n/a",
                 final_residual=f"{report.final_residual:.10e}",
             )
         except Exception as exc:  # per-row failures are recorded, not fatal
@@ -500,10 +493,7 @@ def run_sweep(cfg: dict, job: Job, quiet: bool) -> int:
         f"{r['threshold_product']},{r['final_residual']},{r['error']}"
         for r in rows
     ]
-    (job.out_dir / "sweep.csv").write_text("\n".join(lines) + "\n")
-    if not quiet:
-        for line in lines:
-            print(line)
+    _write_table(job.out_dir / "sweep.csv", lines, quiet)
     return EXIT_OK
 
 

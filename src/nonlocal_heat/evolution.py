@@ -89,14 +89,14 @@ class Trajectory:
     """One linear evolution on a uniform time partition.
 
     ``states`` holds every ``store_every``-th state.  ``integral``, the
-    trapezoidal time integral, and ``bounds`` are measured by ``evolve`` on
-    every state as it is produced, stored or not.
+    trapezoidal time integral, and ``bounds`` (the extremes the norm and
+    positivity checks read, such as ``bounds.min_value``) are measured by
+    ``evolve`` on every state as it is produced, stored or not.
     """
 
     grid: Grid
     times: np.ndarray
     states: np.ndarray  # shape (num_samples, num_nodes), row k is u(t_k)
-    scheme: str
     integral: np.ndarray
     bounds: StateBounds
 
@@ -137,9 +137,6 @@ class Trajectory:
 
     def final(self) -> Field:
         return self.state(self.num_samples - 1)
-
-    def min_value(self) -> float:
-        return self.bounds.min_value
 
 
 def evolve(
@@ -200,7 +197,7 @@ def evolve(
         bounds = bounds.merge(StateBounds.of(block))
 
     times = dt * every * np.arange(stored.shape[0])
-    return Trajectory(lap.grid, times, stored, cfg.scheme, integral, bounds)
+    return Trajectory(lap.grid, times, stored, integral, bounds)
 
 
 def phi_map(

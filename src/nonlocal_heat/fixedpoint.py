@@ -90,7 +90,7 @@ class FixedPointReport:
     converged: bool
     s0: float
     s0_l2: float
-    threshold: UniquenessThreshold | None
+    threshold: UniquenessThreshold
     iterate_max_norms: list[float]
     damping: float
     tol: float
@@ -111,11 +111,13 @@ class FixedPointReport:
             "s0_l2": self.s0_l2,
             "damping": self.damping,
             "tol": self.tol,
-            "threshold": self.threshold.to_dict() if self.threshold else None,
+            "threshold": self.threshold.to_dict(),
         }
 
 
 def _initial_iterate(pcfg: PicardConfig, u0: Field, T: float) -> Field:
+    """The field a start names: ``"zero"``, ``"scaled_datum"`` (``T * u0``)
+    or an explicit ``Field`` on the datum's grid."""
     guess = pcfg.initial_guess
     if isinstance(guess, Field):
         if guess.grid != u0.grid:
@@ -178,7 +180,7 @@ def picard_solve(
         residual_history=residuals,
         contraction_estimates=ratios,
         converged=converged,
-        s0=ecfg.T * norm_lp(u0, math.inf),
+        s0=threshold.s0,
         s0_l2=ecfg.T * norm_lp(u0, 2),
         threshold=threshold,
         iterate_max_norms=sup_norms,
@@ -261,23 +263,20 @@ def uniqueness_probe(
     if n_starts < 2:
         raise ValueError(f"need at least 2 starts, got {n_starts}")
     pcfg = pcfg or PicardConfig()
-    s0 = ecfg.T * norm_lp(u0, math.inf)
-    rng = np.random.default_rng(seed)
 
-    guesses: list[tuple[str, Field]] = [
-        ("zero", Field.zeros(u0.grid)),
-        ("scaled_datum", ecfg.T * u0),
-    ]
+    def run(guess: str | Field) -> FixedPointReport:
+        return picard_solve(lap, phi, u0, ecfg, replace(pcfg, initial_guess=guess))
+
+    kinds = ["zero", "scaled_datum"]
+    runs = [run(kind) for kind in kinds]
+    s0 = runs[0].threshold.s0
+    rng = np.random.default_rng(seed)
     for i in range(n_starts - 2):
         values = rng.uniform(-s0, s0, u0.grid.num_nodes) if s0 > 0.0 else np.zeros(
             u0.grid.num_nodes
         )
-        guesses.append((f"random_{i}", Field(u0.grid, values)))
-
-    runs = [
-        picard_solve(lap, phi, u0, ecfg, replace(pcfg, initial_guess=guess))
-        for _, guess in guesses
-    ]
+        kinds.append(f"random_{i}")
+        runs.append(run(Field(u0.grid, values)))
 
     converged_uts = [r.uT for r in runs if r.converged]
     max_dist = 0.0
@@ -286,7 +285,7 @@ def uniqueness_probe(
         for j in range(i + 1, len(converged_uts)):
             max_dist = max(max_dist, norm_lp(converged_uts[i] - converged_uts[j], 2))
     return ProbeReport(
-        start_kinds=[kind for kind, _ in guesses],
+        start_kinds=kinds,
         runs=runs,
         max_pairwise_distance=max_dist,
         max_pairwise_relative=max_dist / max(scale, RESIDUAL_FLOOR) if converged_uts else 0.0,

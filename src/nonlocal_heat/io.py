@@ -21,10 +21,13 @@ _I8 = np.dtype("<i8")
 _F8 = np.dtype("<f8")
 
 
+#: Names of the coordinate columns of a field CSV, one per axis.
+_AXES = ("x", "y")
+
+
 def write_field_csv(field: Field, path: str | Path) -> None:
-    coords = field.grid.coordinates()
-    columns = (*coords, field.values)
-    header = "x,y,value" if field.grid.dim == 2 else "x,value"
+    columns = (*field.grid.coordinates(), field.values)
+    header = ",".join((*_AXES[:field.grid.dim], "value"))
     np.savetxt(path, np.column_stack(columns), delimiter=",", header=header,
                comments="", fmt="%.17g")
 
@@ -42,26 +45,24 @@ def _infer_axis(coords: np.ndarray, axis_name: str) -> tuple[float, int]:
 
 
 def read_field_csv(path: str | Path) -> Field:
-    """Read a field CSV, inferring the uniform grid from the coordinates."""
+    """Read a field CSV, inferring the uniform grid from the coordinates.
+
+    Columns are one coordinate per axis, then the value; rows list the nodes
+    row-major, as ``write_field_csv`` writes them.  Each axis is inferred
+    from its column's unique values, then every row must match its node.
+    """
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    if data.shape[1] == 2:
-        length, n = _infer_axis(data[:, 0], "x")
-        return Field(Grid((length,), (n,)), data[:, 1])
-    if data.shape[1] != 3:
+    dim = data.shape[1] - 1
+    if dim not in (1, 2):
         raise ValueError(f"expected 2 or 3 columns, got {data.shape[1]}")
-    x, y, values = data[:, 0], data[:, 1], data[:, 2]
-    # row-major layout: y cycles fastest
-    n2 = int(np.argmax(x != x[0])) or x.size
-    if x.size % n2 != 0:
-        raise ValueError("rows do not form a rectangular row-major grid")
-    n1 = x.size // n2
-    length1, _ = _infer_axis(x.reshape(n1, n2)[:, 0], "x")
-    length2, _ = _infer_axis(y[:n2], "y")
-    grid = Grid((length1, length2), (n1, n2))
-    expected_x, expected_y = grid.coordinates()
-    if not (np.allclose(x, expected_x, rtol=1e-9) and np.allclose(y, expected_y, rtol=1e-9)):
+    lengths, n = zip(*(_infer_axis(np.unique(data[:, a]), _AXES[a]) for a in range(dim)))
+    grid = Grid(lengths, n)
+    if data.shape[0] != grid.num_nodes or not all(
+        np.allclose(data[:, a], expected, rtol=1e-9)
+        for a, expected in enumerate(grid.coordinates())
+    ):
         raise ValueError("coordinates are not a row-major uniform interior grid")
-    return Field(grid, values)
+    return Field(grid, data[:, dim])
 
 
 def write_field_json(field: Field, path: str | Path) -> None:

@@ -114,7 +114,8 @@ class _TridiagonalSystem:
 
 
 class _ConjugateGradientSystem:
-    """Matrix-free CG for ``(I + tau*(L + diag(w))) x = b`` in 2D."""
+    """Matrix-free CG for ``(I + tau*(L + diag(w))) x = b`` in 2D; a direction
+    with ``p^T A p <= 0`` proves the operator indefinite: ``SolverFailure``."""
 
     def __init__(self, lap: DirichletLaplacian, w: np.ndarray, tau: float, max_iter: int):
         self._lap = lap
@@ -141,7 +142,13 @@ class _ConjugateGradientSystem:
         p = r.copy()
         for k in range(1, self._max_iter + 1):
             Ap = self._matvec(p)
-            alpha = rs / float(p @ Ap)
+            curvature = float(p @ Ap)
+            if curvature <= 0.0:
+                raise SolverFailure(
+                    "the step operator I + tau*(L + diag(w)) is not positive definite "
+                    f"(CG direction {k} has p^T A p = {curvature:.3e}): w is too negative",
+                    math.sqrt(rs) / b_norm, k - 1)
+            alpha = rs / curvature
             x += alpha * p
             r -= alpha * Ap
             rs_new = float(r @ r)
@@ -202,8 +209,8 @@ def solve_shifted(
     """Solve ``(I + tau*(L + diag(w))) x = b`` for one right-hand side.
 
     Raises :class:`SolverFailure` if the 1D operator is not positive definite,
-    or if 2D CG gets a right-hand side with a non-finite norm or exhausts its
-    iteration budget (carrying the relative residual).
+    or if 2D CG finds it is not, gets a right-hand side with a non-finite
+    norm or exhausts its iteration budget (carrying the relative residual).
     """
     if w.grid != lap.grid or b.grid != lap.grid:
         raise ValueError("operands live on different grids")

@@ -133,7 +133,7 @@ def check_solution_bounds(report: FixedPointReport) -> SolutionBoundsCheck:
         ratios[p] = 0.0 if base == 0.0 and worst == 0.0 else worst / max(base, EPS)
     ok = {p: ratio <= 1.0 + NORM_TOL for p, ratio in ratios.items()}
     if np.all(u0.values >= 0.0):
-        pos_min = traj.min_value()
+        pos_min = bounds.min_value
         pos_ok = pos_min >= -POSITIVITY_TOL
     else:
         pos_min, pos_ok = None, None

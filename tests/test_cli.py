@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nonlocal_heat import cli
+from nonlocal_heat import cli, uniqueness_threshold
 from nonlocal_heat.io import read_field_json
 
 
@@ -134,6 +134,18 @@ def test_invalid_mode_settings_exit_3_before_any_write(tmp_path):
     assert cli.run(write_config(tmp_path, file_study), quiet=True) == 0
 
 
+def test_negative_seed_exits_3_before_any_write(tmp_path, capsys):
+    out = tmp_path / "out"
+    path = write_config(tmp_path, base_config(out, mode="probe", seed=-1))
+    assert cli.run(path, quiet=True) == 3
+    assert "invalid config: seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
+    path = write_config(tmp_path, base_config(out, mode="probe"))
+    assert cli.main([str(path), "--seed", "-5", "--quiet"]) == 3
+    assert "invalid config: seed must be >= 0, got -5" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_config_exits_3(tmp_path):
     assert cli.run(tmp_path / "nope.json", quiet=True) == 3
 
@@ -182,6 +194,9 @@ def test_probe_mode(tmp_path):
     assert len(report["probe"]["starts"]) == 4
     assert report["probe"]["generator"] == "numpy-pcg64"
     assert report["threshold"]["applicable"] is True
+    job = cli.parse_config(cfg)
+    expected = uniqueness_threshold(job.phi, job.u0, job.grid, job.ecfg.T).to_dict()
+    assert report["threshold"] == json.loads(json.dumps(expected))
     assert (out / "ut.json").exists()
 
 
@@ -363,7 +378,9 @@ CN = {"time": {"T": 0.1, "steps": 100, "scheme": "crank_nicolson"}}
     # the norm of a 2D right-hand side overflows: CG stops before iterating
     (sine(1e308), "quadratic", None, GRID_2D, "SolverFailure", "non-finite norm"),
     (sine(1e308), "quadratic", None, CN, "EvaluationError", "non-finite"),
-], ids=[f"initial{i}" for i in range(8)])
+    # the 2D operator is indefinite too: CG finds a direction with p^T A p <= 0
+    (sine(1.0), "constant", None, GRID_2D, "SolverFailure", "not positive definite"),
+], ids=[f"initial{i}" for i in range(9)])
 def test_numerical_failure_exits_5_with_report(
         tmp_path, capsys, initial, potential, datum, overrides, error, cause):
     if datum is not None:
@@ -404,3 +421,43 @@ def test_store_every_thins_trajectory_output_only(tmp_path):
     assert lean["ut"] == stored["ut"]
     assert lean["verification"] == stored["verification"]
     assert stored["files"]["trajectory_bin"] == "trajectory.bin"
+
+
+def test_rebound_solvers_and_writers_are_called(tmp_path, monkeypatch):
+    # tools that measure a run (the benchmark's tracer and correctness
+    # capture) rebind these module attributes; the CLI must look them up
+    # when it calls them, not keep the functions it saw at import time
+    from nonlocal_heat import fixedpoint
+    from nonlocal_heat import io as nio
+
+    calls = {}
+
+    def counting(owner, name):
+        original = getattr(owner, name)
+        key = f"{owner.__name__.rsplit('.', 1)[-1]}.{name}"
+        calls[key] = 0
+
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counting(cli, "picard_solve")
+    counting(fixedpoint, "picard_solve")
+    for name in ("write_field_csv", "write_field_json",
+                 "write_trajectory_csv", "write_trajectory_bin"):
+        counting(nio, name)
+    solve = base_config(tmp_path / "solve")
+    solve["domain"]["n"] = [9]
+    solve["time"]["steps"] = 10
+    solve["output"]["formats"] = ["csv", "json", "bin"]
+    probe = base_config(tmp_path / "probe", mode="probe", domain=solve["domain"],
+                        time=solve["time"])
+    probe["fixedpoint"]["starts"] = 2
+    for name, cfg in (("solve", solve), ("probe", probe)):
+        assert cli.run(write_config(tmp_path, cfg, f"{name}.json"), quiet=True) == 0
+    assert calls["cli.picard_solve"] == 1
+    assert calls["fixedpoint.picard_solve"] == 2
+    assert calls["io.write_field_csv"] == 2 and calls["io.write_field_json"] == 2
+    assert calls["io.write_trajectory_csv"] == 1 and calls["io.write_trajectory_bin"] == 1

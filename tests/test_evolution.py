@@ -50,12 +50,11 @@ def test_trajectory_validation():
     g = Grid((1.0,), (3,))
     measured = (np.zeros(3), StateBounds(0.0, 0.0, 0.0))
     with pytest.raises(ValueError):
-        Trajectory(g, np.array([0.0]), np.zeros((1, 3)), "implicit_euler", *measured)
+        Trajectory(g, np.array([0.0]), np.zeros((1, 3)), *measured)
     with pytest.raises(ValueError):
-        Trajectory(g, np.array([0.1, 0.2]), np.zeros((2, 3)), "implicit_euler", *measured)
+        Trajectory(g, np.array([0.1, 0.2]), np.zeros((2, 3)), *measured)
     with pytest.raises(ValueError):
-        Trajectory(g, np.array([0.0, 0.1, 0.15]), np.zeros((3, 3)), "implicit_euler",
-                   *measured)
+        Trajectory(g, np.array([0.0, 0.1, 0.15]), np.zeros((3, 3)), *measured)
 
 
 # ------------------------------------------------------------ evolve
@@ -123,7 +122,7 @@ def test_implicit_euler_preserves_positivity(grid):
     w = Field(grid, rng.uniform(0.0, 4.0, grid.num_nodes))
     u0 = Field(grid, rng.uniform(0.0, 1.0, grid.num_nodes))
     traj = evolve(L, w, u0, EvolutionConfig(T=0.2, steps=40))
-    assert traj.min_value() >= -1e-12
+    assert traj.bounds.min_value >= -1e-12
 
 
 def test_semigroup_consistency_exact():
@@ -262,6 +261,6 @@ def test_bounds_cover_unstored_states():
     # Crank-Nicolson rings on a spike: an unstored state dips below every
     # stored one, and the thinned run still sees it
     assert full.states.min() < min(thin.states.min(), 0.0)
-    assert thin.min_value() == full.states.min()
+    assert thin.bounds.min_value == full.states.min()
     assert thin.bounds.max_sum_sq == max(float(np.sum(s * s)) for s in full.states)
     assert thin.bounds.max_abs == np.abs(full.states).max()

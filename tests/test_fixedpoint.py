@@ -252,3 +252,12 @@ def test_probe_seed_reproducibility():
     for ra, rb in zip(a.runs, b.runs):
         assert np.array_equal(ra.uT.values, rb.uT.values)
     assert a.max_pairwise_distance == b.max_pairwise_distance
+
+
+def test_probe_named_starts_match_picard_solve():
+    phi, u0 = catalog("quadratic"), sine_datum(0.5)
+    probe = uniqueness_probe(LAP, phi, u0, ECFG, n_starts=3, seed=4)
+    for kind, run in zip(probe.start_kinds[:2], probe.runs):
+        alone = picard_solve(LAP, phi, u0, ECFG, PicardConfig(initial_guess=kind))
+        assert np.array_equal(run.uT.values, alone.uT.values)
+        assert run.residual_history == alone.residual_history

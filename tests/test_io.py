@@ -36,20 +36,38 @@ def test_field_csv_roundtrip_1d(tmp_path):
 
 
 def test_field_csv_roundtrip_2d(tmp_path):
-    g = Grid((1.0, 2.0), (4, 6))
-    f = Field.from_function(g, lambda x, y: x * y + 1.0)
-    path = tmp_path / "f.csv"
-    write_field_csv(f, path)
-    assert path.read_text().splitlines()[0] == "x,y,value"
-    back = read_field_csv(path)
-    assert back.grid == g
-    assert np.allclose(back.values, f.values, rtol=0, atol=1e-15)
+    for g in (Grid((1.0, 2.0), (4, 6)), Grid((1.0, 2.0), (1, 5))):
+        f = Field.from_function(g, lambda x, y: x * y + 1.0)
+        path = tmp_path / "f.csv"
+        write_field_csv(f, path)
+        assert path.read_text().splitlines()[0] == "x,y,value"
+        back = read_field_csv(path)
+        assert back.grid == g
+        assert np.allclose(back.values, f.values, rtol=0, atol=1e-15)
 
 
 def test_field_csv_rejects_nonuniform(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("x,value\n0.1,1.0\n0.25,2.0\n0.3,3.0\n")
     with pytest.raises(ValueError):
+        read_field_csv(path)
+
+
+def _column_major(rows):
+    return sorted(rows, key=lambda row: tuple(map(float, row.split(",")))[1::-1])
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_column_major, "row-major"),
+    (lambda rows: [row + ",0.0" for row in rows], "expected 2 or 3 columns, got 4"),
+    (lambda rows: rows[:5] + rows[6:], "row-major"),
+], ids=["column_major", "four_columns", "missing_row"])
+def test_field_csv_rejects_malformed_2d(tmp_path, edit, message):
+    path = tmp_path / "f.csv"
+    write_field_csv(Field.from_function(Grid((1.0, 2.0), (4, 6)), lambda x, y: x + y), path)
+    header, *rows = path.read_text().splitlines()
+    path.write_text("\n".join([header, *edit(rows)]) + "\n")
+    with pytest.raises(ValueError, match=message):
         read_field_csv(path)
 
 

@@ -263,10 +263,11 @@ def test_single_interior_node():
     assert x.values[0] == pytest.approx(2.0 / 5.5, rel=1e-14)
 
 
-@pytest.mark.parametrize("n", [49, 1])
+@pytest.mark.parametrize("n", [49, 1, pytest.param((31, 31), id="31x31")])
 def test_indefinite_step_operator_raises(n):
     # I + dt*(L - 2000 I) at dt = 1e-3 has 1 + dt*(lambda1 - 2000) < 0
-    g = Grid((1.0,), (n,))
+    n = n if isinstance(n, tuple) else (n,)
+    g = Grid((1.0,) * len(n), n)
     with pytest.raises(SolverFailure, match="not positive definite") as info:
         solve_shifted(assemble(g), Field.constant(g, -2000.0), 1e-3, Field.constant(g, 1.0))
     assert info.value.iterations == 0
