@@ -295,8 +295,21 @@ def parse_config(cfg: dict) -> Job:
     return Job(mode, seed, out_dir, formats, grid, phi, u0, ecfg, pcfg, **settings)
 
 
+def _finite_or_null(obj):
+    """``obj`` with every non-finite float replaced by None, JSON's null."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {key: _finite_or_null(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(value) for value in obj]
+    return obj
+
+
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    """Strict JSON: a non-finite float (an overflowed diagnostic) is written as null."""
+    text = json.dumps(_finite_or_null(payload), sort_keys=True, indent=2, allow_nan=False)
+    path.write_text(text + "\n")
 
 
 def _write_outputs(obj, kind: str, stem: str, job: Job) -> dict:

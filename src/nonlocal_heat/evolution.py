@@ -65,20 +65,31 @@ class EvolutionConfig:
 class StateBounds:
     """Extremes over a set of states: what the norm and positivity checks need."""
 
-    max_sum_sq: float  # max_k sum_i u_k[i]^2
-    max_abs: float     # max_k max_i |u_k[i]|
-    min_value: float   # min_k min_i u_k[i]
+    max_row_norm: float  # max_k sqrt(sum_i u_k[i]^2), no cell measure
+    max_abs: float       # max_k max_i |u_k[i]|
+    min_value: float     # min_k min_i u_k[i]
 
     @classmethod
     def of(cls, states: np.ndarray) -> "StateBounds":
-        """Bounds over the rows of a ``(rows, num_nodes)`` array."""
+        """Bounds over the rows of a ``(rows, num_nodes)`` array.
+
+        A row whose sum of squares overflows, though its entries are finite,
+        is scaled by its largest magnitude and summed again; other rows get
+        no extra pass.
+        """
         lo, hi = float(states.min()), float(states.max())
-        sum_sq = np.einsum("ij,ij->i", states, states)
-        return cls(float(sum_sq.max()), max(hi, -lo), lo)
+        norms = np.sqrt(np.einsum("ij,ij->i", states, states))
+        overflowed = np.isinf(norms)
+        if overflowed.any():
+            rows = states[overflowed]
+            top = np.max(np.abs(rows), axis=1)
+            scaled = rows / top[:, None]
+            norms[overflowed] = top * np.sqrt(np.einsum("ij,ij->i", scaled, scaled))
+        return cls(float(norms.max()), max(hi, -lo), lo)
 
     def merge(self, other: "StateBounds") -> "StateBounds":
         return StateBounds(
-            max(self.max_sum_sq, other.max_sum_sq),
+            max(self.max_row_norm, other.max_row_norm),
             max(self.max_abs, other.max_abs),
             min(self.min_value, other.min_value),
         )

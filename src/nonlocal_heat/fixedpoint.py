@@ -1,9 +1,14 @@
-"""Damped Picard iteration on the time-integral fixed point.
+"""Anderson-mixed fixed-point iteration on the time integral.
 
 The iterate is the trial time integral v; each sweep evaluates the map
-once and blends ``v <- (1-theta) v + theta Phi(v)``.  Non-convergence is a
-reported outcome, never an exception: existence does not imply the
-iteration contracts outside the small-data regime.
+once and mixes its output with the last ``ANDERSON_DEPTH`` inputs and
+outputs by least squares (D. G. Anderson, J. ACM 12, 1965; Walker & Ni,
+SIAM J. Numer. Anal. 49, 2011).  ``PicardConfig.damping`` is the mixing
+weight; with no history (the first sweep) the update is the damped Picard
+step ``v <- v + damping * (Phi(v) - v)``.  Existence comes from Schauder's
+theorem, not from a contraction, so outside the small-data regime plain
+Picard iteration may crawl or fail; non-convergence is a reported outcome,
+never an exception.
 """
 
 from __future__ import annotations
@@ -16,12 +21,18 @@ import numpy as np
 from .laplacian import DirichletLaplacian, dirichlet_lambda1, dirichlet_lambda1_discrete
 from .mesh import Field, Grid, norm_lp
 from .evolution import EvolutionConfig, Trajectory, phi_map
-from .potential import Potential, lipschitz_on
+from .potential import EvaluationError, Potential, lipschitz_on
 
 #: Floor for the relative-residual denominator (guards the zero fixed point).
 RESIDUAL_FLOOR = 1e-300
 
 RNG_NAME = "numpy-pcg64"
+
+#: Number of past map inputs and outputs the Anderson mixing combines.
+ANDERSON_DEPTH = 5
+
+#: The accelerator, as ``report.json`` records it.
+ACCELERATOR = {"method": "anderson", "depth": ANDERSON_DEPTH}
 
 
 @dataclass(frozen=True)
@@ -80,7 +91,7 @@ class UniquenessThreshold:
 
 @dataclass
 class FixedPointReport:
-    """Outcome of one Picard run (converged or not)."""
+    """Outcome of one fixed-point run (converged or not)."""
 
     uT: Field
     trajectory: Trajectory
@@ -110,6 +121,7 @@ class FixedPointReport:
             "s0": self.s0,
             "s0_l2": self.s0_l2,
             "damping": self.damping,
+            "accelerator": dict(ACCELERATOR),
             "tol": self.tol,
             "threshold": self.threshold.to_dict(),
         }
@@ -128,6 +140,10 @@ def _initial_iterate(pcfg: PicardConfig, u0: Field, T: float) -> Field:
     return Field.zeros(u0.grid)
 
 
+def _l2(grid: Grid, values: np.ndarray) -> float:
+    return norm_lp(Field(grid, values), 2)
+
+
 def picard_solve(
     lap: DirichletLaplacian,
     phi: Potential,
@@ -135,56 +151,77 @@ def picard_solve(
     ecfg: EvolutionConfig,
     pcfg: PicardConfig | None = None,
 ) -> FixedPointReport:
-    """Iterate ``v <- (1-theta) v + theta Phi(v)`` until the relative update
-    drops below ``tol`` or ``max_iter`` sweeps have run.
+    """Anderson-mixed fixed-point iteration on ``v = Phi(v)``.
 
-    Residuals are ``||v_next - v||_2 / max(||v||_2, 1e-300)``.  The reported
-    ``uT`` is the map output of the final sweep, the trapezoidal integral
-    over every step of the reported trajectory, whatever its
-    ``store_every``; with no damping this is the final iterate itself.
+    Sweep k evaluates ``g_k = Phi(v_k)`` once and forms ``f_k = g_k - v_k``.
+    With ``dF``/``dG`` the last ``min(k, ANDERSON_DEPTH)`` differences of
+    consecutive ``f``/``g``, ``gamma`` minimises ``||f_k - dF gamma||_2``
+    (an SVD least-squares solve) and the next iterate is
+    ``v_{k+1} = g_k - dG gamma - (1 - damping) (f_k - dF gamma)``.  The
+    first sweep has no history, so it is the damped step
+    ``v + damping * f``; with ``damping = 1`` it is ``Phi(v)`` itself.
+
+    The iteration stops once ``||f_k||_2 / max(||v_k||_2, 1e-300) <= tol``
+    or after ``max_iter`` map evaluations.  The reported ``uT`` is the map
+    output of the final sweep, the trapezoidal integral over every step of
+    the reported trajectory, whatever its ``store_every``.  Contraction
+    estimates are the map's Lipschitz quotients along the iterates,
+    ``||g_k - g_{k-1}||_2 / ||v_k - v_{k-1}||_2``.  An iterate that mixing
+    drives out of floating-point range raises :class:`EvaluationError`.
     """
     pcfg = pcfg or PicardConfig()
-    theta = pcfg.damping
-    v = _initial_iterate(pcfg, u0, ecfg.T)
+    grid = u0.grid
+    v = _initial_iterate(pcfg, u0, ecfg.T).values
+    d_f, d_g = np.empty((2, ANDERSON_DEPTH, v.size))  # ring buffers of dF and dG
 
     residuals: list[float] = []
-    sup_norms: list[float] = [norm_lp(v, math.inf)]
+    lipschitz: list[float] = []
+    sup_norms: list[float] = [float(np.max(np.abs(v)))]
     converged = False
-    uT = v
     trajectory: Trajectory | None = None
 
-    for _ in range(pcfg.max_iter):
+    for k in range(pcfg.max_iter):
         trajectory = None  # free the last sweep's states before the next are made
-        uT, trajectory = phi_map(lap, phi, u0, v, ecfg)
-        v_next = uT if theta == 1.0 else (1.0 - theta) * v + theta * uT
-        residual = norm_lp(v_next - v, 2) / max(norm_lp(v, 2), RESIDUAL_FLOOR)
-        residuals.append(residual)
-        sup_norms.append(norm_lp(v_next, math.inf))
-        v = v_next
-        if residual <= pcfg.tol:
+        uT, trajectory = phi_map(lap, phi, u0, Field(grid, v), ecfg)
+        g = uT.values
+        f = g - v
+        residuals.append(_l2(grid, f) / max(_l2(grid, v), RESIDUAL_FLOOR))
+        if k > 0:
+            slot = (k - 1) % ANDERSON_DEPTH
+            np.subtract(f, f_prev, out=d_f[slot])
+            np.subtract(g, g_prev, out=d_g[slot])
+            lipschitz.append(_l2(grid, d_g[slot]) / max(_l2(grid, v - v_prev), RESIDUAL_FLOOR))
+        if residuals[-1] <= pcfg.tol:
             converged = True
+            sup_norms.append(float(np.max(np.abs(g))))
             break
+        used = min(k, ANDERSON_DEPTH)
+        # lstsq's default cutoff, eps * max(N, used), drops singular
+        # directions of the history instead of amplifying them
+        gamma = np.linalg.lstsq(d_f[:used].T, f, rcond=None)[0]
+        v_prev, f_prev, g_prev = v, f, g
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            v = g - gamma @ d_g[:used] - (1.0 - pcfg.damping) * (f - gamma @ d_f[:used])
+        if not np.all(np.isfinite(v)):
+            raise EvaluationError("the mixed iterate overflowed")
+        sup_norms.append(float(np.max(np.abs(v))))
 
     if trajectory is None:  # max_iter >= 1, so the loop always ran
-        raise AssertionError("Picard loop did not execute")
+        raise AssertionError("fixed-point loop did not execute")
 
-    ratios = [
-        residuals[k + 1] / max(residuals[k], RESIDUAL_FLOOR)
-        for k in range(len(residuals) - 1)
-    ]
     threshold = uniqueness_threshold(phi, u0, u0.grid, ecfg.T)
     return FixedPointReport(
         uT=uT,
         trajectory=trajectory,
         iterations=len(residuals),
         residual_history=residuals,
-        contraction_estimates=ratios,
+        contraction_estimates=lipschitz,
         converged=converged,
         s0=threshold.s0,
         s0_l2=ecfg.T * norm_lp(u0, 2),
         threshold=threshold,
         iterate_max_norms=sup_norms,
-        damping=theta,
+        damping=pcfg.damping,
         tol=pcfg.tol,
     )
 
@@ -230,6 +267,7 @@ class ProbeReport:
         return {
             "seed": self.seed,
             "generator": self.generator,
+            "accelerator": dict(ACCELERATOR),
             "all_converged": self.all_converged,
             "max_pairwise_distance": self.max_pairwise_distance,
             "max_pairwise_relative": self.max_pairwise_relative,
@@ -254,7 +292,7 @@ def uniqueness_probe(
     n_starts: int = 5,
     seed: int = 0,
 ) -> ProbeReport:
-    """Run Picard from several initial guesses and compare the limits.
+    """Run ``picard_solve`` from several initial guesses and compare the limits.
 
     Guesses are the zero field, the time-scaled datum, and seeded uniform
     random fields with entries in ``[-S0, S0]``.  Non-convergent starts are

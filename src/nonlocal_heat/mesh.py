@@ -146,10 +146,22 @@ def norm_lp(f: Field, p: float) -> float:
     return top * float((f.grid.cell_measure * np.sum((a / top) ** p)) ** (1.0 / p))
 
 
+def _max_abs(f: Field) -> float:
+    return float(np.max(np.abs(f.values)))
+
+
 def inner_product(f: Field, g: Field) -> float:
-    """Discrete L^2 pairing ``prod(h) * sum f_i g_i``."""
+    """Discrete L^2 pairing ``prod(h) * sum f_i g_i``.
+
+    Each field is scaled by its largest magnitude before the products, so a
+    pairing that is finite is computed without overflow.
+    """
     f._check_same_grid(g)
-    return float(f.grid.cell_measure * np.dot(f.values, g.values))
+    a, b = _max_abs(f), _max_abs(g)
+    if a == 0.0 or b == 0.0:
+        return 0.0
+    unit = float(f.grid.cell_measure * np.dot(f.values / a, g.values / b))
+    return a * (b * unit)
 
 
 def h1_seminorm_sq(f: Field) -> float:
@@ -158,16 +170,20 @@ def h1_seminorm_sq(f: Field) -> float:
     Each edge in axis ``a`` contributes ``(df/h_a)^2 * prod(h)``; edges that
     touch the boundary use the Dirichlet value 0 there.  By summation by
     parts this equals ``inner_product(f, apply(L, f))`` for the stencil
-    Laplacian, exactly up to rounding.
+    Laplacian, exactly up to rounding.  The differences are scaled by the
+    largest magnitude of ``f`` before squaring, as in ``norm_lp``.
     """
     g = f.grid
+    top = _max_abs(f)
+    if top == 0.0:
+        return 0.0
     meas = g.cell_measure
-    V = f.reshaped()
+    V = f.reshaped() / top
     total = 0.0
     for axis in range(g.dim):
         d = np.diff(V, axis=axis, prepend=0.0, append=0.0)
         total += np.sum(d * d) / g.h[axis] ** 2 * meas
-    return float(total)
+    return top * (top * float(total))
 
 
 def _trapezoid_weights(times: np.ndarray) -> np.ndarray:

@@ -124,7 +124,7 @@ def check_solution_bounds(report: FixedPointReport) -> SolutionBoundsCheck:
     bounds = traj.bounds
     u0 = traj.initial()
     worst_by_p = {
-        2.0: math.sqrt(u0.grid.cell_measure * bounds.max_sum_sq),
+        2.0: math.sqrt(u0.grid.cell_measure) * bounds.max_row_norm,
         math.inf: bounds.max_abs,
     }
     ratios: dict[float, float] = {}
@@ -141,16 +141,25 @@ def check_solution_bounds(report: FixedPointReport) -> SolutionBoundsCheck:
 
 
 def check_energy(report: FixedPointReport, phi: Potential) -> EnergyCheck:
-    """Evaluate both sides of the energy identity and its upper bounds."""
-    traj = report.trajectory
-    uT = report.uT
-    u0 = traj.initial()
-    uK = traj.final()
-    T = traj.T
-    meas = uT.grid.cell_measure
+    """Evaluate both sides of the energy identity and its upper bounds.
 
-    phi_uT = nemytskii(phi, uT)
-    lhs = h1_seminorm_sq(uT) + float(meas * np.sum(phi_uT.values * uT.values**2))
+    Every term is quadratic in the states, so it is evaluated on the states
+    divided by ``s = max|u0|`` and compared there; the reported ``lhs``,
+    ``rhs`` and ``bound`` are those values times ``s^2``.  Each term scales
+    by its own largest magnitude too, so a term beyond the floating-point
+    range (states that grew, as Crank-Nicolson's may) reads as infinite and
+    fails the bound, without an overflow in the arithmetic.
+    """
+    traj = report.trajectory
+    T = traj.T
+    meas = report.uT.grid.cell_measure
+    scale = max(norm_lp(traj.initial(), math.inf), EPS)
+    u0, uK, uT = (field * (1.0 / scale) for field in (traj.initial(), traj.final(), report.uT))
+
+    phi_uT = nemytskii(phi, report.uT)
+    top = max(norm_lp(uT, math.inf), EPS)
+    potential = float(meas * np.sum(phi_uT.values * (uT.values / top) ** 2))
+    lhs = h1_seminorm_sq(uT) + top * (top * potential)
     rhs = inner_product(u0 - uK, uT)
     mismatch = abs(lhs - rhs) / max(abs(rhs), EPS)
 
@@ -159,10 +168,10 @@ def check_energy(report: FixedPointReport, phi: Potential) -> EnergyCheck:
     final_ratio = norm_lp(uK, 2) / max(u0_l2, EPS)
     integral_ratio = norm_lp(uT, 2) / max(T * u0_l2, EPS)
     return EnergyCheck(
-        lhs=lhs,
-        rhs=rhs,
+        lhs=scale * (scale * lhs),
+        rhs=scale * (scale * rhs),
         relative_mismatch=mismatch,
-        bound=bound,
+        bound=scale * (scale * bound),
         bound_ok=lhs <= bound * (1.0 + BOUND_TOL) + EPS,
         final_norm_ratio=final_ratio,
         final_norm_ok=final_ratio <= 1.0 + BOUND_TOL,

@@ -169,6 +169,39 @@ def test_nonconvergence_exits_2_with_artifacts(tmp_path):
     assert (out / "ut.json").exists()
 
 
+@pytest.mark.parametrize("scheme", ["implicit_euler", "crank_nicolson"])
+def test_verification_holds_above_1e154(tmp_path, scheme):
+    # squares of states this large overflow; every check scales first, so a
+    # finite, non-expanding run verifies (the suite fails on RuntimeWarning)
+    out = tmp_path / "out"
+    cfg = base_config(out, potential={"name": "zero", "params": []})
+    cfg["time"]["scheme"] = scheme
+    cfg["initial"]["params"]["amplitude"] = 1e160
+    cfg["output"]["formats"] = ["json"]
+    assert cli.run(write_config(tmp_path, cfg), quiet=True) == 0
+    verification = json.loads((out / "report.json").read_text())["verification"]
+    assert all(verification["solution_bounds"]["norm_ok"].values())
+    assert verification["energy"]["bound_ok"] is True
+    assert verification["passed"] is True
+    assert 0.99 < verification["solution_bounds"]["norm_ratios"]["2"] <= 1.0 + 1e-10
+
+
+def test_report_is_strict_json_with_null_for_overflow(tmp_path):
+    # the energy terms of this run lie beyond the floating-point range
+    out = tmp_path / "out"
+    cfg = base_config(out, potential={"name": "bounded_sine", "params": [1e300]})
+    cfg["initial"]["params"]["amplitude"] = 1e10
+    cfg["output"]["formats"] = ["json"]
+    assert cli.run(write_config(tmp_path, cfg), quiet=True) == 0
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    report = json.loads((out / "report.json").read_text(), parse_constant=reject)
+    assert report["verification"]["energy"]["lhs"] is None
+    assert report["accelerator"] == {"method": "anderson", "depth": 5}
+
+
 def test_reports_are_reproducible(tmp_path):
     cfg1 = base_config(tmp_path / "a")
     cfg2 = base_config(tmp_path / "b")

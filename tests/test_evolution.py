@@ -46,6 +46,13 @@ def test_config_validation():
     assert cfg.dt == 0.1
 
 
+def test_state_bounds_row_norm_survives_overflowing_squares():
+    assert StateBounds.of(np.array([[3.0, 4.0]])).max_row_norm == 5.0
+    bounds = StateBounds.of(np.array([[1e200, -1e200], [3.0, 4.0]]))
+    assert bounds.max_row_norm == pytest.approx(math.sqrt(2.0) * 1e200, rel=1e-15)
+    assert (bounds.max_abs, bounds.min_value) == (1e200, -1e200)
+
+
 def test_trajectory_validation():
     g = Grid((1.0,), (3,))
     measured = (np.zeros(3), StateBounds(0.0, 0.0, 0.0))
@@ -262,5 +269,5 @@ def test_bounds_cover_unstored_states():
     # stored one, and the thinned run still sees it
     assert full.states.min() < min(thin.states.min(), 0.0)
     assert thin.bounds.min_value == full.states.min()
-    assert thin.bounds.max_sum_sq == max(float(np.sum(s * s)) for s in full.states)
+    assert thin.bounds.max_row_norm == max(math.sqrt(np.sum(s * s)) for s in full.states)
     assert thin.bounds.max_abs == np.abs(full.states).max()

@@ -1,10 +1,13 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from nonlocal_heat import (
+    EvaluationError,
     EvolutionConfig,
     Field,
     Grid,
@@ -58,6 +61,7 @@ def test_constant_potential_converges_in_exactly_two_iterations():
     assert report.converged
     assert report.iterations == 2
     assert report.residual_history[-1] <= 1e-14
+    assert report.contraction_estimates == [0.0]  # the map's Lipschitz quotient
 
     rng = np.random.default_rng(23)
     guess = Field(GRID, rng.uniform(-0.1, 0.1, GRID.num_nodes))
@@ -67,6 +71,62 @@ def test_constant_potential_converges_in_exactly_two_iterations():
     )
     assert report2.converged and report2.iterations == 2
     assert np.allclose(report.uT.values, report2.uT.values, rtol=0, atol=1e-15)
+
+
+def test_first_sweep_is_the_damped_step():
+    # no history yet: v1 = v0 + damping * (Phi(v0) - v0); the residual
+    # ||Phi(v0) - v0|| / ||v0|| does not depend on the damping
+    phi, u0 = catalog("quadratic"), sine_datum(0.5)
+    pcfg = PicardConfig(initial_guess="scaled_datum", max_iter=1)
+    v0 = ECFG.T * u0
+    g0, _ = phi_map(LAP, phi, u0, v0, ECFG)
+    for damping in (1.0, 0.5):
+        report = picard_solve(LAP, phi, u0, ECFG, replace(pcfg, damping=damping))
+        step = v0.values + damping * (g0.values - v0.values)
+        assert report.iterate_max_norms[1] == pytest.approx(np.abs(step).max(), rel=1e-15)
+        assert report.residual_history == [norm_lp(g0 - v0, 2) / norm_lp(v0, 2)]
+
+
+def test_limit_matches_scipy_anderson_oracle():
+    # an independent Anderson implementation on F(v) = Phi(v) - v
+    grid = Grid((1.0,), (31,))
+    lap = assemble(grid)
+    u0 = Field.from_function(grid, lambda x: 20.0 * np.sin(math.pi * x))
+    ecfg = EvolutionConfig(T=1.0, steps=100)
+    phi = catalog("quadratic")
+
+    def residual(v):
+        image, _ = phi_map(lap, phi, u0, Field(grid, v), ecfg)
+        return image.values - v
+
+    oracle = scipy.optimize.anderson(residual, np.zeros(grid.num_nodes), M=5, f_tol=1e-13)
+    report = picard_solve(lap, phi, u0, ecfg)
+    assert report.converged
+    assert np.linalg.norm(report.uT.values - oracle) <= 1e-8 * np.linalg.norm(oracle)
+
+
+def test_hard_probe_map_evaluation_budget():
+    # shaped like the benchmark's probe_hard_1d: plain Picard took 1,144
+    # map evaluations over the five starts, Anderson mixing takes 57
+    grid = Grid((1.0,), (99,))
+    u0 = Field.from_function(grid, lambda x: 60.0 * np.sin(math.pi * x))
+    ecfg = EvolutionConfig(T=1.0, steps=400, store_every=400)
+    probe = uniqueness_probe(assemble(grid), catalog("quadratic"), u0, ecfg,
+                             PicardConfig(max_iter=300), n_starts=5, seed=0)
+    assert probe.all_converged
+    assert probe.max_pairwise_relative <= 1e-8
+    assert sum(run.iterations for run in probe.runs) <= 75
+
+
+def test_mixed_iterate_overflow_is_a_numerical_failure(monkeypatch):
+    # a non-finite mixing coefficient ends the run with EvaluationError (CLI
+    # exit 5), not with a non-finite Field raising ValueError
+    def unbounded(a, b, rcond):
+        return np.full(a.shape[1], np.inf), None, None, None
+
+    monkeypatch.setattr(np.linalg, "lstsq", unbounded)
+    with pytest.raises(EvaluationError, match="mixed iterate"):
+        picard_solve(LAP, catalog("quadratic"), sine_datum(0.5), ECFG)
 
 
 def test_report_integral_matches_trajectory():

@@ -202,6 +202,14 @@ def test_inner_product_orthogonal_modes():
     assert abs(inner_product(f, h)) <= 1e-3
 
 
+def test_quadratic_forms_finite_where_squares_overflow():
+    # each square exceeds the float range, the measure-weighted sums do not
+    f = Field.constant(Grid((1.0,), (99,)), 1.3e154)
+    assert inner_product(f, f) == pytest.approx(0.99 * 1.3e154**2, rel=1e-14)
+    hat = Field(Grid((1.0,), (1,)), [6e153])
+    assert h1_seminorm_sq(hat) == pytest.approx(4.0 * 6e153**2, rel=1e-14)
+
+
 def test_inner_product_grid_mismatch():
     f = Field.constant(Grid((1.0,), (4,)), 1.0)
     g = Field.constant(Grid((1.0,), (5,)), 1.0)
