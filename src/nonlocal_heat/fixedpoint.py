@@ -140,8 +140,8 @@ def _initial_iterate(pcfg: PicardConfig, u0: Field, T: float) -> Field:
     return Field.zeros(u0.grid)
 
 
-def _l2(grid: Grid, values: np.ndarray) -> float:
-    return norm_lp(Field(grid, values), 2)
+def _norm(grid: Grid, values: np.ndarray, p: float = 2.0) -> float:
+    return norm_lp(Field(grid, values), p)
 
 
 def picard_solve(
@@ -176,7 +176,7 @@ def picard_solve(
 
     residuals: list[float] = []
     lipschitz: list[float] = []
-    sup_norms: list[float] = [float(np.max(np.abs(v)))]
+    sup_norms: list[float] = [_norm(grid, v, math.inf)]
     converged = False
     trajectory: Trajectory | None = None
 
@@ -185,15 +185,15 @@ def picard_solve(
         uT, trajectory = phi_map(lap, phi, u0, Field(grid, v), ecfg)
         g = uT.values
         f = g - v
-        residuals.append(_l2(grid, f) / max(_l2(grid, v), RESIDUAL_FLOOR))
+        residuals.append(_norm(grid, f) / max(_norm(grid, v), RESIDUAL_FLOOR))
         if k > 0:
             slot = (k - 1) % ANDERSON_DEPTH
             np.subtract(f, f_prev, out=d_f[slot])
             np.subtract(g, g_prev, out=d_g[slot])
-            lipschitz.append(_l2(grid, d_g[slot]) / max(_l2(grid, v - v_prev), RESIDUAL_FLOOR))
+            lipschitz.append(_norm(grid, d_g[slot]) / max(_norm(grid, v - v_prev), RESIDUAL_FLOOR))
         if residuals[-1] <= pcfg.tol:
             converged = True
-            sup_norms.append(float(np.max(np.abs(g))))
+            sup_norms.append(_norm(grid, g, math.inf))
             break
         used = min(k, ANDERSON_DEPTH)
         # lstsq's default cutoff, eps * max(N, used), drops singular
@@ -204,7 +204,7 @@ def picard_solve(
             v = g - gamma @ d_g[:used] - (1.0 - pcfg.damping) * (f - gamma @ d_f[:used])
         if not np.all(np.isfinite(v)):
             raise EvaluationError("the mixed iterate overflowed")
-        sup_norms.append(float(np.max(np.abs(v))))
+        sup_norms.append(_norm(grid, v, math.inf))
 
     if trajectory is None:  # max_iter >= 1, so the loop always ran
         raise AssertionError("fixed-point loop did not execute")

@@ -146,10 +146,6 @@ def norm_lp(f: Field, p: float) -> float:
     return top * float((f.grid.cell_measure * np.sum((a / top) ** p)) ** (1.0 / p))
 
 
-def _max_abs(f: Field) -> float:
-    return float(np.max(np.abs(f.values)))
-
-
 def inner_product(f: Field, g: Field) -> float:
     """Discrete L^2 pairing ``prod(h) * sum f_i g_i``.
 
@@ -157,7 +153,7 @@ def inner_product(f: Field, g: Field) -> float:
     pairing that is finite is computed without overflow.
     """
     f._check_same_grid(g)
-    a, b = _max_abs(f), _max_abs(g)
+    a, b = norm_lp(f, math.inf), norm_lp(g, math.inf)
     if a == 0.0 or b == 0.0:
         return 0.0
     unit = float(f.grid.cell_measure * np.dot(f.values / a, g.values / b))
@@ -174,7 +170,7 @@ def h1_seminorm_sq(f: Field) -> float:
     largest magnitude of ``f`` before squaring, as in ``norm_lp``.
     """
     g = f.grid
-    top = _max_abs(f)
+    top = norm_lp(f, math.inf)
     if top == 0.0:
         return 0.0
     meas = g.cell_measure

@@ -186,6 +186,28 @@ def test_verification_holds_above_1e154(tmp_path, scheme):
     assert 0.99 < verification["solution_bounds"]["norm_ratios"]["2"] <= 1.0 + 1e-10
 
 
+def test_growth_beyond_float_range_fails_verification_without_error(tmp_path):
+    # constant(-2000) makes each Crank-Nicolson step multiply the state by
+    # about 399, so u(T) / max|u0| is about 1e312 though every state is finite
+    out = tmp_path / "out"
+    cfg = base_config(out, potential={"name": "constant", "params": [-2000.0]})
+    cfg["time"] = {"T": 0.12, "steps": 120, "scheme": "crank_nicolson"}
+    cfg["initial"]["params"]["amplitude"] = 1e-10
+    cfg["output"]["formats"] = ["json"]
+    assert cli.run(write_config(tmp_path, cfg), quiet=True) == 0
+    verification = json.loads((out / "report.json").read_text())["verification"]
+    energy = verification["energy"]
+    assert energy["final_norm_ok"] is False and energy["integral_norm_ok"] is False
+    assert energy["final_norm_ratio"] is None  # inf, written as null
+    # phi < -pi^2 makes both sides of the identity negative (-inf, null), so
+    # the upper bound holds; they still agree to rounding
+    assert energy["lhs"] is None and energy["rhs"] is None
+    assert energy["bound_ok"] is True
+    assert energy["relative_mismatch"] < 1e-12
+    assert math.isclose(energy["bound"], 1.2e-21, rel_tol=1e-12)
+    assert verification["passed"] is False
+
+
 def test_report_is_strict_json_with_null_for_overflow(tmp_path):
     # the energy terms of this run lie beyond the floating-point range
     out = tmp_path / "out"

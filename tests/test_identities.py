@@ -135,4 +135,4 @@ def test_implicit_euler_bounds_hold_on_every_step(problem, T, steps):
     scale = float(np.max(u0))
     assert traj.bounds.min_value >= -1e-14 * scale
     assert traj.bounds.max_abs <= scale * (1.0 + 1e-14)
-    assert math.isclose(traj.bounds.max_row_norm, math.sqrt(np.sum(u0 * u0)), rel_tol=1e-14)
+    assert math.isclose(traj.bounds.max_row_norm**2, float(np.sum(u0 * u0)), rel_tol=1e-14)
