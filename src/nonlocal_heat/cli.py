@@ -45,8 +45,8 @@ EXIT_IO = 4
 EXIT_NUMERICAL = 5
 
 _REQUIRED = object()
-_CONTAINERS = {"object": dict, "list": list, "string": str}
-_KINDS = {"object": "an object", "list": "a list", "string": "a string",
+_CONTAINERS = {"object": dict, "list": list, "string": str, "boolean": bool}
+_KINDS = {"object": "an object", "list": "a list", "string": "a string", "boolean": "a boolean",
           "number": "a finite number", "integer": "an integer"}
 
 
@@ -201,7 +201,7 @@ def _initial_datum(sec: dict, grid: Grid) -> Field:
         field = float(_get(params, "initial.params.scale", "number", 1.0)) * field
     else:
         _fail("initial.name", f"is not a known initial datum: {name!r}")
-    if sec.get("sign_check", False) and float(np.min(field.values)) < 0.0:
+    if _get(sec, "initial.sign_check", "boolean", False) and float(np.min(field.values)) < 0.0:
         _fail("initial.sign_check", "rejects the datum: it has negative entries")
     return field
 
@@ -438,30 +438,16 @@ def run_convergence_study(cfg: dict, job: Job, quiet: bool) -> int:
         for l in range(levels - 1)
     ]
 
-    rows = []
-    for level, (grid, ecfg, report, verification) in enumerate(runs):
+    lines = ["level,n,h,dt,uT_error_vs_finest,elliptic_residual,energy_mismatch,observed_order"]
+    for level, (grid, ecfg, _, verification) in enumerate(runs):
         if level >= 2 and diffs[level - 1] > 0.0 and diffs[level - 2] > 0.0:
             order = f"{math.log2(diffs[level - 2] / diffs[level - 1]):.4f}"
         else:
             order = "n/a"
-        rows.append({
-            "level": level,
-            "n": "x".join(str(m) for m in grid.n),
-            "h": max(grid.h),
-            "dt": ecfg.dt,
-            "uT_error_vs_finest": errors_vs_finest[level],
-            "elliptic_residual": verification.elliptic.relative_residual,
-            "energy_mismatch": verification.energy.relative_mismatch,
-            "observed_order": order,
-        })
-
-    header = "level,n,h,dt,uT_error_vs_finest,elliptic_residual,energy_mismatch,observed_order"
-    lines = [header]
-    for row in rows:
         lines.append(
-            f"{row['level']},{row['n']},{row['h']:.10g},{row['dt']:.10g},"
-            f"{row['uT_error_vs_finest']:.10e},{row['elliptic_residual']:.10e},"
-            f"{row['energy_mismatch']:.10e},{row['observed_order']}"
+            f"{level},{'x'.join(str(m) for m in grid.n)},{max(grid.h):.10g},{ecfg.dt:.10g},"
+            f"{errors_vs_finest[level]:.10e},{verification.elliptic.relative_residual:.10e},"
+            f"{verification.energy.relative_mismatch:.10e},{order}"
         )
     _write_table(job.out_dir / "study.csv", lines, quiet)
     return EXIT_OK

@@ -99,46 +99,35 @@ class StateBounds:
 class Trajectory:
     """One linear evolution on a uniform time partition.
 
-    ``states`` holds every ``store_every``-th state.  ``integral``, the
-    trapezoidal time integral, and ``bounds`` (the extremes the norm and
-    positivity checks read, such as ``bounds.min_value``) are measured by
-    ``evolve`` on every state as it is produced, stored or not.
+    ``states`` holds every ``store_every``-th state, ``spacing`` apart in
+    time, from t=0.  ``integral``, the trapezoidal time integral, and
+    ``bounds`` (the extremes the norm and positivity checks read, such as
+    ``bounds.min_value``) are measured by ``evolve`` on every state as it is
+    produced, stored or not.
     """
 
     grid: Grid
-    times: np.ndarray
+    spacing: float      # time between stored states, dt * store_every
     states: np.ndarray  # shape (num_samples, num_nodes), row k is u(t_k)
     integral: np.ndarray
     bounds: StateBounds
 
     def __post_init__(self) -> None:
-        times = np.asarray(self.times, dtype=float)
-        states = np.asarray(self.states, dtype=float)
-        if times.ndim != 1 or times.size < 2:
-            raise ValueError("a trajectory needs at least two time samples")
-        if states.shape != (times.size, self.grid.num_nodes):
-            raise ValueError(
-                f"states shape {states.shape} does not match "
-                f"{times.size} samples on {self.grid.num_nodes} nodes"
-            )
-        if times[0] != 0.0:
-            raise ValueError("trajectory must start at t=0")
-        dt = np.diff(times)
-        if np.any(dt <= 0.0) or np.max(np.abs(dt - dt[0])) > 1e-12 * times[-1]:
-            raise ValueError("trajectory times must be uniform and increasing")
-        times.setflags(write=False)
-        states.setflags(write=False)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "states", states)
+        self.states.setflags(write=False)
         self.integral.setflags(write=False)
 
     @property
+    def times(self) -> np.ndarray:
+        """Sample times ``t_k = k * spacing``."""
+        return self.spacing * np.arange(self.num_samples)
+
+    @property
     def T(self) -> float:
-        return float(self.times[-1])
+        return self.spacing * (self.num_samples - 1)
 
     @property
     def num_samples(self) -> int:
-        return int(self.times.size)
+        return self.states.shape[0]
 
     def state(self, k: int) -> Field:
         return Field(self.grid, self.states[k])
@@ -207,8 +196,7 @@ def evolve(
         integral += block_weights @ block
         bounds = bounds.merge(StateBounds.of(block))
 
-    times = dt * every * np.arange(stored.shape[0])
-    return Trajectory(lap.grid, times, stored, integral, bounds)
+    return Trajectory(lap.grid, dt * every, stored, integral, bounds)
 
 
 def phi_map(

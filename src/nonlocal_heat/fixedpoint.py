@@ -206,9 +206,6 @@ def picard_solve(
             raise EvaluationError("the mixed iterate overflowed")
         sup_norms.append(_norm(grid, v, math.inf))
 
-    if trajectory is None:  # max_iter >= 1, so the loop always ran
-        raise AssertionError("fixed-point loop did not execute")
-
     threshold = uniqueness_threshold(phi, u0, u0.grid, ecfg.T)
     return FixedPointReport(
         uT=uT,

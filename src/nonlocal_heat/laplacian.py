@@ -67,13 +67,6 @@ def assemble(grid: Grid) -> DirichletLaplacian:
     return DirichletLaplacian(grid)
 
 
-def apply(lap: DirichletLaplacian, f: Field) -> Field:
-    """Apply the Laplacian stencil to a field."""
-    if f.grid != lap.grid:
-        raise ValueError("field and operator live on different grids")
-    return Field(lap.grid, lap.apply_array(f.values))
-
-
 def dirichlet_lambda1(grid: Grid) -> float:
     """First Dirichlet eigenvalue of -Laplace on the continuous box."""
     return math.pi**2 * sum(1.0 / L**2 for L in grid.lengths)

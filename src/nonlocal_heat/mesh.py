@@ -126,9 +126,6 @@ class Field:
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "Field":
-        return Field(self.grid, -self.values)
-
 
 def norm_lp(f: Field, p: float) -> float:
     """Discrete L^p norm: ``(prod(h) * sum |f_i|^p)^(1/p)``, max norm for p=inf.

@@ -58,8 +58,9 @@ def nemytskii(phi: Potential, v: Field) -> Field:
     Raises :class:`EvaluationError` naming the first offending node if the
     output is non-finite or violates a declared certificate.
     """
-    with np.errstate(over="ignore", invalid="ignore"):  # finiteness is checked below
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below; an inf bound is met
         w = phi(v.values)
+        bound = None if phi.growth is None else phi.growth * (1.0 + np.abs(v.values))
     if w.shape != v.values.shape:
         w = np.broadcast_to(w, v.values.shape).astype(float)
     bad = ~np.isfinite(w)
@@ -75,8 +76,7 @@ def nemytskii(phi: Potential, v: Field) -> Field:
             f"potential '{phi.name}' is certified nonnegative but evaluated to "
             f"{w[node]!r} at node {node}"
         )
-    if phi.growth is not None:
-        bound = phi.growth * (1.0 + np.abs(v.values))
+    if bound is not None:
         if np.any(w > bound + CERTIFICATE_TOL):
             node = int(np.argmax(w > bound + CERTIFICATE_TOL))
             raise EvaluationError(

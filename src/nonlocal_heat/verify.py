@@ -2,8 +2,8 @@
 
 The norm and positivity bounds are measured by ``evolve`` on every state
 as it is produced, whatever ``store_every`` keeps; the energy and
-stationary checks recompute their quantities from ``u0``, ``u(T)`` and the
-converged integral.
+stationary checks share the stationary equation ``A uT = u0 - u(T)`` of the
+converged integral, ``A = L + diag(phi(uT))``, evaluated once per check.
 """
 
 from __future__ import annotations
@@ -13,10 +13,9 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from . import laplacian as lap_mod
 from .fixedpoint import FixedPointReport
 from .laplacian import DirichletLaplacian
-from .mesh import Field, h1_seminorm_sq, inner_product, norm_lp
+from .mesh import Field, inner_product, norm_lp
 from .potential import Potential, nemytskii
 
 NORM_TOL = 1e-10          # slack factor on norm non-expansivity
@@ -29,8 +28,8 @@ EPS = 1e-300
 class SolutionBoundsCheck:
     """Norm monotonicity and positivity over every state of the last sweep."""
 
-    norm_ratios: dict[float, float]        # p -> max_k ||u_k||_p / ||u0||_p
-    norm_ok: dict[float, bool]
+    norm_ratios: dict[str, float]         # "2", "inf" -> max_k ||u_k||_p / ||u0||_p
+    norm_ok: dict[str, bool]
     positivity_min: float | None          # None when u0 has negative entries
     positivity_ok: bool | None
     norm_tolerance: float = NORM_TOL
@@ -41,20 +40,17 @@ class SolutionBoundsCheck:
         return all(self.norm_ok.values()) and self.positivity_ok is not False
 
     def to_dict(self) -> dict:
-        out = asdict(self)
-        for name in ("norm_ratios", "norm_ok"):
-            out[name] = {_p_key(p): v for p, v in out[name].items()}
-        return {**out, "passed": self.passed}
+        return {**asdict(self), "passed": self.passed}
 
 
 @dataclass
 class EnergyCheck:
     """Discrete energy identity and the inequalities that bound it.
 
-    ``lhs`` is the H^1 seminorm square of the integral plus the potential
-    term; ``rhs`` pairs the datum drop with the integral.  The two agree
-    only in the refinement limit, so only the relative mismatch is stored;
-    the inequalities get hard flags.
+    ``lhs`` is ``<A uT, uT>`` with ``A = L + diag(phi(uT))``; ``rhs`` pairs
+    the datum drop with the integral.  ``lhs - rhs`` is the stationary
+    residual paired with ``uT``.  Only the relative mismatch is stored; the
+    inequalities get hard flags.
     """
 
     lhs: float
@@ -78,7 +74,7 @@ class EnergyCheck:
 
 @dataclass
 class EllipticCheck:
-    """Relative residual of ``L uT + phi(uT) uT = u0 - u(T)``.
+    """Relative residual of ``A uT = u0 - u(T)``, ``A = L + diag(phi(uT))``.
 
     The residual is all-discrete, so it has no h^2 part.  With
     ``A_w = L + diag(w)``, w the weight of the last sweep (``phi(uT)`` up
@@ -110,26 +106,22 @@ class VerificationReport:
         return {**checks, "passed": self.passed}
 
 
-def _p_key(p: float) -> str:
-    return "inf" if math.isinf(p) else f"{p:g}"
-
-
 def check_solution_bounds(report: FixedPointReport) -> SolutionBoundsCheck:
     """Check ``max_k ||u_k||_p <= ||u0||_p`` for p = 2 and inf, and positivity.
 
     Reads the bounds ``evolve`` measured on every state of the last sweep;
-    the results are keyed by p (``"2"`` and ``"inf"`` in ``to_dict``).
+    the results are keyed by p, ``"2"`` and ``"inf"``.
     """
     traj = report.trajectory
     bounds = traj.bounds
     u0 = traj.initial()
     worst_by_p = {
-        2.0: math.sqrt(u0.grid.cell_measure) * bounds.max_row_norm,
-        math.inf: bounds.max_abs,
+        "2": math.sqrt(u0.grid.cell_measure) * bounds.max_row_norm,
+        "inf": bounds.max_abs,
     }
-    ratios: dict[float, float] = {}
+    ratios: dict[str, float] = {}
     for p, worst in worst_by_p.items():
-        base = norm_lp(u0, p)
+        base = norm_lp(u0, float(p))
         ratios[p] = 0.0 if base == 0.0 and worst == 0.0 else worst / max(base, EPS)
     ok = {p: ratio <= 1.0 + NORM_TOL for p, ratio in ratios.items()}
     if np.all(u0.values >= 0.0):
@@ -140,35 +132,44 @@ def check_solution_bounds(report: FixedPointReport) -> SolutionBoundsCheck:
     return SolutionBoundsCheck(ratios, ok, pos_min, pos_ok)
 
 
+def _stationary_sides(
+    report: FixedPointReport, phi: Potential, lap: DirichletLaplacian
+) -> tuple[Field, Field, Field, float]:
+    """``A uT``, ``u0 - u(T)`` and ``uT`` on the states divided by ``s``, and ``s``.
+
+    ``s`` is the largest magnitude over ``u0``, ``u(T)`` and ``uT``, so no
+    scaled state exceeds 1 and neither side of the equation overflows.
+    """
+    traj = report.trajectory
+    states = (traj.initial(), traj.final(), report.uT)
+    scale = max(max(norm_lp(field, math.inf) for field in states), EPS)
+    u0, uK, uT = (field.values * (1.0 / scale) for field in states)
+    w = nemytskii(phi, report.uT).values
+    grid = report.uT.grid
+    return (Field(grid, lap.apply_array(uT) + w * uT), Field(grid, u0 - uK),
+            Field(grid, uT), scale)
+
+
 def check_energy(report: FixedPointReport, phi: Potential) -> EnergyCheck:
     """Evaluate both sides of the energy identity and its upper bounds.
 
-    Every term is quadratic in the states, so it is evaluated on the states
-    divided by ``s``, the largest magnitude over ``u0``, ``u(T)`` and the
-    integral, and compared there; no scaled state exceeds 1 in magnitude,
-    and the verdicts do not depend on ``s``.  The reported ``lhs`` and
-    ``rhs`` are those values times ``s^2``, so a term beyond the
-    floating-point range (states that grew, as Crank-Nicolson's may) reads
-    as infinite.
+    Both sides pair the stationary equation's sides with ``uT`` on the
+    states scaled by ``1/s`` and are compared there; the verdicts do not
+    depend on ``s``.  The reported ``lhs`` and ``rhs`` are those values times
+    ``s^2``, so a term beyond the floating-point range (states that grew, as
+    Crank-Nicolson's may) reads as infinite.
     """
     traj = report.trajectory
     T = traj.T
-    meas = report.uT.grid.cell_measure
-    states = (traj.initial(), traj.final(), report.uT)
-    scale = max(max(norm_lp(field, math.inf) for field in states), EPS)
-    u0, uK, uT = (field * (1.0 / scale) for field in states)
-
-    phi_uT = nemytskii(phi, report.uT)
-    with np.errstate(over="ignore"):  # an overflowing potential term reads as inf
-        potential = float(meas * np.sum(phi_uT.values * uT.values**2))
-    lhs = h1_seminorm_sq(uT) + potential
-    rhs = inner_product(u0 - uK, uT)
+    a_uT, drop, uT, scale = _stationary_sides(report, phi, DirichletLaplacian(report.uT.grid))
+    lhs = inner_product(a_uT, uT)
+    rhs = inner_product(drop, uT)
     mismatch = abs(lhs - rhs) / max(abs(rhs), EPS)
 
     # the norms and their ratios are overflow-safe unscaled
-    u0_l2 = norm_lp(states[0], 2)
-    final_ratio = norm_lp(states[1], 2) / max(u0_l2, EPS)
-    integral_ratio = norm_lp(states[2], 2) / max(T * u0_l2, EPS)
+    u0_l2 = norm_lp(traj.initial(), 2)
+    final_ratio = norm_lp(traj.final(), 2) / max(u0_l2, EPS)
+    integral_ratio = norm_lp(report.uT, 2) / max(T * u0_l2, EPS)
     unit = u0_l2 / scale
     scaled_bound = 2.0 * T * unit * unit
     return EnergyCheck(
@@ -192,18 +193,10 @@ def check_elliptic(
     Whatever ``store_every`` keeps, this is exactly the time-quadrature term
     ``(dt/2)*||A_w (u0-uK)|| / ||u0-uK||`` plus O(tol) for implicit Euler
     and O(tol) for Crank-Nicolson; it has no h^2 part (see EllipticCheck).
+    It is taken on the scaled states, so it is finite wherever they are.
     """
-    traj = report.trajectory
-    uT = report.uT
-    u0 = traj.initial()
-    uK = traj.final()
-    phi_uT = nemytskii(phi, uT)
-    residual = (
-        lap_mod.apply(lap, uT)
-        + Field(uT.grid, phi_uT.values * uT.values)
-        - (u0 - uK)
-    )
-    rel = norm_lp(residual, 2) / max(norm_lp(u0 - uK, 2), EPS)
+    a_uT, drop, _, _ = _stationary_sides(report, phi, lap)
+    rel = norm_lp(a_uT - drop, 2) / max(norm_lp(drop, 2), EPS)
     return EllipticCheck(relative_residual=rel)
 
 

@@ -108,6 +108,7 @@ def test_invalid_steps_names_field(tmp_path, capsys):
             lambda c: c.update(initial={"name": "gaussian", "params": {"width": 1e-300}}),
             marks=pytest.mark.filterwarnings("ignore::RuntimeWarning"),  # 1/width**2 overflows
         ),
+        lambda c: c["initial"].update(sign_check="no"),
     ],
 )
 def test_invalid_configs_exit_3(tmp_path, mutate):
@@ -150,10 +151,17 @@ def test_missing_config_exits_3(tmp_path):
     assert cli.run(tmp_path / "nope.json", quiet=True) == 3
 
 
-def test_sign_check_rejects_signed_datum(tmp_path):
+def test_sign_check_rejects_signed_datum(tmp_path, capsys):
     cfg = base_config(tmp_path / "out")
     cfg["initial"] = {"name": "sine_mode", "params": {"k": 2}, "sign_check": True}
     assert cli.run(write_config(tmp_path, cfg), quiet=True) == 3
+    assert "it has negative entries" in capsys.readouterr().err
+    # a truthy string is not a boolean: it is rejected for its type
+    cfg["initial"]["sign_check"] = "no"
+    assert cli.run(write_config(tmp_path, cfg), quiet=True) == 3
+    assert "initial.sign_check must be a boolean, got 'no'" in capsys.readouterr().err
+    cfg["initial"]["sign_check"] = False
+    assert cli.run(write_config(tmp_path, cfg), quiet=True) == 0
 
 
 def test_nonconvergence_exits_2_with_artifacts(tmp_path):
@@ -206,6 +214,37 @@ def test_growth_beyond_float_range_fails_verification_without_error(tmp_path):
     assert energy["relative_mismatch"] < 1e-12
     assert math.isclose(energy["bound"], 1.2e-21, rel_tol=1e-12)
     assert verification["passed"] is False
+
+
+def test_elliptic_residual_is_finite_where_its_unscaled_terms_overflow(tmp_path, capsys):
+    # at amplitude 1e306, L uT exceeds the floating-point range; the
+    # residual is taken on the scaled states, and it is scale-invariant
+    residuals = {}
+    for amplitude in (1e300, 1e306):
+        out = tmp_path / f"a{amplitude:g}"
+        cfg = base_config(out, potential={"name": "zero", "params": []})
+        cfg["initial"]["params"]["amplitude"] = amplitude
+        cfg["output"]["formats"] = ["json"]
+        assert cli.run(write_config(tmp_path, cfg, f"{out.name}.json")) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "" and captured.out.count("\n") == 1
+        verification = json.loads((out / "report.json").read_text())["verification"]
+        assert verification["passed"] is True
+        residuals[amplitude] = verification["elliptic"]["relative_residual"]
+    assert math.isclose(residuals[1e306], residuals[1e300], rel_tol=1e-12)
+
+
+def test_overflowing_growth_bound_is_met_without_warning(tmp_path, capsys):
+    # the scaled_datum start makes v ~ 1e9, so the growth bound a (1 + |v|)
+    # of bounded_sine(1e300) exceeds the floating-point range
+    out = tmp_path / "out"
+    cfg = base_config(out, mode="probe",
+                      potential={"name": "bounded_sine", "params": [1e300]})
+    cfg["initial"]["params"]["amplitude"] = 1e10
+    cfg["output"]["formats"] = ["json"]
+    assert cli.run(write_config(tmp_path, cfg)) == 0
+    assert capsys.readouterr().err == ""
+    assert json.loads((out / "report.json").read_text())["probe"]["all_converged"] is True
 
 
 def test_report_is_strict_json_with_null_for_overflow(tmp_path):

@@ -8,7 +8,6 @@ from nonlocal_heat import (
     EvolutionConfig,
     Field,
     Grid,
-    Trajectory,
     assemble,
     catalog,
     dirichlet_lambda1_discrete,
@@ -53,15 +52,16 @@ def test_state_bounds_row_norm_survives_overflowing_squares():
     assert (bounds.max_abs, bounds.min_value) == (1e200, -1e200)
 
 
-def test_trajectory_validation():
+def test_trajectory_times_derive_from_the_spacing():
+    # the stored samples are uniform from t=0 by construction; the derived
+    # times are the numbers evolve formed as dt * store_every * arange
     g = Grid((1.0,), (3,))
-    measured = (np.zeros(3), StateBounds(0.0, 0.0, 0.0))
-    with pytest.raises(ValueError):
-        Trajectory(g, np.array([0.0]), np.zeros((1, 3)), *measured)
-    with pytest.raises(ValueError):
-        Trajectory(g, np.array([0.1, 0.2]), np.zeros((2, 3)), *measured)
-    with pytest.raises(ValueError):
-        Trajectory(g, np.array([0.0, 0.1, 0.15]), np.zeros((3, 3)), *measured)
+    cfg = EvolutionConfig(T=0.1, steps=21, store_every=7)
+    traj = evolve(assemble(g), Field.zeros(g), Field.constant(g, 1.0), cfg)
+    assert traj.num_samples == 4
+    assert np.array_equal(traj.times, cfg.dt * 7 * np.arange(4))
+    assert traj.times[0] == 0.0 and traj.T == traj.times[-1]
+    assert not traj.states.flags.writeable and not traj.integral.flags.writeable
 
 
 # ------------------------------------------------------------ evolve

@@ -14,7 +14,11 @@ from nonlocal_heat import (
     norm_lp,
     solve_shifted,
 )
-from nonlocal_heat.laplacian import apply as apply_laplacian
+from nonlocal_heat.laplacian import CG_RTOL, shifted_system
+
+
+def apply_laplacian(L, f):
+    return Field(L.grid, L.apply_array(f.values))
 
 
 def dense_matrix(L):
@@ -155,7 +159,7 @@ def test_apply_symmetry():
 def test_apply_grid_mismatch():
     L = assemble(Grid((1.0,), (5,)))
     with pytest.raises(ValueError):
-        apply_laplacian(L, Field.zeros(Grid((1.0,), (6,))))
+        L.apply_array(Field.zeros(Grid((1.0,), (6,))).values)
 
 
 # --------------------------------------------------------- solve_shifted
@@ -279,3 +283,15 @@ def test_cg_rejects_a_right_hand_side_whose_norm_overflows():
     with pytest.raises(SolverFailure, match="non-finite norm") as info:
         solve_shifted(assemble(g), Field.zeros(g), 0.1, Field.constant(g, 1e308))
     assert info.value.iterations == 0
+
+
+def test_cg_restarts_when_the_recursive_residual_drifts():
+    # at tau = 1e4 the recursive residual meets the target while the true
+    # one does not; the solve must restart from the true residual
+    g = Grid((1.0, 1.0), (15, 15))
+    lap = assemble(g)
+    tau = 1e4
+    b = np.random.default_rng(0).standard_normal(g.num_nodes)
+    x = shifted_system(lap, np.zeros(g.num_nodes), tau).solve(b)
+    residual = b - (x + tau * lap.apply_array(x))
+    assert np.linalg.norm(residual) <= CG_RTOL * np.linalg.norm(b)
