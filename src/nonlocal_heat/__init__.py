@@ -9,7 +9,6 @@ evolves the datum linearly, and integrates the trajectory in time.
 from .mesh import (
     Field,
     Grid,
-    h1_seminorm_sq,
     inner_product,
     norm_lp,
     restrict,
@@ -21,7 +20,6 @@ from .laplacian import (
     assemble,
     dirichlet_lambda1,
     dirichlet_lambda1_discrete,
-    solve_shifted,
 )
 from .potential import EvaluationError, Potential, catalog, lipschitz_on, nemytskii
 from .evolution import EvolutionConfig, Trajectory, evolve, phi_map
@@ -50,7 +48,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Field",
     "Grid",
-    "h1_seminorm_sq",
     "inner_product",
     "norm_lp",
     "restrict",
@@ -60,7 +57,6 @@ __all__ = [
     "assemble",
     "dirichlet_lambda1",
     "dirichlet_lambda1_discrete",
-    "solve_shifted",
     "EvaluationError",
     "Potential",
     "catalog",

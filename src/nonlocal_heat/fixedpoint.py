@@ -66,8 +66,10 @@ class UniquenessThreshold:
 
     ``c`` is the Poincare constant 1/lambda1 from the continuous first
     Dirichlet eigenvalue (slightly conservative: the discrete eigenvalue,
-    reported alongside, is smaller).  ``applicable`` is False when the
-    potential declares no usable Lipschitz modulus.
+    reported alongside, is smaller).  ``L`` comes only from the potential's
+    ``lipschitz_rule``; without one ``applicable`` is False and
+    ``lipschitz``, ``product`` and ``met`` are None.  The report key
+    ``lipschitz_exact`` equals ``applicable``.
     """
 
     s0: float
@@ -75,7 +77,6 @@ class UniquenessThreshold:
     c_omega: float
     product: float | None
     applicable: bool
-    lipschitz_exact: bool
     lambda1_continuous: float
     lambda1_discrete: float
 
@@ -86,7 +87,7 @@ class UniquenessThreshold:
         return self.product < 1.0
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "met": self.met}
+        return {**asdict(self), "lipschitz_exact": self.applicable, "met": self.met}
 
 
 @dataclass
@@ -136,7 +137,11 @@ def _initial_iterate(pcfg: PicardConfig, u0: Field, T: float) -> Field:
             raise ValueError("initial guess lives on a different grid")
         return guess
     if guess == "scaled_datum":
-        return T * u0
+        with np.errstate(over="ignore"):  # checked below
+            v = T * u0.values
+        if not np.all(np.isfinite(v)):
+            raise EvaluationError("the scaled datum T * u0 overflows")
+        return Field(u0.grid, v)
     return Field.zeros(u0.grid)
 
 
@@ -206,7 +211,7 @@ def picard_solve(
             raise EvaluationError("the mixed iterate overflowed")
         sup_norms.append(_norm(grid, v, math.inf))
 
-    threshold = uniqueness_threshold(phi, u0, u0.grid, ecfg.T)
+    threshold = uniqueness_threshold(phi, u0, ecfg.T)
     return FixedPointReport(
         uT=uT,
         trajectory=trajectory,
@@ -223,28 +228,30 @@ def picard_solve(
     )
 
 
-def uniqueness_threshold(
-    phi: Potential, u0: Field, grid: Grid, T: float
-) -> UniquenessThreshold:
-    """Evaluate ``c * S0 * L(S0)`` with ``S0 = T * max|u0|``.
+def uniqueness_threshold(phi: Potential, u0: Field, T: float) -> UniquenessThreshold:
+    """Evaluate ``c * S0 * L(S0)`` with ``S0 = T * max|u0|`` on ``u0``'s grid.
 
     A product below 1 certifies that the converged integral is the unique
-    fixed point; potentials without a Lipschitz modulus get an
-    inapplicable marker instead of a guessed constant.
+    fixed point.  ``L`` is the value of the potential's exact
+    ``lipschitz_rule``; a potential without one gets an inapplicable marker
+    instead of a guessed constant.  ``L = 0`` gives a product of 0 even
+    when ``S0`` exceeds the floating-point range.
     """
     s0 = T * norm_lp(u0, math.inf)
-    lam1 = dirichlet_lambda1(grid)
+    lam1 = dirichlet_lambda1(u0.grid)
     c_omega = 1.0 / lam1
-    lip = lipschitz_on(phi, s0) if phi.lipschitz_estimable else None
+    lip = lipschitz_on(phi, s0)
+    product = None if lip is None else c_omega * s0 * lip
+    if lip == 0.0:  # a constant map: an S0 beyond the float range must not give nan
+        product = 0.0
     return UniquenessThreshold(
         s0=s0,
         lipschitz=lip,
         c_omega=c_omega,
-        product=None if lip is None else c_omega * s0 * lip,
+        product=product,
         applicable=lip is not None,
-        lipschitz_exact=lip is not None and phi.lipschitz_exact,
         lambda1_continuous=lam1,
-        lambda1_discrete=dirichlet_lambda1_discrete(grid),
+        lambda1_discrete=dirichlet_lambda1_discrete(u0.grid),
     )
 
 

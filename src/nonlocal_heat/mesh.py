@@ -55,11 +55,6 @@ class Grid:
         """Quadrature weight of one interior node (product of spacings)."""
         return float(np.prod(self.h))
 
-    @property
-    def interior_measure(self) -> float:
-        """Total measure carried by the interior nodes."""
-        return self.num_nodes * self.cell_measure
-
     def axis_coordinates(self, axis: int) -> np.ndarray:
         """Interior node coordinates along one axis."""
         return np.arange(1, self.n[axis] + 1) * self.h[axis]
@@ -155,28 +150,6 @@ def inner_product(f: Field, g: Field) -> float:
         return 0.0
     unit = float(f.grid.cell_measure * np.dot(f.values / a, g.values / b))
     return a * (b * unit)
-
-
-def h1_seminorm_sq(f: Field) -> float:
-    """Squared discrete H^1 seminorm summed over all edges, boundary included.
-
-    Each edge in axis ``a`` contributes ``(df/h_a)^2 * prod(h)``; edges that
-    touch the boundary use the Dirichlet value 0 there.  By summation by
-    parts this equals ``inner_product(f, apply(L, f))`` for the stencil
-    Laplacian, exactly up to rounding.  The differences are scaled by the
-    largest magnitude of ``f`` before squaring, as in ``norm_lp``.
-    """
-    g = f.grid
-    top = norm_lp(f, math.inf)
-    if top == 0.0:
-        return 0.0
-    meas = g.cell_measure
-    V = f.reshaped() / top
-    total = 0.0
-    for axis in range(g.dim):
-        d = np.diff(V, axis=axis, prepend=0.0, append=0.0)
-        total += np.sum(d * d) / g.h[axis] ** 2 * meas
-    return top * (top * float(total))
 
 
 def _trapezoid_weights(times: np.ndarray) -> np.ndarray:

@@ -2,7 +2,7 @@
 
 A :class:`Potential` bundles the evaluator with certificates the solver and
 the verification checks rely on: nonnegativity, an optional linear-growth
-bound ``phi(s) <= a*(1+|s|)``, and a rule (or sampled estimate) for the
+bound ``phi(s) <= a*(1+|s|)``, and an optional exact rule for the
 Lipschitz constant on symmetric intervals.
 """
 
@@ -14,9 +14,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .mesh import Field
-
-#: Sample count for the generic Lipschitz estimate.
-LIPSCHITZ_SAMPLES = 10_000
 
 #: Slack for the certificate spot-checks performed on every Nemytskii call.
 CERTIFICATE_TOL = 1e-14
@@ -31,10 +28,10 @@ class Potential:
     """Continuous scalar function with machine-checkable capability flags.
 
     ``evaluator`` must accept numpy arrays elementwise.  ``lipschitz_rule``,
-    when present, returns the exact Lipschitz constant on ``[-s0, s0]``;
-    otherwise :func:`lipschitz_on` falls back to a sampled (lower-biased)
-    estimate.  Set ``lipschitz_estimable=False`` for potentials with no
-    meaningful modulus; threshold computations then report "not applicable".
+    when present, returns an upper bound on the Lipschitz constant on
+    ``[-s0, s0]`` (the catalog's rules are exact).  Only such a rule
+    certifies uniqueness: without one the threshold is "not applicable",
+    since sampled difference quotients bound the constant from below.
     """
 
     name: str
@@ -42,11 +39,6 @@ class Potential:
     nonnegative: bool = False
     growth: float | None = None
     lipschitz_rule: Callable[[float], float] | None = None
-    lipschitz_estimable: bool = True
-
-    @property
-    def lipschitz_exact(self) -> bool:
-        return self.lipschitz_rule is not None
 
     def __call__(self, s: np.ndarray) -> np.ndarray:
         return np.asarray(self.evaluator(np.asarray(s, dtype=float)), dtype=float)
@@ -86,23 +78,17 @@ def nemytskii(phi: Potential, v: Field) -> Field:
     return Field(v.grid, w)
 
 
-def lipschitz_on(phi: Potential, s0: float) -> float:
-    """Upper estimate of the Lipschitz constant of ``phi`` on ``[-s0, s0]``.
+def lipschitz_on(phi: Potential, s0: float) -> float | None:
+    """The Lipschitz constant of ``phi`` on ``[-s0, s0]`` from its rule.
 
-    Catalog potentials return their exact constant; generic potentials get
-    the maximum adjacent difference quotient over a uniform sample of
-    ``LIPSCHITZ_SAMPLES`` points, which is a lower-biased estimate.
+    Returns ``None`` for a potential without a ``lipschitz_rule``: no
+    upper bound is known, and none is guessed.
     """
     if s0 < 0.0:
         raise ValueError(f"s0 must be nonnegative, got {s0}")
-    if phi.lipschitz_rule is not None:
-        return float(phi.lipschitz_rule(s0))
-    if s0 == 0.0:
-        return 0.0
-    s = np.linspace(-s0, s0, LIPSCHITZ_SAMPLES)
-    vals = phi(s)
-    quotients = np.abs(np.diff(vals)) / np.diff(s)
-    return float(np.max(quotients))
+    if phi.lipschitz_rule is None:
+        return None
+    return float(phi.lipschitz_rule(s0))
 
 
 def _zero(params: Sequence[float]) -> Potential:

@@ -75,6 +75,14 @@ def test_readme_example_config(tmp_path):
     assert report["verification"]["passed"] is True
 
 
+def test_readme_library_example_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Library use\n\n```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2 and lines[0].startswith("True ") and lines[1].startswith("True ")
+
+
 def test_invalid_steps_names_field(tmp_path, capsys):
     cfg = base_config(tmp_path / "out")
     cfg["time"]["steps"] = 1
@@ -289,7 +297,7 @@ def test_probe_mode(tmp_path):
     assert report["probe"]["generator"] == "numpy-pcg64"
     assert report["threshold"]["applicable"] is True
     job = cli.parse_config(cfg)
-    expected = uniqueness_threshold(job.phi, job.u0, job.grid, job.ecfg.T).to_dict()
+    expected = uniqueness_threshold(job.phi, job.u0, job.ecfg.T).to_dict()
     assert report["threshold"] == json.loads(json.dumps(expected))
     assert (out / "ut.json").exists()
 
@@ -496,6 +504,38 @@ def test_numerical_failure_exits_5_with_report(
     assert cause in report["error"]["message"]
     assert report["mode"] == "solve" and report["grid"]["n"] == cfg["domain"]["n"]
     assert not (out / "ut.json").exists()
+
+
+def overflowing_s0_config(out, **overrides):
+    # S0 = T * max|u0| = 1000 * 1e306 lies beyond the floating-point range
+    cfg = base_config(out, potential={"name": "zero", "params": []}, **overrides)
+    cfg["time"]["T"] = 1000.0
+    cfg["initial"]["params"]["amplitude"] = 1e306
+    cfg["output"]["formats"] = ["json"]
+    return cfg
+
+
+@pytest.mark.parametrize("mode,guess", [("probe", "zero"), ("solve", "scaled_datum")])
+def test_scaled_datum_beyond_float_range_exits_5_with_report(tmp_path, capsys, mode, guess):
+    out = tmp_path / "out"
+    cfg = overflowing_s0_config(out, mode=mode)
+    cfg["fixedpoint"]["initial_guess"] = guess
+    assert cli.run(write_config(tmp_path, cfg)) == cli.EXIT_NUMERICAL
+    captured = capsys.readouterr()
+    assert captured.err == "numerical failure: EvaluationError: the scaled datum T * u0 overflows\n"
+    report = json.loads((out / "report.json").read_text())
+    assert report["error"]["type"] == "EvaluationError" and report["mode"] == mode
+
+
+def test_zero_lipschitz_constant_gives_zero_product_beyond_float_range(tmp_path, capsys):
+    # L = 0 makes the map constant; inf * 0 must not turn the product into nan
+    out = tmp_path / "out"
+    assert cli.run(write_config(tmp_path, overflowing_s0_config(out))) == 0
+    assert "threshold_product=0.000e+00 " in capsys.readouterr().out
+    threshold = json.loads((out / "report.json").read_text())["threshold"]
+    assert threshold["s0"] is None  # inf, written as null
+    assert threshold["lipschitz"] == 0.0
+    assert threshold["product"] == 0.0 and threshold["met"] is True
 
 
 def test_store_every_thins_trajectory_output_only(tmp_path):

@@ -235,7 +235,7 @@ def test_scaled_datum_initial_guess():
 # ------------------------------------------------------------ threshold
 
 def test_threshold_constant_potential_always_met():
-    thr = uniqueness_threshold(catalog("constant", [5.0]), sine_datum(), GRID, 0.1)
+    thr = uniqueness_threshold(catalog("constant", [5.0]), sine_datum(), 0.1)
     assert thr.applicable
     assert thr.lipschitz == 0.0
     assert thr.product == 0.0
@@ -243,7 +243,7 @@ def test_threshold_constant_potential_always_met():
 
 
 def test_threshold_unit_interval_poincare_constant():
-    thr = uniqueness_threshold(catalog("quadratic"), sine_datum(), GRID, 0.1)
+    thr = uniqueness_threshold(catalog("quadratic"), sine_datum(), 0.1)
     assert thr.c_omega == pytest.approx(1.0 / math.pi**2)
     assert thr.c_omega == pytest.approx(0.101321, abs=1e-6)
     assert thr.lambda1_discrete < thr.lambda1_continuous
@@ -251,7 +251,7 @@ def test_threshold_unit_interval_poincare_constant():
 
 def test_threshold_quadratic_arithmetic():
     u0 = sine_datum(1.0)  # sup norm 1 up to sampling
-    thr = uniqueness_threshold(catalog("quadratic"), u0, GRID, 0.1)
+    thr = uniqueness_threshold(catalog("quadratic"), u0, 0.1)
     sup = norm_lp(u0, math.inf)
     assert thr.s0 == pytest.approx(0.1 * sup)
     assert thr.lipschitz == pytest.approx(0.2 * sup)
@@ -262,16 +262,30 @@ def test_threshold_quadratic_arithmetic():
 def test_threshold_rectangle_eigenvalue():
     grid = Grid((1.0, 2.0), (5, 5))
     u0 = Field.constant(grid, 1.0)
-    thr = uniqueness_threshold(catalog("quadratic"), u0, grid, 1.0)
+    thr = uniqueness_threshold(catalog("quadratic"), u0, 1.0)
     assert thr.lambda1_continuous == pytest.approx(math.pi**2 * (1.0 + 0.25))
 
 
 def test_threshold_not_applicable_without_modulus():
-    rough = Potential(name="rough", evaluator=np.sign, lipschitz_estimable=False)
-    thr = uniqueness_threshold(rough, sine_datum(), GRID, 0.1)
+    rough = Potential(name="rough", evaluator=np.sign)
+    thr = uniqueness_threshold(rough, sine_datum(), 0.1)
     assert not thr.applicable
     assert thr.product is None and thr.lipschitz is None
     assert thr.met is None
+
+
+def test_threshold_does_not_certify_sqrt_abs():
+    # sqrt|s| has no finite Lipschitz constant at 0; sampled difference
+    # quotients put it at 517.6 here, a product of 0.262 that looked certified
+    grid = Grid((1.0,), (49,))
+    u0 = Field.from_function(grid, lambda x: 0.05 * np.sin(math.pi * x))
+    phi = Potential("sqrt_abs", lambda s: np.sqrt(np.abs(s)), nonnegative=True)
+    report = picard_solve(assemble(grid), phi, u0, EvolutionConfig(T=0.1, steps=100))
+    assert report.converged
+    thr = report.threshold
+    assert thr.applicable is False and thr.to_dict()["lipschitz_exact"] is False
+    assert thr.lipschitz is None and thr.product is None and thr.met is None
+
 
 
 # ---------------------------------------------------------------- probe

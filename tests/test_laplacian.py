@@ -12,7 +12,6 @@ from nonlocal_heat import (
     dirichlet_lambda1_discrete,
     inner_product,
     norm_lp,
-    solve_shifted,
 )
 from nonlocal_heat.laplacian import CG_RTOL, shifted_system
 
@@ -162,13 +161,13 @@ def test_apply_grid_mismatch():
         L.apply_array(Field.zeros(Grid((1.0,), (6,))).values)
 
 
-# --------------------------------------------------------- solve_shifted
+# --------------------------------------------------------- shifted_system
 
 def test_solve_zero_rhs():
     for g in (Grid((1.0,), (9,)), Grid((1.0, 1.0), (5, 6))):
-        L = assemble(g)
-        x = solve_shifted(L, Field.zeros(g), 0.1, Field.zeros(g))
-        assert np.all(x.values == 0.0)
+        z = np.zeros(g.num_nodes)
+        x = shifted_system(assemble(g), z, 0.1).solve(z)
+        assert np.all(x == 0.0)
 
 
 def test_solve_eigenvector_closed_form_1d():
@@ -177,12 +176,12 @@ def test_solve_eigenvector_closed_form_1d():
     b = Field.from_function(g, lambda x: np.sin(math.pi * x))
     lam = dirichlet_lambda1_discrete(g)
     tau = 0.01
-    x = solve_shifted(L, Field.zeros(g), tau, b)
+    x = Field(g, shifted_system(L, np.zeros(g.num_nodes), tau).solve(b.values))
     expected = (1.0 / (1.0 + tau * lam)) * b
     assert norm_lp(x - expected, 2) / norm_lp(expected, 2) <= 1e-9
 
     c = 4.0
-    xc = solve_shifted(L, Field.constant(g, c), tau, b)
+    xc = Field(g, shifted_system(L, np.full(g.num_nodes, c), tau).solve(b.values))
     expected_c = (1.0 / (1.0 + tau * (lam + c))) * b
     assert norm_lp(xc - expected_c, 2) / norm_lp(expected_c, 2) <= 1e-9
 
@@ -191,80 +190,75 @@ def test_solve_matches_dense_oracle_2d():
     rng = np.random.default_rng(42)
     g = Grid((1.0, 1.0), (7, 9))
     L = assemble(g)
-    w = Field(g, rng.uniform(0.0, 3.0, g.num_nodes))
-    b = Field(g, rng.standard_normal(g.num_nodes))
+    w = rng.uniform(0.0, 3.0, g.num_nodes)
+    b = rng.standard_normal(g.num_nodes)
     tau = 0.05
-    x = solve_shifted(L, w, tau, b)
-    A = np.eye(g.num_nodes) + tau * (dense_matrix(L) + np.diag(w.values))
-    oracle = np.linalg.solve(A, b.values)
-    assert np.max(np.abs(x.values - oracle)) <= 1e-9
-    residual = np.linalg.norm(A @ x.values - b.values)
-    assert residual <= 1e-10 * np.linalg.norm(b.values)
+    x = shifted_system(L, w, tau).solve(b)
+    A = np.eye(g.num_nodes) + tau * (dense_matrix(L) + np.diag(w))
+    oracle = np.linalg.solve(A, b)
+    assert np.max(np.abs(x - oracle)) <= 1e-9
+    residual = np.linalg.norm(A @ x - b)
+    assert residual <= 1e-10 * np.linalg.norm(b)
 
 
 def test_solve_residual_contract_1d():
     rng = np.random.default_rng(12)
     g = Grid((2.0,), (33,))
     L = assemble(g)
-    w = Field(g, rng.uniform(0.0, 5.0, 33))
-    b = Field(g, rng.standard_normal(33))
+    w = rng.uniform(0.0, 5.0, 33)
+    b = rng.standard_normal(33)
     tau = 0.2
-    x = solve_shifted(L, w, tau, b)
-    Ax = x.values + tau * (L.apply_array(x.values) + w.values * x.values)
-    assert np.linalg.norm(Ax - b.values) <= 1e-10 * np.linalg.norm(b.values)
+    x = shifted_system(L, w, tau).solve(b)
+    Ax = x + tau * (L.apply_array(x) + w * x)
+    assert np.linalg.norm(Ax - b) <= 1e-10 * np.linalg.norm(b)
 
 
 @pytest.mark.parametrize("grid", [Grid((1.0,), (25,)), Grid((1.0, 1.0), (9, 9))])
 def test_discrete_maximum_principle(grid):
     rng = np.random.default_rng(21)
     L = assemble(grid)
-    w = Field(grid, rng.uniform(0.0, 2.0, grid.num_nodes))
-    b = Field(grid, rng.uniform(0.0, 1.0, grid.num_nodes))
-    x = solve_shifted(L, w, 0.3, b)
-    assert x.values.min() >= -1e-12 * max(1.0, norm_lp(b, math.inf))
+    w = rng.uniform(0.0, 2.0, grid.num_nodes)
+    b = rng.uniform(0.0, 1.0, grid.num_nodes)
+    x = shifted_system(L, w, 0.3).solve(b)
+    assert x.min() >= -1e-12 * max(1.0, np.max(np.abs(b)))
 
 
 @pytest.mark.parametrize("grid", [Grid((1.0,), (25,)), Grid((1.0, 1.0), (9, 9))])
 def test_step_operator_non_expansive(grid):
     rng = np.random.default_rng(22)
     L = assemble(grid)
-    w = Field(grid, rng.uniform(0.0, 2.0, grid.num_nodes))
+    w = rng.uniform(0.0, 2.0, grid.num_nodes)
     b = Field(grid, rng.standard_normal(grid.num_nodes))
-    x = solve_shifted(L, w, 0.15, b)
+    x = Field(grid, shifted_system(L, w, 0.15).solve(b.values))
     assert norm_lp(x, math.inf) <= norm_lp(b, math.inf) * (1 + 1e-12)
     assert norm_lp(x, 2) <= norm_lp(b, 2) * (1 + 1e-12)
 
 
 def test_solve_rejects_bad_tau_and_grids():
-    g = Grid((1.0,), (5,))
-    L = assemble(g)
-    z = Field.zeros(g)
+    L = assemble(Grid((1.0,), (5,)))
+    z = np.zeros(5)
     with pytest.raises(ValueError):
-        solve_shifted(L, z, 0.0, z)
+        shifted_system(L, z, 0.0)
     with pytest.raises(ValueError):
-        solve_shifted(L, z, -1.0, z)
-    other = Field.zeros(Grid((1.0,), (6,)))
-    with pytest.raises(ValueError):
-        solve_shifted(L, other, 0.1, z)
+        shifted_system(L, z, -1.0)
+    with pytest.raises(ValueError, match="shift vector does not match the grid"):
+        shifted_system(L, np.zeros(6), 0.1)
 
 
 def test_solver_failure_carries_residual():
     g = Grid((1.0, 1.0), (12, 12))
-    L = assemble(g)
-    b = Field.constant(g, 1.0)
+    system = shifted_system(assemble(g), np.zeros(g.num_nodes), 5.0, max_iter=1)
     with pytest.raises(SolverFailure) as info:
-        solve_shifted(L, Field.zeros(g), 5.0, b, max_iter=1)
+        system.solve(np.ones(g.num_nodes))
     assert info.value.residual > 0.0
     assert info.value.iterations == 1
 
 
 def test_single_interior_node():
     g = Grid((1.0,), (1,))  # h = 1/2, diagonal 8
-    L = assemble(g)
-    b = Field(g, [2.0])
-    x = solve_shifted(L, Field.constant(g, 1.0), 0.5, b)
+    x = shifted_system(assemble(g), np.array([1.0]), 0.5).solve(np.array([2.0]))
     # (1 + 0.5*(8 + 1)) x = 2
-    assert x.values[0] == pytest.approx(2.0 / 5.5, rel=1e-14)
+    assert x[0] == pytest.approx(2.0 / 5.5, rel=1e-14)
 
 
 @pytest.mark.parametrize("n", [49, 1, pytest.param((31, 31), id="31x31")])
@@ -273,7 +267,8 @@ def test_indefinite_step_operator_raises(n):
     n = n if isinstance(n, tuple) else (n,)
     g = Grid((1.0,) * len(n), n)
     with pytest.raises(SolverFailure, match="not positive definite") as info:
-        solve_shifted(assemble(g), Field.constant(g, -2000.0), 1e-3, Field.constant(g, 1.0))
+        shifted_system(assemble(g), np.full(g.num_nodes, -2000.0), 1e-3).solve(
+            np.ones(g.num_nodes))
     assert info.value.iterations == 0
 
 
@@ -281,7 +276,8 @@ def test_cg_rejects_a_right_hand_side_whose_norm_overflows():
     # every entry is finite, their Euclidean norm is not
     g = Grid((1.0, 1.0), (5, 5))
     with pytest.raises(SolverFailure, match="non-finite norm") as info:
-        solve_shifted(assemble(g), Field.zeros(g), 0.1, Field.constant(g, 1e308))
+        shifted_system(assemble(g), np.zeros(g.num_nodes), 0.1).solve(
+            np.full(g.num_nodes, 1e308))
     assert info.value.iterations == 0
 
 

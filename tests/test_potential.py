@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from nonlocal_heat import EvaluationError, Field, Grid, Potential, catalog, lipschitz_on, nemytskii
+from nonlocal_heat import (
+    EvaluationError, Field, Grid, Potential, catalog, lipschitz_on, nemytskii,
+    uniqueness_threshold,
+)
 
 
 GRID = Grid((1.0,), (11,))
@@ -134,17 +137,12 @@ def test_nemytskii_output_nonnegative_for_certified_catalog():
 
 # ------------------------------------------------------------- lipschitz
 
-def test_lipschitz_sampled_sine_estimate():
-    # oracle: sup |cos| on [-10, 10] is 1 (attained at 0)
+def test_lipschitz_without_rule_is_unknown():
+    # sampled difference quotients bound the constant from below, so a
+    # potential without a rule gets no constant at all
     phi = Potential(name="sine", evaluator=np.sin)
-    est = lipschitz_on(phi, 10.0)
-    assert 0.999 <= est <= 1.0
-    assert not phi.lipschitz_exact
-
-
-def test_lipschitz_sampled_zero_interval():
-    phi = Potential(name="sine", evaluator=np.sin)
-    assert lipschitz_on(phi, 0.0) == 0.0
+    assert lipschitz_on(phi, 10.0) is None
+    assert lipschitz_on(phi, 0.0) is None
 
 
 def test_lipschitz_rejects_negative_interval():
@@ -160,11 +158,24 @@ def test_lipschitz_monotone_in_interval_for_catalog():
         assert all(a <= b for a, b in zip(values, values[1:]))
 
 
+@pytest.mark.parametrize("name,params", [
+    ("zero", []), ("constant", [2.0]), ("constant", [-1.5]), ("quadratic", []),
+    ("absval", []), ("bounded_sine", [1.0]), ("bounded_sine", [2.5]),
+    ("linear_growth", [3.0]),
+])
+@pytest.mark.parametrize("s0", [0.5, 1.0, 4.0, 16.0])
+def test_lipschitz_rule_bounds_sampled_quotients(name, params, s0):
+    # the largest adjacent difference quotient on a fine sample is a lower
+    # bound on the Lipschitz constant, so the rule must not fall below it
+    phi = catalog(name, params)
+    s = np.linspace(-s0, s0, 100_001)
+    sampled = np.max(np.abs(np.diff(phi(s))) / np.diff(s))
+    assert lipschitz_on(phi, s0) >= sampled * (1.0 - 1e-9)
+
+
 def test_lipschitz_exact_flag():
-    assert catalog("quadratic").lipschitz_exact
-    assert not Potential(name="f", evaluator=np.sin).lipschitz_exact
-
-
-def test_non_estimable_marker():
-    rough = Potential(name="rough", evaluator=np.sign, lipschitz_estimable=False)
-    assert not rough.lipschitz_estimable
+    # the report's flag records whether the constant came from a rule
+    u0 = Field(GRID, np.full(GRID.num_nodes, 0.5))
+    for phi, exact in [(catalog("quadratic"), True),
+                       (Potential(name="f", evaluator=np.sin), False)]:
+        assert uniqueness_threshold(phi, u0, 0.1).to_dict()["lipschitz_exact"] is exact

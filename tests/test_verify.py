@@ -223,8 +223,7 @@ def test_verify_all_bundles_and_serializes():
     assert isinstance(d["energy"]["relative_mismatch"], float)
     assert isinstance(d["elliptic"]["relative_residual"], float)
 
-    flat = Potential("flat", lambda s: np.zeros_like(s), nonnegative=True,
-                     lipschitz_estimable=False)
+    flat = Potential("flat", lambda s: np.zeros_like(s), nonnegative=True)
     for phi in (catalog("quadratic"), flat):
         grid, lap, report = solve_on(19, 20, phi, lambda x: 0.5 * np.sin(math.pi * x))
         d = verify_all(report, phi, lap).to_dict()
