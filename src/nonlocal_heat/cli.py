@@ -14,7 +14,8 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from contextlib import nullcontext
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -147,14 +148,6 @@ class Job:
     refine: str | None = None
     axis: str | None = None
     values: tuple[float, ...] | None = None
-
-    @property
-    def stepping(self) -> EvolutionConfig:
-        """``ecfg`` as solved: only a solve that writes its trajectory stores
-        more than ``u0`` and ``u_K``; the map output is the same either way."""
-        if self.mode == "solve" and any(f in TRAJECTORY_FORMATS for f in self.formats):
-            return self.ecfg
-        return replace(self.ecfg, store_every=self.ecfg.steps)
 
 
 def _initial_datum(sec: dict, grid: Grid) -> Field:
@@ -345,9 +338,9 @@ def _run_header(cfg: dict, job: Job) -> dict:
     }
 
 
-def _solve(job: Job):
+def _solve(job: Job, sink=None):
     lap = assemble(job.grid)
-    return lap, picard_solve(lap, job.phi, job.u0, job.stepping, job.pcfg)
+    return lap, picard_solve(lap, job.phi, job.u0, job.ecfg, job.pcfg, sink=sink)
 
 
 def _summary_line(report: FixedPointReport, verification) -> str:
@@ -364,17 +357,26 @@ def _summary_line(report: FixedPointReport, verification) -> str:
 
 
 def run_solve(cfg: dict, job: Job, quiet: bool) -> int:
-    lap, report = _solve(job)
-    verification = verify_all(report, job.phi, lap)
+    """Solve, verify and write.  The solve streams a trajectory binary; the CSV
+    is formatted from it before the ``bin`` writer moves it, and no exit
+    leaves it behind."""
+    streamed = job.out_dir / "trajectory.part"
+    try:
+        with (nio.trajectory_stream(streamed, job.u0, job.ecfg)
+              if any(f in TRAJECTORY_FORMATS for f in job.formats) else nullcontext()) as sink:
+            lap, report = _solve(job, sink)
+        verification = verify_all(report, job.phi, lap)
 
-    payload = _run_header(cfg, job)
-    payload.update(report.scalar_diagnostics())
-    payload["verification"] = verification.to_dict()
-    files = {"config": "config.json", "report": "report.json"}
-    files.update(_write_outputs(report.uT, "field", "ut", job))
-    files.update(_write_outputs(report.trajectory, "trajectory", "trajectory", job))
-    payload["files"] = files
-    _write_json(job.out_dir / "report.json", payload)
+        payload = _run_header(cfg, job)
+        payload.update(report.scalar_diagnostics())
+        payload["verification"] = verification.to_dict()
+        files = {"config": "config.json", "report": "report.json"}
+        files.update(_write_outputs(report.uT, "field", "ut", job))
+        files.update(_write_outputs(streamed, "trajectory", "trajectory", job))
+        payload["files"] = files
+        _write_json(job.out_dir / "report.json", payload)
+    finally:
+        streamed.unlink(missing_ok=True)
     if not quiet:
         print(_summary_line(report, verification))
     return EXIT_OK if report.converged else EXIT_NO_CONVERGENCE
@@ -382,7 +384,7 @@ def run_solve(cfg: dict, job: Job, quiet: bool) -> int:
 
 def run_probe(cfg: dict, job: Job, quiet: bool) -> int:
     probe = uniqueness_probe(
-        assemble(job.grid), job.phi, job.u0, job.stepping, job.pcfg,
+        assemble(job.grid), job.phi, job.u0, job.ecfg, job.pcfg,
         n_starts=job.starts, seed=job.seed,
     )
     payload = _run_header(cfg, job)

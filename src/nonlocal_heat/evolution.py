@@ -3,7 +3,8 @@
 One outer iterate freezes the potential field ``w = phi(v)``; the inner
 problem ``du/dt + (L + diag(w)) u = 0`` is then advanced by implicit Euler
 or Crank-Nicolson.  The map output is the trapezoidal time integral over
-every step, accumulated while stepping; states are kept only for output.
+every step, accumulated while stepping.  Only the first and last states
+are kept; the others reach an optional sink block by block.
 """
 
 from __future__ import annotations
@@ -28,10 +29,10 @@ BLOCK_BYTES = 1 << 20
 class EvolutionConfig:
     """Time discretization: final time T, step count, scheme, output thinning.
 
-    ``store_every`` keeps every k-th state for output (it must divide
-    ``steps`` so the stored samples stay uniform and include t=0 and t=T).
-    It changes nothing else: the map output and the bounds that
-    verification checks are taken over every step.
+    ``store_every`` keeps every k-th state in a written trajectory file (it
+    must divide ``steps`` so the samples stay uniform and include t=0 and
+    t=T).  Only the trajectory writer reads it: stepping, the map output
+    and the bounds that verification checks do not depend on it.
     """
 
     T: float
@@ -97,18 +98,17 @@ class StateBounds:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """One linear evolution on a uniform time partition.
+    """One linear evolution over ``[0, T]``, reduced while it was stepped.
 
-    ``states`` holds every ``store_every``-th state, ``spacing`` apart in
-    time, from t=0.  ``integral``, the trapezoidal time integral, and
-    ``bounds`` (the extremes the norm and positivity checks read, such as
-    ``bounds.min_value``) are measured by ``evolve`` on every state as it is
-    produced, stored or not.
+    ``states`` holds ``u0`` and ``u_K``.  ``integral``, the trapezoidal time
+    integral, and ``bounds`` (the extremes the norm and positivity checks
+    read, such as ``bounds.min_value``) are measured by ``evolve`` on every
+    state as it is produced.
     """
 
     grid: Grid
-    spacing: float      # time between stored states, dt * store_every
-    states: np.ndarray  # shape (num_samples, num_nodes), row k is u(t_k)
+    T: float            # dt * steps
+    states: np.ndarray  # shape (2, num_nodes): u0 and u_K
     integral: np.ndarray
     bounds: StateBounds
 
@@ -117,26 +117,14 @@ class Trajectory:
         self.integral.setflags(write=False)
 
     @property
-    def times(self) -> np.ndarray:
-        """Sample times ``t_k = k * spacing``."""
-        return self.spacing * np.arange(self.num_samples)
-
-    @property
-    def T(self) -> float:
-        return self.spacing * (self.num_samples - 1)
-
-    @property
     def num_samples(self) -> int:
         return self.states.shape[0]
 
-    def state(self, k: int) -> Field:
-        return Field(self.grid, self.states[k])
-
     def initial(self) -> Field:
-        return self.state(0)
+        return Field(self.grid, self.states[0])
 
     def final(self) -> Field:
-        return self.state(self.num_samples - 1)
+        return Field(self.grid, self.states[-1])
 
 
 def evolve(
@@ -144,6 +132,7 @@ def evolve(
     w: Field,
     u0: Field,
     cfg: EvolutionConfig,
+    sink=None,
 ) -> Trajectory:
     """Advance ``u' + (L + diag(w)) u = 0`` from ``u0`` to time T.
 
@@ -156,39 +145,33 @@ def evolve(
 
     States ``u_1 .. u_K`` are reduced in blocks of ``BLOCK_BYTES`` (fewer
     when there are fewer steps) into the trapezoidal integral and the state
-    bounds.  The blocks do not depend on ``store_every``, so neither do
-    those results, bit for bit.
+    bounds.  Each block is then passed to ``sink(start, block)``, if given:
+    row ``r`` is ``u_{start+r+1}``, in a buffer the next block reuses.  Only
+    ``u0`` and ``u_K`` are kept.
     """
     if w.grid != lap.grid or u0.grid != lap.grid:
         raise ValueError("operands live on different grids")
-    dt = cfg.dt
-    steps, every = cfg.steps, cfg.store_every
+    dt, steps = cfg.dt, cfg.steps
     num_nodes = lap.grid.num_nodes
-    stored = np.empty((steps // every + 1, num_nodes))
-    stored[0] = u0.values
     u = u0.values
     reflect = cfg.scheme == CRANK_NICOLSON
     system = shifted_system(lap, w.values, 0.5 * dt if reflect else dt)
 
     rows = max(1, min(steps, BLOCK_BYTES // (8 * num_nodes)))
-    # with every state stored, the blocks are windows of the stored array
-    scratch = stored[1:] if every == 1 else np.empty((rows, num_nodes))
+    scratch = np.empty((rows, num_nodes))
     weights = np.full(rows, dt)
-    integral = (0.5 * dt) * u0.values
-    bounds = StateBounds.of(stored[:1])
+    integral = (0.5 * dt) * u
+    bounds = StateBounds.of(u[None])
 
     for start in range(0, steps, rows):
         count = min(rows, steps - start)
-        block = scratch[start:start + count] if every == 1 else scratch[:count]
+        block = scratch[:count]
         for r in range(count):
             y = system.solve(u)
             u = 2.0 * y - u if reflect else y
             block[r] = u
-        if every > 1:  # block row r holds u_{start+r+1}
-            first = -(start + 1) % every
-            kept = block[first::every]
-            k0 = (start + first + 1) // every
-            stored[k0:k0 + kept.shape[0]] = kept
+        if sink is not None:
+            sink(start, block)
         block_weights = weights[:count]
         if start + count == steps:  # the block ends with u_K
             block_weights = block_weights.copy()
@@ -196,7 +179,7 @@ def evolve(
         integral += block_weights @ block
         bounds = bounds.merge(StateBounds.of(block))
 
-    return Trajectory(lap.grid, dt * every, stored, integral, bounds)
+    return Trajectory(lap.grid, dt * steps, np.stack((u0.values, u)), integral, bounds)
 
 
 def phi_map(
@@ -205,18 +188,19 @@ def phi_map(
     u0: Field,
     vT: Field,
     cfg: EvolutionConfig,
+    sink=None,
 ) -> tuple[Field, Trajectory]:
     """One evaluation of the fixed-point map.
 
     Freezes the potential at the trial integral ``vT``, evolves ``u0`` under
-    it, and returns the trapezoidal time integral over every step together
-    with the trajectory, whose stored samples ``store_every`` thins without
-    changing the integral.  Raises :class:`EvaluationError` if the states
-    overflow, which leaves the integral non-finite.
+    it, passing its states to ``sink`` (see ``evolve``), and returns the
+    trapezoidal time integral over every step together with the trajectory.
+    Raises :class:`EvaluationError` if the states overflow, which leaves the
+    integral non-finite.
     """
     w = nemytskii(phi, vT)
     with np.errstate(over="ignore", invalid="ignore"):  # the integral is checked below
-        trajectory = evolve(lap, w, u0, cfg)
+        trajectory = evolve(lap, w, u0, cfg, sink=sink)
     if not np.all(np.isfinite(trajectory.integral)):
         raise EvaluationError(
             "the map returned a non-finite time integral: the states overflowed")

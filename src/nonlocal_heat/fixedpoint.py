@@ -155,6 +155,7 @@ def picard_solve(
     u0: Field,
     ecfg: EvolutionConfig,
     pcfg: PicardConfig | None = None,
+    sink=None,
 ) -> FixedPointReport:
     """Anderson-mixed fixed-point iteration on ``v = Phi(v)``.
 
@@ -169,8 +170,9 @@ def picard_solve(
     The iteration stops once ``||f_k||_2 / max(||v_k||_2, 1e-300) <= tol``
     or after ``max_iter`` map evaluations.  The reported ``uT`` is the map
     output of the final sweep, the trapezoidal integral over every step of
-    the reported trajectory, whatever its ``store_every``.  Contraction
-    estimates are the map's Lipschitz quotients along the iterates,
+    the reported trajectory.  Every sweep passes its states to ``sink`` (see
+    ``evolve``), so the last ones it sees are the reported trajectory's.
+    Contraction estimates are the map's Lipschitz quotients along the iterates,
     ``||g_k - g_{k-1}||_2 / ||v_k - v_{k-1}||_2``.  An iterate that mixing
     drives out of floating-point range raises :class:`EvaluationError`.
     """
@@ -183,11 +185,8 @@ def picard_solve(
     lipschitz: list[float] = []
     sup_norms: list[float] = [_norm(grid, v, math.inf)]
     converged = False
-    trajectory: Trajectory | None = None
-
     for k in range(pcfg.max_iter):
-        trajectory = None  # free the last sweep's states before the next are made
-        uT, trajectory = phi_map(lap, phi, u0, Field(grid, v), ecfg)
+        uT, trajectory = phi_map(lap, phi, u0, Field(grid, v), ecfg, sink=sink)
         g = uT.values
         f = g - v
         residuals.append(_norm(grid, f) / max(_norm(grid, v), RESIDUAL_FLOOR))

@@ -4,17 +4,21 @@ Field CSV rows are ``x[,y],value`` per interior node.  Field JSON carries
 the grid header next to a flat value array and round-trips exactly.  The
 trajectory binary layout is little-endian: int64 header ``dim, K, n_1
 [, n_2]``, then ``K+1`` float64 sample times, then the ``(K+1) x N`` state
-matrix row-major as float64.
+matrix row-major as float64, row k the state at step ``k * store_every``.
+A trajectory is streamed into that layout while it is stepped, and its
+CSV is formatted from the binary.
 """
 
 from __future__ import annotations
 
 import json
+import os
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
-from .evolution import Trajectory
+from .evolution import EvolutionConfig
 from .mesh import Field, Grid
 
 _I8 = np.dtype("<i8")
@@ -93,27 +97,44 @@ def read_field(path: str | Path) -> Field:
     raise ValueError(f"cannot read field from '{path}': unknown extension")
 
 
-def write_trajectory_csv(traj: Trajectory, path: str | Path) -> None:
-    """Rows ``t,node,value`` for every stored sample and node."""
-    K1, N = traj.states.shape
-    t = np.repeat(traj.times, N)
-    node = np.tile(np.arange(N), K1)
-    np.savetxt(
-        path,
-        np.column_stack((t, node, traj.states.ravel())),
-        delimiter=",",
-        header="t,node,value",
-        comments="",
-        fmt=("%.17g", "%d", "%.17g"),
-    )
+@contextmanager
+def trajectory_stream(path: str | Path, u0: Field, cfg: EvolutionConfig):
+    """Open ``path`` in the binary layout and yield a sink for ``evolve``.
 
-
-def write_trajectory_bin(traj: Trajectory, path: str | Path) -> None:
-    header = np.array([traj.grid.dim, traj.num_samples - 1, *traj.grid.n], dtype=_I8)
+    The header, the sample times and ``u0`` are written at once.  The sink
+    writes the states of each block that ``cfg.store_every`` keeps at their
+    offsets with ``seek``/``write``, so every sweep rewrites the same region
+    and the file ends up holding the last sweep's states.
+    """
+    grid, every = u0.grid, cfg.store_every
+    K = cfg.steps // every
+    row_bytes = grid.num_nodes * _F8.itemsize
     with open(path, "wb") as fh:
-        fh.write(header.tobytes())
-        fh.write(np.ascontiguousarray(traj.times, dtype=_F8).tobytes())
-        fh.write(memoryview(np.ascontiguousarray(traj.states, dtype=_F8)))  # no copy
+        fh.write(np.array([grid.dim, K, *grid.n], dtype=_I8).tobytes())
+        fh.write(((cfg.dt * every) * np.arange(K + 1)).astype(_F8).tobytes())
+        states_at = fh.tell()
+        fh.write(np.ascontiguousarray(u0.values, dtype=_F8))
+
+        def sink(start: int, block: np.ndarray) -> None:
+            first = -(start + 1) % every  # the block row of the first kept state
+            fh.seek(states_at + (start + first + 1) // every * row_bytes)
+            fh.write(np.ascontiguousarray(block[first::every], dtype=_F8))
+
+        yield sink
+
+
+def write_trajectory_csv(streamed: str | Path, path: str | Path) -> None:
+    """Rows ``t,node,value`` for every sample and node of the binary ``streamed``."""
+    times, states, _ = read_trajectory_bin(streamed)
+    K1, N = states.shape
+    columns = (np.repeat(times, N), np.tile(np.arange(N), K1), states.ravel())
+    np.savetxt(path, np.column_stack(columns), delimiter=",", header="t,node,value",
+               comments="", fmt=("%.17g", "%d", "%.17g"))
+
+
+def write_trajectory_bin(streamed: str | Path, path: str | Path) -> None:
+    """Move the binary ``streamed`` (see ``trajectory_stream``) to ``path``."""
+    os.replace(streamed, path)
 
 
 def read_trajectory_bin(path: str | Path) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:

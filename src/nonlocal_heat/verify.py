@@ -1,9 +1,10 @@
 """Post-hoc checks of the provable identities on a converged run.
 
-The norm and positivity bounds are measured by ``evolve`` on every state
-as it is produced, whatever ``store_every`` keeps; the energy and
-stationary checks share the stationary equation ``A uT = u0 - u(T)`` of the
-converged integral, ``A = L + diag(phi(uT))``, evaluated once per check.
+They read only ``u0``, ``u(T)``, the integral ``uT`` and the state bounds
+that ``evolve`` measured on every state as it was produced.  The energy
+and stationary checks share the stationary equation ``A uT = u0 - u(T)``
+of the converged integral, ``A = L + diag(phi(uT))``, which ``verify_all``
+evaluates once for both.
 """
 
 from __future__ import annotations
@@ -78,8 +79,8 @@ class EllipticCheck:
 
     The residual is all-discrete, so it has no h^2 part.  With
     ``A_w = L + diag(w)``, w the weight of the last sweep (``phi(uT)`` up
-    to the Picard tolerance), summing every step, whatever ``store_every``
-    keeps, gives ``A_w uT = u0 - uK + (dt/2) A_w (u0 - uK)`` for implicit
+    to the Picard tolerance), summing every step gives
+    ``A_w uT = u0 - uK + (dt/2) A_w (u0 - uK)`` for implicit
     Euler and ``A_w uT = u0 - uK`` for Crank-Nicolson.  The residual is therefore
     ``(dt/2)*||A_w (u0-uK)|| / ||u0-uK||`` plus O(tol) for implicit Euler,
     and O(tol) for Crank-Nicolson.  No fixed pass threshold.
@@ -150,18 +151,13 @@ def _stationary_sides(
             Field(grid, uT), scale)
 
 
-def check_energy(report: FixedPointReport, phi: Potential) -> EnergyCheck:
-    """Evaluate both sides of the energy identity and its upper bounds.
-
-    Both sides pair the stationary equation's sides with ``uT`` on the
-    states scaled by ``1/s`` and are compared there; the verdicts do not
-    depend on ``s``.  The reported ``lhs`` and ``rhs`` are those values times
-    ``s^2``, so a term beyond the floating-point range (states that grew, as
-    Crank-Nicolson's may) reads as infinite.
-    """
+def _stationary_checks(
+    report: FixedPointReport, phi: Potential, lap: DirichletLaplacian
+) -> tuple[EnergyCheck, EllipticCheck]:
+    """The energy and elliptic checks on one evaluation of the stationary sides."""
     traj = report.trajectory
     T = traj.T
-    a_uT, drop, uT, scale = _stationary_sides(report, phi, DirichletLaplacian(report.uT.grid))
+    a_uT, drop, uT, scale = _stationary_sides(report, phi, lap)
     lhs = inner_product(a_uT, uT)
     rhs = inner_product(drop, uT)
     mismatch = abs(lhs - rhs) / max(abs(rhs), EPS)
@@ -172,7 +168,7 @@ def check_energy(report: FixedPointReport, phi: Potential) -> EnergyCheck:
     integral_ratio = norm_lp(report.uT, 2) / max(T * u0_l2, EPS)
     unit = u0_l2 / scale
     scaled_bound = 2.0 * T * unit * unit
-    return EnergyCheck(
+    energy = EnergyCheck(
         lhs=scale * (scale * lhs),
         rhs=scale * (scale * rhs),
         relative_mismatch=mismatch,
@@ -183,6 +179,20 @@ def check_energy(report: FixedPointReport, phi: Potential) -> EnergyCheck:
         integral_norm_ratio=integral_ratio,
         integral_norm_ok=integral_ratio <= 1.0 + BOUND_TOL,
     )
+    rel = norm_lp(a_uT - drop, 2) / max(norm_lp(drop, 2), EPS)
+    return energy, EllipticCheck(relative_residual=rel)
+
+
+def check_energy(report: FixedPointReport, phi: Potential) -> EnergyCheck:
+    """Evaluate both sides of the energy identity and its upper bounds.
+
+    Both sides pair the stationary equation's sides with ``uT`` on the
+    states scaled by ``1/s`` and are compared there; the verdicts do not
+    depend on ``s``.  The reported ``lhs`` and ``rhs`` are those values times
+    ``s^2``, so a term beyond the floating-point range (states that grew, as
+    Crank-Nicolson's may) reads as infinite.
+    """
+    return _stationary_checks(report, phi, DirichletLaplacian(report.uT.grid))[0]
 
 
 def check_elliptic(
@@ -190,22 +200,18 @@ def check_elliptic(
 ) -> EllipticCheck:
     """Residual of the stationary equation satisfied by the time integral.
 
-    Whatever ``store_every`` keeps, this is exactly the time-quadrature term
+    This is exactly the time-quadrature term
     ``(dt/2)*||A_w (u0-uK)|| / ||u0-uK||`` plus O(tol) for implicit Euler
     and O(tol) for Crank-Nicolson; it has no h^2 part (see EllipticCheck).
     It is taken on the scaled states, so it is finite wherever they are.
     """
-    a_uT, drop, _, _ = _stationary_sides(report, phi, lap)
-    rel = norm_lp(a_uT - drop, 2) / max(norm_lp(drop, 2), EPS)
-    return EllipticCheck(relative_residual=rel)
+    return _stationary_checks(report, phi, lap)[1]
 
 
 def verify_all(
     report: FixedPointReport, phi: Potential, lap: DirichletLaplacian
 ) -> VerificationReport:
-    """Run every check on a completed fixed-point report (norms 2 and inf)."""
-    return VerificationReport(
-        solution_bounds=check_solution_bounds(report),
-        energy=check_energy(report, phi),
-        elliptic=check_elliptic(report, phi, lap),
-    )
+    """Run every check on a completed fixed-point report (norms 2 and inf);
+    the energy and elliptic checks share one evaluation of the stationary sides."""
+    energy, elliptic = _stationary_checks(report, phi, lap)
+    return VerificationReport(check_solution_bounds(report), energy, elliptic)

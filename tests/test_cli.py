@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nonlocal_heat import cli, uniqueness_threshold
+from nonlocal_heat import assemble, cli, picard_solve, uniqueness_threshold
 from nonlocal_heat.io import read_field_json
 
 
@@ -504,6 +504,7 @@ def test_numerical_failure_exits_5_with_report(
     assert cause in report["error"]["message"]
     assert report["mode"] == "solve" and report["grid"]["n"] == cfg["domain"]["n"]
     assert not (out / "ut.json").exists()
+    assert not list(out.glob("trajectory.*"))
 
 
 def overflowing_s0_config(out, **overrides):
@@ -595,3 +596,87 @@ def test_rebound_solvers_and_writers_are_called(tmp_path, monkeypatch):
     assert calls["fixedpoint.picard_solve"] == 2
     assert calls["io.write_field_csv"] == 2 and calls["io.write_field_json"] == 2
     assert calls["io.write_trajectory_csv"] == 1 and calls["io.write_trajectory_bin"] == 1
+
+
+def expected_trajectory_files(cfg, collector, tmp_path):
+    """``trajectory.bin`` and ``trajectory.csv`` bytes built without the
+    streaming writer: the last sweep's states from a collecting sink, the
+    header and times by hand, and ``np.savetxt`` with the CSV columns."""
+    job = cli.parse_config(cfg)
+    sink = collector(job.u0)
+    picard_solve(assemble(job.grid), job.phi, job.u0, job.ecfg, job.pcfg, sink=sink)
+    every = job.ecfg.store_every
+    states = sink.states[::every]
+    K1, N = states.shape
+    times = job.ecfg.dt * every * np.arange(K1)
+    header = np.array([job.grid.dim, K1 - 1, *job.grid.n], dtype="<i8")
+    binary = header.tobytes() + times.astype("<f8").tobytes() + states.astype("<f8").tobytes()
+    path = tmp_path / "expected.csv"
+    np.savetxt(path, np.column_stack((np.repeat(times, N), np.tile(np.arange(N), K1),
+                                      states.ravel())),
+               delimiter=",", header="t,node,value", comments="", fmt=("%.17g", "%d", "%.17g"))
+    return binary, path.read_bytes()
+
+
+@pytest.mark.parametrize("every", [1, 4])
+@pytest.mark.parametrize("domain", [
+    {"dim": 1, "lengths": [1.0], "n": [49]},
+    {"dim": 2, "lengths": [1.0, 1.0], "n": [7, 5]},
+])
+def test_streamed_trajectory_files_match_a_collected_reference(
+        tmp_path, monkeypatch, collector, domain, every):
+    from nonlocal_heat import evolution
+
+    # 10 and 14 states per reduction block: blocks start between kept states
+    monkeypatch.setattr(evolution, "BLOCK_BYTES", 4096)
+    out = tmp_path / "out"
+    cfg = base_config(out, domain=domain)
+    cfg["time"]["store_every"] = every
+    cfg["output"]["formats"] = ["csv", "json", "bin"]
+    assert cli.run(write_config(tmp_path, cfg), quiet=True) == 0
+    binary, csv = expected_trajectory_files(cfg, collector, tmp_path)
+    assert (out / "trajectory.bin").read_bytes() == binary
+    assert (out / "trajectory.csv").read_bytes() == csv
+    assert sorted(p.name for p in out.iterdir()) == [
+        "config.json", "report.json", "trajectory.bin", "trajectory.csv", "ut.csv", "ut.json"]
+
+
+def test_csv_only_solve_leaves_no_binary(tmp_path, collector):
+    out = tmp_path / "out"
+    cfg = base_config(out)
+    cfg["time"]["store_every"] = 4
+    cfg["output"]["formats"] = ["csv"]
+    assert cli.run(write_config(tmp_path, cfg), quiet=True) == 0
+    assert (out / "trajectory.csv").read_bytes() == expected_trajectory_files(
+        cfg, collector, tmp_path)[1]
+    assert sorted(p.name for p in out.iterdir()) == [
+        "config.json", "report.json", "trajectory.csv", "ut.csv"]
+
+
+def test_nonconverged_solve_writes_the_last_sweeps_trajectory(tmp_path, collector):
+    out = tmp_path / "out"
+    cfg = base_config(out)
+    cfg["fixedpoint"]["max_iter"] = 2
+    cfg["output"]["formats"] = ["csv", "json", "bin"]
+    assert cli.run(write_config(tmp_path, cfg), quiet=True) == 2
+    binary, csv = expected_trajectory_files(cfg, collector, tmp_path)
+    assert (out / "trajectory.bin").read_bytes() == binary
+    assert (out / "trajectory.csv").read_bytes() == csv
+
+
+def test_failure_after_a_streamed_sweep_leaves_no_trajectory(tmp_path, monkeypatch):
+    # the first sweep streams its states; the second overflows the potential
+    from nonlocal_heat import evolution
+
+    sweeps = []
+    evolve = evolution.evolve
+    monkeypatch.setattr(evolution, "evolve",
+                        lambda *args, **kwargs: sweeps.append(evolve(*args, **kwargs))
+                        or sweeps[-1])
+    out = tmp_path / "out"
+    cfg = base_config(out, initial=sine(1e308))
+    cfg["output"]["formats"] = ["csv", "json", "bin"]
+    assert cli.run(write_config(tmp_path, cfg), quiet=True) == cli.EXIT_NUMERICAL
+    assert len(sweeps) == 1
+    assert json.loads((out / "report.json").read_text())["error"]["type"] == "EvaluationError"
+    assert sorted(p.name for p in out.iterdir()) == ["config.json", "report.json"]

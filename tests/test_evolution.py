@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -17,6 +18,7 @@ from nonlocal_heat import (
     trapezoid_time_integral,
 )
 from nonlocal_heat.evolution import StateBounds
+from nonlocal_heat.io import read_trajectory_bin, trajectory_stream
 
 
 def sine_datum(grid, amplitude=1.0):
@@ -25,6 +27,15 @@ def sine_datum(grid, amplitude=1.0):
             [np.sin(math.pi * x / L) for x, L in zip(xs, grid.lengths)], axis=0
         )
     )
+
+
+def written(tmp_path, lap, w, u0, cfg):
+    """``evolve`` streaming to a trajectory binary: (trajectory, times, states)."""
+    path = tmp_path / "trajectory.bin"
+    with trajectory_stream(path, u0, cfg) as sink:
+        traj = evolve(lap, w, u0, cfg, sink=sink)
+    times, states, _ = read_trajectory_bin(path)
+    return traj, times, states
 
 
 # ------------------------------------------------------------ config
@@ -52,25 +63,28 @@ def test_state_bounds_row_norm_survives_overflowing_squares():
     assert (bounds.max_abs, bounds.min_value) == (1e200, -1e200)
 
 
-def test_trajectory_times_derive_from_the_spacing():
-    # the stored samples are uniform from t=0 by construction; the derived
-    # times are the numbers evolve formed as dt * store_every * arange
+def test_trajectory_times_derive_from_the_spacing(tmp_path):
+    # the written samples are uniform from t=0 by construction; their times
+    # are the numbers the writer formed as dt * store_every * arange, and
+    # T is dt * steps, which that product's rounding may miss by an ulp
     g = Grid((1.0,), (3,))
     cfg = EvolutionConfig(T=0.1, steps=21, store_every=7)
-    traj = evolve(assemble(g), Field.zeros(g), Field.constant(g, 1.0), cfg)
-    assert traj.num_samples == 4
-    assert np.array_equal(traj.times, cfg.dt * 7 * np.arange(4))
-    assert traj.times[0] == 0.0 and traj.T == traj.times[-1]
+    traj, times, states = written(tmp_path, assemble(g), Field.zeros(g),
+                                  Field.constant(g, 1.0), cfg)
+    assert states.shape[0] == 4
+    assert np.array_equal(times, cfg.dt * 7 * np.arange(4))
+    assert times[0] == 0.0 and traj.T == cfg.dt * 21 == pytest.approx(times[-1], rel=1e-15)
     assert not traj.states.flags.writeable and not traj.integral.flags.writeable
 
 
 # ------------------------------------------------------------ evolve
 
-def test_evolve_zero_datum():
+def test_evolve_zero_datum(collector):
     g = Grid((1.0,), (15,))
     L = assemble(g)
-    traj = evolve(L, Field.zeros(g), Field.zeros(g), EvolutionConfig(T=0.1, steps=20))
-    assert np.all(traj.states == 0.0)
+    sink = collector(Field.zeros(g))
+    evolve(L, Field.zeros(g), Field.zeros(g), EvolutionConfig(T=0.1, steps=20), sink=sink)
+    assert np.all(sink.states == 0.0)
 
 
 def test_evolve_keeps_initial_state_exactly():
@@ -82,44 +96,47 @@ def test_evolve_keeps_initial_state_exactly():
 
 
 @pytest.mark.parametrize("c", [0.0, 3.0])
-def test_implicit_euler_eigen_recursion(c):
+def test_implicit_euler_eigen_recursion(c, collector):
     g = Grid((1.0,), (199,))
     L = assemble(g)
     u0 = sine_datum(g)
     cfg = EvolutionConfig(T=0.1, steps=100)
-    traj = evolve(L, Field.constant(g, c), u0, cfg)
+    sink = collector(u0)
+    evolve(L, Field.constant(g, c), u0, cfg, sink=sink)
     lam = dirichlet_lambda1_discrete(g) + c
     for k in (1, 10, 100):
         expected = (1.0 + cfg.dt * lam) ** (-k) * u0
-        err = norm_lp(traj.state(k) - expected, 2) / norm_lp(expected, 2)
+        err = norm_lp(Field(g, sink.states[k]) - expected, 2) / norm_lp(expected, 2)
         assert err <= 1e-9
 
 
-def test_crank_nicolson_eigen_recursion():
+def test_crank_nicolson_eigen_recursion(collector):
     g = Grid((1.0,), (99,))
     L = assemble(g)
     u0 = sine_datum(g)
     cfg = EvolutionConfig(T=0.1, steps=100, scheme="crank_nicolson")
-    traj = evolve(L, Field.zeros(g), u0, cfg)
+    sink = collector(u0)
+    evolve(L, Field.zeros(g), u0, cfg, sink=sink)
     lam = dirichlet_lambda1_discrete(g)
     r = (1.0 - 0.5 * cfg.dt * lam) / (1.0 + 0.5 * cfg.dt * lam)
     for k in (1, 50, 100):
         expected = r**k * u0
-        err = norm_lp(traj.state(k) - expected, 2) / norm_lp(expected, 2)
+        err = norm_lp(Field(g, sink.states[k]) - expected, 2) / norm_lp(expected, 2)
         assert err <= 1e-9
 
 
 @pytest.mark.parametrize("grid", [Grid((1.0,), (49,)), Grid((1.0, 1.0), (11, 11))])
-def test_implicit_euler_is_contractive(grid):
+def test_implicit_euler_is_contractive(grid, collector):
     rng = np.random.default_rng(13)
     L = assemble(grid)
     w = Field(grid, rng.uniform(0.0, 4.0, grid.num_nodes))
     u0 = Field(grid, rng.standard_normal(grid.num_nodes))
-    traj = evolve(L, w, u0, EvolutionConfig(T=0.2, steps=40))
+    sink = collector(u0)
+    evolve(L, w, u0, EvolutionConfig(T=0.2, steps=40), sink=sink)
     for p in (2.0, math.inf):
         base = norm_lp(u0, p)
-        for k in range(traj.num_samples):
-            assert norm_lp(traj.state(k), p) <= base * (1 + 1e-10)
+        for state in sink.states:
+            assert norm_lp(Field(grid, state), p) <= base * (1 + 1e-10)
 
 
 @pytest.mark.parametrize("grid", [Grid((1.0,), (49,)), Grid((1.0, 1.0), (11, 11))])
@@ -144,17 +161,37 @@ def test_semigroup_consistency_exact():
     assert np.array_equal(full.final().values, second.final().values)
 
 
-def test_store_every_thins_but_matches_full_run():
+def test_store_every_thins_but_matches_full_run(tmp_path, collector):
     rng = np.random.default_rng(16)
     g = Grid((1.0,), (21,))
     L = assemble(g)
     w = Field(g, rng.uniform(0.0, 1.0, 21))
     u0 = Field(g, rng.standard_normal(21))
-    full = evolve(L, w, u0, EvolutionConfig(T=0.1, steps=20))
-    thin = evolve(L, w, u0, EvolutionConfig(T=0.1, steps=20, store_every=4))
-    assert thin.num_samples == 6
-    assert np.allclose(thin.times, full.times[::4])
-    assert np.array_equal(thin.states, full.states[::4])
+    full = collector(u0)
+    cfg = EvolutionConfig(T=0.1, steps=20)
+    evolve(L, w, u0, cfg, sink=full)
+    _, thin_times, thin_states = written(tmp_path, L, w, u0, replace(cfg, store_every=4))
+    assert thin_states.shape[0] == 6
+    assert np.allclose(thin_times, (cfg.dt * np.arange(21))[::4])
+    assert np.array_equal(thin_states, full.states[::4])
+
+
+@pytest.mark.parametrize("every", [1, 4, 20000])
+def test_evolve_memory_is_one_block_whatever_store_every(every):
+    # n=199, K=20,000: storing every state would take 32 MB; evolve keeps
+    # u0, u_K and one reduction block of at most BLOCK_BYTES
+    g = Grid((1.0,), (199,))
+    L = assemble(g)
+    u0 = sine_datum(g)
+    cfg = EvolutionConfig(T=0.1, steps=20000, store_every=every)
+    tracemalloc.start()
+    try:
+        traj = evolve(L, Field.zeros(g), u0, cfg, sink=lambda start, block: None)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert traj.states.shape == (2, g.num_nodes)
+    assert peak <= 2 * 2**20
 
 
 def test_evolve_grid_mismatch():
@@ -186,14 +223,16 @@ def test_time_stepping_orders():
 
 # ------------------------------------------------------------ phi map
 
-def test_phi_map_zero_datum():
+def test_phi_map_zero_datum(collector):
     g = Grid((1.0,), (15,))
     L = assemble(g)
     rng = np.random.default_rng(17)
     v = Field(g, rng.standard_normal(15))
-    uT, traj = phi_map(L, catalog("quadratic"), Field.zeros(g), v, EvolutionConfig(T=0.1, steps=10))
+    sink = collector(Field.zeros(g))
+    uT, _ = phi_map(L, catalog("quadratic"), Field.zeros(g), v, EvolutionConfig(T=0.1, steps=10),
+                    sink=sink)
     assert np.all(uT.values == 0.0)
-    assert np.all(traj.states == 0.0)
+    assert np.all(sink.states == 0.0)
 
 
 @pytest.mark.parametrize("c", [0.0, 1.0])
@@ -223,13 +262,15 @@ def test_phi_map_output_bound():
     assert norm_lp(uT, math.inf) <= cfg.T * norm_lp(u0, math.inf) * (1 + 1e-10)
 
 
-def test_phi_map_integral_consistent_with_trajectory():
+def test_phi_map_integral_consistent_with_trajectory(collector):
     g = Grid((1.0,), (33,))
     L = assemble(g)
     u0 = sine_datum(g)
-    uT, traj = phi_map(L, catalog("quadratic"), u0, 0.5 * u0, EvolutionConfig(T=0.1, steps=50))
+    cfg = EvolutionConfig(T=0.1, steps=50)
+    sink = collector(u0)
+    uT, _ = phi_map(L, catalog("quadratic"), u0, 0.5 * u0, cfg, sink=sink)
     again = trapezoid_time_integral(
-        [(t, traj.state(k)) for k, t in enumerate(traj.times)]
+        [(k * cfg.dt, Field(g, state)) for k, state in enumerate(sink.states)]
     )
     assert norm_lp(uT - again, 2) <= 1e-13 * norm_lp(again, 2)
 
@@ -240,17 +281,17 @@ def test_phi_map_integral_consistent_with_trajectory():
     (Grid((1.0,), (1500,)), 300),  # several reduction blocks, the last one short
     (Grid((1.0, 1.0), (9, 7)), 24),
 ])
-def test_phi_map_output_independent_of_store_every(scheme, grid, steps):
+def test_phi_map_output_independent_of_store_every(scheme, grid, steps, tmp_path):
     rng = np.random.default_rng(19)
     L = assemble(grid)
     u0 = Field(grid, rng.standard_normal(grid.num_nodes))
     v = Field(grid, rng.uniform(0.0, 1.0, grid.num_nodes))
     outputs = []
     for every in (1, 4, steps):
-        uT, traj = phi_map(L, catalog("quadratic"), u0, v,
-                           EvolutionConfig(T=0.1, steps=steps, scheme=scheme,
-                                           store_every=every))
-        assert traj.num_samples == steps // every + 1
+        cfg = EvolutionConfig(T=0.1, steps=steps, scheme=scheme, store_every=every)
+        with trajectory_stream(tmp_path / "trajectory.bin", u0, cfg) as sink:
+            uT, traj = phi_map(L, catalog("quadratic"), u0, v, cfg, sink=sink)
+        assert read_trajectory_bin(tmp_path / "trajectory.bin")[1].shape[0] == steps // every + 1
         outputs.append((uT.values, traj.bounds, traj.final().values))
     for values, bounds, final in outputs[1:]:
         assert np.array_equal(values, outputs[0][0])
@@ -258,16 +299,17 @@ def test_phi_map_output_independent_of_store_every(scheme, grid, steps):
         assert np.array_equal(final, outputs[0][2])
 
 
-def test_bounds_cover_unstored_states():
+def test_bounds_cover_unstored_states(tmp_path, collector):
     g = Grid((1.0,), (21,))
     L = assemble(g)
     u0 = Field(g, np.r_[np.zeros(10), 1.0, np.zeros(10)])
     cfg = EvolutionConfig(T=0.05, steps=10, scheme="crank_nicolson")
-    full = evolve(L, Field.zeros(g), u0, cfg)
-    thin = evolve(L, Field.zeros(g), u0, replace(cfg, store_every=10))
-    # Crank-Nicolson rings on a spike: an unstored state dips below every
-    # stored one, and the thinned run still sees it
-    assert full.states.min() < min(thin.states.min(), 0.0)
+    full = collector(u0)
+    evolve(L, Field.zeros(g), u0, cfg, sink=full)
+    thin, _, thin_states = written(tmp_path, L, Field.zeros(g), u0, replace(cfg, store_every=10))
+    # Crank-Nicolson rings on a spike: an unwritten state dips below every
+    # written one, and the thinned run still sees it
+    assert full.states.min() < min(thin_states.min(), 0.0)
     assert thin.bounds.min_value == full.states.min()
     assert thin.bounds.max_row_norm == max(math.sqrt(np.sum(s * s)) for s in full.states)
     assert thin.bounds.max_abs == np.abs(full.states).max()

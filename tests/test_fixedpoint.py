@@ -129,11 +129,11 @@ def test_mixed_iterate_overflow_is_a_numerical_failure(monkeypatch):
         picard_solve(LAP, catalog("quadratic"), sine_datum(0.5), ECFG)
 
 
-def test_report_integral_matches_trajectory():
-    report = picard_solve(LAP, catalog("quadratic"), sine_datum(0.5), ECFG)
-    traj = report.trajectory
+def test_report_integral_matches_trajectory(collector):
+    sink = collector(sine_datum(0.5))
+    report = picard_solve(LAP, catalog("quadratic"), sine_datum(0.5), ECFG, sink=sink)
     recomputed = trapezoid_time_integral(
-        [(t, traj.state(k)) for k, t in enumerate(traj.times)]
+        [(k * ECFG.dt, Field(GRID, state)) for k, state in enumerate(sink.states)]
     )
     assert norm_lp(report.uT - recomputed, 2) <= 1e-13 * norm_lp(recomputed, 2)
 

@@ -66,23 +66,25 @@ def backward_error(residual: np.ndarray, *terms: float) -> float:
     return float(np.linalg.norm(residual)) / sum(terms)
 
 
-def evolve_problem(grid, w, u0, scheme, T, steps):
-    """``A_w``'s stencil, the trajectory and ``dt * sum_k ||u_k||``, the size
-    of the terms the integral sums (they cancel when ``u_k`` alternates)."""
+def evolve_problem(grid, w, u0, scheme, T, steps, collector):
+    """``A_w``'s stencil, the trajectory, every state and ``dt * sum_k ||u_k||``,
+    the size of the terms the integral sums (they cancel when ``u_k`` alternates)."""
     lap = assemble(grid)
+    sink = collector(Field(grid, u0))
     traj = evolve(lap, Field(grid, w), Field(grid, u0),
-                  EvolutionConfig(T=T, steps=steps, scheme=scheme))
-    terms = T / steps * float(np.sum(np.linalg.norm(traj.states, axis=1)))
-    return lap, traj, terms
+                  EvolutionConfig(T=T, steps=steps, scheme=scheme), sink=sink)
+    terms = T / steps * float(np.sum(np.linalg.norm(sink.states, axis=1)))
+    return lap, traj, sink.states, terms
 
 
 TIMES = dict(T=st.sampled_from([0.01, 0.1, 1.0]), steps=st.integers(2, 40))
 
 
 @given(problem=problems(), **TIMES)
-def test_crank_nicolson_identity(problem, T, steps):
+def test_crank_nicolson_identity(problem, T, steps, collector):
     grid, w, u0 = problem
-    lap, traj, terms = evolve_problem(grid, w, u0, "crank_nicolson", T, steps)
+    lap, traj, states, terms = evolve_problem(grid, w, u0, "crank_nicolson", T, steps,
+                                              collector)
     uT, uK = traj.integral, traj.final().values
     norm = np.linalg.norm
     residual = lap.apply_array(uT) + w * uT - (u0 - uK)
@@ -91,7 +93,7 @@ def test_crank_nicolson_identity(problem, T, steps):
     # and every step: (I + dt/2 A_w) u_{k+1} = (I - dt/2 A_w) u_k
     half = 0.5 * T / steps
     scale = 1.0 + half * a_norm(grid, w)
-    for before, after in zip(traj.states[:-1], traj.states[1:]):
+    for before, after in zip(states[:-1], states[1:]):
         residual = (after + half * (lap.apply_array(after) + w * after)
                     - before + half * (lap.apply_array(before) + w * before))
         error = backward_error(residual, scale * norm(after), scale * norm(before))
@@ -99,9 +101,9 @@ def test_crank_nicolson_identity(problem, T, steps):
 
 
 @given(problem=problems(), **TIMES)
-def test_implicit_euler_identity(problem, T, steps):
+def test_implicit_euler_identity(problem, T, steps, collector):
     grid, w, u0 = problem
-    lap, traj, terms = evolve_problem(grid, w, u0, "implicit_euler", T, steps)
+    lap, traj, _, terms = evolve_problem(grid, w, u0, "implicit_euler", T, steps, collector)
     uT, uK = traj.integral, traj.final().values
     dt = T / steps
     drop = u0 - uK

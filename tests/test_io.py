@@ -9,6 +9,7 @@ from nonlocal_heat.io import (
     read_field_csv,
     read_field_json,
     read_trajectory_bin,
+    trajectory_stream,
     write_field_csv,
     write_field_json,
     write_trajectory_bin,
@@ -16,11 +17,18 @@ from nonlocal_heat.io import (
 )
 
 
-def make_trajectory():
+def make_trajectory(tmp_path, collector):
+    """A streamed trajectory binary, its grid and config, and every state."""
     rng = np.random.default_rng(31)
     g = Grid((1.0,), (7,))
     u0 = Field(g, rng.standard_normal(7))
-    return evolve(assemble(g), Field.zeros(g), u0, EvolutionConfig(T=0.2, steps=8))
+    cfg = EvolutionConfig(T=0.2, steps=8)
+    every_state = collector(u0)
+    streamed = tmp_path / "streamed.bin"
+    with trajectory_stream(streamed, u0, cfg) as sink:
+        evolve(assemble(g), Field.zeros(g), u0, cfg,
+               sink=lambda start, block: (sink(start, block), every_state(start, block)))
+    return streamed, g, cfg, every_state.states
 
 
 def test_field_csv_roundtrip_1d(tmp_path):
@@ -93,36 +101,37 @@ def test_read_field_dispatch(tmp_path):
         read_field(tmp_path / "f.txt")
 
 
-def test_trajectory_csv_layout(tmp_path):
-    traj = make_trajectory()
+def test_trajectory_csv_layout(tmp_path, collector):
+    streamed, g, _, states = make_trajectory(tmp_path, collector)
     path = tmp_path / "traj.csv"
-    write_trajectory_csv(traj, path)
+    write_trajectory_csv(streamed, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "t,node,value"
-    assert len(lines) == 1 + traj.num_samples * traj.grid.num_nodes
+    assert len(lines) == 1 + states.shape[0] * g.num_nodes
     t, node, value = lines[1].split(",")
     assert float(t) == 0.0 and int(node) == 0
-    assert float(value) == traj.states[0, 0]
+    assert float(value) == states[0, 0]
 
 
-def test_trajectory_bin_roundtrip(tmp_path):
-    traj = make_trajectory()
+def test_trajectory_bin_roundtrip(tmp_path, collector):
+    streamed, g, cfg, expected = make_trajectory(tmp_path, collector)
     path = tmp_path / "traj.bin"
-    write_trajectory_bin(traj, path)
+    write_trajectory_bin(streamed, path)
     times, states, n = read_trajectory_bin(path)
-    assert n == traj.grid.n
-    assert np.array_equal(times, traj.times)
-    assert np.array_equal(states, traj.states)
+    assert n == g.n
+    assert np.array_equal(times, cfg.dt * np.arange(cfg.steps + 1))
+    assert np.array_equal(states, expected)
 
 
-def test_trajectory_bin_is_little_endian(tmp_path):
-    traj = make_trajectory()
+def test_trajectory_bin_is_little_endian(tmp_path, collector):
+    streamed, g, _, states = make_trajectory(tmp_path, collector)
     path = tmp_path / "traj.bin"
-    write_trajectory_bin(traj, path)
+    write_trajectory_bin(streamed, path)
     raw = path.read_bytes()
+    num_samples = states.shape[0]
     header = np.frombuffer(raw, dtype="<i8", count=3)
     assert header[0] == 1                      # dim
-    assert header[1] == traj.num_samples - 1   # K
-    assert header[2] == traj.grid.n[0]
-    expected_size = 3 * 8 + traj.num_samples * 8 + traj.num_samples * traj.grid.num_nodes * 8
+    assert header[1] == num_samples - 1        # K
+    assert header[2] == g.n[0]
+    expected_size = 3 * 8 + num_samples * 8 + num_samples * g.num_nodes * 8
     assert len(raw) == expected_size
