@@ -6,14 +6,7 @@ fixed point of the map that freezes the potential at a trial integral,
 evolves the datum linearly, and integrates the trajectory in time.
 """
 
-from .mesh import (
-    Field,
-    Grid,
-    inner_product,
-    norm_lp,
-    restrict,
-    trapezoid_time_integral,
-)
+from .mesh import Field, Grid, inner_product, norm_lp, restrict
 from .laplacian import (
     DirichletLaplacian,
     SolverFailure,
@@ -37,8 +30,6 @@ from .verify import (
     EnergyCheck,
     SolutionBoundsCheck,
     VerificationReport,
-    check_elliptic,
-    check_energy,
     check_solution_bounds,
     verify_all,
 )
@@ -51,7 +42,6 @@ __all__ = [
     "inner_product",
     "norm_lp",
     "restrict",
-    "trapezoid_time_integral",
     "DirichletLaplacian",
     "SolverFailure",
     "assemble",
@@ -77,8 +67,6 @@ __all__ = [
     "EnergyCheck",
     "SolutionBoundsCheck",
     "VerificationReport",
-    "check_elliptic",
-    "check_energy",
     "check_solution_bounds",
     "verify_all",
 ]

@@ -452,7 +452,8 @@ def run_convergence_study(cfg: dict, job: Job, quiet: bool) -> int:
             f"{verification.energy.relative_mismatch:.10e},{order}"
         )
     _write_table(job.out_dir / "study.csv", lines, quiet)
-    return EXIT_OK
+    converged = all(report.converged for _, _, report, _ in runs)
+    return EXIT_OK if converged else EXIT_NO_CONVERGENCE
 
 
 def run_sweep(cfg: dict, job: Job, quiet: bool) -> int:
@@ -470,30 +471,19 @@ def run_sweep(cfg: dict, job: Job, quiet: bool) -> int:
                 params["amplitude"] = value
         return out
 
-    def run_row(value: float) -> dict:
-        row = {"value": value, "converged": "", "iterations": "",
-               "threshold_product": "", "final_residual": "", "error": ""}
+    def line(value: float) -> str:
         try:
             _, report = _solve(parse_config(config_for(value)))
             thr = report.threshold
-            row.update(
-                converged=report.converged,
-                iterations=report.iterations,
-                threshold_product=f"{thr.product:.10e}" if thr.applicable else "n/a",
-                final_residual=f"{report.final_residual:.10e}",
-            )
+            product = f"{thr.product:.10e}" if thr.applicable else "n/a"
+            return (f"{value:.10g},{report.converged},{report.iterations},{product},"
+                    f"{report.final_residual:.10e},")
         except Exception as exc:  # per-row failures are recorded, not fatal
-            row["error"] = str(exc).replace(",", ";")
-        return row
+            error = str(exc).replace(",", ";")
+            return f"{value:.10g},,,,,{error}"
 
-    rows = [run_row(v) for v in job.values]
-
-    header = "value,converged,iterations,threshold_product,final_residual,error"
-    lines = [header] + [
-        f"{r['value']:.10g},{r['converged']},{r['iterations']},"
-        f"{r['threshold_product']},{r['final_residual']},{r['error']}"
-        for r in rows
-    ]
+    lines = ["value,converged,iterations,threshold_product,final_residual,error"]
+    lines += [line(v) for v in job.values]
     _write_table(job.out_dir / "sweep.csv", lines, quiet)
     return EXIT_OK
 

@@ -41,7 +41,6 @@ class EvolutionConfig:
     store_every: int = 1
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "scheme", str(self.scheme).replace("-", "_"))
         if not 0.0 < self.T < np.inf:
             raise ValueError(f"T must be positive and finite, got {self.T}")
         if int(self.steps) != self.steps or self.steps < 2:

@@ -100,7 +100,6 @@ class FixedPointReport:
     residual_history: list[float]
     contraction_estimates: list[float]
     converged: bool
-    s0: float
     s0_l2: float
     threshold: UniquenessThreshold
     iterate_max_norms: list[float]
@@ -119,7 +118,7 @@ class FixedPointReport:
             "residual_history": self.residual_history,
             "contraction_estimates": self.contraction_estimates,
             "iterate_max_norms": self.iterate_max_norms,
-            "s0": self.s0,
+            "s0": self.threshold.s0,
             "s0_l2": self.s0_l2,
             "damping": self.damping,
             "accelerator": dict(ACCELERATOR),
@@ -218,7 +217,6 @@ def picard_solve(
         residual_history=residuals,
         contraction_estimates=lipschitz,
         converged=converged,
-        s0=threshold.s0,
         s0_l2=ecfg.T * norm_lp(u0, 2),
         threshold=threshold,
         iterate_max_norms=sup_norms,

@@ -1,4 +1,4 @@
-"""Uniform Cartesian grids, grid functions, and discrete norms/quadrature.
+"""Uniform Cartesian grids, grid functions, and discrete norms.
 
 Only interior nodes are stored; boundary nodes carry the homogeneous
 Dirichlet value 0 and weight 0 in every quadrature.
@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -63,10 +63,6 @@ class Grid:
         """Per-axis coordinates of every interior node, row-major in 2D."""
         axes = (self.axis_coordinates(a) for a in range(self.dim))
         return tuple(X.ravel() for X in np.meshgrid(*axes, indexing="ij"))
-
-    def refine(self) -> "Grid":
-        """Halve the spacing; the old interior nodes embed in the new grid."""
-        return Grid(self.lengths, tuple(2 * m + 1 for m in self.n))
 
 
 @dataclass(frozen=True)
@@ -152,41 +148,11 @@ def inner_product(f: Field, g: Field) -> float:
     return a * (b * unit)
 
 
-def _trapezoid_weights(times: np.ndarray) -> np.ndarray:
-    dt = np.diff(times)
-    w = np.zeros(times.size)
-    w[:-1] += 0.5 * dt
-    w[1:] += 0.5 * dt
-    return w
-
-
-def trapezoid_time_integral(samples: Sequence[tuple[float, Field]]) -> Field:
-    """Pointwise trapezoidal rule over time samples ``(t_k, u_k)``.
-
-    Requires at least two samples on a shared grid, strictly increasing
-    times starting at 0.
-    """
-    samples = list(samples)
-    if len(samples) < 2:
-        raise ValueError("need at least two time samples")
-    times = np.array([t for t, _ in samples], dtype=float)
-    if times[0] != 0.0:
-        raise ValueError(f"first sample time must be 0, got {times[0]}")
-    if np.any(np.diff(times) <= 0.0):
-        raise ValueError("sample times must be strictly increasing")
-    grid = samples[0][1].grid
-    for _, field in samples[1:]:
-        if field.grid != grid:
-            raise ValueError("all samples must share one grid")
-    stacked = np.stack([field.values for _, field in samples])
-    return Field(grid, _trapezoid_weights(times) @ stacked)
-
-
 def restrict(fine: Field, coarse: Grid) -> Field:
     """Sample a field from a nested refinement back onto a coarser grid.
 
     The grids must cover the same domain with ``n_f + 1`` an integer
-    multiple of ``n_c + 1`` per axis, as produced by ``Grid.refine``.
+    multiple of ``n_c + 1`` per axis, as a ``space_time`` study's levels are.
     """
     fg = fine.grid
     if fg.dim != coarse.dim or fg.lengths != coarse.lengths:

@@ -51,7 +51,11 @@ class EnergyCheck:
     ``lhs`` is ``<A uT, uT>`` with ``A = L + diag(phi(uT))``; ``rhs`` pairs
     the datum drop with the integral.  ``lhs - rhs`` is the stationary
     residual paired with ``uT``.  Only the relative mismatch is stored; the
-    inequalities get hard flags.
+    inequalities get hard flags.  Both sides are compared on the states
+    scaled by ``1/s`` (see ``_stationary_sides``), so the verdicts do not
+    depend on ``s``; the stored ``lhs`` and ``rhs`` are those values times
+    ``s^2``, so a term beyond the floating-point range (states that grew, as
+    Crank-Nicolson's may) reads as infinite.
     """
 
     lhs: float
@@ -83,7 +87,8 @@ class EllipticCheck:
     ``A_w uT = u0 - uK + (dt/2) A_w (u0 - uK)`` for implicit
     Euler and ``A_w uT = u0 - uK`` for Crank-Nicolson.  The residual is therefore
     ``(dt/2)*||A_w (u0-uK)|| / ||u0-uK||`` plus O(tol) for implicit Euler,
-    and O(tol) for Crank-Nicolson.  No fixed pass threshold.
+    and O(tol) for Crank-Nicolson.  It is taken on the scaled states, so it
+    is finite wherever they are.  No fixed pass threshold.
     """
 
     relative_residual: float
@@ -151,67 +156,33 @@ def _stationary_sides(
             Field(grid, uT), scale)
 
 
-def _stationary_checks(
+def verify_all(
     report: FixedPointReport, phi: Potential, lap: DirichletLaplacian
-) -> tuple[EnergyCheck, EllipticCheck]:
-    """The energy and elliptic checks on one evaluation of the stationary sides."""
+) -> VerificationReport:
+    """Run every check on a completed fixed-point report (norms 2 and inf);
+    the energy and elliptic checks share one evaluation of the stationary sides."""
     traj = report.trajectory
     T = traj.T
     a_uT, drop, uT, scale = _stationary_sides(report, phi, lap)
     lhs = inner_product(a_uT, uT)
     rhs = inner_product(drop, uT)
-    mismatch = abs(lhs - rhs) / max(abs(rhs), EPS)
 
     # the norms and their ratios are overflow-safe unscaled
     u0_l2 = norm_lp(traj.initial(), 2)
     final_ratio = norm_lp(traj.final(), 2) / max(u0_l2, EPS)
     integral_ratio = norm_lp(report.uT, 2) / max(T * u0_l2, EPS)
     unit = u0_l2 / scale
-    scaled_bound = 2.0 * T * unit * unit
     energy = EnergyCheck(
         lhs=scale * (scale * lhs),
         rhs=scale * (scale * rhs),
-        relative_mismatch=mismatch,
+        relative_mismatch=abs(lhs - rhs) / max(abs(rhs), EPS),
         bound=2.0 * T * u0_l2 * u0_l2,
-        bound_ok=lhs <= scaled_bound * (1.0 + BOUND_TOL) + EPS,
+        bound_ok=lhs <= 2.0 * T * unit * unit * (1.0 + BOUND_TOL) + EPS,
         final_norm_ratio=final_ratio,
         final_norm_ok=final_ratio <= 1.0 + BOUND_TOL,
         integral_norm_ratio=integral_ratio,
         integral_norm_ok=integral_ratio <= 1.0 + BOUND_TOL,
     )
     rel = norm_lp(a_uT - drop, 2) / max(norm_lp(drop, 2), EPS)
-    return energy, EllipticCheck(relative_residual=rel)
-
-
-def check_energy(report: FixedPointReport, phi: Potential) -> EnergyCheck:
-    """Evaluate both sides of the energy identity and its upper bounds.
-
-    Both sides pair the stationary equation's sides with ``uT`` on the
-    states scaled by ``1/s`` and are compared there; the verdicts do not
-    depend on ``s``.  The reported ``lhs`` and ``rhs`` are those values times
-    ``s^2``, so a term beyond the floating-point range (states that grew, as
-    Crank-Nicolson's may) reads as infinite.
-    """
-    return _stationary_checks(report, phi, DirichletLaplacian(report.uT.grid))[0]
-
-
-def check_elliptic(
-    report: FixedPointReport, phi: Potential, lap: DirichletLaplacian
-) -> EllipticCheck:
-    """Residual of the stationary equation satisfied by the time integral.
-
-    This is exactly the time-quadrature term
-    ``(dt/2)*||A_w (u0-uK)|| / ||u0-uK||`` plus O(tol) for implicit Euler
-    and O(tol) for Crank-Nicolson; it has no h^2 part (see EllipticCheck).
-    It is taken on the scaled states, so it is finite wherever they are.
-    """
-    return _stationary_checks(report, phi, lap)[1]
-
-
-def verify_all(
-    report: FixedPointReport, phi: Potential, lap: DirichletLaplacian
-) -> VerificationReport:
-    """Run every check on a completed fixed-point report (norms 2 and inf);
-    the energy and elliptic checks share one evaluation of the stationary sides."""
-    energy, elliptic = _stationary_checks(report, phi, lap)
-    return VerificationReport(check_solution_bounds(report), energy, elliptic)
+    return VerificationReport(check_solution_bounds(report), energy,
+                              EllipticCheck(relative_residual=rel))

@@ -1,4 +1,6 @@
-"""Shared test settings and a sink that collects the states ``evolve`` drops.
+"""Shared test settings, a sink that collects the states ``evolve`` drops, and
+a trapezoidal time quadrature over collected states, the tests' oracle for
+the integral ``evolve`` accumulates.
 
 Property tests run under one registered ``hypothesis`` profile: examples are
 derived from each test's source (``derandomize``), so every run checks the
@@ -9,6 +11,8 @@ and a bounded example count, so the property tests stay a few seconds.
 import numpy as np
 import pytest
 from hypothesis import settings
+
+from nonlocal_heat import Field
 
 settings.register_profile("tier1", derandomize=True, deadline=None, max_examples=25,
                           database=None)
@@ -39,3 +43,33 @@ class StateCollector:
 def collector():
     """``collector(u0)`` makes a :class:`StateCollector`."""
     return StateCollector
+
+
+def _trapezoid_weights(times):
+    dt = np.diff(times)
+    w = np.zeros(times.size)
+    w[:-1] += 0.5 * dt
+    w[1:] += 0.5 * dt
+    return w
+
+
+def trapezoid_time_integral(samples):
+    """Pointwise trapezoidal rule over time samples ``(t_k, u_k)``.
+
+    Requires at least two samples on a shared grid, strictly increasing
+    times starting at 0.
+    """
+    samples = list(samples)
+    if len(samples) < 2:
+        raise ValueError("need at least two time samples")
+    times = np.array([t for t, _ in samples], dtype=float)
+    if times[0] != 0.0:
+        raise ValueError(f"first sample time must be 0, got {times[0]}")
+    if np.any(np.diff(times) <= 0.0):
+        raise ValueError("sample times must be strictly increasing")
+    grid = samples[0][1].grid
+    for _, field in samples[1:]:
+        if field.grid != grid:
+            raise ValueError("all samples must share one grid")
+    stacked = np.stack([field.values for _, field in samples])
+    return Field(grid, _trapezoid_weights(times) @ stacked)

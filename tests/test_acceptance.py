@@ -18,13 +18,12 @@ from nonlocal_heat import (
     PicardConfig,
     assemble,
     catalog,
-    check_elliptic,
-    check_energy,
     check_solution_bounds,
     norm_lp,
     phi_map,
     picard_solve,
     uniqueness_probe,
+    verify_all,
 )
 from nonlocal_heat import cli
 
@@ -133,14 +132,15 @@ def test_a3_norm_and_positivity_invariants():
 
 def test_a4_energy_identity(a1_setup, a1_report):
     grid, lap, u0 = a1_setup
-    check = check_energy(a1_report, catalog("zero"))
+    check = verify_all(a1_report, catalog("zero"), lap).energy
 
-    fine_grid = grid.refine()
+    fine_grid = Grid(grid.lengths, (399,))  # h halved
+    fine_lap = assemble(fine_grid)
     fine = picard_solve(
-        assemble(fine_grid), catalog("zero"), sine(fine_grid),
+        fine_lap, catalog("zero"), sine(fine_grid),
         EvolutionConfig(T=T, steps=4000),
     )
-    fine_check = check_energy(fine, catalog("zero"))
+    fine_check = verify_all(fine, catalog("zero"), fine_lap).energy
 
     a = heat_coefficient(PI2)
     lhs_exact = a**2 * PI2 / 2  # closed form for the eigen datum
@@ -161,7 +161,7 @@ def test_a4_energy_identity(a1_setup, a1_report):
 
 def test_a5_elliptic_residual_level(a1_setup, a1_report):
     grid, lap, _ = a1_setup
-    check = check_elliptic(a1_report, catalog("zero"), lap)
+    check = verify_all(a1_report, catalog("zero"), lap).elliptic
     ok = check.relative_residual <= 1e-2
     announce("A5-residual", ok, f"relative residual {check.relative_residual:.3e} (<=1e-2)")
 
@@ -186,7 +186,7 @@ def test_a5_elliptic_contraction_under_h_halving():
         drop = traj.initial() - traj.final()
         spatial = Field(grid, PI2 * report.uT.values) - drop
         residuals.append(norm_lp(spatial, 2) / norm_lp(drop, 2))
-        discrete.append(check_elliptic(report, catalog("zero"), lap).relative_residual)
+        discrete.append(verify_all(report, catalog("zero"), lap).elliptic.relative_residual)
     factor = residuals[0] / residuals[1]
     ok = 3.2 <= factor <= 4.8 and max(discrete) <= 1e-9
     announce(

@@ -117,6 +117,7 @@ def test_invalid_steps_names_field(tmp_path, capsys):
             marks=pytest.mark.filterwarnings("ignore::RuntimeWarning"),  # 1/width**2 overflows
         ),
         lambda c: c["initial"].update(sign_check="no"),
+        lambda c: c["time"].update(scheme="crank-nicolson"),  # one spelling per scheme
     ],
 )
 def test_invalid_configs_exit_3(tmp_path, mutate):
@@ -341,6 +342,39 @@ def test_convergence_study_zero_datum_reports_na(tmp_path):
     assert cli.run(write_config(tmp_path, cfg), quiet=True) == 0
     lines = (out / "study.csv").read_text().splitlines()
     assert all(line.endswith("n/a") for line in lines[1:])
+
+
+def test_nonconverged_study_exits_2_with_its_table(tmp_path):
+    # every level stops after one map evaluation; the table is still written,
+    # and its observed order is computed from iterates that did not converge
+    out = tmp_path / "out"
+    cfg = base_config(out, mode="convergence_study", study={"levels": 3})
+    cfg["domain"]["n"] = [9]
+    cfg["time"]["steps"] = 20
+    cfg["fixedpoint"]["max_iter"] = 1
+    assert cli.run(write_config(tmp_path, cfg), quiet=True) == 2
+    lines = (out / "study.csv").read_text().splitlines()
+    assert len(lines) == 4
+    assert [line.split(",")[1] for line in lines[1:]] == ["9", "19", "39"]
+    assert lines[3].endswith(",1.9825")
+    cfg["fixedpoint"]["max_iter"] = 200
+    assert cli.run(write_config(tmp_path, cfg), quiet=True) == 0
+
+
+def test_sweep_records_failed_rows(tmp_path):
+    # a rejected value and a numerical failure each fill only the error
+    # column, whose commas become semicolons; the other rows still run
+    out = tmp_path / "out"
+    cfg = base_config(out, mode="sweep")
+    cfg["domain"]["n"] = [9]
+    cfg["time"]["steps"] = 20
+    cfg["sweep"] = {"axis": "T", "values": [0.1, -1, 1e308]}
+    assert cli.run(write_config(tmp_path, cfg), quiet=True) == 0
+    lines = (out / "sweep.csv").read_text().splitlines()
+    assert lines[1] == "-1,,,,,time.T must be positive and finite; got -1.0"
+    assert lines[2].startswith("0.1,True,4,") and lines[2].endswith(",")
+    assert lines[3] == ("1e+308,,,,,the map returned a non-finite time integral: "
+                        "the states overflowed")
 
 
 def test_sweep_amplitude_products_increase(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -15,10 +16,10 @@ from nonlocal_heat import (
     evolve,
     norm_lp,
     phi_map,
-    trapezoid_time_integral,
 )
-from nonlocal_heat.evolution import StateBounds
+from nonlocal_heat.evolution import SCHEMES, StateBounds
 from nonlocal_heat.io import read_trajectory_bin, trajectory_stream
+from conftest import trapezoid_time_integral
 
 
 def sine_datum(grid, amplitude=1.0):
@@ -51,7 +52,10 @@ def test_config_validation():
         EvolutionConfig(T=1.0, steps=10, store_every=3)
     with pytest.raises(ValueError):
         EvolutionConfig(T=1.0, steps=10, store_every=0)
-    cfg = EvolutionConfig(T=1.0, steps=10, scheme="crank-nicolson", store_every=5)
+    # one spelling per scheme: the hyphenated name is not an alias
+    with pytest.raises(ValueError, match=f"scheme must be one of {re.escape(str(SCHEMES))}"):
+        EvolutionConfig(T=1.0, steps=10, scheme="crank-nicolson")
+    cfg = EvolutionConfig(T=1.0, steps=10, scheme="crank_nicolson", store_every=5)
     assert cfg.scheme == "crank_nicolson"
     assert cfg.dt == 0.1
 

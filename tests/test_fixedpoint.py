@@ -18,10 +18,10 @@ from nonlocal_heat import (
     norm_lp,
     phi_map,
     picard_solve,
-    trapezoid_time_integral,
     uniqueness_probe,
     uniqueness_threshold,
 )
+from conftest import trapezoid_time_integral
 
 GRID = Grid((1.0,), (99,))
 LAP = assemble(GRID)
@@ -110,7 +110,7 @@ def test_hard_probe_map_evaluation_budget():
     # map evaluations over the five starts, Anderson mixing takes 57
     grid = Grid((1.0,), (99,))
     u0 = Field.from_function(grid, lambda x: 60.0 * np.sin(math.pi * x))
-    ecfg = EvolutionConfig(T=1.0, steps=400, store_every=400)
+    ecfg = EvolutionConfig(T=1.0, steps=400)
     probe = uniqueness_probe(assemble(grid), catalog("quadratic"), u0, ecfg,
                              PicardConfig(max_iter=300), n_starts=5, seed=0)
     assert probe.all_converged
@@ -138,25 +138,21 @@ def test_report_integral_matches_trajectory(collector):
     assert norm_lp(report.uT - recomputed, 2) <= 1e-13 * norm_lp(recomputed, 2)
 
 
-def test_streamed_solve_matches_stored_in_constant_memory():
+def test_solve_in_constant_memory():
     # n=199, K=20000: a stored trajectory would be 32 MB; the streamed map
     # keeps u0, u_K and one reduction block of at most 1 MiB
     grid = Grid((1.0,), (199,))
     lap = assemble(grid)
     u0 = Field.from_function(grid, lambda x: 0.5 * np.sin(math.pi * x))
-    stored = picard_solve(lap, catalog("quadratic"), u0,
-                          EvolutionConfig(T=0.1, steps=20000))
     tracemalloc.start()
     try:
-        streamed = picard_solve(lap, catalog("quadratic"), u0,
-                                EvolutionConfig(T=0.1, steps=20000, store_every=20000))
+        report = picard_solve(lap, catalog("quadratic"), u0,
+                              EvolutionConfig(T=0.1, steps=20000))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert streamed.converged and stored.converged
-    assert streamed.trajectory.num_samples == 2
-    assert np.array_equal(streamed.uT.values, stored.uT.values)
-    assert streamed.residual_history == stored.residual_history
+    assert report.converged
+    assert report.trajectory.num_samples == 2
     assert peak <= 2 * 2**20
 
 
@@ -181,7 +177,7 @@ def test_ball_invariance_of_iterates():
     u0 = sine_datum(0.8)
     report = picard_solve(LAP, catalog("quadratic"), u0, ECFG)
     s0 = ECFG.T * norm_lp(u0, math.inf)
-    assert report.s0 == pytest.approx(s0)
+    assert report.threshold.s0 == pytest.approx(s0)
     assert all(v <= s0 * (1 + 1e-10) for v in report.iterate_max_norms)
 
 

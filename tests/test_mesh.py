@@ -10,8 +10,9 @@ from nonlocal_heat import (
     inner_product,
     norm_lp,
     restrict,
-    trapezoid_time_integral,
 )
+from nonlocal_heat import cli
+from conftest import trapezoid_time_integral
 
 
 def riemann_integral(fn, a=0.0, b=1.0, samples=2_000_000):
@@ -56,8 +57,10 @@ def test_grid_rejects_bad_input(lengths, n):
 
 
 def test_grid_refine_nests():
+    # one level of a space_time convergence study
     g = Grid((1.0, 2.0), (3, 5))
-    f = g.refine()
+    cfg = {"domain": {"n": list(g.n)}, "time": {"steps": 10}}
+    f = Grid(g.lengths, cli._refined_config(cfg, 1, "space_time")["domain"]["n"])
     assert f.n == (7, 11)
     assert f.h == (g.h[0] / 2, g.h[1] / 2)
 
@@ -298,7 +301,7 @@ def test_trapezoid_input_validation():
 
 def test_restrict_samples_shared_nodes():
     coarse = Grid((1.0,), (9,))
-    fine = coarse.refine()
+    fine = Grid((1.0,), (19,))
     f = Field.from_function(fine, lambda x: np.sin(math.pi * x))
     r = restrict(f, coarse)
     expected = Field.from_function(coarse, lambda x: np.sin(math.pi * x))
@@ -307,7 +310,7 @@ def test_restrict_samples_shared_nodes():
 
 def test_restrict_2d_and_validation():
     coarse = Grid((1.0, 1.0), (3, 3))
-    fine = coarse.refine()
+    fine = Grid((1.0, 1.0), (7, 7))
     f = Field.from_function(fine, lambda x, y: x + 10 * y)
     r = restrict(f, coarse)
     expected = Field.from_function(coarse, lambda x, y: x + 10 * y)

@@ -11,8 +11,6 @@ from nonlocal_heat import (
     Potential,
     assemble,
     catalog,
-    check_elliptic,
-    check_energy,
     check_solution_bounds,
     dirichlet_lambda1_discrete,
     norm_lp,
@@ -112,7 +110,7 @@ def test_energy_zero_datum():
     lap = assemble(grid)
     report = picard_solve(lap, catalog("zero"), Field.zeros(grid),
                           EvolutionConfig(T=0.1, steps=10))
-    check = check_energy(report, catalog("zero"))
+    check = verify_all(report, catalog("zero"), lap).energy
     assert check.lhs == 0.0 and check.rhs == 0.0
     assert check.passed
 
@@ -127,8 +125,8 @@ def test_energy_heat_closed_form():
     assert lhs_exact == pytest.approx(a * decay / 2, rel=1e-15)
     assert lhs_exact == pytest.approx(0.019935, abs=1e-6)
 
-    _, _, report = solve_on(199, 1000, catalog("zero"), sine, T=T)
-    check = check_energy(report, catalog("zero"))
+    _, lap, report = solve_on(199, 1000, catalog("zero"), sine, T=T)
+    check = verify_all(report, catalog("zero"), lap).energy
     assert check.relative_mismatch <= 5e-3
     assert check.lhs == pytest.approx(lhs_exact, rel=2e-2)
     # bound 2 T ||u0||_2^2 = 0.1 for the unit-amplitude sine
@@ -141,8 +139,8 @@ def test_energy_mismatch_decreases_under_joint_refinement():
     phi = catalog("quadratic")
     mismatches = []
     for n, steps in ((49, 125), (99, 500), (199, 2000)):
-        _, _, report = solve_on(n, steps, phi, lambda x: 0.5 * np.sin(math.pi * x))
-        mismatches.append(check_energy(report, phi).relative_mismatch)
+        _, lap, report = solve_on(n, steps, phi, lambda x: 0.5 * np.sin(math.pi * x))
+        mismatches.append(verify_all(report, phi, lap).energy.relative_mismatch)
     # each refinement should shrink the mismatch (20% slack on monotonicity)
     assert mismatches[1] <= mismatches[0] * 1.2
     assert mismatches[2] <= mismatches[1] * 1.2
@@ -152,8 +150,8 @@ def test_energy_mismatch_decreases_under_joint_refinement():
 def test_energy_inequalities_hold_at_every_resolution():
     phi = catalog("absval")
     for n, steps in ((25, 50), (51, 100), (103, 200)):
-        _, _, report = solve_on(n, steps, phi, sine)
-        check = check_energy(report, phi)
+        _, lap, report = solve_on(n, steps, phi, sine)
+        check = verify_all(report, phi, lap).energy
         assert check.bound_ok
         assert check.final_norm_ratio <= 1 + 1e-8
         assert check.integral_norm_ratio <= 1 + 1e-8
@@ -164,8 +162,8 @@ def test_energy_inequalities_hold_at_every_resolution():
 def test_energy_bound_of_a_datum_whose_squared_norm_overflows():
     # ||u0||_2 ~ 7e159 is finite but its square is not; T is short enough
     # that the energy terms stay finite, so the bound is inf and holds
-    _, _, report = solve_on(49, 100, catalog("zero"), lambda x: 1e160 * sine(x), T=1e-10)
-    check = check_energy(report, catalog("zero"))
+    _, lap, report = solve_on(49, 100, catalog("zero"), lambda x: 1e160 * sine(x), T=1e-10)
+    check = verify_all(report, catalog("zero"), lap).energy
     assert check.bound == math.inf and check.bound_ok
     assert check.final_norm_ok and check.integral_norm_ok
 
@@ -175,7 +173,7 @@ def test_elliptic_zero_datum():
     lap = assemble(grid)
     report = picard_solve(lap, catalog("zero"), Field.zeros(grid),
                           EvolutionConfig(T=0.1, steps=10))
-    check = check_elliptic(report, catalog("zero"), lap)
+    check = verify_all(report, catalog("zero"), lap).elliptic
     assert check.relative_residual == 0.0
 
 
@@ -183,7 +181,7 @@ def test_elliptic_residual_is_time_quadrature_error():
     # for implicit Euler the all-discrete residual is (dt/2) * L (u0 - uK)
     # exactly, i.e. (dt/2) * lambda1_h on the eigen datum
     grid, lap, report = solve_on(199, 1000, catalog("zero"), sine)
-    check = check_elliptic(report, catalog("zero"), lap)
+    check = verify_all(report, catalog("zero"), lap).elliptic
     dt = 0.1 / 1000
     predicted = 0.5 * dt * dirichlet_lambda1_discrete(grid)
     assert check.relative_residual <= 1e-2
@@ -196,7 +194,7 @@ def test_elliptic_residual_vanishes_under_joint_refinement():
         for n, steps in ((49, 125), (99, 500), (199, 2000)):
             grid, lap, report = solve_on(n, steps, phi,
                                          lambda x: 0.5 * np.sin(math.pi * x))
-            residuals.append(check_elliptic(report, phi, lap).relative_residual)
+            residuals.append(verify_all(report, phi, lap).elliptic.relative_residual)
         # dt scales by 1/4 per level, so the residual must contract ~4x
         assert residuals[1] <= residuals[0] / 4 * 1.2
         assert residuals[2] <= residuals[1] / 4 * 1.2
