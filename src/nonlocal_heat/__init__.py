@@ -14,7 +14,7 @@ from .laplacian import (
     dirichlet_lambda1,
     dirichlet_lambda1_discrete,
 )
-from .potential import EvaluationError, Potential, catalog, lipschitz_on, nemytskii
+from .potential import EvaluationError, Potential, catalog, nemytskii
 from .evolution import EvolutionConfig, Trajectory, evolve, phi_map
 from .fixedpoint import (
     FixedPointReport,
@@ -30,7 +30,6 @@ from .verify import (
     EnergyCheck,
     SolutionBoundsCheck,
     VerificationReport,
-    check_solution_bounds,
     verify_all,
 )
 
@@ -50,7 +49,6 @@ __all__ = [
     "EvaluationError",
     "Potential",
     "catalog",
-    "lipschitz_on",
     "nemytskii",
     "EvolutionConfig",
     "Trajectory",
@@ -67,6 +65,5 @@ __all__ = [
     "EnergyCheck",
     "SolutionBoundsCheck",
     "VerificationReport",
-    "check_solution_bounds",
     "verify_all",
 ]

@@ -1,8 +1,9 @@
 """Config-driven command line: single solves, probes, studies, sweeps.
 
-Configs are JSON.  Exit codes: 0 success, 2 fixed-point non-convergence
-(artifacts are still written), 3 invalid config, 4 I/O failure, 5 numerical
-failure (``report.json`` names the error).  A config
+Configs are JSON.  Exit codes: 0 success, 2 when any fixed-point run the
+mode made did not converge, a failed sweep row included (artifacts are still
+written), 3 invalid config, 4 I/O failure, 5 numerical failure
+(``report.json`` names the error).  A config
 is parsed once, before anything is written, into the objects its run needs.
 All randomness is seeded, and reports contain no timestamps or absolute
 paths, so identical config + seed reproduces byte-identical JSON artifacts.
@@ -29,7 +30,7 @@ from .fixedpoint import (
     uniqueness_probe,
 )
 from .laplacian import SolverFailure, assemble
-from .mesh import Field, Grid, norm_lp, restrict
+from .mesh import FLOOR, Field, Grid, norm_lp, restrict
 from .potential import EvaluationError, Potential, catalog
 from .verify import verify_all
 
@@ -356,10 +357,10 @@ def _summary_line(report: FixedPointReport, verification) -> str:
     )
 
 
-def run_solve(cfg: dict, job: Job, quiet: bool) -> int:
-    """Solve, verify and write.  The solve streams a trajectory binary; the CSV
-    is formatted from it before the ``bin`` writer moves it, and no exit
-    leaves it behind."""
+def run_solve(cfg: dict, job: Job, quiet: bool) -> bool:
+    """Solve, verify and write; returns whether the run converged.  The solve
+    streams a trajectory binary; the CSV is formatted from it before the
+    ``bin`` writer moves it, and no exit leaves it behind."""
     streamed = job.out_dir / "trajectory.part"
     try:
         with (nio.trajectory_stream(streamed, job.u0, job.ecfg)
@@ -379,10 +380,10 @@ def run_solve(cfg: dict, job: Job, quiet: bool) -> int:
         streamed.unlink(missing_ok=True)
     if not quiet:
         print(_summary_line(report, verification))
-    return EXIT_OK if report.converged else EXIT_NO_CONVERGENCE
+    return report.converged
 
 
-def run_probe(cfg: dict, job: Job, quiet: bool) -> int:
+def run_probe(cfg: dict, job: Job, quiet: bool) -> bool:
     probe = uniqueness_probe(
         assemble(job.grid), job.phi, job.u0, job.ecfg, job.pcfg,
         n_starts=job.starts, seed=job.seed,
@@ -403,24 +404,35 @@ def run_probe(cfg: dict, job: Job, quiet: bool) -> int:
             f"probe starts={job.starts} all_converged={probe.all_converged} "
             f"max_pairwise_relative={probe.max_pairwise_relative:.3e}"
         )
-    return EXIT_OK
+    return probe.all_converged
+
+
+def _derived_job(cfg: dict, changes: dict) -> Job:
+    """The job of ``cfg`` with the nested entries of ``changes`` set over it;
+    ``cfg`` itself is not modified."""
+    def merged(base: dict, over: dict) -> dict:
+        out = dict(base)
+        for key, value in over.items():
+            out[key] = merged(base.get(key, {}), value) if isinstance(value, dict) else value
+        return out
+
+    return parse_config(merged(cfg, changes))
 
 
 def _refined_config(cfg: dict, level: int, refine: str) -> dict:
-    out = json.loads(json.dumps(cfg))  # deep copy
+    """The entries a study level changes, as ``_derived_job`` takes them."""
     if refine == "space_time":
-        out["domain"]["n"] = [(m + 1) * 2**level - 1 for m in cfg["domain"]["n"]]
-        out["time"]["steps"] = cfg["time"]["steps"] * 4**level
-    else:  # time_only
-        out["time"]["steps"] = cfg["time"]["steps"] * 2**level
-    return out
+        return {"domain": {"n": [(m + 1) * 2**level - 1 for m in cfg["domain"]["n"]]},
+                "time": {"steps": cfg["time"]["steps"] * 4**level}}
+    return {"time": {"steps": cfg["time"]["steps"] * 2**level}}  # time_only
 
 
-def run_convergence_study(cfg: dict, job: Job, quiet: bool) -> int:
+def run_convergence_study(cfg: dict, job: Job, quiet: bool) -> bool:
     levels = job.levels
     runs = []
     for level in range(levels):
-        level_job = job if level == 0 else parse_config(_refined_config(cfg, level, job.refine))
+        level_job = (job if level == 0
+                     else _derived_job(cfg, _refined_config(cfg, level, job.refine)))
         lap, report = _solve(level_job)
         verification = verify_all(report, level_job.phi, lap)
         runs.append((level_job.grid, level_job.ecfg, report, verification))
@@ -430,7 +442,7 @@ def run_convergence_study(cfg: dict, job: Job, quiet: bool) -> int:
     def on_grid(field: Field, grid: Grid) -> Field:
         return field if field.grid == grid else restrict(field, grid)
 
-    scale = max(norm_lp(finest_report.uT, 2), 1e-300)
+    scale = max(norm_lp(finest_report.uT, 2), FLOOR)
     errors_vs_finest = [
         norm_lp(on_grid(finest_report.uT, grid) - report.uT, 2) / scale
         for grid, _, report, _ in runs[:-1]
@@ -452,40 +464,30 @@ def run_convergence_study(cfg: dict, job: Job, quiet: bool) -> int:
             f"{verification.energy.relative_mismatch:.10e},{order}"
         )
     _write_table(job.out_dir / "study.csv", lines, quiet)
-    converged = all(report.converged for _, _, report, _ in runs)
-    return EXIT_OK if converged else EXIT_NO_CONVERGENCE
+    return all(report.converged for _, _, report, _ in runs)
 
 
-def run_sweep(cfg: dict, job: Job, quiet: bool) -> int:
-    def config_for(value: float) -> dict:
-        out = json.loads(json.dumps(cfg))
-        if job.axis == "T":
-            out["time"]["T"] = value
-        else:
-            params = out["initial"].setdefault("params", {})
-            if out["initial"].get("name") == "constant":
-                params["value"] = value
-            elif out["initial"].get("name") == "from_file":
-                params["scale"] = value
-            else:
-                params["amplitude"] = value
-        return out
+def run_sweep(cfg: dict, job: Job, quiet: bool) -> bool:
+    key = {"constant": "value", "from_file": "scale"}.get(cfg["initial"]["name"], "amplitude")
 
-    def line(value: float) -> str:
+    def row(value: float) -> tuple[str, bool]:
+        """The CSV line of one value and whether its run converged."""
+        changes = ({"time": {"T": value}} if job.axis == "T"
+                   else {"initial": {"params": {key: value}}})
         try:
-            _, report = _solve(parse_config(config_for(value)))
+            _, report = _solve(_derived_job(cfg, changes))
             thr = report.threshold
             product = f"{thr.product:.10e}" if thr.applicable else "n/a"
             return (f"{value:.10g},{report.converged},{report.iterations},{product},"
-                    f"{report.final_residual:.10e},")
+                    f"{report.final_residual:.10e},", report.converged)
         except Exception as exc:  # per-row failures are recorded, not fatal
             error = str(exc).replace(",", ";")
-            return f"{value:.10g},,,,,{error}"
+            return f"{value:.10g},,,,,{error}", False
 
+    rows = [row(v) for v in job.values]
     lines = ["value,converged,iterations,threshold_product,final_residual,error"]
-    lines += [line(v) for v in job.values]
-    _write_table(job.out_dir / "sweep.csv", lines, quiet)
-    return EXIT_OK
+    _write_table(job.out_dir / "sweep.csv", lines + [line for line, _ in rows], quiet)
+    return all(converged for _, converged in rows)
 
 
 def run(
@@ -497,6 +499,8 @@ def run(
 ) -> int:
     """Execute one config; returns the process exit code.
 
+    Each mode's runner returns whether every fixed-point run it made
+    converged, which decides between ``EXIT_OK`` and ``EXIT_NO_CONVERGENCE``.
     The whole config is parsed before the output directory is created.  A
     numerical failure (a potential value, a stepping overflow or a linear
     solve that breaks down) ends in ``EXIT_NUMERICAL`` with the run header and the error in
@@ -516,7 +520,7 @@ def run(
         runner = {"solve": run_solve, "probe": run_probe,
                   "convergence_study": run_convergence_study, "sweep": run_sweep}[job.mode]
         try:
-            return runner(cfg, job, quiet)
+            return EXIT_OK if runner(cfg, job, quiet) else EXIT_NO_CONVERGENCE
         except (EvaluationError, SolverFailure) as exc:
             payload = _run_header(cfg, job)
             payload["error"] = {"type": type(exc).__name__, "message": str(exc)}

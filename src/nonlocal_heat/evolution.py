@@ -115,10 +115,6 @@ class Trajectory:
         self.states.setflags(write=False)
         self.integral.setflags(write=False)
 
-    @property
-    def num_samples(self) -> int:
-        return self.states.shape[0]
-
     def initial(self) -> Field:
         return Field(self.grid, self.states[0])
 

@@ -19,12 +19,9 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .laplacian import DirichletLaplacian, dirichlet_lambda1, dirichlet_lambda1_discrete
-from .mesh import Field, Grid, norm_lp
+from .mesh import FLOOR, Field, Grid, norm_lp
 from .evolution import EvolutionConfig, Trajectory, phi_map
-from .potential import EvaluationError, Potential, lipschitz_on
-
-#: Floor for the relative-residual denominator (guards the zero fixed point).
-RESIDUAL_FLOOR = 1e-300
+from .potential import EvaluationError, Potential
 
 RNG_NAME = "numpy-pcg64"
 
@@ -166,11 +163,13 @@ def picard_solve(
     first sweep has no history, so it is the damped step
     ``v + damping * f``; with ``damping = 1`` it is ``Phi(v)`` itself.
 
-    The iteration stops once ``||f_k||_2 / max(||v_k||_2, 1e-300) <= tol``
-    or after ``max_iter`` map evaluations.  The reported ``uT`` is the map
-    output of the final sweep, the trapezoidal integral over every step of
-    the reported trajectory.  Every sweep passes its states to ``sink`` (see
-    ``evolve``), so the last ones it sees are the reported trajectory's.
+    The iteration stops once ``||f_k||_2 / max(||v_k||_2, ||g_k||_2, FLOOR)
+    <= tol`` or after ``max_iter`` map evaluations, so a first sweep from
+    the zero start reports 1 for a nonzero map output.  The reported ``uT``
+    is the map output of the final sweep, the trapezoidal integral over
+    every step of the reported trajectory.  Every sweep passes its states
+    to ``sink`` (see ``evolve``), so the last ones it sees are the reported
+    trajectory's.
     Contraction estimates are the map's Lipschitz quotients along the iterates,
     ``||g_k - g_{k-1}||_2 / ||v_k - v_{k-1}||_2``.  An iterate that mixing
     drives out of floating-point range raises :class:`EvaluationError`.
@@ -188,12 +187,12 @@ def picard_solve(
         uT, trajectory = phi_map(lap, phi, u0, Field(grid, v), ecfg, sink=sink)
         g = uT.values
         f = g - v
-        residuals.append(_norm(grid, f) / max(_norm(grid, v), RESIDUAL_FLOOR))
+        residuals.append(_norm(grid, f) / max(_norm(grid, v), norm_lp(uT, 2), FLOOR))
         if k > 0:
             slot = (k - 1) % ANDERSON_DEPTH
             np.subtract(f, f_prev, out=d_f[slot])
             np.subtract(g, g_prev, out=d_g[slot])
-            lipschitz.append(_norm(grid, d_g[slot]) / max(_norm(grid, v - v_prev), RESIDUAL_FLOOR))
+            lipschitz.append(_norm(grid, d_g[slot]) / max(_norm(grid, v - v_prev), FLOOR))
         if residuals[-1] <= pcfg.tol:
             converged = True
             sup_norms.append(_norm(grid, g, math.inf))
@@ -232,12 +231,15 @@ def uniqueness_threshold(phi: Potential, u0: Field, T: float) -> UniquenessThres
     fixed point.  ``L`` is the value of the potential's exact
     ``lipschitz_rule``; a potential without one gets an inapplicable marker
     instead of a guessed constant.  ``L = 0`` gives a product of 0 even
-    when ``S0`` exceeds the floating-point range.
+    when ``S0`` exceeds the floating-point range.  A negative ``S0`` raises
+    ``ValueError``.
     """
     s0 = T * norm_lp(u0, math.inf)
+    if s0 < 0.0:
+        raise ValueError(f"s0 must be nonnegative, got {s0}")
     lam1 = dirichlet_lambda1(u0.grid)
     c_omega = 1.0 / lam1
-    lip = lipschitz_on(phi, s0)
+    lip = None if phi.lipschitz_rule is None else float(phi.lipschitz_rule(s0))
     product = None if lip is None else c_omega * s0 * lip
     if lip == 0.0:  # a constant map: an S0 beyond the float range must not give nan
         product = 0.0
@@ -311,11 +313,8 @@ def uniqueness_probe(
     s0 = runs[0].threshold.s0
     rng = np.random.default_rng(seed)
     for i in range(n_starts - 2):
-        values = rng.uniform(-s0, s0, u0.grid.num_nodes) if s0 > 0.0 else np.zeros(
-            u0.grid.num_nodes
-        )
         kinds.append(f"random_{i}")
-        runs.append(run(Field(u0.grid, values)))
+        runs.append(run(Field(u0.grid, rng.uniform(-s0, s0, u0.grid.num_nodes))))
 
     converged_uts = [r.uT for r in runs if r.converged]
     max_dist = 0.0
@@ -327,7 +326,7 @@ def uniqueness_probe(
         start_kinds=kinds,
         runs=runs,
         max_pairwise_distance=max_dist,
-        max_pairwise_relative=max_dist / max(scale, RESIDUAL_FLOOR) if converged_uts else 0.0,
+        max_pairwise_relative=max_dist / max(scale, FLOOR) if converged_uts else 0.0,
         all_converged=all(r.converged for r in runs),
         seed=seed,
         generator=RNG_NAME,

@@ -89,11 +89,8 @@ class _TridiagonalSystem:
     """
 
     def __init__(self, diag: np.ndarray, off: float):
-        if diag.size == 1:  # scipy's pttrf rejects n = 1
-            self._d, self._e = diag, None
-            info = 0 if diag[0] > 0.0 else 1
-        else:
-            self._d, self._e, info = _pttrf(diag, np.full(diag.size - 1, off))
+        # LAPACK reads no off-diagonal at n = 1, but scipy rejects an empty one
+        self._d, self._e, info = _pttrf(diag, np.full(max(diag.size - 1, 1), off))
         if info != 0:
             raise SolverFailure(
                 "the step operator I + tau*(L + diag(w)) is not positive definite "
@@ -101,8 +98,6 @@ class _TridiagonalSystem:
                 math.nan, 0)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        if self._e is None:
-            return b / self._d
         return _pttrs(self._d, self._e, b)[0]
 
 

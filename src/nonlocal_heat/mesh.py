@@ -12,6 +12,9 @@ from typing import Callable
 
 import numpy as np
 
+#: Floor for the denominator of every relative quantity (guards the zero field).
+FLOOR = 1e-300
+
 
 @dataclass(frozen=True)
 class Grid:

@@ -78,19 +78,6 @@ def nemytskii(phi: Potential, v: Field) -> Field:
     return Field(v.grid, w)
 
 
-def lipschitz_on(phi: Potential, s0: float) -> float | None:
-    """The Lipschitz constant of ``phi`` on ``[-s0, s0]`` from its rule.
-
-    Returns ``None`` for a potential without a ``lipschitz_rule``: no
-    upper bound is known, and none is guessed.
-    """
-    if s0 < 0.0:
-        raise ValueError(f"s0 must be nonnegative, got {s0}")
-    if phi.lipschitz_rule is None:
-        return None
-    return float(phi.lipschitz_rule(s0))
-
-
 def _zero(params: Sequence[float]) -> Potential:
     _expect_params("zero", params, 0)
     return Potential(

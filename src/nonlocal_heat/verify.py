@@ -16,13 +16,12 @@ import numpy as np
 
 from .fixedpoint import FixedPointReport
 from .laplacian import DirichletLaplacian
-from .mesh import Field, inner_product, norm_lp
+from .mesh import FLOOR, Field, inner_product, norm_lp
 from .potential import Potential, nemytskii
 
 NORM_TOL = 1e-10          # slack factor on norm non-expansivity
 POSITIVITY_TOL = 1e-12    # absolute floor for trajectory positivity
 BOUND_TOL = 1e-8          # slack factor on the energy/norm inequalities
-EPS = 1e-300
 
 
 @dataclass
@@ -52,7 +51,7 @@ class EnergyCheck:
     the datum drop with the integral.  ``lhs - rhs`` is the stationary
     residual paired with ``uT``.  Only the relative mismatch is stored; the
     inequalities get hard flags.  Both sides are compared on the states
-    scaled by ``1/s`` (see ``_stationary_sides``), so the verdicts do not
+    scaled by ``1/s`` (see ``verify_all``), so the verdicts do not
     depend on ``s``; the stored ``lhs`` and ``rhs`` are those values times
     ``s^2``, so a term beyond the floating-point range (states that grew, as
     Crank-Nicolson's may) reads as infinite.
@@ -112,15 +111,23 @@ class VerificationReport:
         return {**checks, "passed": self.passed}
 
 
-def check_solution_bounds(report: FixedPointReport) -> SolutionBoundsCheck:
-    """Check ``max_k ||u_k||_p <= ||u0||_p`` for p = 2 and inf, and positivity.
+def verify_all(
+    report: FixedPointReport, phi: Potential, lap: DirichletLaplacian
+) -> VerificationReport:
+    """Run every check on a completed fixed-point report.
 
-    Reads the bounds ``evolve`` measured on every state of the last sweep;
-    the results are keyed by p, ``"2"`` and ``"inf"``.
+    The solution bounds check ``max_k ||u_k||_p <= ||u0||_p`` for p = 2 and
+    inf (keyed ``"2"`` and ``"inf"``) and positivity, from the bounds
+    ``evolve`` measured on every state of the last sweep.  The energy and
+    elliptic checks share one evaluation of the stationary sides ``A uT``
+    and ``u0 - u(T)``, taken on ``u0``, ``u(T)`` and ``uT`` divided by
+    ``s``, their largest magnitude, so no scaled state exceeds 1 and
+    neither side of the equation overflows.
     """
     traj = report.trajectory
+    T = traj.T
     bounds = traj.bounds
-    u0 = traj.initial()
+    u0, uK = traj.initial(), traj.final()
     worst_by_p = {
         "2": math.sqrt(u0.grid.cell_measure) * bounds.max_row_norm,
         "inf": bounds.max_abs,
@@ -128,61 +135,41 @@ def check_solution_bounds(report: FixedPointReport) -> SolutionBoundsCheck:
     ratios: dict[str, float] = {}
     for p, worst in worst_by_p.items():
         base = norm_lp(u0, float(p))
-        ratios[p] = 0.0 if base == 0.0 and worst == 0.0 else worst / max(base, EPS)
+        ratios[p] = 0.0 if base == 0.0 and worst == 0.0 else worst / max(base, FLOOR)
     ok = {p: ratio <= 1.0 + NORM_TOL for p, ratio in ratios.items()}
     if np.all(u0.values >= 0.0):
         pos_min = bounds.min_value
         pos_ok = pos_min >= -POSITIVITY_TOL
     else:
         pos_min, pos_ok = None, None
-    return SolutionBoundsCheck(ratios, ok, pos_min, pos_ok)
 
-
-def _stationary_sides(
-    report: FixedPointReport, phi: Potential, lap: DirichletLaplacian
-) -> tuple[Field, Field, Field, float]:
-    """``A uT``, ``u0 - u(T)`` and ``uT`` on the states divided by ``s``, and ``s``.
-
-    ``s`` is the largest magnitude over ``u0``, ``u(T)`` and ``uT``, so no
-    scaled state exceeds 1 and neither side of the equation overflows.
-    """
-    traj = report.trajectory
-    states = (traj.initial(), traj.final(), report.uT)
-    scale = max(max(norm_lp(field, math.inf) for field in states), EPS)
-    u0, uK, uT = (field.values * (1.0 / scale) for field in states)
+    states = (u0, uK, report.uT)
+    scale = max(max(norm_lp(field, math.inf) for field in states), FLOOR)
+    s_u0, s_uK, s_uT = (field.values * (1.0 / scale) for field in states)
     w = nemytskii(phi, report.uT).values
     grid = report.uT.grid
-    return (Field(grid, lap.apply_array(uT) + w * uT), Field(grid, u0 - uK),
-            Field(grid, uT), scale)
-
-
-def verify_all(
-    report: FixedPointReport, phi: Potential, lap: DirichletLaplacian
-) -> VerificationReport:
-    """Run every check on a completed fixed-point report (norms 2 and inf);
-    the energy and elliptic checks share one evaluation of the stationary sides."""
-    traj = report.trajectory
-    T = traj.T
-    a_uT, drop, uT, scale = _stationary_sides(report, phi, lap)
+    a_uT = Field(grid, lap.apply_array(s_uT) + w * s_uT)
+    drop = Field(grid, s_u0 - s_uK)
+    uT = Field(grid, s_uT)
     lhs = inner_product(a_uT, uT)
     rhs = inner_product(drop, uT)
 
     # the norms and their ratios are overflow-safe unscaled
-    u0_l2 = norm_lp(traj.initial(), 2)
-    final_ratio = norm_lp(traj.final(), 2) / max(u0_l2, EPS)
-    integral_ratio = norm_lp(report.uT, 2) / max(T * u0_l2, EPS)
+    u0_l2 = norm_lp(u0, 2)
+    final_ratio = norm_lp(uK, 2) / max(u0_l2, FLOOR)
+    integral_ratio = norm_lp(report.uT, 2) / max(T * u0_l2, FLOOR)
     unit = u0_l2 / scale
     energy = EnergyCheck(
         lhs=scale * (scale * lhs),
         rhs=scale * (scale * rhs),
-        relative_mismatch=abs(lhs - rhs) / max(abs(rhs), EPS),
+        relative_mismatch=abs(lhs - rhs) / max(abs(rhs), FLOOR),
         bound=2.0 * T * u0_l2 * u0_l2,
-        bound_ok=lhs <= 2.0 * T * unit * unit * (1.0 + BOUND_TOL) + EPS,
+        bound_ok=lhs <= 2.0 * T * unit * unit * (1.0 + BOUND_TOL) + FLOOR,
         final_norm_ratio=final_ratio,
         final_norm_ok=final_ratio <= 1.0 + BOUND_TOL,
         integral_norm_ratio=integral_ratio,
         integral_norm_ok=integral_ratio <= 1.0 + BOUND_TOL,
     )
-    rel = norm_lp(a_uT - drop, 2) / max(norm_lp(drop, 2), EPS)
-    return VerificationReport(check_solution_bounds(report), energy,
+    rel = norm_lp(a_uT - drop, 2) / max(norm_lp(drop, 2), FLOOR)
+    return VerificationReport(SolutionBoundsCheck(ratios, ok, pos_min, pos_ok), energy,
                               EllipticCheck(relative_residual=rel))

@@ -18,7 +18,6 @@ from nonlocal_heat import (
     PicardConfig,
     assemble,
     catalog,
-    check_solution_bounds,
     norm_lp,
     phi_map,
     picard_solve,
@@ -119,7 +118,7 @@ def test_a3_norm_and_positivity_invariants():
         for u0 in data.values():
             report = picard_solve(lap, phi, u0, ecfg)
             assert report.converged
-            check = check_solution_bounds(report)
+            check = verify_all(report, phi, lap).solution_bounds
             worst_ratio = max(worst_ratio, *check.norm_ratios.values())
             worst_min = min(worst_min, check.positivity_min)
     ok = worst_ratio <= 1 + 1e-10 and worst_min >= -1e-12

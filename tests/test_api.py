@@ -23,12 +23,10 @@ def test_public_names():
         "VerificationReport",
         "assemble",
         "catalog",
-        "check_solution_bounds",
         "dirichlet_lambda1",
         "dirichlet_lambda1_discrete",
         "evolve",
         "inner_product",
-        "lipschitz_on",
         "nemytskii",
         "norm_lp",
         "phi_map",

@@ -313,6 +313,17 @@ def test_probe_reproducible_with_seed(tmp_path):
     assert a == b
 
 
+def test_unconverged_probe_exits_2_with_its_report(tmp_path):
+    # one map evaluation converges no start; the report is still written
+    out = tmp_path / "out"
+    cfg = base_config(out, mode="probe")
+    cfg["fixedpoint"]["max_iter"] = 1
+    assert cli.run(write_config(tmp_path, cfg), quiet=True) == 2
+    report = json.loads((out / "report.json").read_text())
+    assert report["probe"]["all_converged"] is False
+    assert [start["converged"] for start in report["probe"]["starts"]] == [False] * 5
+
+
 def test_convergence_study_spatial(tmp_path):
     out = tmp_path / "out"
     cfg = base_config(out, mode="convergence_study")
@@ -363,18 +374,31 @@ def test_nonconverged_study_exits_2_with_its_table(tmp_path):
 
 def test_sweep_records_failed_rows(tmp_path):
     # a rejected value and a numerical failure each fill only the error
-    # column, whose commas become semicolons; the other rows still run
+    # column, whose commas become semicolons; the other rows still run, and
+    # a failed row counts as a run that did not converge
     out = tmp_path / "out"
     cfg = base_config(out, mode="sweep")
     cfg["domain"]["n"] = [9]
     cfg["time"]["steps"] = 20
     cfg["sweep"] = {"axis": "T", "values": [0.1, -1, 1e308]}
-    assert cli.run(write_config(tmp_path, cfg), quiet=True) == 0
+    assert cli.run(write_config(tmp_path, cfg), quiet=True) == 2
     lines = (out / "sweep.csv").read_text().splitlines()
     assert lines[1] == "-1,,,,,time.T must be positive and finite; got -1.0"
     assert lines[2].startswith("0.1,True,4,") and lines[2].endswith(",")
     assert lines[3] == ("1e+308,,,,,the map returned a non-finite time integral: "
                         "the states overflowed")
+
+
+def test_sweep_with_an_unconverged_row_exits_2(tmp_path):
+    # the zero datum converges in one map evaluation, the other row does not
+    out = tmp_path / "out"
+    cfg = base_config(out, mode="sweep")
+    cfg["fixedpoint"]["max_iter"] = 1
+    cfg["sweep"] = {"axis": "amplitude", "values": [0.5, 0.0]}
+    assert cli.run(write_config(tmp_path, cfg), quiet=True) == 2
+    lines = (out / "sweep.csv").read_text().splitlines()
+    assert lines[1].startswith("0,True,1,")
+    assert lines[2].startswith("0.5,False,1,")
 
 
 def test_sweep_amplitude_products_increase(tmp_path):

@@ -73,9 +73,17 @@ def test_constant_potential_converges_in_exactly_two_iterations():
     assert np.allclose(report.uT.values, report2.uT.values, rtol=0, atol=1e-15)
 
 
+def test_zero_start_first_residual_is_relative_to_the_map_output():
+    # ||v0|| = 0, so ||Phi(v0)|| is the denominator and the first residual
+    # reads 1, not ||Phi(v0)|| divided by the floor
+    report = picard_solve(LAP, catalog("quadratic"), sine_datum(0.5), ECFG)
+    assert report.converged
+    assert report.residual_history[0] == 1.0
+
+
 def test_first_sweep_is_the_damped_step():
     # no history yet: v1 = v0 + damping * (Phi(v0) - v0); the residual
-    # ||Phi(v0) - v0|| / ||v0|| does not depend on the damping
+    # ||Phi(v0) - v0|| / max(||v0||, ||Phi(v0)||) does not depend on the damping
     phi, u0 = catalog("quadratic"), sine_datum(0.5)
     pcfg = PicardConfig(initial_guess="scaled_datum", max_iter=1)
     v0 = ECFG.T * u0
@@ -84,7 +92,8 @@ def test_first_sweep_is_the_damped_step():
         report = picard_solve(LAP, phi, u0, ECFG, replace(pcfg, damping=damping))
         step = v0.values + damping * (g0.values - v0.values)
         assert report.iterate_max_norms[1] == pytest.approx(np.abs(step).max(), rel=1e-15)
-        assert report.residual_history == [norm_lp(g0 - v0, 2) / norm_lp(v0, 2)]
+        scale = max(norm_lp(v0, 2), norm_lp(g0, 2))
+        assert report.residual_history == [norm_lp(g0 - v0, 2) / scale]
 
 
 def test_limit_matches_scipy_anderson_oracle():
@@ -152,7 +161,7 @@ def test_solve_in_constant_memory():
     finally:
         tracemalloc.stop()
     assert report.converged
-    assert report.trajectory.num_samples == 2
+    assert report.trajectory.states.shape[0] == 2
     assert peak <= 2 * 2**20
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nonlocal_heat import (
-    EvaluationError, Field, Grid, Potential, catalog, lipschitz_on, nemytskii,
+    EvaluationError, Field, Grid, Potential, catalog, nemytskii,
     uniqueness_threshold,
 )
 
@@ -18,7 +18,7 @@ def test_catalog_zero():
     phi = catalog("zero")
     assert phi.nonnegative
     assert phi.growth == 0.0
-    assert lipschitz_on(phi, 5.0) == 0.0
+    assert phi.lipschitz_rule(5.0) == 0.0
     assert np.all(phi(np.linspace(-3, 3, 7)) == 0.0)
 
 
@@ -27,7 +27,7 @@ def test_catalog_constant(c, nonneg):
     phi = catalog("constant", [c])
     assert phi.nonnegative is nonneg
     assert np.all(phi(np.array([-1.0, 0.0, 7.0])) == c)
-    assert lipschitz_on(phi, 10.0) == 0.0
+    assert phi.lipschitz_rule(10.0) == 0.0
     assert (phi.growth == c) if c >= 0 else (phi.growth is None)
 
 
@@ -36,14 +36,14 @@ def test_catalog_quadratic():
     assert phi.nonnegative
     assert phi.growth is None
     assert np.allclose(phi(np.array([-2.0, 0.5])), [4.0, 0.25])
-    assert lipschitz_on(phi, 2.0) == 4.0
+    assert phi.lipschitz_rule(2.0) == 4.0
 
 
 def test_catalog_absval():
     phi = catalog("absval")
     assert phi.nonnegative and phi.growth == 1.0
-    assert lipschitz_on(phi, 3.0) == 1.0
-    assert lipschitz_on(phi, 0.0) == 0.0
+    assert phi.lipschitz_rule(3.0) == 1.0
+    assert phi.lipschitz_rule(0.0) == 0.0
 
 
 def test_catalog_bounded_sine():
@@ -51,9 +51,9 @@ def test_catalog_bounded_sine():
     s = np.linspace(-20, 20, 401)
     assert np.all(phi(s) >= 0.0)
     assert np.max(phi(s)) <= 2.0
-    assert lipschitz_on(phi, 10.0) == 1.0
+    assert phi.lipschitz_rule(10.0) == 1.0
     scaled = catalog("bounded_sine", [2.5])
-    assert lipschitz_on(scaled, 1.0) == 2.5
+    assert scaled.lipschitz_rule(1.0) == 2.5
     assert scaled.growth == 5.0
 
 
@@ -62,7 +62,7 @@ def test_catalog_linear_growth():
     s = np.array([-2.0, 0.0, 4.0])
     assert np.allclose(phi(s), 1.5 * (1.0 + np.abs(s)))
     assert phi.growth == 3.0
-    assert lipschitz_on(phi, 1.0) == 1.5
+    assert phi.lipschitz_rule(1.0) == 1.5
     with pytest.raises(ValueError):
         catalog("linear_growth", [-1.0])
 
@@ -141,20 +141,21 @@ def test_lipschitz_without_rule_is_unknown():
     # sampled difference quotients bound the constant from below, so a
     # potential without a rule gets no constant at all
     phi = Potential(name="sine", evaluator=np.sin)
-    assert lipschitz_on(phi, 10.0) is None
-    assert lipschitz_on(phi, 0.0) is None
+    assert phi.lipschitz_rule is None
+    for u0 in (Field.constant(GRID, 0.5), Field.zeros(GRID)):  # S0 = 10, then 0
+        assert uniqueness_threshold(phi, u0, 20.0).lipschitz is None
 
 
 def test_lipschitz_rejects_negative_interval():
     with pytest.raises(ValueError):
-        lipschitz_on(catalog("zero"), -1.0)
+        uniqueness_threshold(catalog("zero"), Field.constant(GRID, 1.0), -1.0)
 
 
 def test_lipschitz_monotone_in_interval_for_catalog():
     for name, params in [("quadratic", []), ("absval", []), ("bounded_sine", []),
                          ("linear_growth", [2.0]), ("constant", [3.0])]:
         phi = catalog(name, params)
-        values = [lipschitz_on(phi, s0) for s0 in (0.0, 0.5, 1.0, 4.0, 16.0)]
+        values = [phi.lipschitz_rule(s0) for s0 in (0.0, 0.5, 1.0, 4.0, 16.0)]
         assert all(a <= b for a, b in zip(values, values[1:]))
 
 
@@ -170,7 +171,7 @@ def test_lipschitz_rule_bounds_sampled_quotients(name, params, s0):
     phi = catalog(name, params)
     s = np.linspace(-s0, s0, 100_001)
     sampled = np.max(np.abs(np.diff(phi(s))) / np.diff(s))
-    assert lipschitz_on(phi, s0) >= sampled * (1.0 - 1e-9)
+    assert phi.lipschitz_rule(s0) >= sampled * (1.0 - 1e-9)
 
 
 def test_lipschitz_exact_flag():

@@ -11,7 +11,6 @@ from nonlocal_heat import (
     Potential,
     assemble,
     catalog,
-    check_solution_bounds,
     dirichlet_lambda1_discrete,
     norm_lp,
     picard_solve,
@@ -37,9 +36,9 @@ def sine(x):
 def test_bounds_zero_datum_passes():
     grid = Grid((1.0,), (19,))
     lap = assemble(grid)
-    report = picard_solve(lap, catalog("quadratic"), Field.zeros(grid),
-                          EvolutionConfig(T=0.1, steps=10))
-    check = check_solution_bounds(report)
+    phi = catalog("quadratic")
+    report = picard_solve(lap, phi, Field.zeros(grid), EvolutionConfig(T=0.1, steps=10))
+    check = verify_all(report, phi, lap).solution_bounds
     assert check.passed
     assert check.norm_ratios["2"] == 0.0
     assert check.positivity_min == 0.0
@@ -49,10 +48,10 @@ def test_bounds_heat_decay_ratios(collector):
     grid = Grid((1.0,), (99,))
     u0 = Field.from_function(grid, sine)
     sink = collector(u0)
-    report = picard_solve(assemble(grid), catalog("zero"), u0, EvolutionConfig(T=0.1, steps=200),
-                          sink=sink)
+    lap = assemble(grid)
+    report = picard_solve(lap, catalog("zero"), u0, EvolutionConfig(T=0.1, steps=200), sink=sink)
     assert report.converged
-    check = check_solution_bounds(report)
+    check = verify_all(report, catalog("zero"), lap).solution_bounds
     assert check.passed
     # the ratio is attained at k=0 (the datum itself); later states decay
     assert check.norm_ratios["2"] == pytest.approx(1.0)
@@ -65,17 +64,17 @@ def test_bounds_heat_decay_ratios(collector):
 
 
 def test_bounds_positivity_flag():
-    _, _, report = solve_on(99, 200, catalog("quadratic"), sine)
-    check = check_solution_bounds(report)
+    _, lap, report = solve_on(99, 200, catalog("quadratic"), sine)
+    check = verify_all(report, catalog("quadratic"), lap).solution_bounds
     assert check.positivity_min is not None
     assert check.positivity_min >= -1e-12
     assert check.positivity_ok
 
 
 def test_bounds_signed_datum_skips_positivity():
-    _, _, report = solve_on(99, 200, catalog("quadratic"),
-                            lambda x: np.sin(2 * math.pi * x))
-    check = check_solution_bounds(report)
+    _, lap, report = solve_on(99, 200, catalog("quadratic"),
+                              lambda x: np.sin(2 * math.pi * x))
+    check = verify_all(report, catalog("quadratic"), lap).solution_bounds
     assert check.positivity_min is None
     assert check.positivity_ok is None
     assert check.passed  # norm checks still bind
@@ -90,9 +89,9 @@ def test_bounds_streamed_equal_per_state_recomputation(scheme, collector):
     sink = collector(u0)
     streamed = picard_solve(lap, phi, u0, EvolutionConfig(T=0.1, steps=20, scheme=scheme),
                             sink=sink)
-    assert streamed.trajectory.num_samples == 2
+    assert streamed.trajectory.states.shape[0] == 2
     states = [Field(grid, state) for state in sink.states]
-    check = check_solution_bounds(streamed)
+    check = verify_all(streamed, phi, lap).solution_bounds
     for key, p in (("2", 2.0), ("inf", math.inf)):
         expected = max(norm_lp(s, p) for s in states) / norm_lp(u0, p)
         assert check.norm_ratios[key] == pytest.approx(expected, rel=1e-14, abs=0.0)
