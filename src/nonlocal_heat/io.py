@@ -1,17 +1,25 @@
 """File formats: CSV and JSON for fields, CSV and raw binary for trajectories.
 
-Field CSV rows are ``x[,y],value`` per interior node.  Field JSON carries
-the grid header next to a flat value array and round-trips exactly.  The
-trajectory binary layout is little-endian: int64 header ``dim, K, n_1
-[, n_2]``, then ``K+1`` float64 sample times, then the ``(K+1) x N`` state
-matrix row-major as float64, row k the state at step ``k * store_every``.
-A trajectory is streamed into that layout while it is stepped, and its
-CSV is formatted from the binary.
+Field JSON carries the grid header next to a flat value array and
+round-trips exactly.  The trajectory binary layout is little-endian: int64
+header ``dim, K, n_1 [, n_2]``, then ``K+1`` float64 sample times, then the
+``(K+1) x N`` state matrix row-major as float64, row k the state at step
+``k * store_every``.  A trajectory is streamed into that layout while it is
+stepped.
+
+Both CSVs print every float with ``%.17g`` (17 significant digits, so each
+value reads back exactly) and end lines in a bare line feed.  Field CSV
+rows are ``x[,y],value``, one per interior node; trajectory CSV rows are
+``t,node,value``, node the row-major node index.  The trajectory CSV is
+formatted from the binary ``BLOCK_BYTES`` of states at a time, so its
+memory does not grow with ``K``; a binary whose size differs from the one
+its header implies raises ``ValueError`` before any CSV byte is written.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 from contextlib import contextmanager
 from pathlib import Path
@@ -28,12 +36,25 @@ _F8 = np.dtype("<f8")
 #: Names of the coordinate columns of a field CSV, one per axis.
 _AXES = ("x", "y")
 
+#: Format of every float in a CSV: enough digits to read back exactly.
+_FLOAT = "%.17g"
+
+#: Bytes of binary states the trajectory CSV writer reads per block.
+BLOCK_BYTES = 1 << 16
+
+
+def _csv_rows(lead: str, tails: list[str], values: np.ndarray) -> str:
+    """CSV rows ``lead + tails[i]``, each tail a row's end with one ``%.17g``
+    field, filled with ``values[i]`` by a single ``%`` call."""
+    return (lead + lead.join(tails)) % tuple(values.tolist())
+
 
 def write_field_csv(field: Field, path: str | Path) -> None:
-    columns = (*field.grid.coordinates(), field.values)
+    coordinates = zip(*(c.tolist() for c in field.grid.coordinates()))
+    tails = ["".join(_FLOAT % c + "," for c in node) + _FLOAT + "\n" for node in coordinates]
     header = ",".join((*_AXES[:field.grid.dim], "value"))
-    np.savetxt(path, np.column_stack(columns), delimiter=",", header=header,
-               comments="", fmt="%.17g")
+    with open(path, "w", encoding="ascii", newline="\n") as out:
+        out.write(header + "\n" + _csv_rows("", tails, field.values))
 
 
 def _infer_axis(coords: np.ndarray, axis_name: str) -> tuple[float, int]:
@@ -123,13 +144,44 @@ def trajectory_stream(path: str | Path, u0: Field, cfg: EvolutionConfig):
         yield sink
 
 
+def _read_header(fh) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Read the header and sample times of the trajectory binary open at its
+    start in ``fh``, leaving ``fh`` at the first state; return (times, n).
+
+    Raises ``ValueError`` unless ``dim`` is 1 or 2 and the file is exactly as
+    long as the ``K+1`` times and ``(K+1) x N`` states its header names.
+    """
+    size = os.fstat(fh.fileno()).st_size
+    head = np.fromfile(fh, dtype=_I8, count=1).tolist()
+    dim = head[0] if head else None
+    if dim not in (1, 2):
+        raise ValueError(f"corrupt trajectory header: dim={dim}")
+    head = np.fromfile(fh, dtype=_I8, count=1 + dim).tolist()
+    if len(head) < 1 + dim or head[0] < 0 or min(head[1:]) < 1:
+        raise ValueError(f"corrupt trajectory header: K, n = {head}")
+    K, n = head[0], tuple(head[1:])
+    expected = (2 + dim + (K + 1) * (1 + math.prod(n))) * _F8.itemsize
+    if size != expected:
+        raise ValueError(f"corrupt trajectory: {size} bytes where its header "
+                         f"(K={K}, n={n}) implies {expected}")
+    return np.fromfile(fh, dtype=_F8, count=K + 1), n
+
+
 def write_trajectory_csv(streamed: str | Path, path: str | Path) -> None:
-    """Rows ``t,node,value`` for every sample and node of the binary ``streamed``."""
-    times, states, _ = read_trajectory_bin(streamed)
-    K1, N = states.shape
-    columns = (np.repeat(times, N), np.tile(np.arange(N), K1), states.ravel())
-    np.savetxt(path, np.column_stack(columns), delimiter=",", header="t,node,value",
-               comments="", fmt=("%.17g", "%d", "%.17g"))
+    """Rows ``t,node,value`` for every sample and node of the binary ``streamed``,
+    read and written ``BLOCK_BYTES`` of states at a time."""
+    with open(streamed, "rb") as src:
+        times, n = _read_header(src)
+        N = math.prod(n)
+        tails = [f",{j},{_FLOAT}\n" for j in range(N)]
+        per_block = max(1, BLOCK_BYTES // (N * _F8.itemsize))
+        with open(path, "w", encoding="ascii", newline="\n") as out:
+            out.write("t,node,value\n")
+            for k in range(0, times.size, per_block):
+                block_times = times[k:k + per_block].tolist()
+                block = np.fromfile(src, dtype=_F8, count=len(block_times) * N)
+                out.write("".join(_csv_rows(_FLOAT % t, tails, state)
+                                  for t, state in zip(block_times, block.reshape(-1, N))))
 
 
 def write_trajectory_bin(streamed: str | Path, path: str | Path) -> None:
@@ -139,16 +191,7 @@ def write_trajectory_bin(streamed: str | Path, path: str | Path) -> None:
 
 def read_trajectory_bin(path: str | Path) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
     """Return (times, states, n); geometry beyond node counts is not stored."""
-    raw = Path(path).read_bytes()
-    dim = int(np.frombuffer(raw, dtype=_I8, count=1)[0])
-    if dim not in (1, 2):
-        raise ValueError(f"corrupt trajectory header: dim={dim}")
-    ints = np.frombuffer(raw, dtype=_I8, count=2 + dim)
-    K = int(ints[1])
-    n = tuple(int(v) for v in ints[2:])
-    num_nodes = int(np.prod(n))
-    offset = (2 + dim) * _I8.itemsize
-    times = np.frombuffer(raw, dtype=_F8, count=K + 1, offset=offset)
-    offset += (K + 1) * _F8.itemsize
-    states = np.frombuffer(raw, dtype=_F8, count=(K + 1) * num_nodes, offset=offset)
-    return times.copy(), states.reshape(K + 1, num_nodes).copy(), n
+    with open(path, "rb") as fh:
+        times, n = _read_header(fh)
+        states = np.fromfile(fh, dtype=_F8).reshape(times.size, math.prod(n))
+    return times, states, n

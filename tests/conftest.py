@@ -1,12 +1,15 @@
-"""Shared test settings, a sink that collects the states ``evolve`` drops, and
-a trapezoidal time quadrature over collected states, the tests' oracle for
-the integral ``evolve`` accumulates.
+"""Shared test settings, a sink that collects the states ``evolve`` drops, a
+trapezoidal time quadrature over collected states, the tests' oracle for
+the integral ``evolve`` accumulates, and the trajectory file oracles: the
+binary built by hand and the CSV built by ``np.savetxt``.
 
 Property tests run under one registered ``hypothesis`` profile: examples are
 derived from each test's source (``derandomize``), so every run checks the
 same cases; no per-example deadline, since shared machines stall at random;
 and a bounded example count, so the property tests stay a few seconds.
 """
+
+import io
 
 import numpy as np
 import pytest
@@ -73,3 +76,20 @@ def trapezoid_time_integral(samples):
             raise ValueError("all samples must share one grid")
     stacked = np.stack([field.values for _, field in samples])
     return Field(grid, _trapezoid_weights(times) @ stacked)
+
+
+def trajectory_binary(n, times, states):
+    """The trajectory binary layout of ``states`` ((K+1) x N) on node counts ``n``."""
+    header = np.array([len(n), len(times) - 1, *n], dtype="<i8")
+    return (header.tobytes() + np.asarray(times, dtype="<f8").tobytes()
+            + np.asarray(states, dtype="<f8").tobytes())
+
+
+def savetxt_trajectory_csv(times, states):
+    """The trajectory CSV of ``states`` ((K+1) x N), as ``np.savetxt`` writes it."""
+    K1, N = states.shape
+    out = io.BytesIO()
+    np.savetxt(out, np.column_stack((np.repeat(times, N), np.tile(np.arange(N), K1),
+                                     states.ravel())),
+               delimiter=",", header="t,node,value", comments="", fmt=("%.17g", "%d", "%.17g"))
+    return out.getvalue()

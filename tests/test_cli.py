@@ -7,6 +7,7 @@ import pytest
 
 from nonlocal_heat import assemble, cli, picard_solve, uniqueness_threshold
 from nonlocal_heat.io import read_field_json
+from conftest import savetxt_trajectory_csv, trajectory_binary
 
 
 def base_config(out_dir, **overrides):
@@ -656,7 +657,7 @@ def test_rebound_solvers_and_writers_are_called(tmp_path, monkeypatch):
     assert calls["io.write_trajectory_csv"] == 1 and calls["io.write_trajectory_bin"] == 1
 
 
-def expected_trajectory_files(cfg, collector, tmp_path):
+def expected_trajectory_files(cfg, collector):
     """``trajectory.bin`` and ``trajectory.csv`` bytes built without the
     streaming writer: the last sweep's states from a collecting sink, the
     header and times by hand, and ``np.savetxt`` with the CSV columns."""
@@ -665,15 +666,8 @@ def expected_trajectory_files(cfg, collector, tmp_path):
     picard_solve(assemble(job.grid), job.phi, job.u0, job.ecfg, job.pcfg, sink=sink)
     every = job.ecfg.store_every
     states = sink.states[::every]
-    K1, N = states.shape
-    times = job.ecfg.dt * every * np.arange(K1)
-    header = np.array([job.grid.dim, K1 - 1, *job.grid.n], dtype="<i8")
-    binary = header.tobytes() + times.astype("<f8").tobytes() + states.astype("<f8").tobytes()
-    path = tmp_path / "expected.csv"
-    np.savetxt(path, np.column_stack((np.repeat(times, N), np.tile(np.arange(N), K1),
-                                      states.ravel())),
-               delimiter=",", header="t,node,value", comments="", fmt=("%.17g", "%d", "%.17g"))
-    return binary, path.read_bytes()
+    times = job.ecfg.dt * every * np.arange(states.shape[0])
+    return trajectory_binary(job.grid.n, times, states), savetxt_trajectory_csv(times, states)
 
 
 @pytest.mark.parametrize("every", [1, 4])
@@ -692,7 +686,7 @@ def test_streamed_trajectory_files_match_a_collected_reference(
     cfg["time"]["store_every"] = every
     cfg["output"]["formats"] = ["csv", "json", "bin"]
     assert cli.run(write_config(tmp_path, cfg), quiet=True) == 0
-    binary, csv = expected_trajectory_files(cfg, collector, tmp_path)
+    binary, csv = expected_trajectory_files(cfg, collector)
     assert (out / "trajectory.bin").read_bytes() == binary
     assert (out / "trajectory.csv").read_bytes() == csv
     assert sorted(p.name for p in out.iterdir()) == [
@@ -705,8 +699,7 @@ def test_csv_only_solve_leaves_no_binary(tmp_path, collector):
     cfg["time"]["store_every"] = 4
     cfg["output"]["formats"] = ["csv"]
     assert cli.run(write_config(tmp_path, cfg), quiet=True) == 0
-    assert (out / "trajectory.csv").read_bytes() == expected_trajectory_files(
-        cfg, collector, tmp_path)[1]
+    assert (out / "trajectory.csv").read_bytes() == expected_trajectory_files(cfg, collector)[1]
     assert sorted(p.name for p in out.iterdir()) == [
         "config.json", "report.json", "trajectory.csv", "ut.csv"]
 
@@ -717,7 +710,7 @@ def test_nonconverged_solve_writes_the_last_sweeps_trajectory(tmp_path, collecto
     cfg["fixedpoint"]["max_iter"] = 2
     cfg["output"]["formats"] = ["csv", "json", "bin"]
     assert cli.run(write_config(tmp_path, cfg), quiet=True) == 2
-    binary, csv = expected_trajectory_files(cfg, collector, tmp_path)
+    binary, csv = expected_trajectory_files(cfg, collector)
     assert (out / "trajectory.bin").read_bytes() == binary
     assert (out / "trajectory.csv").read_bytes() == csv
 

@@ -1,9 +1,12 @@
+import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from nonlocal_heat import EvolutionConfig, Field, Grid, assemble, evolve
+from nonlocal_heat import io as nio
 from nonlocal_heat.io import (
     read_field,
     read_field_csv,
@@ -15,6 +18,12 @@ from nonlocal_heat.io import (
     write_trajectory_bin,
     write_trajectory_csv,
 )
+from conftest import savetxt_trajectory_csv, trajectory_binary
+
+#: Values whose ``%.17g`` text is easy to get wrong: signed zero, the least
+#: subnormal, the least normal, extremes of either sign, and non-finite ones.
+EDGE_VALUES = [-0.0, 5e-324, 2.2250738585072014e-308, 1e-300, -1e-300, 1e300, -1e300,
+               math.nan, math.inf, -math.inf, 0.1, 1.0 / 3.0]
 
 
 def make_trajectory(tmp_path, collector):
@@ -102,15 +111,93 @@ def test_read_field_dispatch(tmp_path):
 
 
 def test_trajectory_csv_layout(tmp_path, collector):
-    streamed, g, _, states = make_trajectory(tmp_path, collector)
+    streamed, _, cfg, states = make_trajectory(tmp_path, collector)
     path = tmp_path / "traj.csv"
     write_trajectory_csv(streamed, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "t,node,value"
-    assert len(lines) == 1 + states.shape[0] * g.num_nodes
-    t, node, value = lines[1].split(",")
-    assert float(t) == 0.0 and int(node) == 0
-    assert float(value) == states[0, 0]
+    times = cfg.dt * np.arange(cfg.steps + 1)
+    assert path.read_bytes() == savetxt_trajectory_csv(times, states)
+
+
+@pytest.mark.parametrize("n, num_samples", [
+    ((12,), 1),      # K = 0
+    ((12,), 2),      # fewer samples than a block holds
+    ((3, 4), 3),     # exactly one block, dim-2 header
+    ((3, 4), 4),     # one block and one more state
+    ((12,), 7),      # two full blocks and a partial one
+])
+def test_trajectory_csv_bytes_match_savetxt(tmp_path, monkeypatch, n, num_samples):
+    # a hand-written binary holds what a Field rejects (nan, inf), in the
+    # times as well as the states; blocks of 3 states
+    monkeypatch.setattr(nio, "BLOCK_BYTES", 3 * 12 * 8 + 7)
+    values = np.array(EDGE_VALUES)
+    states = np.resize(np.roll(values, 1), (num_samples, math.prod(n)))
+    times = np.resize(values, num_samples)
+    streamed = tmp_path / "streamed.bin"
+    streamed.write_bytes(trajectory_binary(n, times, states))
+    write_trajectory_csv(streamed, tmp_path / "traj.csv")
+    assert (tmp_path / "traj.csv").read_bytes() == savetxt_trajectory_csv(times, states)
+
+
+def _savetxt_field_csv(field):
+    out = io.BytesIO()
+    header = ",".join(("x", "y")[:field.grid.dim] + ("value",))
+    np.savetxt(out, np.column_stack((*field.grid.coordinates(), field.values)),
+               delimiter=",", header=header, comments="", fmt="%.17g")
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("g", [Grid((1.0,), (11,)), Grid((1.0, 2.0), (7, 5))],
+                         ids=["1d", "2d"])
+def test_field_csv_bytes_match_savetxt(tmp_path, g):
+    finite = [v for v in EDGE_VALUES if math.isfinite(v)]  # a Field holds no others
+    f = Field(g, np.resize(finite, g.num_nodes))
+    write_field_csv(f, tmp_path / "f.csv")
+    assert (tmp_path / "f.csv").read_bytes() == _savetxt_field_csv(f)
+
+
+def _valid_binary():
+    return trajectory_binary((11,), np.arange(3.0), np.ones((3, 11)))
+
+
+def _with_dim(dim):
+    return np.array([dim], dtype="<i8").tobytes() + _valid_binary()[8:]
+
+
+@pytest.mark.parametrize("raw", [
+    _valid_binary()[:-11 * 8],
+    _valid_binary()[:-1],
+    _valid_binary() + b"\0",
+    _with_dim(0),
+    _with_dim(3),
+    _with_dim(2),
+    _valid_binary()[:12],
+    b"",
+], ids=["one_row_short", "one_byte_short", "one_byte_long", "dim_0", "dim_3",
+        "dim_2_of_a_dim_1_file", "header_cut", "empty"])
+def test_corrupt_trajectory_binary_raises_before_any_csv_byte(tmp_path, raw):
+    streamed = tmp_path / "streamed.bin"
+    streamed.write_bytes(raw)
+    with pytest.raises(ValueError, match="corrupt trajectory"):
+        write_trajectory_csv(streamed, tmp_path / "traj.csv")
+    assert not (tmp_path / "traj.csv").exists()
+    with pytest.raises(ValueError, match="corrupt trajectory"):
+        read_trajectory_bin(streamed)
+
+
+def test_trajectory_csv_writer_memory_does_not_grow_with_steps(tmp_path):
+    rng = np.random.default_rng(33)
+    peaks = []
+    for K in (1000, 4000):
+        streamed = tmp_path / f"K{K}.bin"
+        streamed.write_bytes(trajectory_binary(
+            (199,), 1e-4 * np.arange(K + 1), rng.standard_normal((K + 1, 199))))
+        tracemalloc.start()
+        try:
+            write_trajectory_csv(streamed, tmp_path / "traj.csv")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < 0.1 * peaks[0]
 
 
 def test_trajectory_bin_roundtrip(tmp_path, collector):
