@@ -35,6 +35,8 @@ from .potential import EvaluationError, Potential, catalog
 from .verify import verify_all
 
 MODES = ("solve", "probe", "convergence_study", "sweep")
+# csv must precede bin: the trajectory CSV is formatted from the streamed
+# file that the bin writer moves into place
 FORMATS = ("csv", "json", "bin")
 TRAJECTORY_FORMATS = ("csv", "bin")
 REFINEMENTS = ("space_time", "time_only")
@@ -54,6 +56,10 @@ _KINDS = {"object": "an object", "list": "a list", "string": "a string", "boolea
 
 class ConfigError(ValueError):
     """Invalid run configuration; the message starts with the offending field."""
+
+
+#: The numerical failures that end a run in ``EXIT_NUMERICAL``.
+NUMERICAL_FAILURES = (EvaluationError, SolverFailure)
 
 
 def _fail(field: str, message: str):
@@ -171,13 +177,19 @@ def _initial_datum(sec: dict, grid: Grid) -> Field:
         centers = _per_axis(params, "initial.params.center", "number",
                             [L / 2.0 for L in grid.lengths], grid.dim)
         width = _get(params, "initial.params.width", "number")
-        if width <= 0:
-            _fail("initial.params.width", f"must be positive, got {width}")
+        try:
+            spread = 2.0 * float(width) ** 2
+        except OverflowError:
+            spread = math.inf
+        if width <= 0 or not 0.0 < spread < math.inf:
+            _fail("initial.params.width",
+                  f"must be positive with 2*width**2 a finite positive float, got {width}")
         amp = _get(params, "initial.params.amplitude", "number", 1.0)
 
         def fn(*coords):
-            r2 = sum((x - float(c)) ** 2 for x, c in zip(coords, centers))
-            return float(amp) * np.exp(-r2 / (2.0 * float(width) ** 2))
+            with np.errstate(over="ignore"):  # a far node's exponent is -inf: exp gives 0
+                r2 = sum((x - float(c)) ** 2 for x, c in zip(coords, centers))
+                return float(amp) * np.exp(-r2 / spread)
 
         field = Field.from_function(grid, fn)
     elif name == "constant":
@@ -437,18 +449,14 @@ def run_convergence_study(cfg: dict, job: Job, quiet: bool) -> bool:
         verification = verify_all(report, level_job.phi, lap)
         runs.append((level_job.grid, level_job.ecfg, report, verification))
 
-    finest_grid, _, finest_report, _ = runs[-1]
-
-    def on_grid(field: Field, grid: Grid) -> Field:
-        return field if field.grid == grid else restrict(field, grid)
-
+    finest_report = runs[-1][2]
     scale = max(norm_lp(finest_report.uT, 2), FLOOR)
     errors_vs_finest = [
-        norm_lp(on_grid(finest_report.uT, grid) - report.uT, 2) / scale
+        norm_lp(restrict(finest_report.uT, grid) - report.uT, 2) / scale
         for grid, _, report, _ in runs[:-1]
     ] + [0.0]
     diffs = [
-        norm_lp(on_grid(runs[l + 1][2].uT, runs[l][0]) - runs[l][2].uT, 2) / scale
+        norm_lp(restrict(runs[l + 1][2].uT, runs[l][0]) - runs[l][2].uT, 2) / scale
         for l in range(levels - 1)
     ]
 
@@ -480,7 +488,7 @@ def run_sweep(cfg: dict, job: Job, quiet: bool) -> bool:
             product = f"{thr.product:.10e}" if thr.applicable else "n/a"
             return (f"{value:.10g},{report.converged},{report.iterations},{product},"
                     f"{report.final_residual:.10e},", report.converged)
-        except Exception as exc:  # per-row failures are recorded, not fatal
+        except (ConfigError, *NUMERICAL_FAILURES) as exc:  # recorded, not fatal
             error = str(exc).replace(",", ";")
             return f"{value:.10g},,,,,{error}", False
 
@@ -521,7 +529,7 @@ def run(
                   "convergence_study": run_convergence_study, "sweep": run_sweep}[job.mode]
         try:
             return EXIT_OK if runner(cfg, job, quiet) else EXIT_NO_CONVERGENCE
-        except (EvaluationError, SolverFailure) as exc:
+        except NUMERICAL_FAILURES as exc:
             payload = _run_header(cfg, job)
             payload["error"] = {"type": type(exc).__name__, "message": str(exc)}
             _write_json(job.out_dir / "report.json", payload)

@@ -297,8 +297,9 @@ def uniqueness_probe(
 ) -> ProbeReport:
     """Run ``picard_solve`` from several initial guesses and compare the limits.
 
-    Guesses are the zero field, the time-scaled datum, and seeded uniform
-    random fields with entries in ``[-S0, S0]``.  Non-convergent starts are
+    Guesses are the zero field, the time-scaled datum, and seeded random
+    fields with entries ``S0 * U(-1, 1)``, which stay finite for every
+    finite ``S0``.  Non-convergent starts are
     recorded, not fatal; distances only compare converged runs.
     """
     if n_starts < 2:
@@ -314,7 +315,7 @@ def uniqueness_probe(
     rng = np.random.default_rng(seed)
     for i in range(n_starts - 2):
         kinds.append(f"random_{i}")
-        runs.append(run(Field(u0.grid, rng.uniform(-s0, s0, u0.grid.num_nodes))))
+        runs.append(run(Field(u0.grid, s0 * rng.uniform(-1.0, 1.0, u0.grid.num_nodes))))
 
     converged_uts = [r.uT for r in runs if r.converged]
     max_dist = 0.0

@@ -27,11 +27,6 @@ CG_RTOL = 1e-10
 class SolverFailure(RuntimeError):
     """A linear solve broke down: indefinite operator, non-finite data or CG budget."""
 
-    def __init__(self, message: str, residual: float, iterations: int):
-        super().__init__(message)
-        self.residual = residual
-        self.iterations = iterations
-
 
 @dataclass(frozen=True)
 class DirichletLaplacian:
@@ -94,8 +89,7 @@ class _TridiagonalSystem:
         if info != 0:
             raise SolverFailure(
                 "the step operator I + tau*(L + diag(w)) is not positive definite "
-                f"(leading minor {info} of {diag.size}): w is too negative",
-                math.nan, 0)
+                f"(leading minor {info} of {diag.size}): w is too negative")
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         return _pttrs(self._d, self._e, b)[0]
@@ -118,7 +112,7 @@ class _ConjugateGradientSystem:
         with np.errstate(over="ignore", invalid="ignore"):
             b_norm = float(np.linalg.norm(b))
         if not math.isfinite(b_norm):
-            raise SolverFailure("CG right-hand side has a non-finite norm", math.nan, 0)
+            raise SolverFailure("CG right-hand side has a non-finite norm")
         if b_norm == 0.0:
             return np.zeros_like(b)
         target = CG_RTOL * b_norm
@@ -134,8 +128,7 @@ class _ConjugateGradientSystem:
             if curvature <= 0.0:
                 raise SolverFailure(
                     "the step operator I + tau*(L + diag(w)) is not positive definite "
-                    f"(CG direction {k} has p^T A p = {curvature:.3e}): w is too negative",
-                    math.sqrt(rs) / b_norm, k - 1)
+                    f"(CG direction {k} has p^T A p = {curvature:.3e}): w is too negative")
             alpha = rs / curvature
             x += alpha * p
             r -= alpha * Ap
@@ -154,10 +147,7 @@ class _ConjugateGradientSystem:
         residual = float(np.linalg.norm(b - self._matvec(x)) / b_norm)
         raise SolverFailure(
             f"CG did not reach rtol={CG_RTOL:g} within {self._max_iter} iterations "
-            f"(relative residual {residual:.3e})",
-            residual,
-            self._max_iter,
-        )
+            f"(relative residual {residual:.3e})")
 
 
 def shifted_system(

@@ -40,6 +40,14 @@ class Grid:
             raise ValueError(f"lengths must be positive, got {lengths}")
         if any(v < 1 for v in n):
             raise ValueError(f"n must be >= 1 on every axis, got {n}")
+        try:  # 4*sum(1/h**2) bounds the stencil's values on a field of magnitude 1
+            finite = (all(1.0 / L**2 > 0.0 for L in lengths)
+                      and 4.0 * sum(1.0 / h**2 for h in self.h) < math.inf)
+        except (OverflowError, ZeroDivisionError):  # a square overflows, or underflows to 0
+            finite = False
+        if not finite:
+            raise ValueError(f"lengths must keep every 1/L**2 positive and 4*sum(1/h**2) "
+                             f"finite, got {lengths} with n = {n}")
 
     @property
     def dim(self) -> int:
@@ -155,7 +163,8 @@ def restrict(fine: Field, coarse: Grid) -> Field:
     """Sample a field from a nested refinement back onto a coarser grid.
 
     The grids must cover the same domain with ``n_f + 1`` an integer
-    multiple of ``n_c + 1`` per axis, as a ``space_time`` study's levels are.
+    multiple of ``n_c + 1`` per axis, as a study's levels are (equal grids
+    under ``time_only``, where the sample is the field itself).
     """
     fg = fine.grid
     if fg.dim != coarse.dim or fg.lengths != coarse.lengths:

@@ -1,9 +1,9 @@
 """The scalar potential as a first-class object.
 
-A :class:`Potential` bundles the evaluator with certificates the solver and
-the verification checks rely on: nonnegativity, an optional linear-growth
-bound ``phi(s) <= a*(1+|s|)``, and an optional exact rule for the
-Lipschitz constant on symmetric intervals.
+A :class:`Potential` bundles the evaluator with two hypotheses of the
+analysis: nonnegativity, which every Nemytskii application checks, and an
+optional exact rule for the Lipschitz constant on symmetric intervals, which
+the uniqueness threshold reads.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 
 from .mesh import Field
 
-#: Slack for the certificate spot-checks performed on every Nemytskii call.
+#: Slack for the nonnegativity spot-check performed on every Nemytskii call.
 CERTIFICATE_TOL = 1e-14
 
 
@@ -37,7 +37,6 @@ class Potential:
     name: str
     evaluator: Callable[[np.ndarray], np.ndarray]
     nonnegative: bool = False
-    growth: float | None = None
     lipschitz_rule: Callable[[float], float] | None = None
 
     def __call__(self, s: np.ndarray) -> np.ndarray:
@@ -48,11 +47,10 @@ def nemytskii(phi: Potential, v: Field) -> Field:
     """Pointwise application ``w_i = phi(v_i)``.
 
     Raises :class:`EvaluationError` naming the first offending node if the
-    output is non-finite or violates a declared certificate.
+    output is non-finite or breaks a declared nonnegativity.
     """
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below; an inf bound is met
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
         w = phi(v.values)
-        bound = None if phi.growth is None else phi.growth * (1.0 + np.abs(v.values))
     if w.shape != v.values.shape:
         w = np.broadcast_to(w, v.values.shape).astype(float)
     bad = ~np.isfinite(w)
@@ -68,13 +66,6 @@ def nemytskii(phi: Potential, v: Field) -> Field:
             f"potential '{phi.name}' is certified nonnegative but evaluated to "
             f"{w[node]!r} at node {node}"
         )
-    if bound is not None:
-        if np.any(w > bound + CERTIFICATE_TOL):
-            node = int(np.argmax(w > bound + CERTIFICATE_TOL))
-            raise EvaluationError(
-                f"potential '{phi.name}' violates its growth certificate "
-                f"a={phi.growth} at node {node}: phi={w[node]!r}"
-            )
     return Field(v.grid, w)
 
 
@@ -84,7 +75,6 @@ def _zero(params: Sequence[float]) -> Potential:
         name="zero",
         evaluator=lambda s: np.zeros_like(s),
         nonnegative=True,
-        growth=0.0,
         lipschitz_rule=lambda s0: 0.0,
     )
 
@@ -96,7 +86,6 @@ def _constant(params: Sequence[float]) -> Potential:
         name=f"constant({c:g})",
         evaluator=lambda s: np.full_like(s, c),
         nonnegative=c >= 0.0,
-        growth=c if c >= 0.0 else None,
         lipschitz_rule=lambda s0: 0.0,
     )
 
@@ -107,7 +96,6 @@ def _quadratic(params: Sequence[float]) -> Potential:
         name="quadratic",
         evaluator=lambda s: s * s,
         nonnegative=True,
-        growth=None,  # s^2 admits no linear-growth certificate
         lipschitz_rule=lambda s0: 2.0 * s0,
     )
 
@@ -118,7 +106,6 @@ def _absval(params: Sequence[float]) -> Potential:
         name="absval",
         evaluator=np.abs,
         nonnegative=True,
-        growth=1.0,
         lipschitz_rule=lambda s0: 1.0 if s0 > 0.0 else 0.0,
     )
 
@@ -133,7 +120,6 @@ def _bounded_sine(params: Sequence[float]) -> Potential:
         name=f"bounded_sine({amp:g})",
         evaluator=lambda s: amp * (1.0 + np.sin(s)),
         nonnegative=True,
-        growth=2.0 * amp,
         # sup|cos| on [-s0, s0] is 1 for every s0 > 0 (attained at 0)
         lipschitz_rule=lambda s0: amp if s0 > 0.0 else 0.0,
     )
@@ -148,7 +134,6 @@ def _linear_growth(params: Sequence[float]) -> Potential:
         name=f"linear_growth({a:g})",
         evaluator=lambda s: 0.5 * a * (1.0 + np.abs(s)),
         nonnegative=True,
-        growth=a,
         lipschitz_rule=lambda s0: 0.5 * a if s0 > 0.0 else 0.0,
     )
 

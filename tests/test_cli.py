@@ -113,10 +113,7 @@ def test_invalid_steps_names_field(tmp_path, capsys):
         lambda c: c["fixedpoint"].update(initial_guess=[1, 2]),
         lambda c: c["domain"].update(n=[True]),
         lambda c: c["initial"]["params"].update(k=True),
-        pytest.param(
-            lambda c: c.update(initial={"name": "gaussian", "params": {"width": 1e-300}}),
-            marks=pytest.mark.filterwarnings("ignore::RuntimeWarning"),  # 1/width**2 overflows
-        ),
+        lambda c: c.update(initial={"name": "gaussian", "params": {"width": 1e-300}}),
         lambda c: c["initial"].update(sign_check="no"),
         lambda c: c["time"].update(scheme="crank-nicolson"),  # one spelling per scheme
     ],
@@ -244,9 +241,9 @@ def test_elliptic_residual_is_finite_where_its_unscaled_terms_overflow(tmp_path,
     assert math.isclose(residuals[1e306], residuals[1e300], rel_tol=1e-12)
 
 
-def test_overflowing_growth_bound_is_met_without_warning(tmp_path, capsys):
-    # the scaled_datum start makes v ~ 1e9, so the growth bound a (1 + |v|)
-    # of bounded_sine(1e300) exceeds the floating-point range
+def test_probe_of_a_huge_potential_runs_without_warning(tmp_path, capsys):
+    # the scaled_datum start makes v ~ 1e9 and bounded_sine(1e300) is ~1e300
+    # there; the probe converges from every start and prints no warning
     out = tmp_path / "out"
     cfg = base_config(out, mode="probe",
                       potential={"name": "bounded_sine", "params": [1e300]})
@@ -388,6 +385,19 @@ def test_sweep_records_failed_rows(tmp_path):
     assert lines[2].startswith("0.1,True,4,") and lines[2].endswith(",")
     assert lines[3] == ("1e+308,,,,,the map returned a non-finite time integral: "
                         "the states overflowed")
+
+
+def test_sweep_row_lets_an_undocumented_error_propagate(tmp_path, monkeypatch):
+    # a row records only invalid values and numerical failures; any other
+    # exception is a fault of the program, not a row outcome
+    def broken(job, sink=None):
+        raise KeyError("a programming error")
+
+    monkeypatch.setattr(cli, "_solve", broken)
+    cfg = base_config(tmp_path / "out", mode="sweep")
+    cfg["sweep"] = {"axis": "T", "values": [0.1]}
+    with pytest.raises(KeyError, match="a programming error"):
+        cli.run(write_config(tmp_path, cfg), quiet=True)
 
 
 def test_sweep_with_an_unconverged_row_exits_2(tmp_path):
@@ -596,6 +606,52 @@ def test_zero_lipschitz_constant_gives_zero_product_beyond_float_range(tmp_path,
     assert threshold["s0"] is None  # inf, written as null
     assert threshold["lipschitz"] == 0.0
     assert threshold["product"] == 0.0 and threshold["met"] is True
+
+
+def gaussian(width):
+    return {"initial": {"name": "gaussian", "params": {"width": width}}}
+
+
+def extreme_probe(cfg):
+    # 2 * S0 = 2e308 exceeds the floating-point range, S0 itself does not
+    cfg.update(mode="probe", potential={"name": "zero", "params": []},
+               domain={"dim": 1, "lengths": [1.0], "n": [19]},
+               time={"T": 10.0, "steps": 20, "scheme": "implicit_euler"},
+               initial=sine(1e307))
+    cfg["fixedpoint"]["starts"] = 3
+
+
+@pytest.mark.parametrize("edit,code,field", [
+    # every 1/L**2 and 1/h**2 of the stencil must be a finite positive float
+    (lambda c: c["domain"].update(lengths=[1e300]), 3, "domain.lengths"),
+    (lambda c: c["domain"].update(lengths=[1e-300]), 3, "domain.lengths"),
+    (lambda c: c["domain"].update(dim=2, lengths=[1.0, 1e-300], n=[9, 9]), 3,
+     "domain.lengths"),
+    (lambda c: c["domain"].update(lengths=[1e-155]), 3, "domain.lengths"),  # 1/h**2 = inf
+    (lambda c: c["domain"].update(lengths=[1e154]), 0, None),
+    # 2*width**2 must be a finite positive float; a datum that is 0 off-centre is fine
+    (lambda c: c.update(gaussian(1e200)), 3, "initial.params.width"),
+    (lambda c: c.update(gaussian(1e-300)), 3, "initial.params.width"),
+    (lambda c: c.update(gaussian(1e-160)), 0, None),
+    (extreme_probe, 0, None),
+    (lambda c: c["time"].update(T=1e308), 5, None),
+    (lambda c: c.update(potential={"name": "constant", "params": [-1e308]}), 5, None),
+], ids=["length1e300", "length1e-300", "axis1e-300", "length1e-155", "length1e154",
+        "width1e200", "width1e-300", "width1e-160", "probe1e307", "T1e308",
+        "constant-1e308"])
+def test_extreme_configs_end_in_their_exit_code(tmp_path, capsys, edit, code, field):
+    # no traceback and no warning (the suite fails on one), at most one stderr
+    # line; an invalid config names its field and writes nothing
+    out = tmp_path / "out"
+    cfg = base_config(out)
+    cfg["output"]["formats"] = ["json"]
+    edit(cfg)
+    assert cli.run(write_config(tmp_path, cfg), quiet=True) == code
+    err = capsys.readouterr().err
+    assert err.count("\n") <= 1 and "Traceback" not in err
+    if field is not None:
+        assert err.startswith(f"invalid config: {field} ")
+        assert not out.exists()
 
 
 def test_store_every_thins_trajectory_output_only(tmp_path):

@@ -248,10 +248,9 @@ def test_solve_rejects_bad_tau_and_grids():
 def test_solver_failure_carries_residual():
     g = Grid((1.0, 1.0), (12, 12))
     system = shifted_system(assemble(g), np.zeros(g.num_nodes), 5.0, max_iter=1)
-    with pytest.raises(SolverFailure) as info:
+    with pytest.raises(SolverFailure, match=r"within 1 iterations \(relative residual "
+                                            r"[1-9]\.\d{3}e[-+]\d\d\)"):
         system.solve(np.ones(g.num_nodes))
-    assert info.value.residual > 0.0
-    assert info.value.iterations == 1
 
 
 def test_single_interior_node():
@@ -266,19 +265,20 @@ def test_indefinite_step_operator_raises(n):
     # I + dt*(L - 2000 I) at dt = 1e-3 has 1 + dt*(lambda1 - 2000) < 0
     n = n if isinstance(n, tuple) else (n,)
     g = Grid((1.0,) * len(n), n)
-    with pytest.raises(SolverFailure, match="not positive definite") as info:
+    # the message locates the breakdown: a minor of the 1D factorization, a CG direction
+    where = (rf"leading minor \d+ of {g.num_nodes}" if len(n) == 1
+             else r"CG direction \d+ has p\^T A p = -")
+    with pytest.raises(SolverFailure, match=f"not positive definite \\({where}"):
         shifted_system(assemble(g), np.full(g.num_nodes, -2000.0), 1e-3).solve(
             np.ones(g.num_nodes))
-    assert info.value.iterations == 0
 
 
 def test_cg_rejects_a_right_hand_side_whose_norm_overflows():
     # every entry is finite, their Euclidean norm is not
     g = Grid((1.0, 1.0), (5, 5))
-    with pytest.raises(SolverFailure, match="non-finite norm") as info:
+    with pytest.raises(SolverFailure, match="^CG right-hand side has a non-finite norm$"):
         shifted_system(assemble(g), np.zeros(g.num_nodes), 0.1).solve(
             np.full(g.num_nodes, 1e308))
-    assert info.value.iterations == 0
 
 
 def test_cg_restarts_when_the_recursive_residual_drifts():

@@ -49,7 +49,10 @@ def test_grid_basic_2d():
 @pytest.mark.parametrize(
     "lengths,n",
     [((0.0,), (3,)), ((-1.0,), (3,)), ((1.0,), (0,)), ((1.0, 1.0, 1.0), (2, 2, 2)),
-     ((1.0, 1.0), (2,))],
+     ((1.0, 1.0), (2,)),
+     # the stencil leaves the float range: 1/L**2 overflows or underflows to 0,
+     # or 4*sum(1/h**2) is infinite
+     ((1e300,), (49,)), ((1e-300,), (49,)), ((1.0, 1e-300), (9, 9)), ((1e-155,), (49,))],
 )
 def test_grid_rejects_bad_input(lengths, n):
     with pytest.raises(ValueError):
@@ -321,3 +324,5 @@ def test_restrict_2d_and_validation():
     fine = Grid((1.0, 2.0), (7, 5))
     r = restrict(Field(fine, np.arange(35.0)), Grid((1.0, 2.0), (3, 5)))
     assert np.array_equal(r.reshaped(), np.arange(35.0).reshape(7, 5)[[1, 3, 5], :])
+    # an equal grid, as on a time_only study's levels, keeps every value
+    assert np.array_equal(restrict(r, r.grid).values, r.values)

@@ -17,7 +17,6 @@ GRID = Grid((1.0,), (11,))
 def test_catalog_zero():
     phi = catalog("zero")
     assert phi.nonnegative
-    assert phi.growth == 0.0
     assert phi.lipschitz_rule(5.0) == 0.0
     assert np.all(phi(np.linspace(-3, 3, 7)) == 0.0)
 
@@ -28,20 +27,18 @@ def test_catalog_constant(c, nonneg):
     assert phi.nonnegative is nonneg
     assert np.all(phi(np.array([-1.0, 0.0, 7.0])) == c)
     assert phi.lipschitz_rule(10.0) == 0.0
-    assert (phi.growth == c) if c >= 0 else (phi.growth is None)
 
 
 def test_catalog_quadratic():
     phi = catalog("quadratic")
     assert phi.nonnegative
-    assert phi.growth is None
     assert np.allclose(phi(np.array([-2.0, 0.5])), [4.0, 0.25])
     assert phi.lipschitz_rule(2.0) == 4.0
 
 
 def test_catalog_absval():
     phi = catalog("absval")
-    assert phi.nonnegative and phi.growth == 1.0
+    assert phi.nonnegative
     assert phi.lipschitz_rule(3.0) == 1.0
     assert phi.lipschitz_rule(0.0) == 0.0
 
@@ -54,14 +51,12 @@ def test_catalog_bounded_sine():
     assert phi.lipschitz_rule(10.0) == 1.0
     scaled = catalog("bounded_sine", [2.5])
     assert scaled.lipschitz_rule(1.0) == 2.5
-    assert scaled.growth == 5.0
 
 
 def test_catalog_linear_growth():
     phi = catalog("linear_growth", [3.0])
     s = np.array([-2.0, 0.0, 4.0])
     assert np.allclose(phi(s), 1.5 * (1.0 + np.abs(s)))
-    assert phi.growth == 3.0
     assert phi.lipschitz_rule(1.0) == 1.5
     with pytest.raises(ValueError):
         catalog("linear_growth", [-1.0])
@@ -109,13 +104,6 @@ def test_nemytskii_rejects_broken_nonnegative_certificate():
     lying = Potential(name="identity", evaluator=lambda s: s, nonnegative=True)
     v = Field.constant(GRID, -1.0)
     with pytest.raises(EvaluationError, match="nonnegative"):
-        nemytskii(lying, v)
-
-
-def test_nemytskii_rejects_broken_growth_certificate():
-    lying = Potential(name="square", evaluator=lambda s: s * s, growth=1.0)
-    v = Field.constant(GRID, 10.0)
-    with pytest.raises(EvaluationError, match="growth"):
         nemytskii(lying, v)
 
 
