@@ -177,10 +177,8 @@ def _initial_datum(sec: dict, grid: Grid) -> Field:
         centers = _per_axis(params, "initial.params.center", "number",
                             [L / 2.0 for L in grid.lengths], grid.dim)
         width = _get(params, "initial.params.width", "number")
-        try:
-            spread = 2.0 * float(width) ** 2
-        except OverflowError:
-            spread = math.inf
+        w = float(width)
+        spread = 2.0 * (w * w)  # a float product gives inf or 0.0 where ** would raise
         if width <= 0 or not 0.0 < spread < math.inf:
             _fail("initial.params.width",
                   f"must be positive with 2*width**2 a finite positive float, got {width}")
@@ -287,6 +285,9 @@ def parse_config(cfg: dict) -> Job:
         if refine == "space_time" and initial["name"] == "from_file":
             _fail("study.refine", "must be 'time_only' for a from_file datum, "
                                   "which holds one grid")
+        if refine == "space_time":  # the finest level's grid is checked before any write
+            finest = _refined_config(cfg, levels - 1, refine)
+            _build("domain", Grid, grid.lengths, tuple(finest["domain"]["n"]))
         settings.update(levels=levels, refine=refine)
     elif mode == "sweep":
         sweep = _get(cfg, "sweep", "object")

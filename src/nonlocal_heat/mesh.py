@@ -40,12 +40,11 @@ class Grid:
             raise ValueError(f"lengths must be positive, got {lengths}")
         if any(v < 1 for v in n):
             raise ValueError(f"n must be >= 1 on every axis, got {n}")
-        try:  # 4*sum(1/h**2) bounds the stencil's values on a field of magnitude 1
-            finite = (all(1.0 / L**2 > 0.0 for L in lengths)
-                      and 4.0 * sum(1.0 / h**2 for h in self.h) < math.inf)
-        except (OverflowError, ZeroDivisionError):  # a square overflows, or underflows to 0
-            finite = False
-        if not finite:
+        # 1/L**2 is positive where L*L is finite; 4*sum(1/h**2) bounds the
+        # stencil's values on a field of magnitude 1 (float products give inf
+        # or 0.0 where ** would raise)
+        if not (all(L * L < math.inf for L in lengths) and all(h * h > 0.0 for h in self.h)
+                and 4.0 * sum(1.0 / (h * h) for h in self.h) < math.inf):
             raise ValueError(f"lengths must keep every 1/L**2 positive and 4*sum(1/h**2) "
                              f"finite, got {lengths} with n = {n}")
 

@@ -621,6 +621,12 @@ def extreme_probe(cfg):
     cfg["fixedpoint"]["starts"] = 3
 
 
+def extreme_study(cfg):
+    # level 0 (n = 49) keeps 4/h**2 finite, the finest level (n = 99) does not
+    cfg.update(mode="convergence_study", study={"levels": 2, "refine": "space_time"})
+    cfg["domain"]["lengths"] = [1e-152]
+
+
 @pytest.mark.parametrize("edit,code,field", [
     # every 1/L**2 and 1/h**2 of the stencil must be a finite positive float
     (lambda c: c["domain"].update(lengths=[1e300]), 3, "domain.lengths"),
@@ -629,6 +635,7 @@ def extreme_probe(cfg):
      "domain.lengths"),
     (lambda c: c["domain"].update(lengths=[1e-155]), 3, "domain.lengths"),  # 1/h**2 = inf
     (lambda c: c["domain"].update(lengths=[1e154]), 0, None),
+    (extreme_study, 3, "domain.lengths"),  # a study's finest grid, before any write
     # 2*width**2 must be a finite positive float; a datum that is 0 off-centre is fine
     (lambda c: c.update(gaussian(1e200)), 3, "initial.params.width"),
     (lambda c: c.update(gaussian(1e-300)), 3, "initial.params.width"),
@@ -637,6 +644,7 @@ def extreme_probe(cfg):
     (lambda c: c["time"].update(T=1e308), 5, None),
     (lambda c: c.update(potential={"name": "constant", "params": [-1e308]}), 5, None),
 ], ids=["length1e300", "length1e-300", "axis1e-300", "length1e-155", "length1e154",
+        "study1e-152",
         "width1e200", "width1e-300", "width1e-160", "probe1e307", "T1e308",
         "constant-1e308"])
 def test_extreme_configs_end_in_their_exit_code(tmp_path, capsys, edit, code, field):
