@@ -51,7 +51,7 @@ EXIT_NUMERICAL = 5
 _REQUIRED = object()
 _CONTAINERS = {"object": dict, "list": list, "string": str, "boolean": bool}
 _KINDS = {"object": "an object", "list": "a list", "string": "a string", "boolean": "a boolean",
-          "number": "a finite number", "integer": "an integer"}
+          "number": "a number in the float range", "integer": "an integer in the float range"}
 
 
 class ConfigError(ValueError):
@@ -77,14 +77,15 @@ def _build(section: str, make, *args, **kwargs):
 def _typed(value, field: str, kind: str):
     """``value`` checked against a JSON type, one of ``_KINDS``.
 
-    Numbers must be finite (``json`` accepts NaN and Infinity); booleans are
-    not numbers; an integer may be written as an integral float.
+    Numbers must lie in the float range: ``json`` accepts NaN, Infinity and
+    integers of any length.  Booleans are not numbers; an integer may be
+    written as an integral float.
     """
     if kind in _CONTAINERS:
         ok = isinstance(value, _CONTAINERS[kind])
     else:
         ok = (not isinstance(value, bool) and isinstance(value, (int, float))
-              and math.isfinite(value) and (kind == "number" or int(value) == value))
+              and abs(value) <= sys.float_info.max and (kind == "number" or int(value) == value))
     if not ok:
         _fail(field, f"must be {_KINDS[kind]}, got {value!r}")
     return int(value) if kind == "integer" else value
@@ -195,13 +196,10 @@ def _initial_datum(sec: dict, grid: Grid) -> Field:
     elif name == "from_file":
         path = _get(params, "initial.params.path", "string")
         try:
-            field = nio.read_field(path)
+            field = nio.read_field(path, grid)
         except (OSError, ValueError, KeyError, TypeError) as exc:
             _fail("initial.params.path",
                   f"cannot be loaded as a field: {type(exc).__name__}: {exc}")
-        if field.grid != grid:
-            _fail("initial.params.path",
-                  f"holds a field on grid {field.grid.n}, but domain.n is {grid.n}")
         field = float(_get(params, "initial.params.scale", "number", 1.0)) * field
     else:
         _fail("initial.name", f"is not a known initial datum: {name!r}")
@@ -261,12 +259,13 @@ def parse_config(cfg: dict) -> Job:
         _fail("initial", f"gives no valid datum: {exc}")
 
     fp = _get(cfg, "fixedpoint", "object", {})
+    if "initial_guess" in fp:
+        _fail("fixedpoint.initial_guess", "is not a config key: a solve starts from zero")
     pcfg = _build(
         "fixedpoint", PicardConfig,
         tol=_get(fp, "fixedpoint.tol", "number", 1e-10),
         max_iter=_get(fp, "fixedpoint.max_iter", "integer", 200),
         damping=_get(fp, "fixedpoint.damping", "number", 1.0),
-        initial_guess=_get(fp, "fixedpoint.initial_guess", "string", "zero"),
     )
 
     settings = {}

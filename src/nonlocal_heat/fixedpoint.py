@@ -7,14 +7,15 @@ SIAM J. Numer. Anal. 49, 2011).  ``PicardConfig.damping`` is the mixing
 weight; with no history (the first sweep) the update is the damped Picard
 step ``v <- v + damping * (Phi(v) - v)``.  Existence comes from Schauder's
 theorem, not from a contraction, so outside the small-data regime plain
-Picard iteration may crawl or fail; non-convergence is a reported outcome,
-never an exception.
+Picard iteration may crawl or fail, and the start and the damping can
+decide which of several fixed points a run reaches; non-convergence is a
+reported outcome, never an exception.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -37,7 +38,6 @@ class PicardConfig:
     tol: float = 1e-10
     max_iter: int = 200
     damping: float = 1.0
-    initial_guess: str | Field = "zero"  # "zero" | "scaled_datum" | explicit Field
 
     def __post_init__(self) -> None:
         if not self.tol > 0.0:
@@ -47,14 +47,6 @@ class PicardConfig:
         object.__setattr__(self, "max_iter", int(self.max_iter))
         if not 0.0 < self.damping <= 1.0:
             raise ValueError(f"damping must lie in (0, 1], got {self.damping}")
-        if not isinstance(self.initial_guess, Field) and self.initial_guess not in (
-            "zero",
-            "scaled_datum",
-        ):
-            raise ValueError(
-                f"initial_guess must be 'zero', 'scaled_datum', or a Field, "
-                f"got {self.initial_guess!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -124,23 +116,6 @@ class FixedPointReport:
         }
 
 
-def _initial_iterate(pcfg: PicardConfig, u0: Field, T: float) -> Field:
-    """The field a start names: ``"zero"``, ``"scaled_datum"`` (``T * u0``)
-    or an explicit ``Field`` on the datum's grid."""
-    guess = pcfg.initial_guess
-    if isinstance(guess, Field):
-        if guess.grid != u0.grid:
-            raise ValueError("initial guess lives on a different grid")
-        return guess
-    if guess == "scaled_datum":
-        with np.errstate(over="ignore"):  # checked below
-            v = T * u0.values
-        if not np.all(np.isfinite(v)):
-            raise EvaluationError("the scaled datum T * u0 overflows")
-        return Field(u0.grid, v)
-    return Field.zeros(u0.grid)
-
-
 def _norm(grid: Grid, values: np.ndarray, p: float = 2.0) -> float:
     return norm_lp(Field(grid, values), p)
 
@@ -152,6 +127,7 @@ def picard_solve(
     ecfg: EvolutionConfig,
     pcfg: PicardConfig | None = None,
     sink=None,
+    start: Field | None = None,
 ) -> FixedPointReport:
     """Anderson-mixed fixed-point iteration on ``v = Phi(v)``.
 
@@ -163,20 +139,23 @@ def picard_solve(
     first sweep has no history, so it is the damped step
     ``v + damping * f``; with ``damping = 1`` it is ``Phi(v)`` itself.
 
-    The iteration stops once ``||f_k||_2 / max(||v_k||_2, ||g_k||_2, FLOOR)
-    <= tol`` or after ``max_iter`` map evaluations, so a first sweep from
-    the zero start reports 1 for a nonzero map output.  The reported ``uT``
-    is the map output of the final sweep, the trapezoidal integral over
-    every step of the reported trajectory.  Every sweep passes its states
-    to ``sink`` (see ``evolve``), so the last ones it sees are the reported
-    trajectory's.
+    The iteration starts at ``start``, the zero field when None, and stops
+    once ``||f_k||_2 / max(||v_k||_2, ||g_k||_2, FLOOR) <= tol`` or after
+    ``max_iter`` map evaluations, so a first sweep from the zero start
+    reports 1 for a nonzero map output; a start on another grid raises
+    ``ValueError``.  The reported ``uT`` is the map output of the final
+    sweep, the trapezoidal integral over every step of the reported
+    trajectory.  Every sweep passes its states to ``sink`` (see ``evolve``),
+    so the last ones it sees are the reported trajectory's.
     Contraction estimates are the map's Lipschitz quotients along the iterates,
     ``||g_k - g_{k-1}||_2 / ||v_k - v_{k-1}||_2``.  An iterate that mixing
     drives out of floating-point range raises :class:`EvaluationError`.
     """
     pcfg = pcfg or PicardConfig()
     grid = u0.grid
-    v = _initial_iterate(pcfg, u0, ecfg.T).values
+    if start is not None and start.grid != grid:
+        raise ValueError(f"the start lives on {start.grid}, the datum on {grid}")
+    v = Field.zeros(grid).values if start is None else start.values
     d_f, d_g = np.empty((2, ANDERSON_DEPTH, v.size))  # ring buffers of dF and dG
 
     residuals: list[float] = []
@@ -295,27 +274,31 @@ def uniqueness_probe(
     n_starts: int = 5,
     seed: int = 0,
 ) -> ProbeReport:
-    """Run ``picard_solve`` from several initial guesses and compare the limits.
+    """Run ``picard_solve`` from several starts and compare the limits.
 
-    Guesses are the zero field, the time-scaled datum, and seeded random
-    fields with entries ``S0 * U(-1, 1)``, which stay finite for every
-    finite ``S0``.  Non-convergent starts are
-    recorded, not fatal; distances only compare converged runs.
+    The starts are the zero field, the time-scaled datum ``T * u0`` (an
+    :class:`EvaluationError` when it overflows), and seeded random fields
+    with entries ``S0 * U(-1, 1)``, which stay finite for every finite
+    ``S0``.  Non-convergent starts are recorded, not fatal; distances only
+    compare converged runs.
     """
     if n_starts < 2:
         raise ValueError(f"need at least 2 starts, got {n_starts}")
-    pcfg = pcfg or PicardConfig()
 
-    def run(guess: str | Field) -> FixedPointReport:
-        return picard_solve(lap, phi, u0, ecfg, replace(pcfg, initial_guess=guess))
+    def run(start: Field) -> FixedPointReport:
+        return picard_solve(lap, phi, u0, ecfg, pcfg, start=start)
 
-    kinds = ["zero", "scaled_datum"]
-    runs = [run(kind) for kind in kinds]
+    kinds = ["zero", "scaled_datum"] + [f"random_{i}" for i in range(n_starts - 2)]
+    runs = [run(Field.zeros(u0.grid))]
+    with np.errstate(over="ignore"):  # checked below
+        scaled = ecfg.T * u0.values
+    if not np.all(np.isfinite(scaled)):
+        raise EvaluationError("the scaled datum T * u0 overflows")
+    runs.append(run(Field(u0.grid, scaled)))
     s0 = runs[0].threshold.s0
     rng = np.random.default_rng(seed)
-    for i in range(n_starts - 2):
-        kinds.append(f"random_{i}")
-        runs.append(run(Field(u0.grid, s0 * rng.uniform(-1.0, 1.0, u0.grid.num_nodes))))
+    runs += [run(Field(u0.grid, s0 * rng.uniform(-1.0, 1.0, u0.grid.num_nodes)))
+             for _ in range(n_starts - 2)]
 
     converged_uts = [r.uT for r in runs if r.converged]
     max_dist = 0.0

@@ -10,10 +10,12 @@ stepped.
 Both CSVs print every float with ``%.17g`` (17 significant digits, so each
 value reads back exactly) and end lines in a bare line feed.  Field CSV
 rows are ``x[,y],value``, one per interior node; trajectory CSV rows are
-``t,node,value``, node the row-major node index.  The trajectory CSV is
-formatted from the binary ``BLOCK_BYTES`` of states at a time, so its
-memory does not grow with ``K``; a binary whose size differs from the one
-its header implies raises ``ValueError`` before any CSV byte is written.
+``t,node,value``, node the row-major node index.  A field file is read
+against the run's grid; a CSV coordinate may be off its node by a relative
+1e-9.  The trajectory CSV is formatted from the binary ``BLOCK_BYTES`` of
+states at a time, so its memory does not grow with ``K``; a binary whose
+size differs from the one its header implies raises ``ValueError`` before
+any CSV byte is written.
 """
 
 from __future__ import annotations
@@ -57,37 +59,18 @@ def write_field_csv(field: Field, path: str | Path) -> None:
         out.write(header + "\n" + _csv_rows("", tails, field.values))
 
 
-def _infer_axis(coords: np.ndarray, axis_name: str) -> tuple[float, int]:
-    """Recover (length, n) from uniform interior coordinates h, 2h, ..., nh."""
-    n = coords.size
-    h = coords[0]
-    if h <= 0.0:
-        raise ValueError(f"{axis_name}-coordinates must start at one spacing, got {h}")
-    expected = h * np.arange(1, n + 1)
-    if not np.allclose(coords, expected, rtol=1e-9, atol=1e-12 * max(h, 1.0)):
-        raise ValueError(f"{axis_name}-coordinates are not a uniform interior grid")
-    return h * (n + 1), n
-
-
-def read_field_csv(path: str | Path) -> Field:
-    """Read a field CSV, inferring the uniform grid from the coordinates.
-
-    Columns are one coordinate per axis, then the value; rows list the nodes
-    row-major, as ``write_field_csv`` writes them.  Each axis is inferred
-    from its column's unique values, then every row must match its node.
-    """
+def read_field_csv(path: str | Path, grid: Grid) -> Field:
+    """Read a field CSV whose rows list ``grid``'s nodes as ``write_field_csv``
+    writes them; a file of another shape, or a coordinate off its node by
+    more than a relative 1e-9, raises ``ValueError``."""
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    dim = data.shape[1] - 1
-    if dim not in (1, 2):
-        raise ValueError(f"expected 2 or 3 columns, got {data.shape[1]}")
-    lengths, n = zip(*(_infer_axis(np.unique(data[:, a]), _AXES[a]) for a in range(dim)))
-    grid = Grid(lengths, n)
-    if data.shape[0] != grid.num_nodes or not all(
-        np.allclose(data[:, a], expected, rtol=1e-9)
+    if data.shape != (grid.num_nodes, grid.dim + 1) or not all(
+        np.allclose(data[:, a], expected, rtol=1e-9, atol=0.0)
         for a, expected in enumerate(grid.coordinates())
     ):
-        raise ValueError("coordinates are not a row-major uniform interior grid")
-    return Field(grid, data[:, dim])
+        raise ValueError(f"'{path}' holds {data.shape[0]} rows of {data.shape[1]} columns "
+                         f"that are not the nodes of the run's {grid}")
+    return Field(grid, data[:, grid.dim])
 
 
 def write_field_json(field: Field, path: str | Path) -> None:
@@ -108,13 +91,17 @@ def read_field_json(path: str | Path) -> Field:
     return Field(grid, np.asarray(payload["values"], dtype=float))
 
 
-def read_field(path: str | Path) -> Field:
-    """Dispatch on extension: .json or .csv."""
+def read_field(path: str | Path, grid: Grid) -> Field:
+    """Read a .json or .csv field file written on ``grid``; a file on
+    another grid raises ``ValueError``."""
     suffix = Path(path).suffix.lower()
     if suffix == ".json":
-        return read_field_json(path)
+        field = read_field_json(path)
+        if field.grid != grid:
+            raise ValueError(f"'{path}' holds a field on {field.grid}, not on the run's {grid}")
+        return field
     if suffix == ".csv":
-        return read_field_csv(path)
+        return read_field_csv(path, grid)
     raise ValueError(f"cannot read field from '{path}': unknown extension")
 
 

@@ -58,7 +58,7 @@ class Grid:
 
     @property
     def num_nodes(self) -> int:
-        return int(np.prod(self.n))
+        return math.prod(self.n)
 
     @property
     def cell_measure(self) -> float:

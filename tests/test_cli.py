@@ -1,11 +1,14 @@
+import copy
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from nonlocal_heat import assemble, cli, picard_solve, uniqueness_threshold
+from nonlocal_heat import Field, Grid, assemble, cli, picard_solve, uniqueness_threshold
+from nonlocal_heat import io as nio
 from nonlocal_heat.io import read_field_json
 from conftest import savetxt_trajectory_csv, trajectory_binary
 
@@ -76,6 +79,40 @@ def test_readme_example_config(tmp_path):
     assert report["verification"]["passed"] is True
 
 
+def test_parse_config_reads_only_keys_the_readme_names(tmp_path, monkeypatch):
+    # every key parse_config asks for, in any mode and for any datum, is a key
+    # of the README's example config or a backticked word of its CLI section
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = json.loads(readme.split("Example config:\n\n```json\n", 1)[1].split("```", 1)[0])
+    cli_text = re.sub(r"```.*?```", "", readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0],
+                      flags=re.S)
+
+    def keys(obj):
+        return set(obj) | {k for v in obj.values() if isinstance(v, dict) for k in keys(v)}
+
+    named = keys(example) | {word for span in re.findall(r"`([^`]+)`", cli_text)
+                             for word in re.findall(r"\w+", span)}
+    read = set()
+    for name in ("_get", "_get_list", "_per_axis"):
+        def recording(section, field, *args, _original=getattr(cli, name), **kwargs):
+            read.add(field.rsplit(".", 1)[-1])
+            return _original(section, field, *args, **kwargs)
+
+        monkeypatch.setattr(cli, name, recording)
+    datum = tmp_path / "datum.json"
+    nio.write_field_json(Field.zeros(Grid((1.0,), (49,))), datum)
+    data = [sine(0.5), {"name": "gaussian", "params": {"width": 0.1}},
+            {"name": "constant", "params": {"value": 1.0}},
+            {"name": "from_file", "params": {"path": str(datum)}}]
+    for mode in cli.MODES:
+        for initial in data:
+            cli.parse_config(base_config(tmp_path / "out", mode=mode, initial=initial,
+                                         study={"refine": "time_only"},
+                                         sweep={"axis": "T", "values": [0.1]}))
+    assert "refine" in read and "axis" in read and "path" in read
+    assert read - named == set()
+
+
 def test_readme_library_example_runs(capsys):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("## Library use\n\n```python\n", 1)[1].split("```", 1)[0]
@@ -116,12 +153,26 @@ def test_invalid_steps_names_field(tmp_path, capsys):
         lambda c: c.update(initial={"name": "gaussian", "params": {"width": 1e-300}}),
         lambda c: c["initial"].update(sign_check="no"),
         lambda c: c["time"].update(scheme="crank-nicolson"),  # one spelling per scheme
+        lambda c: c.pop("time"),  # a required section
+        lambda c: c.update(initial={"name": "gaussian",
+                                    "params": {"width": 0.1, "center": [0.5, 0.5]}}),
+        lambda c: c["initial"]["params"].update(k=0),
+        lambda c: c.update(mode="convergence_study", study={"refine": "space"}),
+        lambda c: c.update(mode="sweep", sweep={"axis": "dt", "values": [0.1]}),
+        lambda c: "{not json",
+        lambda c: json.dumps([c]),  # a list at the top level
     ],
 )
-def test_invalid_configs_exit_3(tmp_path, mutate):
-    cfg = base_config(tmp_path / "out")
-    mutate(cfg)
-    assert cli.run(write_config(tmp_path, cfg), quiet=True) == 3
+def test_invalid_configs_exit_3(tmp_path, capsys, mutate):
+    # a mutation edits the config in place or returns the file's whole text
+    out = tmp_path / "out"
+    cfg = base_config(out)
+    text = mutate(cfg)
+    path = tmp_path / "config.json"
+    path.write_text(text if isinstance(text, str) else json.dumps(cfg))
+    assert cli.run(path, quiet=True) == 3
+    assert capsys.readouterr().err.startswith("invalid config: ")
+    assert not out.exists()
 
 
 def test_invalid_mode_settings_exit_3_before_any_write(tmp_path):
@@ -343,14 +394,15 @@ def test_convergence_study_spatial(tmp_path):
     assert errs[0] > errs[1] > errs[2] == 0.0
 
 
-def test_convergence_study_zero_datum_reports_na(tmp_path):
+def test_convergence_study_zero_datum_reports_na(tmp_path, capsys):
     out = tmp_path / "out"
     cfg = base_config(out, mode="convergence_study")
     cfg["initial"] = {"name": "constant", "params": {"value": 0.0}}
     cfg["study"] = {"levels": 2}
-    assert cli.run(write_config(tmp_path, cfg), quiet=True) == 0
-    lines = (out / "study.csv").read_text().splitlines()
-    assert all(line.endswith("n/a") for line in lines[1:])
+    assert cli.run(write_config(tmp_path, cfg)) == 0
+    text = (out / "study.csv").read_text()
+    assert capsys.readouterr().out == text  # echoed unless --quiet
+    assert all(line.endswith("n/a") for line in text.splitlines()[1:])
 
 
 def test_nonconverged_study_exits_2_with_its_table(tmp_path):
@@ -478,6 +530,20 @@ def test_from_file_initial(tmp_path):
     assert cli.run(write_config(tmp_path, cfg2, "c3.json"), quiet=True) == 3
 
 
+def test_ut_csv_reads_back_as_a_from_file_datum(tmp_path):
+    # at length 0.9 and n = 9 the file's coordinates put h * (n + 1) at
+    # 0.8999999999999999; the file is read against the config's grid
+    out1, out2 = tmp_path / "first", tmp_path / "second"
+    cfg = base_config(out1, domain={"dim": 1, "lengths": [0.9], "n": [9]})
+    cfg["time"]["steps"] = 10
+    assert cli.run(write_config(tmp_path, cfg, "c1.json"), quiet=True) == 0
+    cfg2 = base_config(out2, domain=cfg["domain"], time=cfg["time"],
+                       initial={"name": "from_file", "params": {"path": str(out1 / "ut.csv")}})
+    assert cli.run(write_config(tmp_path, cfg2, "c2.json"), quiet=True) == 0
+    assert np.array_equal(cli.parse_config(cfg2).u0.values,
+                          read_field_json(out1 / "ut.json").values)
+
+
 def test_gaussian_initial_2d(tmp_path):
     out = tmp_path / "out"
     cfg = base_config(out)
@@ -585,16 +651,15 @@ def overflowing_s0_config(out, **overrides):
     return cfg
 
 
-@pytest.mark.parametrize("mode,guess", [("probe", "zero"), ("solve", "scaled_datum")])
-def test_scaled_datum_beyond_float_range_exits_5_with_report(tmp_path, capsys, mode, guess):
+def test_scaled_datum_beyond_float_range_exits_5_with_report(tmp_path, capsys):
+    # the probe's second start is T * u0, which overflows after the zero start ran
     out = tmp_path / "out"
-    cfg = overflowing_s0_config(out, mode=mode)
-    cfg["fixedpoint"]["initial_guess"] = guess
+    cfg = overflowing_s0_config(out, mode="probe")
     assert cli.run(write_config(tmp_path, cfg)) == cli.EXIT_NUMERICAL
     captured = capsys.readouterr()
     assert captured.err == "numerical failure: EvaluationError: the scaled datum T * u0 overflows\n"
     report = json.loads((out / "report.json").read_text())
-    assert report["error"]["type"] == "EvaluationError" and report["mode"] == mode
+    assert report["error"]["type"] == "EvaluationError" and report["mode"] == "probe"
 
 
 def test_zero_lipschitz_constant_gives_zero_product_beyond_float_range(tmp_path, capsys):
@@ -621,6 +686,53 @@ def extreme_probe(cfg):
     cfg["fixedpoint"]["starts"] = 3
 
 
+HUGE = 10**400  # a JSON integer beyond the float range
+
+
+def huge(field, as_list, settings):
+    """An edit that sets the dotted ``field`` to ``HUGE`` over ``settings``."""
+    def edit(cfg):
+        cfg.update(copy.deepcopy(settings))
+        *sections, key = field.split(".")
+        node = cfg
+        for section in sections:
+            node = node.setdefault(section, {})
+        node[key] = [HUGE] if as_list else HUGE
+    return edit
+
+
+# field -> (whether it takes a list, the settings that make the config read it)
+HUGE_FIELDS = {
+    "domain.lengths": (True, {}),
+    "time.steps": (False, {}),
+    "time.store_every": (False, {}),
+    "seed": (False, {}),
+    "initial.params.k": (False, {}),
+    "initial.params.amplitude": (False, {}),
+    "initial.params.center": (True, {"initial": {"name": "gaussian", "params": {"width": 0.1}}}),
+    "potential.params": (True, {}),
+    "fixedpoint.tol": (False, {}),
+    "fixedpoint.max_iter": (False, {}),
+    "fixedpoint.starts": (False, {"mode": "probe"}),
+    "study.levels": (False, {"mode": "convergence_study"}),
+    "sweep.values": (True, {"mode": "sweep", "sweep": {"axis": "T"}}),
+}
+
+
+def datum_on(lengths, n, suffix):
+    """An edit that makes the datum a field file written on another grid."""
+    def edit(cfg):
+        path = Path(cfg["output"]["dir"]).parent / f"datum{suffix}"
+        write = nio.write_field_csv if suffix == ".csv" else nio.write_field_json
+        write(Field.constant(Grid(lengths, n), 1.0), path)
+        cfg["initial"] = {"name": "from_file", "params": {"path": str(path)}}
+    return edit
+
+
+FOREIGN_DATA = [datum_on(lengths, n, suffix) for suffix in (".csv", ".json")
+                for lengths, n in (((1.0,), (48,)), ((0.9,), (49,)), ((1.0, 1.0), (49, 1)))]
+
+
 def extreme_study(cfg):
     # level 0 (n = 49) keeps 4/h**2 finite, the finest level (n = 99) does not
     cfg.update(mode="convergence_study", study={"levels": 2, "refine": "space_time"})
@@ -643,10 +755,18 @@ def extreme_study(cfg):
     (extreme_probe, 0, None),
     (lambda c: c["time"].update(T=1e308), 5, None),
     (lambda c: c.update(potential={"name": "constant", "params": [-1e308]}), 5, None),
+    *[(huge(field, *spec), 3, field) for field, spec in HUGE_FIELDS.items()],
+    # a config that named a start must not silently start from zero
+    (lambda c: c["fixedpoint"].update(initial_guess="scaled_datum"), 3,
+     "fixedpoint.initial_guess"),
+    # a field file on a grid other than the config's: n, length or dim
+    *[(edit, 3, "initial.params.path") for edit in FOREIGN_DATA],
 ], ids=["length1e300", "length1e-300", "axis1e-300", "length1e-155", "length1e154",
         "study1e-152",
         "width1e200", "width1e-300", "width1e-160", "probe1e307", "T1e308",
-        "constant-1e308"])
+        "constant-1e308", *[f"huge-{field}" for field in HUGE_FIELDS], "initial_guess",
+        *[f"from_file{suffix}-{axis}" for suffix in ("csv", "json")
+          for axis in ("n", "length", "dim")]])
 def test_extreme_configs_end_in_their_exit_code(tmp_path, capsys, edit, code, field):
     # no traceback and no warning (the suite fails on one), at most one stderr
     # line; an invalid config names its field and writes nothing

@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -43,8 +42,11 @@ def test_picard_config_validation():
         PicardConfig(damping=0.0)
     with pytest.raises(ValueError):
         PicardConfig(damping=1.5)
-    with pytest.raises(ValueError):
-        PicardConfig(initial_guess="nonsense")
+    with pytest.raises(TypeError):  # a start is a field passed to picard_solve
+        PicardConfig(initial_guess="zero")
+    with pytest.raises(ValueError, match="the start lives on Grid"):
+        picard_solve(LAP, catalog("zero"), sine_datum(), ECFG,
+                     start=Field.zeros(Grid((1.0,), (98,))))
 
 
 def test_zero_datum_converges_in_one_iteration():
@@ -65,10 +67,7 @@ def test_constant_potential_converges_in_exactly_two_iterations():
 
     rng = np.random.default_rng(23)
     guess = Field(GRID, rng.uniform(-0.1, 0.1, GRID.num_nodes))
-    report2 = picard_solve(
-        LAP, catalog("constant", [1.0]), sine_datum(), ECFG,
-        PicardConfig(initial_guess=guess),
-    )
+    report2 = picard_solve(LAP, catalog("constant", [1.0]), sine_datum(), ECFG, start=guess)
     assert report2.converged and report2.iterations == 2
     assert np.allclose(report.uT.values, report2.uT.values, rtol=0, atol=1e-15)
 
@@ -85,11 +84,11 @@ def test_first_sweep_is_the_damped_step():
     # no history yet: v1 = v0 + damping * (Phi(v0) - v0); the residual
     # ||Phi(v0) - v0|| / max(||v0||, ||Phi(v0)||) does not depend on the damping
     phi, u0 = catalog("quadratic"), sine_datum(0.5)
-    pcfg = PicardConfig(initial_guess="scaled_datum", max_iter=1)
     v0 = ECFG.T * u0
     g0, _ = phi_map(LAP, phi, u0, v0, ECFG)
     for damping in (1.0, 0.5):
-        report = picard_solve(LAP, phi, u0, ECFG, replace(pcfg, damping=damping))
+        report = picard_solve(LAP, phi, u0, ECFG, PicardConfig(max_iter=1, damping=damping),
+                              start=v0)
         step = v0.values + damping * (g0.values - v0.values)
         assert report.iterate_max_norms[1] == pytest.approx(np.abs(step).max(), rel=1e-15)
         scale = max(norm_lp(v0, 2), norm_lp(g0, 2))
@@ -229,10 +228,7 @@ def test_non_convergence_is_reported_not_raised():
 
 def test_scaled_datum_initial_guess():
     u0 = sine_datum(0.5)
-    report = picard_solve(
-        LAP, catalog("quadratic"), u0, ECFG,
-        PicardConfig(initial_guess="scaled_datum"),
-    )
+    report = picard_solve(LAP, catalog("quadratic"), u0, ECFG, start=ECFG.T * u0)
     assert report.converged
     assert report.iterate_max_norms[0] == pytest.approx(ECFG.T * norm_lp(u0, math.inf))
 
@@ -336,7 +332,8 @@ def test_probe_seed_reproducibility():
 def test_probe_named_starts_match_picard_solve():
     phi, u0 = catalog("quadratic"), sine_datum(0.5)
     probe = uniqueness_probe(LAP, phi, u0, ECFG, n_starts=3, seed=4)
-    for kind, run in zip(probe.start_kinds[:2], probe.runs):
-        alone = picard_solve(LAP, phi, u0, ECFG, PicardConfig(initial_guess=kind))
+    assert probe.start_kinds[:2] == ["zero", "scaled_datum"]
+    for start, run in zip((None, ECFG.T * u0), probe.runs):
+        alone = picard_solve(LAP, phi, u0, ECFG, start=start)
         assert np.array_equal(run.uT.values, alone.uT.values)
         assert run.residual_history == alone.residual_history

@@ -1,5 +1,6 @@
 import io
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -41,15 +42,16 @@ def make_trajectory(tmp_path, collector):
 
 
 def test_field_csv_roundtrip_1d(tmp_path):
-    g = Grid((2.0,), (9,))
-    f = Field.from_function(g, lambda x: np.sin(math.pi * x / 2.0))
+    # the grid is the run's, not inferred from the file's coordinates: at
+    # length 0.9 and n = 9 those put h * (n + 1) at 0.8999999999999999
     path = tmp_path / "f.csv"
-    write_field_csv(f, path)
-    header = path.read_text().splitlines()[0]
-    assert header == "x,value"
-    back = read_field_csv(path)
-    assert back.grid == g
-    assert np.allclose(back.values, f.values, rtol=0, atol=1e-15)
+    for length in (0.3, 0.7, 0.9, 1.0, 1.1, 2.0, 2.9, 3.3, 6.1, 10.0):
+        for n in (2, 6, 9, 19, 49, 99, 199):
+            g = Grid((length,), (n,))
+            f = Field.from_function(g, lambda x: np.sin(math.pi * x / length))
+            write_field_csv(f, path)
+            assert path.read_text().splitlines()[0] == "x,value"
+            assert np.array_equal(read_field_csv(path, g).values, f.values)
 
 
 def test_field_csv_roundtrip_2d(tmp_path):
@@ -58,16 +60,15 @@ def test_field_csv_roundtrip_2d(tmp_path):
         path = tmp_path / "f.csv"
         write_field_csv(f, path)
         assert path.read_text().splitlines()[0] == "x,y,value"
-        back = read_field_csv(path)
-        assert back.grid == g
+        back = read_field_csv(path, g)
         assert np.allclose(back.values, f.values, rtol=0, atol=1e-15)
 
 
 def test_field_csv_rejects_nonuniform(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("x,value\n0.1,1.0\n0.25,2.0\n0.3,3.0\n")
-    with pytest.raises(ValueError):
-        read_field_csv(path)
+    with pytest.raises(ValueError, match="not the nodes of the run's Grid"):
+        read_field_csv(path, Grid((0.4,), (3,)))
 
 
 def _column_major(rows):
@@ -75,17 +76,18 @@ def _column_major(rows):
 
 
 @pytest.mark.parametrize("edit, message", [
-    (_column_major, "row-major"),
-    (lambda rows: [row + ",0.0" for row in rows], "expected 2 or 3 columns, got 4"),
-    (lambda rows: rows[:5] + rows[6:], "row-major"),
+    (_column_major, "24 rows of 3 columns"),
+    (lambda rows: [row + ",0.0" for row in rows], "24 rows of 4 columns"),
+    (lambda rows: rows[:5] + rows[6:], "23 rows of 3 columns"),
 ], ids=["column_major", "four_columns", "missing_row"])
 def test_field_csv_rejects_malformed_2d(tmp_path, edit, message):
     path = tmp_path / "f.csv"
-    write_field_csv(Field.from_function(Grid((1.0, 2.0), (4, 6)), lambda x, y: x + y), path)
+    g = Grid((1.0, 2.0), (4, 6))
+    write_field_csv(Field.from_function(g, lambda x, y: x + y), path)
     header, *rows = path.read_text().splitlines()
     path.write_text("\n".join([header, *edit(rows)]) + "\n")
-    with pytest.raises(ValueError, match=message):
-        read_field_csv(path)
+    with pytest.raises(ValueError, match=f"{message} that are not the nodes of the run's Grid"):
+        read_field_csv(path, g)
 
 
 def test_field_json_roundtrip_exact(tmp_path):
@@ -104,10 +106,16 @@ def test_read_field_dispatch(tmp_path):
     f = Field(g, [1.0, 2.0, 3.0])
     write_field_json(f, tmp_path / "f.json")
     write_field_csv(f, tmp_path / "f.csv")
-    assert np.allclose(read_field(tmp_path / "f.json").values, f.values)
-    assert np.allclose(read_field(tmp_path / "f.csv").values, f.values)
+    assert np.allclose(read_field(tmp_path / "f.json", g).values, f.values)
+    assert np.allclose(read_field(tmp_path / "f.csv", g).values, f.values)
     with pytest.raises(ValueError):
-        read_field(tmp_path / "f.txt")
+        read_field(tmp_path / "f.txt", g)
+    other = Grid((1.0,), (4,))  # the CLI's cases cover a length and a dim too
+    with pytest.raises(ValueError, match=re.escape(f"on {g}, not on the run's {other}")):
+        read_field(tmp_path / "f.json", other)
+    with pytest.raises(ValueError, match=re.escape(f"3 rows of 2 columns that are not the "
+                                                   f"nodes of the run's {other}")):
+        read_field(tmp_path / "f.csv", other)
 
 
 def test_trajectory_csv_layout(tmp_path, collector):

@@ -39,6 +39,8 @@ def test_grid_basic_2d():
     assert g.dim == 2
     assert g.h == (0.25, 0.25)
     assert g.num_nodes == 21
+    # exact where an int64 product of the node counts wraps around to 0
+    assert Grid((1.0, 1.0), (2**32, 2**32)).num_nodes == 2**64
     x, y = g.coordinates()
     assert x.shape == (21,)
     # row-major: y cycles fastest

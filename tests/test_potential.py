@@ -79,6 +79,12 @@ def test_nemytskii_zero_potential():
     assert np.all(out.values == 0.0)
 
 
+def test_nemytskii_broadcasts_a_scalar_valued_potential():
+    out = nemytskii(Potential(name="two", evaluator=lambda s: 2.0, nonnegative=True),
+                    Field.from_function(GRID, lambda x: x))
+    assert out.values.shape == (GRID.num_nodes,) and np.all(out.values == 2.0)
+
+
 def test_nemytskii_pointwise_square():
     v = Field.from_function(GRID, lambda x: np.sin(math.pi * x))
     out = nemytskii(catalog("quadratic"), v)
