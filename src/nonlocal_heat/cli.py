@@ -26,8 +26,10 @@ from .evolution import EvolutionConfig
 from .fixedpoint import (
     FixedPointReport,
     PicardConfig,
+    UniquenessThreshold,
     picard_solve,
     uniqueness_probe,
+    uniqueness_threshold,
 )
 from .laplacian import SolverFailure, assemble
 from .mesh import FLOOR, Field, Grid, norm_lp, restrict
@@ -137,9 +139,12 @@ def load_config(path: str | Path) -> dict:
 class Job:
     """A config parsed into the objects one run needs.
 
-    Only the active mode's own settings are read from the config: ``starts``
-    (probe), ``levels`` and ``refine`` (convergence_study), ``axis`` and
-    ``values`` (sweep, sorted); the other modes' settings are None.
+    ``threshold`` is the problem's small-data uniqueness check, evaluated
+    once here and read by every report of the run.  Only the active mode's
+    own settings are read from the config: ``starts`` (probe), ``levels``
+    (convergence_study: one solve job per level, coarsest first, each built
+    here) and ``axis`` and ``values`` (sweep, sorted); the other modes'
+    settings are None.
     """
 
     mode: str
@@ -151,9 +156,9 @@ class Job:
     u0: Field
     ecfg: EvolutionConfig
     pcfg: PicardConfig
+    threshold: UniquenessThreshold
     starts: int | None = None
-    levels: int | None = None
-    refine: str | None = None
+    levels: tuple[Job, ...] | None = None
     axis: str | None = None
     values: tuple[float, ...] | None = None
 
@@ -200,7 +205,8 @@ def _initial_datum(sec: dict, grid: Grid) -> Field:
         except (OSError, ValueError, KeyError, TypeError) as exc:
             _fail("initial.params.path",
                   f"cannot be loaded as a field: {type(exc).__name__}: {exc}")
-        field = float(_get(params, "initial.params.scale", "number", 1.0)) * field
+        with np.errstate(over="ignore"):  # an overflow is a non-finite datum, rejected below
+            field = float(_get(params, "initial.params.scale", "number", 1.0)) * field
     else:
         _fail("initial.name", f"is not a known initial datum: {name!r}")
     if _get(sec, "initial.sign_check", "boolean", False) and float(np.min(field.values)) < 0.0:
@@ -213,7 +219,8 @@ def parse_config(cfg: dict) -> Job:
 
     Only JSON types are checked here; range checks belong to ``Grid``,
     ``EvolutionConfig`` and ``PicardConfig``, whose messages get the
-    section prepended.
+    section prepended.  A study's levels are parsed here too, so every
+    problem the run solves is checked before anything is written.
     """
     mode = _get(cfg, "mode", "string", "solve")
     if mode not in MODES:
@@ -284,10 +291,9 @@ def parse_config(cfg: dict) -> Job:
         if refine == "space_time" and initial["name"] == "from_file":
             _fail("study.refine", "must be 'time_only' for a from_file datum, "
                                   "which holds one grid")
-        if refine == "space_time":  # the finest level's grid is checked before any write
-            finest = _refined_config(cfg, levels - 1, refine)
-            _build("domain", Grid, grid.lengths, tuple(finest["domain"]["n"]))
-        settings.update(levels=levels, refine=refine)
+        settings["levels"] = tuple(
+            _derived_job(cfg, {"mode": "solve", **_refined_config(cfg, level, refine)})
+            for level in range(levels))
     elif mode == "sweep":
         sweep = _get(cfg, "sweep", "object")
         axis = _get(sweep, "sweep.axis", "string")
@@ -298,7 +304,28 @@ def parse_config(cfg: dict) -> Job:
             _fail("sweep.values", "must not be empty")
         settings.update(axis=axis, values=tuple(sorted(float(v) for v in values)))
 
-    return Job(mode, seed, out_dir, formats, grid, phi, u0, ecfg, pcfg, **settings)
+    threshold = uniqueness_threshold(phi, u0, ecfg.T)
+    return Job(mode, seed, out_dir, formats, grid, phi, u0, ecfg, pcfg, threshold, **settings)
+
+
+def _derived_job(cfg: dict, changes: dict) -> Job:
+    """The job of ``cfg`` with the nested entries of ``changes`` set over it;
+    ``cfg`` itself is not modified."""
+    def merged(base: dict, over: dict) -> dict:
+        out = dict(base)
+        for key, value in over.items():
+            out[key] = merged(base.get(key, {}), value) if isinstance(value, dict) else value
+        return out
+
+    return parse_config(merged(cfg, changes))
+
+
+def _refined_config(cfg: dict, level: int, refine: str) -> dict:
+    """The entries a study level changes, as ``_derived_job`` takes them."""
+    if refine == "space_time":
+        return {"domain": {"n": [(m + 1) * 2**level - 1 for m in cfg["domain"]["n"]]},
+                "time": {"steps": cfg["time"]["steps"] * 4**level}}
+    return {"time": {"steps": cfg["time"]["steps"] * 2**level}}  # time_only
 
 
 def _finite_or_null(obj):
@@ -356,8 +383,7 @@ def _solve(job: Job, sink=None):
     return lap, picard_solve(lap, job.phi, job.u0, job.ecfg, job.pcfg, sink=sink)
 
 
-def _summary_line(report: FixedPointReport, verification) -> str:
-    thr = report.threshold
+def _summary_line(report: FixedPointReport, thr: UniquenessThreshold, verification) -> str:
     product = f"{thr.product:.3e}" if thr.applicable else "n/a"
     return (
         f"converged={report.converged} iterations={report.iterations} "
@@ -382,6 +408,9 @@ def run_solve(cfg: dict, job: Job, quiet: bool) -> bool:
 
         payload = _run_header(cfg, job)
         payload.update(report.scalar_diagnostics())
+        payload.update(s0=job.threshold.s0, s0_l2=job.ecfg.T * norm_lp(job.u0, 2),
+                       damping=job.pcfg.damping, tol=job.pcfg.tol,
+                       threshold=job.threshold.to_dict())
         payload["verification"] = verification.to_dict()
         files = {"config": "config.json", "report": "report.json"}
         files.update(_write_outputs(report.uT, "field", "ut", job))
@@ -391,7 +420,7 @@ def run_solve(cfg: dict, job: Job, quiet: bool) -> bool:
     finally:
         streamed.unlink(missing_ok=True)
     if not quiet:
-        print(_summary_line(report, verification))
+        print(_summary_line(report, job.threshold, verification))
     return report.converged
 
 
@@ -402,7 +431,7 @@ def run_probe(cfg: dict, job: Job, quiet: bool) -> bool:
     )
     payload = _run_header(cfg, job)
     payload["probe"] = probe.scalar_diagnostics()
-    payload["threshold"] = probe.runs[0].threshold.to_dict()
+    payload["threshold"] = job.threshold.to_dict()
     files = {"config": "config.json", "report": "report.json"}
     for kind, run in zip(probe.start_kinds, probe.runs):
         if run.converged:
@@ -419,32 +448,9 @@ def run_probe(cfg: dict, job: Job, quiet: bool) -> bool:
     return probe.all_converged
 
 
-def _derived_job(cfg: dict, changes: dict) -> Job:
-    """The job of ``cfg`` with the nested entries of ``changes`` set over it;
-    ``cfg`` itself is not modified."""
-    def merged(base: dict, over: dict) -> dict:
-        out = dict(base)
-        for key, value in over.items():
-            out[key] = merged(base.get(key, {}), value) if isinstance(value, dict) else value
-        return out
-
-    return parse_config(merged(cfg, changes))
-
-
-def _refined_config(cfg: dict, level: int, refine: str) -> dict:
-    """The entries a study level changes, as ``_derived_job`` takes them."""
-    if refine == "space_time":
-        return {"domain": {"n": [(m + 1) * 2**level - 1 for m in cfg["domain"]["n"]]},
-                "time": {"steps": cfg["time"]["steps"] * 4**level}}
-    return {"time": {"steps": cfg["time"]["steps"] * 2**level}}  # time_only
-
-
 def run_convergence_study(cfg: dict, job: Job, quiet: bool) -> bool:
-    levels = job.levels
     runs = []
-    for level in range(levels):
-        level_job = (job if level == 0
-                     else _derived_job(cfg, _refined_config(cfg, level, job.refine)))
+    for level_job in job.levels:
         lap, report = _solve(level_job)
         verification = verify_all(report, level_job.phi, lap)
         runs.append((level_job.grid, level_job.ecfg, report, verification))
@@ -457,7 +463,7 @@ def run_convergence_study(cfg: dict, job: Job, quiet: bool) -> bool:
     ] + [0.0]
     diffs = [
         norm_lp(restrict(runs[l + 1][2].uT, runs[l][0]) - runs[l][2].uT, 2) / scale
-        for l in range(levels - 1)
+        for l in range(len(runs) - 1)
     ]
 
     lines = ["level,n,h,dt,uT_error_vs_finest,elliptic_residual,energy_mismatch,observed_order"]
@@ -483,8 +489,9 @@ def run_sweep(cfg: dict, job: Job, quiet: bool) -> bool:
         changes = ({"time": {"T": value}} if job.axis == "T"
                    else {"initial": {"params": {key: value}}})
         try:
-            _, report = _solve(_derived_job(cfg, changes))
-            thr = report.threshold
+            row_job = _derived_job(cfg, changes)
+            _, report = _solve(row_job)
+            thr = row_job.threshold
             product = f"{thr.product:.10e}" if thr.applicable else "n/a"
             return (f"{value:.10g},{report.converged},{report.iterations},{product},"
                     f"{report.final_residual:.10e},", report.converged)

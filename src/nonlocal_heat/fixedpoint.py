@@ -81,7 +81,8 @@ class UniquenessThreshold:
 
 @dataclass
 class FixedPointReport:
-    """Outcome of one fixed-point run (converged or not)."""
+    """What one fixed-point run measured (converged or not); its inputs, and the
+    problem's :func:`uniqueness_threshold`, stay with the caller."""
 
     uT: Field
     trajectory: Trajectory
@@ -89,11 +90,7 @@ class FixedPointReport:
     residual_history: list[float]
     contraction_estimates: list[float]
     converged: bool
-    s0_l2: float
-    threshold: UniquenessThreshold
     iterate_max_norms: list[float]
-    damping: float
-    tol: float
 
     @property
     def final_residual(self) -> float:
@@ -107,12 +104,7 @@ class FixedPointReport:
             "residual_history": self.residual_history,
             "contraction_estimates": self.contraction_estimates,
             "iterate_max_norms": self.iterate_max_norms,
-            "s0": self.threshold.s0,
-            "s0_l2": self.s0_l2,
-            "damping": self.damping,
             "accelerator": dict(ACCELERATOR),
-            "tol": self.tol,
-            "threshold": self.threshold.to_dict(),
         }
 
 
@@ -150,6 +142,7 @@ def picard_solve(
     Contraction estimates are the map's Lipschitz quotients along the iterates,
     ``||g_k - g_{k-1}||_2 / ||v_k - v_{k-1}||_2``.  An iterate that mixing
     drives out of floating-point range raises :class:`EvaluationError`.
+    The report holds only what the run measured, not the problem's threshold.
     """
     pcfg = pcfg or PicardConfig()
     grid = u0.grid
@@ -187,7 +180,6 @@ def picard_solve(
             raise EvaluationError("the mixed iterate overflowed")
         sup_norms.append(_norm(grid, v, math.inf))
 
-    threshold = uniqueness_threshold(phi, u0, ecfg.T)
     return FixedPointReport(
         uT=uT,
         trajectory=trajectory,
@@ -195,11 +187,7 @@ def picard_solve(
         residual_history=residuals,
         contraction_estimates=lipschitz,
         converged=converged,
-        s0_l2=ecfg.T * norm_lp(u0, 2),
-        threshold=threshold,
         iterate_max_norms=sup_norms,
-        damping=pcfg.damping,
-        tol=pcfg.tol,
     )
 
 
@@ -276,29 +264,27 @@ def uniqueness_probe(
 ) -> ProbeReport:
     """Run ``picard_solve`` from several starts and compare the limits.
 
-    The starts are the zero field, the time-scaled datum ``T * u0`` (an
-    :class:`EvaluationError` when it overflows), and seeded random fields
-    with entries ``S0 * U(-1, 1)``, which stay finite for every finite
-    ``S0``.  Non-convergent starts are recorded, not fatal; distances only
-    compare converged runs.
+    The starts are the zero field, the time-scaled datum ``T * u0`` and
+    seeded random fields with entries ``S0 * U(-1, 1)``, ``S0 = T * max|u0|``.
+    All of them are built before the first run: a ``T * u0`` that overflows
+    raises :class:`EvaluationError` before any run, and the random starts
+    are then finite.  Non-convergent starts are recorded, not fatal;
+    distances only compare converged runs.
     """
     if n_starts < 2:
         raise ValueError(f"need at least 2 starts, got {n_starts}")
-
-    def run(start: Field) -> FixedPointReport:
-        return picard_solve(lap, phi, u0, ecfg, pcfg, start=start)
-
-    kinds = ["zero", "scaled_datum"] + [f"random_{i}" for i in range(n_starts - 2)]
-    runs = [run(Field.zeros(u0.grid))]
+    grid = u0.grid
     with np.errstate(over="ignore"):  # checked below
         scaled = ecfg.T * u0.values
     if not np.all(np.isfinite(scaled)):
         raise EvaluationError("the scaled datum T * u0 overflows")
-    runs.append(run(Field(u0.grid, scaled)))
-    s0 = runs[0].threshold.s0
+    s0 = ecfg.T * norm_lp(u0, math.inf)
     rng = np.random.default_rng(seed)
-    runs += [run(Field(u0.grid, s0 * rng.uniform(-1.0, 1.0, u0.grid.num_nodes)))
-             for _ in range(n_starts - 2)]
+    starts = [Field.zeros(grid), Field(grid, scaled)] + [
+        Field(grid, s0 * rng.uniform(-1.0, 1.0, grid.num_nodes)) for _ in range(n_starts - 2)]
+
+    kinds = ["zero", "scaled_datum"] + [f"random_{i}" for i in range(n_starts - 2)]
+    runs = [picard_solve(lap, phi, u0, ecfg, pcfg, start=start) for start in starts]
 
     converged_uts = [r.uT for r in runs if r.converged]
     max_dist = 0.0

@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import warnings
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -63,7 +64,9 @@ def read_field_csv(path: str | Path, grid: Grid) -> Field:
     """Read a field CSV whose rows list ``grid``'s nodes as ``write_field_csv``
     writes them; a file of another shape, or a coordinate off its node by
     more than a relative 1e-9, raises ``ValueError``."""
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    with warnings.catch_warnings():  # a header-only file is rejected below, not warned about
+        warnings.simplefilter("ignore", UserWarning)
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     if data.shape != (grid.num_nodes, grid.dim + 1) or not all(
         np.allclose(data[:, a], expected, rtol=1e-9, atol=0.0)
         for a, expected in enumerate(grid.coordinates())

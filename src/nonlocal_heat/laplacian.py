@@ -150,16 +150,11 @@ class _ConjugateGradientSystem:
             f"(relative residual {residual:.3e})")
 
 
-def shifted_system(
-    lap: DirichletLaplacian,
-    w: np.ndarray,
-    tau: float,
-    max_iter: int | None = None,
-):
+def shifted_system(lap: DirichletLaplacian, w: np.ndarray, tau: float):
     """Prepare ``(I + tau*(L + diag(w)))`` for repeated solves.
 
     1D grids get an ``L D L^T`` tridiagonal factorization; 2D grids get
-    unpreconditioned CG with relative tolerance ``CG_RTOL`` and a default
+    unpreconditioned CG with relative tolerance ``CG_RTOL`` and an
     iteration cap of ``10 * num_nodes``.
     """
     if tau <= 0.0:
@@ -171,7 +166,5 @@ def shifted_system(
         inv = 1.0 / g.h[0] ** 2
         diag = 1.0 + tau * (2.0 * inv + w)
         return _TridiagonalSystem(diag, -tau * inv)
-    if max_iter is None:
-        max_iter = 10 * g.num_nodes
-    return _ConjugateGradientSystem(lap, w, tau, max_iter)
+    return _ConjugateGradientSystem(lap, w, tau, 10 * g.num_nodes)
 

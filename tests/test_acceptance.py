@@ -22,6 +22,7 @@ from nonlocal_heat import (
     phi_map,
     picard_solve,
     uniqueness_probe,
+    uniqueness_threshold,
     verify_all,
 )
 from nonlocal_heat import cli
@@ -198,7 +199,7 @@ def test_a5_elliptic_contraction_under_h_halving():
 
 def test_a6_uniqueness_probe(a6_runs):
     grid, lap, u0, probe = a6_runs
-    thr = probe.runs[0].threshold
+    thr = uniqueness_threshold(catalog("quadratic"), u0, T)
     product_exact = 2 * T**2 * 0.5**2 / PI2  # c * S0 * L for the quadratic potential
     tails_ok = all(
         all(r < 1.0 for r in run.contraction_estimates[-5:])

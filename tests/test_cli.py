@@ -719,18 +719,30 @@ HUGE_FIELDS = {
 }
 
 
-def datum_on(lengths, n, suffix):
-    """An edit that makes the datum a field file written on another grid."""
+def datum_on(lengths, n, suffix, value=1.0):
+    """An edit that makes the datum a constant field file written on the grid."""
     def edit(cfg):
         path = Path(cfg["output"]["dir"]).parent / f"datum{suffix}"
         write = nio.write_field_csv if suffix == ".csv" else nio.write_field_json
-        write(Field.constant(Grid(lengths, n), 1.0), path)
+        write(Field.constant(Grid(lengths, n), value), path)
         cfg["initial"] = {"name": "from_file", "params": {"path": str(path)}}
     return edit
 
 
 FOREIGN_DATA = [datum_on(lengths, n, suffix) for suffix in (".csv", ".json")
                 for lengths, n in (((1.0,), (48,)), ((0.9,), (49,)), ((1.0, 1.0), (49, 1)))]
+
+
+def header_only_csv(cfg):
+    # np.loadtxt warns on a file of no rows; the CLI must only reject it
+    datum_on((1.0,), (49,), ".csv")(cfg)
+    Path(cfg["initial"]["params"]["path"]).write_text("x,value\n")
+
+
+def overflowing_scale(cfg):
+    # scale * 10 lies beyond the float range: numpy must not warn first
+    datum_on((1.0,), (49,), ".json", 10.0)(cfg)
+    cfg["initial"]["params"]["scale"] = 1e308
 
 
 def extreme_study(cfg):
@@ -761,12 +773,15 @@ def extreme_study(cfg):
      "fixedpoint.initial_guess"),
     # a field file on a grid other than the config's: n, length or dim
     *[(edit, 3, "initial.params.path") for edit in FOREIGN_DATA],
+    (header_only_csv, 3, "initial.params.path"),
+    (overflowing_scale, 3, "initial"),
 ], ids=["length1e300", "length1e-300", "axis1e-300", "length1e-155", "length1e154",
         "study1e-152",
         "width1e200", "width1e-300", "width1e-160", "probe1e307", "T1e308",
         "constant-1e308", *[f"huge-{field}" for field in HUGE_FIELDS], "initial_guess",
         *[f"from_file{suffix}-{axis}" for suffix in ("csv", "json")
-          for axis in ("n", "length", "dim")]])
+          for axis in ("n", "length", "dim")],
+    "from_file-header_only", "from_file-scale1e308"])
 def test_extreme_configs_end_in_their_exit_code(tmp_path, capsys, edit, code, field):
     # no traceback and no warning (the suite fails on one), at most one stderr
     # line; an invalid config names its field and writes nothing

@@ -184,8 +184,8 @@ def test_quadratic_small_data_vs_tol_refined_oracle():
 def test_ball_invariance_of_iterates():
     u0 = sine_datum(0.8)
     report = picard_solve(LAP, catalog("quadratic"), u0, ECFG)
-    s0 = ECFG.T * norm_lp(u0, math.inf)
-    assert report.threshold.s0 == pytest.approx(s0)
+    s0 = uniqueness_threshold(catalog("quadratic"), u0, ECFG.T).s0
+    assert s0 == pytest.approx(ECFG.T * norm_lp(u0, math.inf))
     assert all(v <= s0 * (1 + 1e-10) for v in report.iterate_max_norms)
 
 
@@ -211,7 +211,7 @@ def test_fixed_point_residual_on_reevaluation():
 def test_contraction_tail_below_one_in_small_data_regime():
     u0 = sine_datum(0.5)
     report = picard_solve(LAP, catalog("quadratic"), u0, ECFG)
-    assert report.threshold is not None and report.threshold.product < 1.0
+    assert uniqueness_threshold(catalog("quadratic"), u0, ECFG.T).product < 1.0
     tail = report.contraction_estimates[-5:]
     assert tail and all(r < 1.0 for r in tail)
 
@@ -283,7 +283,7 @@ def test_threshold_does_not_certify_sqrt_abs():
     phi = Potential("sqrt_abs", lambda s: np.sqrt(np.abs(s)), nonnegative=True)
     report = picard_solve(assemble(grid), phi, u0, EvolutionConfig(T=0.1, steps=100))
     assert report.converged
-    thr = report.threshold
+    thr = uniqueness_threshold(phi, u0, 0.1)
     assert thr.applicable is False and thr.to_dict()["lipschitz_exact"] is False
     assert thr.lipschitz is None and thr.product is None and thr.met is None
 

@@ -13,7 +13,7 @@ from nonlocal_heat import (
     inner_product,
     norm_lp,
 )
-from nonlocal_heat.laplacian import CG_RTOL, shifted_system
+from nonlocal_heat.laplacian import CG_RTOL, _ConjugateGradientSystem, shifted_system
 
 
 def apply_laplacian(L, f):
@@ -246,8 +246,9 @@ def test_solve_rejects_bad_tau_and_grids():
 
 
 def test_solver_failure_carries_residual():
+    # the CG budget is 10 * num_nodes through shifted_system; a cap of 1 reaches it
     g = Grid((1.0, 1.0), (12, 12))
-    system = shifted_system(assemble(g), np.zeros(g.num_nodes), 5.0, max_iter=1)
+    system = _ConjugateGradientSystem(assemble(g), np.zeros(g.num_nodes), 5.0, 1)
     with pytest.raises(SolverFailure, match=r"within 1 iterations \(relative residual "
                                             r"[1-9]\.\d{3}e[-+]\d\d\)"):
         system.solve(np.ones(g.num_nodes))
@@ -280,6 +281,15 @@ def test_cg_rejects_a_right_hand_side_whose_norm_overflows():
     with pytest.raises(SolverFailure, match="^CG right-hand side has a non-finite norm$"):
         shifted_system(assemble(g), np.zeros(g.num_nodes), 0.1).solve(
             np.full(g.num_nodes, 1e308))
+
+
+def test_cg_returns_its_start_when_it_meets_the_tolerance():
+    # at tau = 1e-16 the start x = b leaves b - A b = -tau*(L + I) b, far
+    # below CG_RTOL * ||b||: the solve returns b without iterating
+    g = Grid((1.0, 1.0), (5, 5))
+    b = np.random.default_rng(1).standard_normal(g.num_nodes)
+    x = shifted_system(assemble(g), np.ones(g.num_nodes), 1e-16).solve(b)
+    assert np.array_equal(x, b)
 
 
 def test_cg_restarts_when_the_recursive_residual_drifts():

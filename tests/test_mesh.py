@@ -322,6 +322,8 @@ def test_restrict_2d_and_validation():
     assert np.allclose(r.values, expected.values, atol=1e-14)
     with pytest.raises(ValueError):
         restrict(f, Grid((1.0, 1.0), (4, 4)))
+    with pytest.raises(ValueError, match="grids cover different domains"):
+        restrict(f, Grid((1.0, 2.0), (3, 3)))
     # unequal strides: 2 on axis 0, 1 on axis 1
     fine = Grid((1.0, 2.0), (7, 5))
     r = restrict(Field(fine, np.arange(35.0)), Grid((1.0, 2.0), (3, 5)))

@@ -69,6 +69,10 @@ def test_catalog_unknown_and_bad_params():
         catalog("constant", [])
     with pytest.raises(ValueError):
         catalog("quadratic", [1.0])
+    with pytest.raises(ValueError, match="at most 1 parameter"):
+        catalog("bounded_sine", [1.0, 2.0])
+    with pytest.raises(ValueError, match="amplitude must be nonnegative"):
+        catalog("bounded_sine", [-1.0])
 
 
 # --------------------------------------------------------------- nemytskii

@@ -14,6 +14,7 @@ from nonlocal_heat import (
     dirichlet_lambda1_discrete,
     norm_lp,
     picard_solve,
+    uniqueness_threshold,
     verify_all,
 )
 
@@ -230,7 +231,7 @@ def test_verify_all_bundles_and_serializes():
         assert set(d["solution_bounds"]["norm_ratios"]) == {"2", "inf"}
         assert set(d["energy"]) == ENERGY_KEYS
         assert set(d["elliptic"]) == {"relative_residual"}
-        threshold = report.threshold.to_dict()
+        threshold = uniqueness_threshold(phi, report.trajectory.initial(), 0.1).to_dict()
         assert set(threshold) == THRESHOLD_KEYS
         if phi is flat:
             assert threshold["applicable"] is threshold["lipschitz_exact"] is False
