@@ -275,6 +275,7 @@ def parse_config(cfg: dict) -> Job:
         damping=_get(fp, "fixedpoint.damping", "number", 1.0),
     )
 
+    threshold = uniqueness_threshold(phi, u0, ecfg.T)
     settings = {}
     if mode == "probe":
         settings["starts"] = _get(fp, "fixedpoint.starts", "integer", 5)
@@ -291,9 +292,10 @@ def parse_config(cfg: dict) -> Job:
         if refine == "space_time" and initial["name"] == "from_file":
             _fail("study.refine", "must be 'time_only' for a from_file datum, "
                                   "which holds one grid")
-        settings["levels"] = tuple(
+        coarsest = Job("solve", seed, out_dir, formats, grid, phi, u0, ecfg, pcfg, threshold)
+        settings["levels"] = (coarsest,) + tuple(
             _derived_job(cfg, {"mode": "solve", **_refined_config(cfg, level, refine)})
-            for level in range(levels))
+            for level in range(1, levels))
     elif mode == "sweep":
         sweep = _get(cfg, "sweep", "object")
         axis = _get(sweep, "sweep.axis", "string")
@@ -304,7 +306,6 @@ def parse_config(cfg: dict) -> Job:
             _fail("sweep.values", "must not be empty")
         settings.update(axis=axis, values=tuple(sorted(float(v) for v in values)))
 
-    threshold = uniqueness_threshold(phi, u0, ecfg.T)
     return Job(mode, seed, out_dir, formats, grid, phi, u0, ecfg, pcfg, threshold, **settings)
 
 

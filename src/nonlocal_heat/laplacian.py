@@ -5,7 +5,8 @@ The operator is the standard 3-point (1D) / 5-point (2D) stencil for
 ``-1/h_i^2`` toward axis neighbours, boundary neighbours dropped.  It is a
 symmetric positive definite M-matrix, so ``I + tau*(L + diag(w))`` with
 ``w >= 0`` has a nonnegative inverse that is non-expansive in both the max
-and the Euclidean norm.
+and the Euclidean norm.  Its eigenvectors are the products of sines
+``prod_i sin(pi k_i x_i / L_i)`` (see ``dirichlet_eigenvalues``).
 """
 
 from __future__ import annotations
@@ -32,7 +33,10 @@ class SolverFailure(RuntimeError):
 class DirichletLaplacian:
     """Matrix-free stencil operator for -Laplace with zero boundary data.
 
-    The stencil is built once; it is not a field, so ``==`` compares grids.
+    The stencil is built once, and on a 2D grid so is its eigenbasis: one
+    orthonormal sine matrix per axis and the eigenvalues.  1D grids build no
+    sine matrix (their solves are tridiagonal).  The operator is not a field,
+    so ``==`` compares grids.
     """
 
     grid: Grid
@@ -45,6 +49,9 @@ class DirichletLaplacian:
             axes.append((c, before + (slice(None, -1),), before + (slice(1, None),)))
         object.__setattr__(self, "_diagonal", sum(2.0 * c for c in coefficients))
         object.__setattr__(self, "_axes", tuple(axes))
+        if self.grid.dim == 2:
+            object.__setattr__(self, "_basis", tuple(_sine_matrix(m) for m in self.grid.n))
+            object.__setattr__(self, "_eigenvalues", dirichlet_eigenvalues(self.grid))
 
     def apply_array(self, v: np.ndarray) -> np.ndarray:
         """Stencil product on a raw value array (implicit zero boundary):
@@ -55,6 +62,22 @@ class DirichletLaplacian:
             out[upper] -= c * V[lower]
             out[lower] -= c * V[upper]
         return out.ravel()
+
+    def apply_spectral(self, v: np.ndarray, multipliers: np.ndarray) -> np.ndarray:
+        """``f(L) v`` on a 2D grid, for ``multipliers = f(eigenvalues)``: the
+        sine transform ``S0 V S1``, scaled entrywise, transformed back."""
+        S0, S1 = self._basis
+        return (S0 @ ((S0 @ v.reshape(self.grid.n) @ S1) * multipliers) @ S1).ravel()
+
+
+def _sine_matrix(m: int) -> np.ndarray:
+    """The orthonormal DST-I matrix ``sqrt(2/(m+1)) sin(pi j k/(m+1))``,
+    ``j, k = 1..m``: symmetric, and its own inverse.  ``j*k`` is reduced
+    modulo the period ``2(m+1)`` in integers, so ``sin`` sees arguments below
+    ``2 pi``."""
+    k = np.arange(1, m + 1)
+    phase = np.outer(k, k) % (2 * (m + 1))
+    return math.sqrt(2.0 / (m + 1)) * np.sin((math.pi / (m + 1)) * phase)
 
 
 def assemble(grid: Grid) -> DirichletLaplacian:
@@ -67,12 +90,26 @@ def dirichlet_lambda1(grid: Grid) -> float:
     return math.pi**2 * sum(1.0 / L**2 for L in grid.lengths)
 
 
+def dirichlet_eigenvalues(grid: Grid) -> np.ndarray:
+    """Eigenvalues of the stencil, an array of shape ``grid.n``.
+
+    Entry ``(k_1 - 1, ...)`` is ``sum_i (4/h_i^2) sin^2(pi k_i h_i / (2 L_i))``,
+    for the eigenvector ``prod_i sin(pi k_i x_i / L_i)``; each axis's values
+    increase with ``k_i``.
+    """
+    out = 0.0
+    for axis, (h, L, m) in enumerate(zip(grid.h, grid.lengths, grid.n)):
+        # math.sin entry by entry: the smallest entry is then the scalar
+        # closed form of dirichlet_lambda1_discrete, bit for bit
+        axis_values = np.array([(4.0 / h**2) * math.sin(math.pi * k * h / (2.0 * L)) ** 2
+                                for k in range(1, m + 1)])
+        out = out + axis_values.reshape((m,) + (1,) * (grid.dim - 1 - axis))
+    return out
+
+
 def dirichlet_lambda1_discrete(grid: Grid) -> float:
     """Smallest eigenvalue of the stencil: ``sum_i (4/h_i^2) sin^2(pi h_i / (2 L_i))``."""
-    return sum(
-        (4.0 / h**2) * math.sin(math.pi * h / (2.0 * L)) ** 2
-        for h, L in zip(grid.h, grid.lengths)
-    )
+    return float(np.min(dirichlet_eigenvalues(grid)))
 
 
 class _TridiagonalSystem:
@@ -96,17 +133,31 @@ class _TridiagonalSystem:
 
 
 class _ConjugateGradientSystem:
-    """Matrix-free CG for ``(I + tau*(L + diag(w))) x = b`` in 2D; a direction
-    with ``p^T A p <= 0`` proves the operator indefinite: ``SolverFailure``."""
+    """Preconditioned CG for ``A x = b``, ``A = I + tau*(L + diag(w))``, in 2D.
+
+    The preconditioner is the exact inverse of
+    ``M = I + tau*(L + max(mean(w), 0))``, diagonal in the stencil's sine
+    basis, so the iteration count does not grow with the grid; the shift is
+    clipped at 0 so that ``M`` stays positive definite.  The start is
+    ``M^{-1} b``, which is the solution when ``w`` is a nonnegative constant.
+    Convergence is judged on the unpreconditioned residual,
+    ``||b - A x|| <= CG_RTOL * ||b||``.  A direction with ``p^T A p <= 0``
+    proves the operator indefinite: ``SolverFailure``.
+    """
 
     def __init__(self, lap: DirichletLaplacian, w: np.ndarray, tau: float, max_iter: int):
         self._lap = lap
         self._shift = 1.0 + tau * w
         self._tau = tau
         self._max_iter = max_iter
+        mean_shift = max(float(np.mean(w)), 0.0)
+        self._inverse_eigenvalues = 1.0 / (1.0 + tau * (lap._eigenvalues + mean_shift))
 
     def _matvec(self, v: np.ndarray) -> np.ndarray:
         return self._shift * v + self._tau * self._lap.apply_array(v)
+
+    def _precondition(self, r: np.ndarray) -> np.ndarray:
+        return self._lap.apply_spectral(r, self._inverse_eigenvalues)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -116,12 +167,12 @@ class _ConjugateGradientSystem:
         if b_norm == 0.0:
             return np.zeros_like(b)
         target = CG_RTOL * b_norm
-        x = b.copy()  # good start: the system is a small perturbation of I
+        x = self._precondition(b)
         r = b - self._matvec(x)
-        rs = float(r @ r)
-        if math.sqrt(rs) <= target:
+        if np.linalg.norm(r) <= target:
             return x
-        p = r.copy()
+        p = self._precondition(r)
+        rz = float(r @ p)
         for k in range(1, self._max_iter + 1):
             Ap = self._matvec(p)
             curvature = float(p @ Ap)
@@ -129,21 +180,21 @@ class _ConjugateGradientSystem:
                 raise SolverFailure(
                     "the step operator I + tau*(L + diag(w)) is not positive definite "
                     f"(CG direction {k} has p^T A p = {curvature:.3e}): w is too negative")
-            alpha = rs / curvature
+            alpha = rz / curvature
             x += alpha * p
             r -= alpha * Ap
-            rs_new = float(r @ r)
-            if math.sqrt(rs_new) <= target:
+            if np.linalg.norm(r) <= target:
                 # guard against drift of the recursive residual
                 r = b - self._matvec(x)
-                rs_new = float(r @ r)
-                if math.sqrt(rs_new) <= target:
+                if np.linalg.norm(r) <= target:
                     return x
-                p = r.copy()
-                rs = rs_new
+                p = self._precondition(r)
+                rz = float(r @ p)
                 continue
-            p = r + (rs_new / rs) * p
-            rs = rs_new
+            z = self._precondition(r)
+            rz_new = float(r @ z)
+            p = z + (rz_new / rz) * p
+            rz = rz_new
         residual = float(np.linalg.norm(b - self._matvec(x)) / b_norm)
         raise SolverFailure(
             f"CG did not reach rtol={CG_RTOL:g} within {self._max_iter} iterations "
@@ -153,9 +204,10 @@ class _ConjugateGradientSystem:
 def shifted_system(lap: DirichletLaplacian, w: np.ndarray, tau: float):
     """Prepare ``(I + tau*(L + diag(w)))`` for repeated solves.
 
-    1D grids get an ``L D L^T`` tridiagonal factorization; 2D grids get
-    unpreconditioned CG with relative tolerance ``CG_RTOL`` and an
-    iteration cap of ``10 * num_nodes``.
+    1D grids get an ``L D L^T`` tridiagonal factorization; 2D grids get CG
+    preconditioned by the exact inverse of ``I + tau*(L + max(mean(w), 0))``
+    in the sine basis, with relative tolerance ``CG_RTOL`` and an iteration
+    cap of ``10 * num_nodes``.
     """
     if tau <= 0.0:
         raise ValueError(f"tau must be positive, got {tau}")

@@ -193,6 +193,30 @@ def test_invalid_mode_settings_exit_3_before_any_write(tmp_path):
     assert cli.run(write_config(tmp_path, file_study), quiet=True) == 0
 
 
+def test_study_reads_a_from_file_datum_once_per_level(tmp_path, monkeypatch):
+    # level 0 is the study's own problem, built by the one parse of its
+    # config; each finer level parses its own
+    first = tmp_path / "first"
+    assert cli.run(write_config(tmp_path, base_config(first), "c0.json"), quiet=True) == 0
+    reads = []
+    read_field = nio.read_field
+
+    def counted(path, grid):
+        reads.append(path)
+        return read_field(path, grid)
+
+    monkeypatch.setattr(nio, "read_field", counted)
+    from_file = {"name": "from_file", "params": {"path": str(first / "ut.json")}}
+    cfg = base_config(tmp_path / "out", mode="convergence_study", initial=from_file,
+                      study={"levels": 2, "refine": "time_only"})
+    job = cli.parse_config(cfg)
+    assert len(reads) == 2
+    assert [level.mode for level in job.levels] == ["solve", "solve"]
+    assert [level.ecfg.steps for level in job.levels] == [100, 200]
+    assert job.levels[0].u0 is job.u0 and job.levels[0].threshold is job.threshold
+    assert job.levels[0].levels is None
+
+
 def test_negative_seed_exits_3_before_any_write(tmp_path, capsys):
     out = tmp_path / "out"
     path = write_config(tmp_path, base_config(out, mode="probe", seed=-1))

@@ -13,7 +13,14 @@ from nonlocal_heat import (
     inner_product,
     norm_lp,
 )
-from nonlocal_heat.laplacian import CG_RTOL, _ConjugateGradientSystem, shifted_system
+from nonlocal_heat.laplacian import (
+    CG_RTOL,
+    DirichletLaplacian,
+    _ConjugateGradientSystem,
+    _sine_matrix,
+    dirichlet_eigenvalues,
+    shifted_system,
+)
 
 
 def apply_laplacian(L, f):
@@ -29,6 +36,26 @@ def dense_matrix(L):
         e[j] = 1.0
         A[:, j] = L.apply_array(e)
     return A
+
+
+def sine_squared_bump(grid, amplitude):
+    """``amplitude * sin^2(pi x) sin^2(pi y)`` on a 2D unit-square grid."""
+    x, y = np.meshgrid(*(h * np.arange(1, m + 1) for h, m in zip(grid.h, grid.n)),
+                       indexing="ij")
+    return amplitude * ((np.sin(math.pi * x) * np.sin(math.pi * y)) ** 2).ravel()
+
+
+def count_stencil_applies(monkeypatch):
+    """Count ``apply_array`` calls: one per step-operator product."""
+    calls = [0]
+    apply_array = DirichletLaplacian.apply_array
+
+    def counted(self, v):
+        calls[0] += 1
+        return apply_array(self, v)
+
+    monkeypatch.setattr(DirichletLaplacian, "apply_array", counted)
+    return calls
 
 
 def inverse_power_iteration(A, iters=200, seed=1):
@@ -104,6 +131,32 @@ def test_smallest_eigenvalue_2d_rectangle():
     assert lam_power == pytest.approx(lam_formula, rel=1e-7)
     assert dirichlet_lambda1(g) == pytest.approx(math.pi**2 * (1.0 + 0.25))
     assert lam_formula < dirichlet_lambda1(g)
+
+
+@pytest.mark.parametrize("grid", [Grid((1.0,), (7,)), Grid((1.0, 2.5), (5, 4))],
+                         ids=["1d-7", "2d-5x4"])
+def test_dirichlet_eigenvalues_match_the_dense_stencil(grid):
+    eigenvalues = dirichlet_eigenvalues(grid)
+    assert eigenvalues.shape == grid.n
+    expected = np.linalg.eigvalsh(dense_matrix(assemble(grid)))
+    assert np.allclose(np.sort(eigenvalues.ravel()), expected, rtol=1e-12, atol=0.0)
+    assert dirichlet_lambda1_discrete(grid) == eigenvalues.min() == eigenvalues.flat[0]
+
+
+@pytest.mark.parametrize("m", [1, 4, 31, 127])
+def test_sine_matrix_is_symmetric_and_its_own_inverse(m):
+    S = _sine_matrix(m)
+    assert np.array_equal(S, S.T)
+    assert np.max(np.abs(S @ S - np.eye(m))) <= 1e-13
+
+
+def test_sine_basis_diagonalizes_the_2d_stencil():
+    # with the eigenvalues as multipliers, the sine-basis product is the stencil
+    g = Grid((1.0, 2.5), (5, 4))
+    lap = assemble(g)
+    v = np.random.default_rng(2).standard_normal(g.num_nodes)
+    assert np.allclose(lap.apply_spectral(v, dirichlet_eigenvalues(g)), lap.apply_array(v),
+                       rtol=0.0, atol=1e-12 * np.max(np.abs(lap.apply_array(v))))
 
 
 # ---------------------------------------------------------------- apply
@@ -246,9 +299,11 @@ def test_solve_rejects_bad_tau_and_grids():
 
 
 def test_solver_failure_carries_residual():
-    # the CG budget is 10 * num_nodes through shifted_system; a cap of 1 reaches it
+    # the CG budget is 10 * num_nodes through shifted_system; a cap of 1 reaches
+    # it when w is not constant (a nonnegative constant w is solved exactly by
+    # the start M^{-1} b, before any iteration)
     g = Grid((1.0, 1.0), (12, 12))
-    system = _ConjugateGradientSystem(assemble(g), np.zeros(g.num_nodes), 5.0, 1)
+    system = _ConjugateGradientSystem(assemble(g), sine_squared_bump(g, 36.0), 5.0, 1)
     with pytest.raises(SolverFailure, match=r"within 1 iterations \(relative residual "
                                             r"[1-9]\.\d{3}e[-+]\d\d\)"):
         system.solve(np.ones(g.num_nodes))
@@ -283,22 +338,72 @@ def test_cg_rejects_a_right_hand_side_whose_norm_overflows():
             np.full(g.num_nodes, 1e308))
 
 
-def test_cg_returns_its_start_when_it_meets_the_tolerance():
-    # at tau = 1e-16 the start x = b leaves b - A b = -tau*(L + I) b, far
-    # below CG_RTOL * ||b||: the solve returns b without iterating
-    g = Grid((1.0, 1.0), (5, 5))
+def test_cg_returns_its_start_when_it_meets_the_tolerance(monkeypatch):
+    # for a constant w >= 0 the preconditioner is the exact inverse, so the
+    # start M^{-1} b meets the tolerance: one product (its residual), no
+    # iteration, and the dense solution to round-off
+    g = Grid((1.0, 2.0), (5, 7))
+    lap = assemble(g)
+    w, tau = np.full(g.num_nodes, 3.0), 0.05
     b = np.random.default_rng(1).standard_normal(g.num_nodes)
-    x = shifted_system(assemble(g), np.ones(g.num_nodes), 1e-16).solve(b)
-    assert np.array_equal(x, b)
+    products = count_stencil_applies(monkeypatch)
+    x = shifted_system(lap, w, tau).solve(b)
+    assert products[0] == 1
+    A = np.eye(g.num_nodes) + tau * (dense_matrix(lap) + np.diag(w))
+    oracle = np.linalg.solve(A, b)
+    assert np.max(np.abs(x - oracle)) <= 1e-14 * np.max(np.abs(oracle))
 
 
 def test_cg_restarts_when_the_recursive_residual_drifts():
-    # at tau = 1e4 the recursive residual meets the target while the true
-    # one does not; the solve must restart from the true residual
+    # the first step-operator product inside the iteration (the second call)
+    # is off by 1e-6 relative, so the recursive residual drifts from the true
+    # one; the solve must see that at its true-residual check, restart from
+    # the true residual, and return only an x that meets the target
     g = Grid((1.0, 1.0), (15, 15))
-    lap = assemble(g)
-    tau = 1e4
+    system = shifted_system(assemble(g), sine_squared_bump(g, 36.0), 5e-3)
+    exact = system._matvec
+    calls = [0]
+
+    def drifting(v):
+        calls[0] += 1
+        return exact(v) * (1.0 + 1e-6) if calls[0] == 2 else exact(v)
+
+    system._matvec = drifting
     b = np.random.default_rng(0).standard_normal(g.num_nodes)
-    x = shifted_system(lap, np.zeros(g.num_nodes), tau).solve(b)
-    residual = b - (x + tau * lap.apply_array(x))
-    assert np.linalg.norm(residual) <= CG_RTOL * np.linalg.norm(b)
+    x = system.solve(b)
+    assert np.linalg.norm(b - exact(x)) <= CG_RTOL * np.linalg.norm(b)
+
+
+def test_cg_converges_for_a_negative_mean_w_with_a_positive_definite_operator():
+    # w = -100 on the ring next to the boundary: I + tau*(L + diag(w)) is
+    # positive definite, while I + tau*(L + mean(w)) is not; the
+    # preconditioner's shift is clipped at 0, so its multipliers lie in (0, 1]
+    g = Grid((1.0, 1.0), (9, 9))
+    lap = assemble(g)
+    ring = np.ones(g.n, dtype=bool)
+    ring[1:-1, 1:-1] = False
+    w, tau = np.where(ring.ravel(), -100.0, 0.0), 0.1
+    A = np.eye(g.num_nodes) + tau * (dense_matrix(lap) + np.diag(w))
+    assert np.linalg.eigvalsh(A).min() > 1.0
+    assert 1.0 + tau * (dirichlet_lambda1_discrete(g) + np.mean(w)) < 0.0
+    system = shifted_system(lap, w, tau)
+    assert np.all((system._inverse_eigenvalues > 0.0) & (system._inverse_eigenvalues <= 1.0))
+    b = np.random.default_rng(3).standard_normal(g.num_nodes)
+    x = system.solve(b)
+    assert np.linalg.norm(b - A @ x) <= CG_RTOL * np.linalg.norm(b)
+    assert np.allclose(x, np.linalg.solve(A, b), rtol=0.0, atol=1e-9)
+
+
+def test_cg_products_per_solve_do_not_grow_with_the_grid(monkeypatch):
+    # preconditioned by the sine-basis inverse, a solve with w up to 36 takes
+    # the same number of step-operator products at 31^2 and 127^2 (6 here);
+    # plain CG took 24 and 94
+    products = count_stencil_applies(monkeypatch)
+    counts = {}
+    for m in (31, 127):
+        g = Grid((1.0, 1.0), (m, m))
+        system = shifted_system(assemble(g), sine_squared_bump(g, 36.0), 5e-4)
+        before = products[0]
+        system.solve(np.ones(g.num_nodes))
+        counts[m] = products[0] - before
+    assert counts[31] == counts[127] <= 8
