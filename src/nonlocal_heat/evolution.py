@@ -45,6 +45,8 @@ class EvolutionConfig:
             raise ValueError(f"T must be positive and finite, got {self.T}")
         if int(self.steps) != self.steps or self.steps < 2:
             raise ValueError(f"steps must be an integer >= 2, got {self.steps}")
+        if self.steps > 2**53:  # float64 holds every count up to 2**53 exactly
+            raise ValueError(f"steps must be at most 2**53, got {self.steps}")
         object.__setattr__(self, "steps", int(self.steps))
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}, got '{self.scheme}'")

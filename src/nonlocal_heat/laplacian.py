@@ -135,14 +135,29 @@ class _TridiagonalSystem:
 class _ConjugateGradientSystem:
     """Preconditioned CG for ``A x = b``, ``A = I + tau*(L + diag(w))``, in 2D.
 
-    The preconditioner is the exact inverse of
-    ``M = I + tau*(L + max(mean(w), 0))``, diagonal in the stencil's sine
-    basis, so the iteration count does not grow with the grid; the shift is
-    clipped at 0 so that ``M`` stays positive definite.  The start is
-    ``M^{-1} b``, which is the solution when ``w`` is a nonnegative constant.
-    Convergence is judged on the unpreconditioned residual,
-    ``||b - A x|| <= CG_RTOL * ||b||``.  A direction with ``p^T A p <= 0``
-    proves the operator indefinite: ``SolverFailure``.
+    The preconditioner is the exact inverse of ``M = I + tau*(L + c)``,
+    diagonal in the stencil's sine basis, so the iteration count does not
+    grow with the grid.  The shift ``c`` is ``mean(w)``, kept within
+    ``[min(w), max(w)]`` against rounding (so it is ``w`` itself for a
+    constant ``w``) and clipped at 0 so that ``M`` stays positive definite.
+
+    A system is built for one evolution, whose right-hand sides change
+    smoothly from solve to solve, so it keeps its last two solutions.  A
+    solve starts from ``M^{-1}(b - tau*(w - c) g)``, which equals
+    ``g + M^{-1}(b - A g)``, with ``g`` the linear extrapolation
+    ``2 x_{j-1} - x_{j-2}`` of those solutions (``x_{j-1}`` on the second
+    solve).  The first solve, and one whose start is not finite, starts from
+    ``M^{-1} b``.  For a nonnegative constant ``w`` the term in ``g`` is 0,
+    so every solve starts from ``M^{-1} b``, which is then the solution.
+
+    Each solve runs on ``b`` scaled by a power of two that brings ``max|b|``
+    into ``[1/2, 1)``, which is exact, so norms and curvatures neither
+    overflow nor underflow.  Convergence is judged on the unpreconditioned
+    residual, ``||b - A x|| <= CG_RTOL * ||b||``.  A direction with
+    ``p^T A p <= 0`` proves the operator indefinite, and a restart whose true
+    residual is not below the previous restart's (the start's, for the
+    first) shows that rounding keeps the residual above the target: both
+    raise ``SolverFailure``.
     """
 
     def __init__(self, lap: DirichletLaplacian, w: np.ndarray, tau: float, max_iter: int):
@@ -150,8 +165,11 @@ class _ConjugateGradientSystem:
         self._shift = 1.0 + tau * w
         self._tau = tau
         self._max_iter = max_iter
-        mean_shift = max(float(np.mean(w)), 0.0)
+        # mean(w) can round outside [min(w), max(w)]
+        mean_shift = max(float(np.clip(np.mean(w), w.min(), w.max())), 0.0)
         self._inverse_eigenvalues = 1.0 / (1.0 + tau * (lap._eigenvalues + mean_shift))
+        self._coupling = tau * (w - mean_shift)  # A = M + diag(coupling)
+        self._solutions = ()  # the last two, oldest first
 
     def _matvec(self, v: np.ndarray) -> np.ndarray:
         return self._shift * v + self._tau * self._lap.apply_array(v)
@@ -159,17 +177,37 @@ class _ConjugateGradientSystem:
     def _precondition(self, r: np.ndarray) -> np.ndarray:
         return self._lap.apply_spectral(r, self._inverse_eigenvalues)
 
+    def _start(self, b: np.ndarray, exponent: int) -> np.ndarray:
+        """The start for ``b``, the right-hand side scaled by ``2**-exponent``."""
+        if self._solutions:
+            with np.errstate(over="ignore", invalid="ignore"):
+                g = (self._solutions[-1] if len(self._solutions) == 1
+                     else 2.0 * self._solutions[-1] - self._solutions[-2])
+                x = self._precondition(b - self._coupling * np.ldexp(g, -exponent))
+            if np.isfinite(x).all():
+                return x
+        return self._precondition(b)
+
     def solve(self, b: np.ndarray) -> np.ndarray:
-        with np.errstate(over="ignore", invalid="ignore"):
-            b_norm = float(np.linalg.norm(b))
-        if not math.isfinite(b_norm):
-            raise SolverFailure("CG right-hand side has a non-finite norm")
-        if b_norm == 0.0:
-            return np.zeros_like(b)
+        top = float(np.max(np.abs(b)))
+        if not math.isfinite(top):
+            raise SolverFailure("CG right-hand side has a non-finite entry")
+        if top == 0.0:
+            x = np.zeros_like(b)
+        else:
+            exponent = math.frexp(top)[1]
+            scaled = np.ldexp(b, -exponent)
+            x = np.ldexp(self._iterate(scaled, self._start(scaled, exponent)), exponent)
+        self._solutions = (*self._solutions[-1:], x)
+        return x
+
+    def _iterate(self, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """CG from ``x`` until the true residual meets the target."""
+        b_norm = float(np.linalg.norm(b))
         target = CG_RTOL * b_norm
-        x = self._precondition(b)
         r = b - self._matvec(x)
-        if np.linalg.norm(r) <= target:
+        restart_residual = float(np.linalg.norm(r))
+        if restart_residual <= target:
             return x
         p = self._precondition(r)
         rz = float(r @ p)
@@ -186,8 +224,15 @@ class _ConjugateGradientSystem:
             if np.linalg.norm(r) <= target:
                 # guard against drift of the recursive residual
                 r = b - self._matvec(x)
-                if np.linalg.norm(r) <= target:
+                residual = float(np.linalg.norm(r))
+                if residual <= target:
                     return x
+                if residual >= restart_residual:
+                    raise SolverFailure(
+                        f"CG stagnated at relative residual {residual / b_norm:.3e} "
+                        f"after {k} iterations: a restart did not lower the true residual, "
+                        f"so rounding keeps it above rtol={CG_RTOL:g}")
+                restart_residual = residual
                 p = self._precondition(r)
                 rz = float(r @ p)
                 continue
@@ -205,9 +250,12 @@ def shifted_system(lap: DirichletLaplacian, w: np.ndarray, tau: float):
     """Prepare ``(I + tau*(L + diag(w)))`` for repeated solves.
 
     1D grids get an ``L D L^T`` tridiagonal factorization; 2D grids get CG
-    preconditioned by the exact inverse of ``I + tau*(L + max(mean(w), 0))``
-    in the sine basis, with relative tolerance ``CG_RTOL`` and an iteration
-    cap of ``10 * num_nodes``.
+    preconditioned by the exact inverse of ``I + tau*(L + c)``, ``c`` the
+    mean of ``w`` clipped at 0, in the sine basis, with relative tolerance
+    ``CG_RTOL`` and an iteration cap of ``10 * num_nodes``.  A 2D system
+    starts each solve from the extrapolation of its last two solutions, so
+    one system serves one sequence of right-hand sides, such as the steps
+    of one evolution.
     """
     if tau <= 0.0:
         raise ValueError(f"tau must be positive, got {tau}")

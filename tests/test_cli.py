@@ -636,12 +636,17 @@ CN = {"time": {"T": 0.1, "steps": 100, "scheme": "crank_nicolson"}}
     ({"name": "from_file", "params": {"scale": 1e308}}, "quadratic", 1.0, {},
      "EvaluationError", "non-finite"),
     (sine(1.0), "constant", None, {}, "SolverFailure", "not positive definite"),
-    # the norm of a 2D right-hand side overflows: CG stops before iterating
-    (sine(1e308), "quadratic", None, GRID_2D, "SolverFailure", "non-finite norm"),
+    # CG scales a 2D right-hand side near the float limit, so the solve
+    # succeeds; the potential of the map output then overflows, as in 1D
+    (sine(1e308), "quadratic", None, GRID_2D, "EvaluationError", "non-finite"),
     (sine(1e308), "quadratic", None, CN, "EvaluationError", "non-finite"),
     # the 2D operator is indefinite too: CG finds a direction with p^T A p <= 0
     (sine(1.0), "constant", None, GRID_2D, "SolverFailure", "not positive definite"),
-], ids=[f"initial{i}" for i in range(9)])
+    # Crank-Nicolson's 2 y - u overflows in 2D: CG rejects the next state
+    # before its first iteration
+    (sine(1e308), "quadratic", None, {**GRID_2D, **CN}, "SolverFailure",
+     "non-finite entry"),
+], ids=[f"initial{i}" for i in range(10)])
 def test_numerical_failure_exits_5_with_report(
         tmp_path, capsys, initial, potential, datum, overrides, error, cause):
     if datum is not None:
@@ -775,6 +780,12 @@ def extreme_study(cfg):
     cfg["domain"]["lengths"] = [1e-152]
 
 
+def steps_study(cfg):
+    # level 0 takes 2**53 steps, the largest count allowed; level 1 takes 2**54
+    cfg.update(mode="convergence_study", study={"levels": 2, "refine": "time_only"})
+    cfg["time"]["steps"] = 2**53
+
+
 @pytest.mark.parametrize("edit,code,field", [
     # every 1/L**2 and 1/h**2 of the stencil must be a finite positive float
     (lambda c: c["domain"].update(lengths=[1e300]), 3, "domain.lengths"),
@@ -790,6 +801,9 @@ def extreme_study(cfg):
     (lambda c: c.update(gaussian(1e-160)), 0, None),
     (extreme_probe, 0, None),
     (lambda c: c["time"].update(T=1e308), 5, None),
+    # a step count float64 cannot hold exactly: dt = 1e-301 would never finish
+    (lambda c: c["time"].update(steps=10**300), 3, "time.steps"),
+    (steps_study, 3, "time.steps"),  # a study's finest level, before any write
     (lambda c: c.update(potential={"name": "constant", "params": [-1e308]}), 5, None),
     *[(huge(field, *spec), 3, field) for field, spec in HUGE_FIELDS.items()],
     # a config that named a start must not silently start from zero
@@ -801,7 +815,8 @@ def extreme_study(cfg):
     (overflowing_scale, 3, "initial"),
 ], ids=["length1e300", "length1e-300", "axis1e-300", "length1e-155", "length1e154",
         "study1e-152",
-        "width1e200", "width1e-300", "width1e-160", "probe1e307", "T1e308",
+        "width1e200", "width1e-300", "width1e-160", "probe1e307", "T1e308", "steps1e300",
+        "study_steps_2pow54",
         "constant-1e308", *[f"huge-{field}" for field in HUGE_FIELDS], "initial_guess",
         *[f"from_file{suffix}-{axis}" for suffix in ("csv", "json")
           for axis in ("n", "length", "dim")],

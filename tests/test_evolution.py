@@ -46,6 +46,11 @@ def test_config_validation():
         EvolutionConfig(T=0.0, steps=10)
     with pytest.raises(ValueError):
         EvolutionConfig(T=1.0, steps=1)
+    # float64 holds every step count up to 2**53, and not 2**53 + 1
+    assert EvolutionConfig(T=1.0, steps=2**53).steps == 2**53
+    for steps in (2**53 + 1, 10**300, 1e300):
+        with pytest.raises(ValueError, match=r"^steps must be at most 2\*\*53, got "):
+            EvolutionConfig(T=1.0, steps=steps)
     with pytest.raises(ValueError):
         EvolutionConfig(T=1.0, steps=10, scheme="leapfrog")
     with pytest.raises(ValueError):

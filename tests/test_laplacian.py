@@ -1,18 +1,23 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from nonlocal_heat import (
+    EvolutionConfig,
     Field,
     Grid,
     SolverFailure,
     assemble,
     dirichlet_lambda1,
     dirichlet_lambda1_discrete,
+    evolve,
     inner_product,
     norm_lp,
 )
+from nonlocal_heat import evolution
+from nonlocal_heat.evolution import CRANK_NICOLSON, SCHEMES
 from nonlocal_heat.laplacian import (
     CG_RTOL,
     DirichletLaplacian,
@@ -330,12 +335,50 @@ def test_indefinite_step_operator_raises(n):
             np.ones(g.num_nodes))
 
 
-def test_cg_rejects_a_right_hand_side_whose_norm_overflows():
-    # every entry is finite, their Euclidean norm is not
+def test_cg_rejects_a_right_hand_side_with_a_non_finite_entry(monkeypatch):
+    # before its first stencil product, whatever the other entries are
     g = Grid((1.0, 1.0), (5, 5))
-    with pytest.raises(SolverFailure, match="^CG right-hand side has a non-finite norm$"):
-        shifted_system(assemble(g), np.zeros(g.num_nodes), 0.1).solve(
-            np.full(g.num_nodes, 1e308))
+    system = shifted_system(assemble(g), np.zeros(g.num_nodes), 0.1)
+    products = count_stencil_applies(monkeypatch)
+    for bad in (math.inf, -math.inf, math.nan):
+        b = np.full(g.num_nodes, 1e308)
+        b[7] = bad
+        with pytest.raises(SolverFailure, match="^CG right-hand side has a non-finite entry$"):
+            system.solve(b)
+    assert products[0] == 0
+
+
+@pytest.mark.parametrize("exponent", [-664, -515, 0, 1021])
+def test_cg_scales_right_hand_sides_across_the_float_range(exponent):
+    # b * 2**e is solved as b, exactly: no norm or curvature underflows near
+    # 1e-200 (unscaled, the solve returned zeros) or 1e-155 (unscaled, a
+    # curvature of 0 read as an indefinite operator), nor overflows near 1e308
+    g = Grid((1.0, 1.0), (31, 31))
+    rng = np.random.default_rng(0)
+    w, tau = rng.uniform(0.0, 3600.0, g.num_nodes), 2.5e-3
+    b = rng.standard_normal(g.num_nodes)
+    x = shifted_system(assemble(g), w, tau).solve(b)
+    x_scaled = shifted_system(assemble(g), w, tau).solve(np.ldexp(b, exponent))
+    assert np.array_equal(x_scaled, np.ldexp(x, exponent))
+    A = np.eye(g.num_nodes) + tau * (dense_matrix(assemble(g)) + np.diag(w))
+    assert np.linalg.norm(b - A @ x) <= CG_RTOL * np.linalg.norm(b)
+
+
+def test_cg_stops_once_a_restart_does_not_lower_the_true_residual(monkeypatch):
+    # a positive definite step operator within 1e-8 of singular: its true
+    # residual's rounding floor lies above CG_RTOL, so every restart would be
+    # followed by another until the 10 * num_nodes budget ran out (9,610
+    # iterations and ~10,000 stencil products); the solve stops at the first
+    # restart that makes no progress
+    g = Grid((1.0, 1.0), (31, 31))
+    tau = 1e-3
+    w = np.full(g.num_nodes, -(1.0 / tau + dirichlet_lambda1_discrete(g)) * (1.0 - 1e-8))
+    system = shifted_system(assemble(g), w, tau)
+    products = count_stencil_applies(monkeypatch)
+    with pytest.raises(SolverFailure, match=r"^CG stagnated at relative residual "
+                                            r"[1-9]\.\d{3}e-\d\d after \d+ iterations"):
+        system.solve(np.ones(g.num_nodes))
+    assert products[0] <= 300
 
 
 def test_cg_returns_its_start_when_it_meets_the_tolerance(monkeypatch):
@@ -407,3 +450,98 @@ def test_cg_products_per_solve_do_not_grow_with_the_grid(monkeypatch):
         system.solve(np.ones(g.num_nodes))
         counts[m] = products[0] - before
     assert counts[31] == counts[127] <= 8
+
+
+# ---------------------------------------------------- successive solves
+
+def evolve_counting_products(monkeypatch, w, cfg, fresh=False):
+    """``evolve`` from ``sin(pi x) sin(pi y)`` on the grid of ``w``, and the
+    stencil products of each of its solves.  With ``fresh``, every solve gets
+    a newly built system and so starts from ``M^{-1} b``, as a first solve
+    does."""
+    products = count_stencil_applies(monkeypatch)
+    counts = []
+
+    def build(lap, w, tau):
+        system = shifted_system(lap, w, tau)
+
+        def solve(b):
+            before = products[0]
+            x = (shifted_system(lap, w, tau) if fresh else system).solve(b)
+            counts.append(products[0] - before)
+            return x
+        return SimpleNamespace(solve=solve)
+
+    monkeypatch.setattr(evolution, "shifted_system", build)
+    g = w.grid
+    u0 = Field(g, sine_squared_bump(g, 1.0) ** 0.5)
+    trajectory = evolve(assemble(g), w, u0, cfg)
+    monkeypatch.undo()
+    return trajectory, counts
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("amplitude", [36.0, 0.022**2],
+                         ids=["36 sin^2 sin^2", "(0.022 sin sin)^2"])
+def test_extrapolated_start_saves_stencil_products(monkeypatch, scheme, amplitude):
+    # from the third solve on, the start extrapolated from the last two
+    # solutions needs fewer products than M^{-1} b: measured 4 against 6 for
+    # the large w, and 1 against 3 for the small one
+    g = Grid((1.0, 1.0), (31, 31))
+    w = Field(g, sine_squared_bump(g, amplitude))
+    cfg = EvolutionConfig(T=0.1, steps=200, scheme=scheme)
+    _, extrapolated = evolve_counting_products(monkeypatch, w, cfg)
+    _, fresh = evolve_counting_products(monkeypatch, w, cfg, fresh=True)
+    assert len(extrapolated) == len(fresh) == 200
+    assert np.mean(extrapolated[2:]) <= np.mean(fresh[2:]) - 1.0
+
+
+def test_constant_w_evolves_bitwise_as_from_the_preconditioned_datum(monkeypatch):
+    # the preconditioner's shift is w itself for a constant w >= 0, though
+    # the mean of 700.1 over 31^2 nodes rounds away from 700.1, so the
+    # extrapolation term vanishes and every solve starts from M^{-1} b, bit
+    # for bit (a shift of mean(w), at tau * w = 3.5, moves the start)
+    g = Grid((1.0, 1.0), (31, 31))
+    assert np.mean(np.full(g.num_nodes, 700.1)) != 700.1
+    for scheme in SCHEMES:
+        cfg = EvolutionConfig(T=0.1, steps=20, scheme=scheme)
+        for value in (0.0, 3.0, 700.1):
+            w = Field.constant(g, value)
+            extrapolated, _ = evolve_counting_products(monkeypatch, w, cfg)
+            fresh, _ = evolve_counting_products(monkeypatch, w, cfg, fresh=True)
+            assert np.array_equal(extrapolated.states, fresh.states)
+            assert np.array_equal(extrapolated.integral, fresh.integral)
+
+
+def test_one_system_solves_unrelated_right_hand_sides():
+    # the extrapolation of unrelated solutions is a poor start, not a wrong one
+    g = Grid((1.0, 1.0), (15, 15))
+    lap = assemble(g)
+    w, tau = sine_squared_bump(g, 36.0), 5e-3
+    A = np.eye(g.num_nodes) + tau * (dense_matrix(lap) + np.diag(w))
+    system = shifted_system(lap, w, tau)
+    rng = np.random.default_rng(4)
+    for scale in (1.0, 1e-3, 1e3, 1e-3, 1.0, 1e3):
+        b = scale * rng.standard_normal(g.num_nodes)
+        x = system.solve(b)
+        assert np.linalg.norm(b - A @ x) <= CG_RTOL * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_2d_evolve_matches_a_dense_solve_oracle(scheme):
+    g = Grid((1.0, 1.0), (15, 15))
+    lap = assemble(g)
+    w = sine_squared_bump(g, 36.0)
+    u0 = np.sqrt(sine_squared_bump(g, 1.0))
+    cfg = EvolutionConfig(T=0.1, steps=100, scheme=scheme)
+    trajectory = evolve(lap, Field(g, w), Field(g, u0), cfg)
+    reflect = scheme == CRANK_NICOLSON
+    tau = 0.5 * cfg.dt if reflect else cfg.dt
+    A = np.eye(g.num_nodes) + tau * (dense_matrix(lap) + np.diag(w))
+    u, integral = u0, 0.5 * cfg.dt * u0
+    for k in range(cfg.steps):
+        y = np.linalg.solve(A, u)
+        u = 2.0 * y - u if reflect else y
+        integral = integral + (0.5 if k == cfg.steps - 1 else 1.0) * cfg.dt * u
+    assert np.max(np.abs(trajectory.final().values - u)) <= 1e-8 * np.max(np.abs(u))
+    assert np.max(np.abs(trajectory.integral - integral)) <= 1e-8 * np.max(np.abs(integral))
