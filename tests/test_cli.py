@@ -1,7 +1,10 @@
 import copy
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -642,10 +645,9 @@ CN = {"time": {"T": 0.1, "steps": 100, "scheme": "crank_nicolson"}}
     (sine(1e308), "quadratic", None, CN, "EvaluationError", "non-finite"),
     # the 2D operator is indefinite too: CG finds a direction with p^T A p <= 0
     (sine(1.0), "constant", None, GRID_2D, "SolverFailure", "not positive definite"),
-    # Crank-Nicolson's 2 y - u overflows in 2D: CG rejects the next state
-    # before its first iteration
-    (sine(1e308), "quadratic", None, {**GRID_2D, **CN}, "SolverFailure",
-     "non-finite entry"),
+    # Crank-Nicolson's 2 y - u overflows in 2D: CG returns NaN for the next
+    # state, as pttrs does in 1D, and the integral check names the overflow
+    (sine(1e308), "quadratic", None, {**GRID_2D, **CN}, "EvaluationError", "non-finite"),
 ], ids=[f"initial{i}" for i in range(10)])
 def test_numerical_failure_exits_5_with_report(
         tmp_path, capsys, initial, potential, datum, overrides, error, cause):
@@ -969,3 +971,44 @@ def test_failure_after_a_streamed_sweep_leaves_no_trajectory(tmp_path, monkeypat
     assert len(sweeps) == 1
     assert json.loads((out / "report.json").read_text())["error"]["type"] == "EvaluationError"
     assert sorted(p.name for p in out.iterdir()) == ["config.json", "report.json"]
+
+
+IMPORT_SET_SCRIPT = """
+import json, sys
+from pathlib import Path
+import nonlocal_heat.cli as cli
+after_import = set(sys.modules)
+out = Path(sys.argv[1])
+for i, cfg in enumerate(json.loads(sys.argv[2])):
+    cfg["output"]["dir"] = str(out / f"run{i}")
+    path = out / f"config{i}.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.run(path, quiet=True) == 0, cfg["mode"]
+added_by_runs = set(sys.modules) - after_import
+# scipy.linalg, imported later, binds the same LAPACK wrapper as usual
+import scipy.linalg
+from nonlocal_heat import laplacian
+assert scipy.linalg._flapack.dpttrf is laplacian._pttrf
+print(json.dumps({"after_import": sorted(after_import), "added_by_runs": sorted(added_by_runs)}))
+"""
+
+
+def test_cli_imports_no_scipy_linalg_and_runs_import_nothing_more(tmp_path):
+    # a fresh interpreter: scipy.linalg's array-API layer pulls in numpy.f2py,
+    # numpy.testing and numpy.ma; numpy.random, which the probe needs, is
+    # imported up front so that no run pays for an import
+    small_2d = {"domain": {"dim": 2, "lengths": [1.0, 1.0], "n": [15, 15]},
+                "time": {"T": 0.1, "steps": 20, "scheme": "implicit_euler"}}
+    configs = [base_config(None), base_config(None, mode="probe"),
+               base_config(None, mode="convergence_study", study={"levels": 2}),
+               base_config(None, **small_2d)]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", IMPORT_SET_SCRIPT, str(tmp_path),
+                           json.dumps(configs)],
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    modules = json.loads(proc.stdout)
+    after_import = set(modules["after_import"])
+    assert after_import.isdisjoint({"scipy.linalg", "numpy.f2py", "numpy.testing", "numpy.ma"})
+    assert "numpy.random" in after_import
+    assert [m for m in modules["added_by_runs"] if not m.startswith("encodings.")] == []

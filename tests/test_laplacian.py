@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,7 +17,7 @@ from nonlocal_heat import (
     inner_product,
     norm_lp,
 )
-from nonlocal_heat import evolution
+from nonlocal_heat import evolution, laplacian
 from nonlocal_heat.evolution import CRANK_NICOLSON, SCHEMES
 from nonlocal_heat.laplacian import (
     CG_RTOL,
@@ -335,17 +336,21 @@ def test_indefinite_step_operator_raises(n):
             np.ones(g.num_nodes))
 
 
-def test_cg_rejects_a_right_hand_side_with_a_non_finite_entry(monkeypatch):
-    # before its first stencil product, whatever the other entries are
+def test_cg_returns_nan_for_a_right_hand_side_with_a_non_finite_entry(monkeypatch):
+    # as pttrs in 1D, the overflow reaches the caller's check on the states;
+    # no stencil product, whatever the other entries are
     g = Grid((1.0, 1.0), (5, 5))
-    system = shifted_system(assemble(g), np.zeros(g.num_nodes), 0.1)
+    lap, w = assemble(g), np.zeros(g.num_nodes)
+    system = shifted_system(lap, w, 0.1)
     products = count_stencil_applies(monkeypatch)
     for bad in (math.inf, -math.inf, math.nan):
         b = np.full(g.num_nodes, 1e308)
         b[7] = bad
-        with pytest.raises(SolverFailure, match="^CG right-hand side has a non-finite entry$"):
-            system.solve(b)
+        assert np.isnan(system.solve(b)).all()
     assert products[0] == 0
+    # the non-finite history is dropped: a finite b solves as on a new system
+    b = np.linspace(-1.0, 1.0, g.num_nodes)
+    assert system.solve(b).tobytes() == shifted_system(lap, w, 0.1).solve(b).tobytes()
 
 
 @pytest.mark.parametrize("exponent", [-664, -515, 0, 1021])
@@ -545,3 +550,57 @@ def test_2d_evolve_matches_a_dense_solve_oracle(scheme):
         integral = integral + (0.5 if k == cfg.steps - 1 else 1.0) * cfg.dt * u
     assert np.max(np.abs(trajectory.final().values - u)) <= 1e-8 * np.max(np.abs(u))
     assert np.max(np.abs(trajectory.integral - integral)) <= 1e-8 * np.max(np.abs(integral))
+
+
+def random_spd_tridiagonal(rng, n):
+    """Diagonal and off-diagonal of a strictly diagonally dominant, so SPD,
+    tridiagonal matrix; at ``n = 1`` one unread off-diagonal entry."""
+    off = rng.uniform(-1.0, 1.0, max(n - 1, 1))
+    neighbours = np.zeros(n)
+    if n > 1:
+        neighbours[:-1] += np.abs(off)
+        neighbours[1:] += np.abs(off)
+    return neighbours + rng.uniform(0.1, 1.0, n), off
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 199, 799])
+def test_loaded_lapack_routines_match_scipys_public_ones(n):
+    from scipy.linalg import get_lapack_funcs
+
+    pttrf, pttrs = get_lapack_funcs(("pttrf", "pttrs"), (np.empty(0),))
+    rng = np.random.default_rng(n)
+    diag, off = random_spd_tridiagonal(rng, n)
+    b = rng.standard_normal(n)
+    factors = laplacian._pttrf(diag, off)
+    assert factors[2] == 0
+    expected = pttrf(diag, off)
+    assert [np.asarray(v).tobytes() for v in factors] == [
+        np.asarray(v).tobytes() for v in expected]
+    solution = laplacian._pttrs(factors[0], factors[1], b)
+    assert [np.asarray(v).tobytes() for v in solution] == [
+        np.asarray(v).tobytes() for v in pttrs(expected[0], expected[1], b)]
+
+
+def test_loaded_lapack_routines_report_an_indefinite_matrix_as_scipys_do():
+    from scipy.linalg import get_lapack_funcs
+
+    pttrf = get_lapack_funcs("pttrf", (np.empty(0),))
+    diag, off = np.full(7, 2.0), np.full(6, -1.5)  # leading minor 3 is negative
+    info = laplacian._pttrf(diag, off)[2]
+    assert info == pttrf(diag, off)[2] == 3
+
+
+def test_a_scipy_without_the_lapack_wrapper_raises_import_error(monkeypatch, tmp_path):
+    monkeypatch.setattr(laplacian.importlib.util, "find_spec",
+                        lambda name: SimpleNamespace(submodule_search_locations=[str(tmp_path)]))
+    with pytest.raises(ImportError) as raised:
+        laplacian._load_flapack()
+    assert str(raised.value) == f"scipy's LAPACK wrapper _flapack is not in {tmp_path / 'linalg'}"
+
+
+def test_lapack_wrapper_is_loaded_from_scipys_linalg_directory():
+    import scipy.linalg
+
+    path = Path(laplacian._flapack.__file__).resolve()
+    assert path.parent == Path(scipy.linalg.__file__).resolve().parent
+    assert path.name.startswith("_flapack.")
