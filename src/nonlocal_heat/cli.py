@@ -62,6 +62,11 @@ class ConfigError(ValueError):
 
 #: The numerical failures that end a run in ``EXIT_NUMERICAL``.
 NUMERICAL_FAILURES = (EvaluationError, SolverFailure)
+#: Where a numerical failure happened, as the exception carries it into the
+#: exit-5 ``report.json``: the study level (0 coarsest), the probe start's
+#: kind, the 1-based map evaluation and the residuals of the evaluations
+#: before it.
+FAILURE_LOCATION = ("level", "start", "iteration", "residual_history")
 
 
 def _fail(field: str, message: str):
@@ -451,8 +456,12 @@ def run_probe(cfg: dict, job: Job, quiet: bool) -> bool:
 
 def run_convergence_study(cfg: dict, job: Job, quiet: bool) -> bool:
     runs = []
-    for level_job in job.levels:
-        lap, report = _solve(level_job)
+    for level, level_job in enumerate(job.levels):
+        try:
+            lap, report = _solve(level_job)
+        except NUMERICAL_FAILURES as exc:
+            exc.level = level
+            raise
         verification = verify_all(report, level_job.phi, lap)
         runs.append((level_job.grid, level_job.ecfg, report, verification))
 
@@ -520,7 +529,7 @@ def run(
     The whole config is parsed before the output directory is created.  A
     numerical failure (a potential value, a stepping overflow or a linear
     solve that breaks down) ends in ``EXIT_NUMERICAL`` with the run header and the error in
-    ``report.json``.
+    ``report.json``, located by the ``FAILURE_LOCATION`` entries its exception carries.
     """
     try:
         cfg = load_config(config_path)
@@ -540,6 +549,8 @@ def run(
         except NUMERICAL_FAILURES as exc:
             payload = _run_header(cfg, job)
             payload["error"] = {"type": type(exc).__name__, "message": str(exc)}
+            payload["error"].update((key, getattr(exc, key)) for key in FAILURE_LOCATION
+                                    if hasattr(exc, key))
             _write_json(job.out_dir / "report.json", payload)
             print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
             return EXIT_NUMERICAL

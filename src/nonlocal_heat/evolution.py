@@ -140,6 +140,12 @@ def evolve(
     Implicit Euler preserves positivity and is non-expansive for ``w >= 0``;
     Crank-Nicolson trades those guarantees for second-order accuracy.
 
+    The factor 2 lives in the Crank-Nicolson system (``shifted_system``'s
+    ``double``), whose solve returns ``2 (I + dt/2*(L+W))^{-1} u_k`` exactly,
+    a power-of-two scaling; each step is then one subtraction written into
+    its row of the block, bit for bit ``2.0 * y - u_k``.  An implicit Euler
+    step copies its solve into its row.
+
     States ``u_1 .. u_K`` are reduced in blocks of ``BLOCK_BYTES`` (fewer
     when there are fewer steps) into the trapezoidal integral and the state
     bounds.  Each block is then passed to ``sink(start, block)``, if given:
@@ -152,7 +158,7 @@ def evolve(
     num_nodes = lap.grid.num_nodes
     u = u0.values
     reflect = cfg.scheme == CRANK_NICOLSON
-    system = shifted_system(lap, w.values, 0.5 * dt if reflect else dt)
+    solve = shifted_system(lap, w.values, 0.5 * dt if reflect else dt, double=reflect).solve
 
     rows = max(1, min(steps, BLOCK_BYTES // (8 * num_nodes)))
     scratch = np.empty((rows, num_nodes))
@@ -163,10 +169,12 @@ def evolve(
     for start in range(0, steps, rows):
         count = min(rows, steps - start)
         block = scratch[:count]
-        for r in range(count):
-            y = system.solve(u)
-            u = 2.0 * y - u if reflect else y
-            block[r] = u
+        for row in block:
+            if reflect:
+                np.subtract(solve(u), u, out=row)
+            else:
+                row[...] = solve(u)
+            u = row
         if sink is not None:
             sink(start, block)
         block_weights = weights[:count]

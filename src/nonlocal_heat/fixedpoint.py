@@ -24,7 +24,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from numpy.random import default_rng
 
-from .laplacian import DirichletLaplacian, dirichlet_lambda1, dirichlet_lambda1_discrete
+from .laplacian import (
+    DirichletLaplacian, SolverFailure, dirichlet_lambda1, dirichlet_lambda1_discrete)
 from .mesh import FLOOR, Field, Grid, norm_lp
 from .evolution import EvolutionConfig, Trajectory, phi_map
 from .potential import EvaluationError, Potential
@@ -117,6 +118,12 @@ def _norm(grid: Grid, values: np.ndarray, p: float = 2.0) -> float:
     return norm_lp(Field(grid, values), p)
 
 
+def _located(exc: Exception, residuals: list[float]) -> Exception:
+    """``exc`` with the map evaluation it stopped and the residuals before it."""
+    exc.iteration, exc.residual_history = len(residuals) + 1, list(residuals)
+    return exc
+
+
 def picard_solve(
     lap: DirichletLaplacian,
     phi: Potential,
@@ -147,6 +154,10 @@ def picard_solve(
     Contraction estimates are the map's Lipschitz quotients along the iterates,
     ``||g_k - g_{k-1}||_2 / ||v_k - v_{k-1}||_2``.  An iterate that mixing
     drives out of floating-point range raises :class:`EvaluationError`.
+    Such an error, or a :class:`SolverFailure`, leaves with two attributes:
+    ``iteration``, the 1-based map evaluation that failed (for an overflow
+    of the mixing, the one its iterate was for), and ``residual_history``,
+    the residuals of the evaluations before it.
     The report holds only what the run measured, not the problem's threshold.
     """
     pcfg = pcfg or PicardConfig()
@@ -161,7 +172,10 @@ def picard_solve(
     sup_norms: list[float] = [_norm(grid, v, math.inf)]
     converged = False
     for k in range(pcfg.max_iter):
-        uT, trajectory = phi_map(lap, phi, u0, Field(grid, v), ecfg, sink=sink)
+        try:
+            uT, trajectory = phi_map(lap, phi, u0, Field(grid, v), ecfg, sink=sink)
+        except (EvaluationError, SolverFailure) as exc:
+            raise _located(exc, residuals)
         g = uT.values
         f = g - v
         residuals.append(_norm(grid, f) / max(_norm(grid, v), norm_lp(uT, 2), FLOOR))
@@ -182,7 +196,7 @@ def picard_solve(
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
             v = g - gamma @ d_g[:used] - (1.0 - pcfg.damping) * (f - gamma @ d_f[:used])
         if not np.all(np.isfinite(v)):
-            raise EvaluationError("the mixed iterate overflowed")
+            raise _located(EvaluationError("the mixed iterate overflowed"), residuals)
         sup_norms.append(_norm(grid, v, math.inf))
 
     return FixedPointReport(
@@ -274,7 +288,9 @@ def uniqueness_probe(
     All of them are built before the first run: a ``T * u0`` that overflows
     raises :class:`EvaluationError` before any run, and the random starts
     are then finite.  Non-convergent starts are recorded, not fatal;
-    distances only compare converged runs.
+    distances only compare converged runs.  A numerical failure in a run
+    leaves with the attribute ``start``, the kind of its start, besides
+    those ``picard_solve`` sets.
     """
     if n_starts < 2:
         raise ValueError(f"need at least 2 starts, got {n_starts}")
@@ -289,7 +305,13 @@ def uniqueness_probe(
         Field(grid, s0 * rng.uniform(-1.0, 1.0, grid.num_nodes)) for _ in range(n_starts - 2)]
 
     kinds = ["zero", "scaled_datum"] + [f"random_{i}" for i in range(n_starts - 2)]
-    runs = [picard_solve(lap, phi, u0, ecfg, pcfg, start=start) for start in starts]
+    runs = []
+    for kind, start in zip(kinds, starts):
+        try:
+            runs.append(picard_solve(lap, phi, u0, ecfg, pcfg, start=start))
+        except (EvaluationError, SolverFailure) as exc:
+            exc.start = kind
+            raise
 
     converged_uts = [r.uT for r in runs if r.converged]
     max_dist = 0.0

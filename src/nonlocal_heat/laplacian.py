@@ -155,16 +155,25 @@ class _TridiagonalSystem:
 
     The factorization exists, with ``D > 0``, exactly when the matrix is
     positive definite, which ``I + tau*(L + diag(w))`` is for ``w >= 0``;
-    otherwise it raises :class:`SolverFailure`.
+    otherwise it raises :class:`SolverFailure`.  With ``double``, the pivots
+    ``D`` are halved after that check, so ``pttrs`` solves with half the
+    matrix and returns twice the solution.  Halving a pivot is exact (for
+    ``w >= 0`` every pivot is at least 1).  ``pttrs`` runs the forward
+    recurrence on the unchanged multipliers ``L``, divides by ``D`` and runs
+    the backward recurrence, in which every term then carries the factor 2;
+    so the result is ``2.0 *`` the plain solve bit for bit wherever no
+    value overflows or leaves the normal range.
     """
 
-    def __init__(self, diag: np.ndarray, off: float):
+    def __init__(self, diag: np.ndarray, off: float, double: bool = False):
         # LAPACK reads no off-diagonal at n = 1, but scipy rejects an empty one
         self._d, self._e, info = _pttrf(diag, np.full(max(diag.size - 1, 1), off))
         if info != 0:
             raise SolverFailure(
                 "the step operator I + tau*(L + diag(w)) is not positive definite "
                 f"(leading minor {info} of {diag.size}): w is too negative")
+        if double:
+            self._d *= 0.5
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         return _pttrs(self._d, self._e, b)[0]
@@ -190,8 +199,12 @@ class _ConjugateGradientSystem:
 
     Each solve runs on ``b`` scaled by a power of two that brings ``max|b|``
     into ``[1/2, 1)``, which is exact, so norms and curvatures neither
-    overflow nor underflow.  Convergence is judged on the unpreconditioned
-    residual, ``||b - A x|| <= CG_RTOL * ||b||``.  A direction with
+    overflow nor underflow.  With ``double``, the solution is scaled back by
+    twice that power, which returns ``2.0 *`` the plain solution bit for bit.
+    The kept solutions are then doubled too, and the start divides their
+    extrapolation by the extra 2, so it equals the plain start exactly and
+    every solve takes the plain iterations.  Convergence is judged on the
+    unpreconditioned residual, ``||b - A x|| <= CG_RTOL * ||b||``.  A direction with
     ``p^T A p <= 0`` proves the operator indefinite, and a restart whose true
     residual is not below the previous restart's (the start's, for the
     first) shows that rounding keeps the residual above the target: both
@@ -201,8 +214,10 @@ class _ConjugateGradientSystem:
     the states (``evolution.phi_map``'s, on the time integral) reports it.
     """
 
-    def __init__(self, lap: DirichletLaplacian, w: np.ndarray, tau: float, max_iter: int):
+    def __init__(self, lap: DirichletLaplacian, w: np.ndarray, tau: float, max_iter: int,
+                 double: bool = False):
         self._lap = lap
+        self._gain = int(double)  # log2 of the factor the returned solutions carry
         self._shift = 1.0 + tau * w
         self._tau = tau
         self._max_iter = max_iter
@@ -224,7 +239,8 @@ class _ConjugateGradientSystem:
             with np.errstate(over="ignore", invalid="ignore"):
                 g = (self._solutions[-1] if len(self._solutions) == 1
                      else 2.0 * self._solutions[-1] - self._solutions[-2])
-                x = self._precondition(b - self._coupling * np.ldexp(g, -exponent))
+                x = self._precondition(
+                    b - self._coupling * np.ldexp(g, -exponent - self._gain))
             if np.isfinite(x).all():
                 return x
         return self._precondition(b)
@@ -238,7 +254,8 @@ class _ConjugateGradientSystem:
         else:
             exponent = math.frexp(top)[1]
             scaled = np.ldexp(b, -exponent)
-            x = np.ldexp(self._iterate(scaled, self._start(scaled, exponent)), exponent)
+            x = np.ldexp(self._iterate(scaled, self._start(scaled, exponent)),
+                         exponent + self._gain)
         self._solutions = (*self._solutions[-1:], x)
         return x
 
@@ -287,8 +304,15 @@ class _ConjugateGradientSystem:
             f"(relative residual {residual:.3e})")
 
 
-def shifted_system(lap: DirichletLaplacian, w: np.ndarray, tau: float):
+def shifted_system(lap: DirichletLaplacian, w: np.ndarray, tau: float,
+                   double: bool = False):
     """Prepare ``(I + tau*(L + diag(w)))`` for repeated solves.
+
+    With ``double``, ``solve(b)`` returns ``2 (I + tau*(L + diag(w)))^{-1} b``,
+    bit for bit ``2.0 *`` the plain solve wherever nothing overflows or
+    leaves the normal range: the 1D factorization halves its pivots, and the
+    2D solve scales its result by one more power of two.  Crank-Nicolson
+    steps with it (see ``evolution.evolve``).
 
     1D grids get an ``L D L^T`` tridiagonal factorization; 2D grids get CG
     preconditioned by the exact inverse of ``I + tau*(L + c)``, ``c`` the
@@ -306,6 +330,6 @@ def shifted_system(lap: DirichletLaplacian, w: np.ndarray, tau: float):
     if g.dim == 1:
         inv = 1.0 / g.h[0] ** 2
         diag = 1.0 + tau * (2.0 * inv + w)
-        return _TridiagonalSystem(diag, -tau * inv)
-    return _ConjugateGradientSystem(lap, w, tau, 10 * g.num_nodes)
+        return _TridiagonalSystem(diag, -tau * inv, double)
+    return _ConjugateGradientSystem(lap, w, tau, 10 * g.num_nodes, double)
 

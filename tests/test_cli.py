@@ -627,30 +627,30 @@ GRID_2D = {"domain": {"dim": 2, "lengths": [1.0, 1.0], "n": [31, 31]}}
 CN = {"time": {"T": 0.1, "steps": 100, "scheme": "crank_nicolson"}}
 
 
-@pytest.mark.parametrize("initial,potential,datum,overrides,error,cause", [
+@pytest.mark.parametrize("initial,potential,datum,overrides,error,cause,at", [
     # the potential of the iterate overflows
-    (sine(1e200), "quadratic", None, {}, "EvaluationError", "non-finite"),
+    (sine(1e200), "quadratic", None, {}, "EvaluationError", "non-finite", 2),
     ({"name": "from_file", "params": {"scale": 1e308}}, "quadratic", 0.01, {},
-     "EvaluationError", "non-finite"),
+     "EvaluationError", "non-finite", 2),
     # the states overflow while stepping
-    (sine(1e308), "quadratic", None, {}, "EvaluationError", "non-finite"),
+    (sine(1e308), "quadratic", None, {}, "EvaluationError", "non-finite", 1),
     # constant(-2000): I + dt*(L - 2000 I) is indefinite, whatever the datum
-    (sine(1e200), "constant", None, {}, "SolverFailure", "not positive definite"),
+    (sine(1e200), "constant", None, {}, "SolverFailure", "not positive definite", 1),
     ({"name": "from_file", "params": {"scale": 1e308}}, "quadratic", 1.0, {},
-     "EvaluationError", "non-finite"),
-    (sine(1.0), "constant", None, {}, "SolverFailure", "not positive definite"),
+     "EvaluationError", "non-finite", 1),
+    (sine(1.0), "constant", None, {}, "SolverFailure", "not positive definite", 1),
     # CG scales a 2D right-hand side near the float limit, so the solve
     # succeeds; the potential of the map output then overflows, as in 1D
-    (sine(1e308), "quadratic", None, GRID_2D, "EvaluationError", "non-finite"),
-    (sine(1e308), "quadratic", None, CN, "EvaluationError", "non-finite"),
+    (sine(1e308), "quadratic", None, GRID_2D, "EvaluationError", "non-finite", 2),
+    (sine(1e308), "quadratic", None, CN, "EvaluationError", "non-finite", 1),
     # the 2D operator is indefinite too: CG finds a direction with p^T A p <= 0
-    (sine(1.0), "constant", None, GRID_2D, "SolverFailure", "not positive definite"),
+    (sine(1.0), "constant", None, GRID_2D, "SolverFailure", "not positive definite", 1),
     # Crank-Nicolson's 2 y - u overflows in 2D: CG returns NaN for the next
     # state, as pttrs does in 1D, and the integral check names the overflow
-    (sine(1e308), "quadratic", None, {**GRID_2D, **CN}, "EvaluationError", "non-finite"),
+    (sine(1e308), "quadratic", None, {**GRID_2D, **CN}, "EvaluationError", "non-finite", 1),
 ], ids=[f"initial{i}" for i in range(10)])
 def test_numerical_failure_exits_5_with_report(
-        tmp_path, capsys, initial, potential, datum, overrides, error, cause):
+        tmp_path, capsys, initial, potential, datum, overrides, error, cause, at):
     if datum is not None:
         path = tmp_path / "datum.json"
         grid = {"dim": 1, "lengths": [1.0], "n": [49]}
@@ -668,6 +668,11 @@ def test_numerical_failure_exits_5_with_report(
     report = json.loads((out / "report.json").read_text())
     assert report["error"]["type"] == error
     assert cause in report["error"]["message"]
+    # the map evaluation that failed, after those from the zero start, whose
+    # first residual is ||Phi(0) - 0|| / ||Phi(0)|| = 1
+    assert report["error"]["iteration"] == at
+    assert report["error"]["residual_history"] == [1.0] * (at - 1)
+    assert set(report["error"]) == {"type", "message", "iteration", "residual_history"}
     assert report["mode"] == "solve" and report["grid"]["n"] == cfg["domain"]["n"]
     assert not (out / "ut.json").exists()
     assert not list(out.glob("trajectory.*"))
@@ -691,6 +696,41 @@ def test_scaled_datum_beyond_float_range_exits_5_with_report(tmp_path, capsys):
     assert captured.err == "numerical failure: EvaluationError: the scaled datum T * u0 overflows\n"
     report = json.loads((out / "report.json").read_text())
     assert report["error"]["type"] == "EvaluationError" and report["mode"] == "probe"
+    assert set(report["error"]) == {"type", "message"}  # no run had failed
+
+
+def test_numerical_failure_in_a_probe_names_its_start(tmp_path):
+    out = tmp_path / "out"
+    cfg = base_config(out, mode="probe", initial=sine(1e200))
+    assert cli.run(write_config(tmp_path, cfg), quiet=True) == cli.EXIT_NUMERICAL
+    error = json.loads((out / "report.json").read_text())["error"]
+    assert error["message"].startswith("potential 'quadratic' returned a non-finite value")
+    assert (error["start"], error["iteration"], error["residual_history"]) == ("zero", 2, [1.0])
+    assert "level" not in error
+
+
+@pytest.mark.parametrize("failing_level", [0, 1])
+def test_numerical_failure_in_a_study_names_its_level(tmp_path, monkeypatch, failing_level):
+    # constant(-1e5) makes I + dt*(L + diag(w)) indefinite at every level's
+    # dt; the potential of the failing level is swapped for it
+    out = tmp_path / "out"
+    cfg = base_config(out, mode="convergence_study", study={"levels": 2})
+    indefinite = cli.catalog("constant", [-1e5])
+    solve = cli.picard_solve
+
+    def failing_at_one_level(lap, phi, u0, ecfg, pcfg, sink=None):
+        level = [49, 99].index(lap.grid.n[0])
+        return solve(lap, indefinite if level == failing_level else phi, u0, ecfg, pcfg, sink)
+
+    monkeypatch.setattr(cli, "picard_solve", failing_at_one_level)
+    assert cli.run(write_config(tmp_path, cfg), quiet=True) == cli.EXIT_NUMERICAL
+    report = json.loads((out / "report.json").read_text())
+    assert report["mode"] == "convergence_study"
+    error = report["error"]
+    assert error["type"] == "SolverFailure" and "not positive definite" in error["message"]
+    assert (error["level"], error["iteration"], error["residual_history"]) == (
+        failing_level, 1, [])
+    assert "start" not in error
 
 
 def test_zero_lipschitz_constant_gives_zero_product_beyond_float_range(tmp_path, capsys):

@@ -17,7 +17,9 @@ from nonlocal_heat import (
     norm_lp,
     phi_map,
 )
-from nonlocal_heat.evolution import SCHEMES, StateBounds
+from nonlocal_heat import evolution
+from nonlocal_heat.evolution import CRANK_NICOLSON, SCHEMES, StateBounds
+from nonlocal_heat.laplacian import shifted_system
 from nonlocal_heat.io import read_trajectory_bin, trajectory_stream
 from conftest import trapezoid_time_integral
 
@@ -201,6 +203,57 @@ def test_evolve_memory_is_one_block_whatever_store_every(every):
         tracemalloc.stop()
     assert traj.states.shape == (2, g.num_nodes)
     assert peak <= 2 * 2**20
+
+
+def stepped_with_plain_solves(lap, w, u0, cfg, rows):
+    """The states ``u_1 .. u_K`` of ``evolve``'s schemes, with the
+    Crank-Nicolson factor 2 applied outside the solve
+    (``y = (I + dt/2*A)^{-1} u; u = 2.0 * y - u``), reduced in blocks of
+    ``rows`` states as ``evolve`` reduces them: (blocks, integral, bounds)."""
+    dt, reflect = cfg.dt, cfg.scheme == CRANK_NICOLSON
+    system = shifted_system(lap, w.values, 0.5 * dt if reflect else dt)
+    u, states = u0.values, []
+    for _ in range(cfg.steps):
+        y = system.solve(u)
+        u = 2.0 * y - u if reflect else y
+        states.append(u)
+    blocks = [np.array(states[start:start + rows]) for start in range(0, cfg.steps, rows)]
+    integral = (0.5 * dt) * u0.values
+    bounds = StateBounds.of(u0.values[None])
+    for block in blocks:
+        weights = np.full(len(block), dt)
+        if block is blocks[-1]:
+            weights[-1] = 0.5 * dt
+        integral += weights @ block
+        bounds = bounds.merge(StateBounds.of(block))
+    return blocks, integral, bounds
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("rows", [1, 3])
+@pytest.mark.parametrize("grid, steps", [
+    (Grid((1.0,), (199,)), 1000),
+    pytest.param(Grid((1.0, 1.0), (31, 31)), 200, id="31x31-200"),
+])
+def test_evolve_steps_bitwise_as_plain_solves(monkeypatch, scheme, rows, grid, steps):
+    # the Crank-Nicolson system returns twice its solution, a power-of-two
+    # scaling, so each state is bit for bit 2.0 * y - u; blocks of 1 row, and
+    # of 3 with a remainder (1000 = 3*333 + 1, 200 = 3*66 + 2)
+    monkeypatch.setattr(evolution, "BLOCK_BYTES", rows * 8 * grid.num_nodes)
+    lap = assemble(grid)
+    w = Field(grid, 36.0 * sine_datum(grid).values ** 2)
+    u0 = sine_datum(grid)
+    cfg = EvolutionConfig(T=0.1, steps=steps, scheme=scheme)
+    sunk = []
+    traj = evolve(lap, w, u0, cfg, sink=lambda start, block: sunk.append((start, block.copy())))
+    blocks, integral, bounds = stepped_with_plain_solves(lap, w, u0, cfg, rows)
+    assert [start for start, _ in sunk] == list(range(0, steps, rows))
+    assert len(sunk) == len(blocks)
+    for (_, block), expected in zip(sunk, blocks):
+        assert block.tobytes() == expected.tobytes()
+    assert traj.states.tobytes() == np.stack((u0.values, blocks[-1][-1])).tobytes()
+    assert traj.integral.tobytes() == integral.tobytes()
+    assert traj.bounds == bounds
 
 
 def test_evolve_grid_mismatch():

@@ -12,6 +12,7 @@ from nonlocal_heat import (
     Grid,
     PicardConfig,
     Potential,
+    SolverFailure,
     assemble,
     catalog,
     norm_lp,
@@ -20,6 +21,7 @@ from nonlocal_heat import (
     uniqueness_probe,
     uniqueness_threshold,
 )
+from nonlocal_heat import fixedpoint
 from conftest import trapezoid_time_integral
 
 GRID = Grid((1.0,), (99,))
@@ -133,8 +135,30 @@ def test_mixed_iterate_overflow_is_a_numerical_failure(monkeypatch):
         return np.full(a.shape[1], np.inf), None, None, None
 
     monkeypatch.setattr(np.linalg, "lstsq", unbounded)
-    with pytest.raises(EvaluationError, match="mixed iterate"):
+    with pytest.raises(EvaluationError, match="mixed iterate") as raised:
         picard_solve(LAP, catalog("quadratic"), sine_datum(0.5), ECFG)
+    # the first sweep has no history to mix; the second's iterate, for the
+    # third evaluation, overflows
+    assert raised.value.iteration == 3 and len(raised.value.residual_history) == 2
+
+
+@pytest.mark.parametrize("error", [EvaluationError, SolverFailure])
+def test_numerical_failure_carries_the_failing_evaluation(monkeypatch, error):
+    reference = picard_solve(LAP, catalog("quadratic"), sine_datum(0.5), ECFG)
+    assert reference.iterations >= 4
+    calls = []
+
+    def failing_fourth(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 4:
+            raise error("the fourth evaluation fails")
+        return phi_map(*args, **kwargs)
+
+    monkeypatch.setattr(fixedpoint, "phi_map", failing_fourth)
+    with pytest.raises(error, match="fourth") as raised:
+        picard_solve(LAP, catalog("quadratic"), sine_datum(0.5), ECFG)
+    assert raised.value.iteration == 4
+    assert raised.value.residual_history == reference.residual_history[:3]
 
 
 def test_report_integral_matches_trajectory(collector):

@@ -4,6 +4,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from nonlocal_heat import (
     EvolutionConfig,
@@ -336,6 +338,50 @@ def test_indefinite_step_operator_raises(n):
             np.ones(g.num_nodes))
 
 
+@given(w=st.lists(st.floats(0.0, 1e6), min_size=1, max_size=80),
+       tau=st.floats(1e-9, 1e3), seed=st.integers(0, 2**32 - 1))
+def test_doubled_tridiagonal_solve_is_twice_the_plain_one_bitwise(w, tau, seed):
+    # halving the pivots is exact, and every pivot of I + tau*(L + diag(w))
+    # is at least 1 for w >= 0, so the halved ones stay far from the normal range's edge
+    g = Grid((1.0,), (len(w),))
+    lap, w = assemble(g), np.array(w)
+    plain, doubled = shifted_system(lap, w, tau), shifted_system(lap, w, tau, double=True)
+    assert plain._d.min() >= 1.0
+    assert np.array_equal(doubled._d, 0.5 * plain._d)
+    assert np.array_equal(doubled._e, plain._e)
+    b = np.random.default_rng(seed).standard_normal(g.num_nodes)
+    assert np.array_equal(doubled.solve(b), 2.0 * plain.solve(b))
+
+
+@given(amplitude=st.floats(0.0, 3600.0), tau=st.floats(1e-4, 1e-1))
+def test_doubled_cg_solves_a_sequence_at_twice_the_plain_one_bitwise(amplitude, tau):
+    # the doubled system keeps doubled solutions and undoes the factor in its
+    # extrapolated start, so each solve takes the plain system's iterations
+    g = Grid((1.0, 1.0), (15, 15))
+    lap, w = assemble(g), sine_squared_bump(g, amplitude)
+    plain, doubled = shifted_system(lap, w, tau), shifted_system(lap, w, tau, double=True)
+    b = sine_squared_bump(g, 1.0) ** 0.5
+    rhs = [b * 0.9**j + 1e-3 * j * sine_squared_bump(g, 1.0) for j in range(6)]
+    rhs.insert(3, np.zeros(g.num_nodes))
+    for b in rhs:
+        assert np.array_equal(doubled.solve(b), 2.0 * plain.solve(b))
+
+
+@pytest.mark.parametrize("n", [49, 1, pytest.param((31, 31), id="31x31")])
+def test_doubled_system_reports_an_indefinite_operator_as_the_plain_one(n):
+    # the 1D pivots are checked before they are halved
+    n = n if isinstance(n, tuple) else (n,)
+    g = Grid((1.0,) * len(n), n)
+    lap, w, b = assemble(g), np.full(g.num_nodes, -2000.0), np.ones(g.num_nodes)
+    messages = []
+    for double in (False, True):
+        with pytest.raises(SolverFailure) as raised:
+            shifted_system(lap, w, 1e-3, double=double).solve(b)
+        messages.append(str(raised.value))
+    assert messages[0] == messages[1]
+    assert "not positive definite" in messages[0]
+
+
 def test_cg_returns_nan_for_a_right_hand_side_with_a_non_finite_entry(monkeypatch):
     # as pttrs in 1D, the overflow reaches the caller's check on the states;
     # no stencil product, whatever the other entries are
@@ -467,12 +513,12 @@ def evolve_counting_products(monkeypatch, w, cfg, fresh=False):
     products = count_stencil_applies(monkeypatch)
     counts = []
 
-    def build(lap, w, tau):
-        system = shifted_system(lap, w, tau)
+    def build(lap, w, tau, double=False):
+        system = shifted_system(lap, w, tau, double)
 
         def solve(b):
             before = products[0]
-            x = (shifted_system(lap, w, tau) if fresh else system).solve(b)
+            x = (shifted_system(lap, w, tau, double) if fresh else system).solve(b)
             counts.append(products[0] - before)
             return x
         return SimpleNamespace(solve=solve)
