@@ -507,7 +507,7 @@ def run_sweep(cfg: dict, job: Job, quiet: bool) -> bool:
                     f"{report.final_residual:.10e},", report.converged)
         except (ConfigError, *NUMERICAL_FAILURES) as exc:  # recorded, not fatal
             error = str(exc).replace(",", ";")
-            return f"{value:.10g},,,,,{error}", False
+            return f"{value:.10g},,{getattr(exc, 'iteration', '')},,,{error}", False
 
     rows = [row(v) for v in job.values]
     lines = ["value,converged,iterations,threshold_product,final_residual,error"]

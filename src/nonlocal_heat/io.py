@@ -16,6 +16,16 @@ against the run's grid; a CSV coordinate may be off its node by a relative
 states at a time, so its memory does not grow with ``K``; a binary whose
 size differs from the one its header implies raises ``ValueError`` before
 any CSV byte is written.
+
+The blocks are dealt round-robin to ``W`` processes, ``W`` the least of the
+cores this process may run on, the number of blocks and the values over
+``MIN_VALUES_PER_WORKER`` (1 where the platform cannot fork): this one
+formats blocks ``0, W, 2W, ...`` and writes them itself, and forked worker
+``p`` formats blocks ``p, p + W, ...`` and sends each through its own pipe
+as a frame, which this process writes in block order.  So the file holds
+the bytes one process would write, and each process holds at most one
+block of text.  A worker that fails, or a frame that ends short, raises
+``OSError``; no worker outlives the call.
 """
 
 from __future__ import annotations
@@ -44,6 +54,10 @@ _FLOAT = "%.17g"
 
 #: Bytes of binary states the trajectory CSV writer reads per block.
 BLOCK_BYTES = 1 << 16
+
+#: Fewest values a trajectory CSV worker process is forked for: about 25 ms
+#: of ``%.17g`` formatting, against about 2 ms to fork and reap one.
+MIN_VALUES_PER_WORKER = 50_000
 
 
 def _csv_rows(lead: str, tails: list[str], values: np.ndarray) -> str:
@@ -157,21 +171,111 @@ def _read_header(fh) -> tuple[np.ndarray, tuple[int, ...]]:
     return np.fromfile(fh, dtype=_F8, count=K + 1), n
 
 
+def _worker_count(num_blocks: int, num_values: int) -> int:
+    """Processes that format a trajectory CSV of ``num_values`` values in
+    ``num_blocks`` blocks: one per core this process may run on, but no more
+    than there are blocks or ``MIN_VALUES_PER_WORKER`` values each, and 1
+    where the platform cannot fork."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), num_blocks,
+                      num_values // MIN_VALUES_PER_WORKER))
+
+
+def _block_text(src, states_at: int, first: int, times: list[float], tails: list[str]) -> bytes:
+    """The CSV rows of samples ``first, first + 1, ...`` at ``times``, their
+    states read from ``src``, whose first state starts at byte ``states_at``."""
+    N = len(tails)
+    src.seek(states_at + first * N * _F8.itemsize)
+    block = np.fromfile(src, dtype=_F8, count=len(times) * N)
+    return "".join(_csv_rows(_FLOAT % t, tails, state)
+                   for t, state in zip(times, block.reshape(-1, N))).encode("ascii")
+
+
+def _send_blocks(sink, pipes: list, streamed: str | Path, blocks: range, text) -> None:
+    """The body of a forked worker: send ``text(own, b)`` for each ``b`` in
+    ``blocks`` through ``sink`` as a frame, its byte count as 8 little-endian
+    bytes and then the text, and exit, with status 0 only if every frame went.
+
+    The worker closes its copies of the parent's read ends, so that a parent
+    that stops reading makes its writes fail; it reads through its own
+    handle on ``streamed``, since an inherited one shares the parent's
+    offset; and it leaves through ``os._exit`` whatever happens, so it never
+    returns into the caller or flushes the parent's buffers.
+    """
+    status = 1
+    try:
+        for pipe in pipes:
+            pipe.close()
+        with open(streamed, "rb") as own:
+            for b in blocks:
+                frame = text(own, b)
+                sink.write(len(frame).to_bytes(8, "little"))
+                sink.write(frame)
+        sink.flush()
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _read_frame(pipe) -> bytes:
+    """The next frame a worker sent through ``pipe``; ``OSError`` if it ends short."""
+    head = pipe.read(8)
+    if len(head) == 8:
+        size = int.from_bytes(head, "little")
+        frame = pipe.read(size)
+        if len(frame) == size:
+            return frame
+    raise OSError("a trajectory CSV worker stopped before sending its block")
+
+
 def write_trajectory_csv(streamed: str | Path, path: str | Path) -> None:
     """Rows ``t,node,value`` for every sample and node of the binary ``streamed``,
-    read and written ``BLOCK_BYTES`` of states at a time."""
+    formatted ``BLOCK_BYTES`` of states at a time, block ``b`` by process
+    ``b % W`` of ``W = _worker_count(...)``: this one writes its own blocks
+    and, in block order, those the forked workers send through their pipes.
+
+    ``OSError`` if a worker fails or its output ends short; every pipe is
+    closed and every worker reaped before this returns or raises.
+    """
     with open(streamed, "rb") as src:
         times, n = _read_header(src)
+        states_at = src.tell()
         N = math.prod(n)
         tails = [f",{j},{_FLOAT}\n" for j in range(N)]
         per_block = max(1, BLOCK_BYTES // (N * _F8.itemsize))
-        with open(path, "w", encoding="ascii", newline="\n") as out:
-            out.write("t,node,value\n")
-            for k in range(0, times.size, per_block):
-                block_times = times[k:k + per_block].tolist()
-                block = np.fromfile(src, dtype=_F8, count=len(block_times) * N)
-                out.write("".join(_csv_rows(_FLOAT % t, tails, state)
-                                  for t, state in zip(block_times, block.reshape(-1, N))))
+        firsts = range(0, times.size, per_block)
+        workers = _worker_count(len(firsts), times.size * N)
+
+        def text(fh, b: int) -> bytes:
+            first = firsts[b]
+            return _block_text(fh, states_at, first, times[first:first + per_block].tolist(),
+                               tails)
+
+        pipes, pids = [], []
+        with open(path, "wb") as out:
+            try:
+                for p in range(1, workers):
+                    read_end, write_end = os.pipe()
+                    pipes.append(open(read_end, "rb"))
+                    with open(write_end, "wb") as sink, warnings.catch_warnings():
+                        # Python 3.12+ warns of forking beside BLAS threads; a worker calls no BLAS
+                        warnings.simplefilter("ignore", DeprecationWarning)
+                        pid = os.fork()
+                        if pid == 0:
+                            _send_blocks(sink, pipes, streamed, range(p, len(firsts), workers),
+                                         text)
+                    pids.append(pid)
+                out.write(b"t,node,value\n")
+                for b in range(len(firsts)):
+                    p = b % workers
+                    out.write(_read_frame(pipes[p - 1]) if p else text(src, b))
+            finally:
+                for pipe in pipes:
+                    pipe.close()
+                failed = [pid for pid in pids if os.waitpid(pid, 0)[1]]
+    if failed:
+        raise OSError(f"trajectory CSV workers {failed} exited with an error")
 
 
 def write_trajectory_bin(streamed: str | Path, path: str | Path) -> None:

@@ -1,7 +1,8 @@
 """Shared test settings, a sink that collects the states ``evolve`` drops, a
 trapezoidal time quadrature over collected states, the tests' oracle for
-the integral ``evolve`` accumulates, and the trajectory file oracles: the
-binary built by hand and the CSV built by ``np.savetxt``.
+the integral ``evolve`` accumulates, the trajectory file oracles: the
+binary built by hand and the CSV built by ``np.savetxt``, and a fault for
+the trajectory CSV writer's forked workers.
 
 Property tests run under one registered ``hypothesis`` profile: examples are
 derived from each test's source (``derandomize``), so every run checks the
@@ -10,12 +11,14 @@ and a bounded example count, so the property tests stay a few seconds.
 """
 
 import io
+import os
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
 from nonlocal_heat import Field
+from nonlocal_heat import io as nio
 
 settings.register_profile("tier1", derandomize=True, deadline=None, max_examples=25,
                           database=None)
@@ -93,3 +96,16 @@ def savetxt_trajectory_csv(times, states):
                                      states.ravel())),
                delimiter=",", header="t,node,value", comments="", fmt=("%.17g", "%d", "%.17g"))
     return out.getvalue()
+
+
+def fail_in_workers(monkeypatch):
+    """Make every forked worker of the trajectory CSV writer raise while it
+    formats a block; the calling process formats its own blocks as usual."""
+    parent, block_text = os.getpid(), nio._block_text
+
+    def failing(*args):
+        if os.getpid() != parent:
+            raise RuntimeError("a worker's formatting failed")
+        return block_text(*args)
+
+    monkeypatch.setattr(nio, "_block_text", failing)

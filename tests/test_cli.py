@@ -13,7 +13,7 @@ import pytest
 from nonlocal_heat import Field, Grid, assemble, cli, picard_solve, uniqueness_threshold
 from nonlocal_heat import io as nio
 from nonlocal_heat.io import read_field_json
-from conftest import savetxt_trajectory_csv, trajectory_binary
+from conftest import fail_in_workers, savetxt_trajectory_csv, trajectory_binary
 
 
 def base_config(out_dir, **overrides):
@@ -28,6 +28,14 @@ def base_config(out_dir, **overrides):
         "seed": 0,
     }
     cfg.update(overrides)
+    return cfg
+
+
+def readme_config(out_dir):
+    """The README's example config, writing to ``out_dir``."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    cfg = json.loads(readme.split("Example config:\n\n```json\n", 1)[1].split("```", 1)[0])
+    cfg["output"]["dir"] = str(out_dir)
     return cfg
 
 
@@ -450,9 +458,10 @@ def test_nonconverged_study_exits_2_with_its_table(tmp_path):
 
 
 def test_sweep_records_failed_rows(tmp_path):
-    # a rejected value and a numerical failure each fill only the error
-    # column, whose commas become semicolons; the other rows still run, and
-    # a failed row counts as a run that did not converge
+    # a rejected value fills only the error column, whose commas become
+    # semicolons, and a numerical failure also the iterations column with the
+    # map evaluation that failed; the other rows still run, and a failed row
+    # counts as a run that did not converge
     out = tmp_path / "out"
     cfg = base_config(out, mode="sweep")
     cfg["domain"]["n"] = [9]
@@ -462,8 +471,25 @@ def test_sweep_records_failed_rows(tmp_path):
     lines = (out / "sweep.csv").read_text().splitlines()
     assert lines[1] == "-1,,,,,time.T must be positive and finite; got -1.0"
     assert lines[2].startswith("0.1,True,4,") and lines[2].endswith(",")
-    assert lines[3] == ("1e+308,,,,,the map returned a non-finite time integral: "
+    assert lines[3] == ("1e+308,,1,,,the map returned a non-finite time integral: "
                         "the states overflowed")
+
+
+def test_sweep_failed_row_records_the_failing_map_evaluation(tmp_path):
+    # the README solve at amplitude 1e200: the first map evaluation succeeds
+    # and the potential of its output overflows in the second, the number
+    # report.json's error.iteration records for the same failure
+    out = tmp_path / "out"
+    cfg = readme_config(out)
+    cfg.update(mode="sweep", sweep={"axis": "amplitude", "values": [1, 1e200]})
+    assert cli.run(write_config(tmp_path, cfg), quiet=True) == 2
+    lines = (out / "sweep.csv").read_text().splitlines()
+    assert lines[1].startswith("1,True,")
+    assert lines[2].startswith("1e+200,,2,,,potential 'quadratic' returned a non-finite value")
+    cfg["mode"] = "solve"
+    cfg["initial"]["params"]["amplitude"] = 1e200
+    assert cli.run(write_config(tmp_path, cfg), quiet=True) == 5
+    assert json.loads((out / "report.json").read_text())["error"]["iteration"] == 2
 
 
 def test_sweep_row_lets_an_undocumented_error_propagate(tmp_path, monkeypatch):
@@ -593,6 +619,22 @@ def test_io_failure_exits_4(tmp_path):
     blocker.write_text("a file where the output directory should go")
     cfg = base_config(blocker)
     assert cli.run(write_config(tmp_path, cfg), quiet=True) == 4
+
+
+def test_trajectory_csv_worker_failure_exits_4_with_one_line(tmp_path, monkeypatch, capfd):
+    # 101 states of 49 nodes in 3 blocks on 3 processes; the workers'
+    # formatting fails, the parent's does not
+    monkeypatch.setattr(nio, "BLOCK_BYTES", 40 * 49 * 8)
+    monkeypatch.setattr(nio, "MIN_VALUES_PER_WORKER", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    fail_in_workers(monkeypatch)
+    out = tmp_path / "out"
+    assert cli.run(write_config(tmp_path, base_config(out)), quiet=True) == 4
+    assert capfd.readouterr().err.splitlines() == [
+        "i/o failure: a trajectory CSV worker stopped before sending its block"]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert not (out / "trajectory.part").exists()
 
 
 def test_bin_format_writes_trajectory(tmp_path):
@@ -1025,6 +1067,9 @@ for i, cfg in enumerate(json.loads(sys.argv[2])):
     path.write_text(json.dumps(cfg))
     assert cli.run(path, quiet=True) == 0, cfg["mode"]
 added_by_runs = set(sys.modules) - after_import
+import os, resource
+forked = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss > 0
+assert forked or len(os.sched_getaffinity(0)) == 1
 # scipy.linalg, imported later, binds the same LAPACK wrapper as usual
 import scipy.linalg
 from nonlocal_heat import laplacian
@@ -1039,9 +1084,10 @@ def test_cli_imports_no_scipy_linalg_and_runs_import_nothing_more(tmp_path):
     # imported up front so that no run pays for an import
     small_2d = {"domain": {"dim": 2, "lengths": [1.0, 1.0], "n": [15, 15]},
                 "time": {"T": 0.1, "steps": 20, "scheme": "implicit_euler"}}
+    # the README solve's 199,199-value trajectory CSV is formatted on forked workers
     configs = [base_config(None), base_config(None, mode="probe"),
                base_config(None, mode="convergence_study", study={"levels": 2}),
-               base_config(None, **small_2d)]
+               base_config(None, **small_2d), readme_config(None)]
     src = str(Path(cli.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-c", IMPORT_SET_SCRIPT, str(tmp_path),
                            json.dumps(configs)],
@@ -1049,6 +1095,7 @@ def test_cli_imports_no_scipy_linalg_and_runs_import_nothing_more(tmp_path):
     assert proc.returncode == 0, proc.stderr
     modules = json.loads(proc.stdout)
     after_import = set(modules["after_import"])
-    assert after_import.isdisjoint({"scipy.linalg", "numpy.f2py", "numpy.testing", "numpy.ma"})
+    assert after_import.isdisjoint({"scipy.linalg", "numpy.f2py", "numpy.testing", "numpy.ma",
+                                    "multiprocessing", "concurrent.futures"})
     assert "numpy.random" in after_import
     assert [m for m in modules["added_by_runs"] if not m.startswith("encodings.")] == []

@@ -1,7 +1,13 @@
 import io
 import math
+import os
 import re
+import signal
+import subprocess
+import sys
 import tracemalloc
+from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +25,7 @@ from nonlocal_heat.io import (
     write_trajectory_bin,
     write_trajectory_csv,
 )
-from conftest import savetxt_trajectory_csv, trajectory_binary
+from conftest import fail_in_workers, savetxt_trajectory_csv, trajectory_binary
 
 #: Values whose ``%.17g`` text is easy to get wrong: signed zero, the least
 #: subnormal, the least normal, extremes of either sign, and non-finite ones.
@@ -118,12 +124,42 @@ def test_read_field_dispatch(tmp_path):
         read_field(tmp_path / "f.csv", other)
 
 
-def test_trajectory_csv_layout(tmp_path, collector):
+@contextmanager
+def forced_cores(cores, min_values=1):
+    """Make the trajectory CSV writer see ``cores`` cores and fork a worker
+    for as few as ``min_values`` values; yield the list each fork appends to."""
+    forks = []
+    fork = os.fork
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nio, "MIN_VALUES_PER_WORKER", min_values)
+        mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+        mp.setattr(os, "fork", lambda: forks.append(1) or fork())
+        yield forks
+
+
+#: Cores the writer is given: one process, as many as blocks or fewer, and
+#: more cores than the 3 blocks the tests' trajectories have (still 3 processes).
+CORES = (1, 2, 3, 5)
+
+
+def test_trajectory_csv_layout(tmp_path, collector, monkeypatch):
     streamed, _, cfg, states = make_trajectory(tmp_path, collector)
+    times = cfg.dt * np.arange(cfg.steps + 1)
     path = tmp_path / "traj.csv"
     write_trajectory_csv(streamed, path)
-    times = cfg.dt * np.arange(cfg.steps + 1)
     assert path.read_bytes() == savetxt_trajectory_csv(times, states)
+    monkeypatch.setattr(nio, "BLOCK_BYTES", 3 * 7 * 8)  # 9 samples in 3 blocks
+    for cores in CORES:
+        with forced_cores(cores) as forks:
+            write_trajectory_csv(streamed, path)
+        assert path.read_bytes() == savetxt_trajectory_csv(times, states)
+        assert len(forks) == min(cores, 3) - 1
+    # a platform without fork writes in one process
+    with forced_cores(3) as forks, pytest.MonkeyPatch.context() as mp:
+        mp.delattr(os, "fork")
+        write_trajectory_csv(streamed, path)
+    assert path.read_bytes() == savetxt_trajectory_csv(times, states)
+    assert forks == []
 
 
 @pytest.mark.parametrize("n, num_samples", [
@@ -135,15 +171,86 @@ def test_trajectory_csv_layout(tmp_path, collector):
 ])
 def test_trajectory_csv_bytes_match_savetxt(tmp_path, monkeypatch, n, num_samples):
     # a hand-written binary holds what a Field rejects (nan, inf), in the
-    # times as well as the states; blocks of 3 states
+    # times as well as the states; blocks of 3 states, each worker count
     monkeypatch.setattr(nio, "BLOCK_BYTES", 3 * 12 * 8 + 7)
     values = np.array(EDGE_VALUES)
     states = np.resize(np.roll(values, 1), (num_samples, math.prod(n)))
     times = np.resize(values, num_samples)
     streamed = tmp_path / "streamed.bin"
     streamed.write_bytes(trajectory_binary(n, times, states))
-    write_trajectory_csv(streamed, tmp_path / "traj.csv")
-    assert (tmp_path / "traj.csv").read_bytes() == savetxt_trajectory_csv(times, states)
+    for cores in CORES:
+        with forced_cores(cores) as forks:
+            write_trajectory_csv(streamed, tmp_path / "traj.csv")
+        assert (tmp_path / "traj.csv").read_bytes() == savetxt_trajectory_csv(times, states)
+        assert len(forks) == min(cores, -(-num_samples // 3)) - 1
+
+
+def readme_sized_binary(path, K=1000, seed=34):
+    """A trajectory binary of the README solve's size: n=199, ``K`` steps."""
+    rng = np.random.default_rng(seed)
+    path.write_bytes(trajectory_binary(
+        (199,), 1e-4 * np.arange(K + 1), rng.standard_normal((K + 1, 199))))
+    return path
+
+
+def test_readme_sized_trajectory_csv_is_the_same_on_one_and_two_cores(tmp_path):
+    min_values = nio.MIN_VALUES_PER_WORKER
+    assert 199 * 1001 // min_values >= 2
+    streamed = readme_sized_binary(tmp_path / "streamed.bin")
+    texts = []
+    for cores in (1, 2):
+        with forced_cores(cores, min_values) as forks:
+            write_trajectory_csv(streamed, tmp_path / "traj.csv")
+        assert len(forks) == cores - 1
+        texts.append((tmp_path / "traj.csv").read_bytes())
+    assert texts[0] == texts[1]
+    assert texts[0].count(b"\n") == 1 + 1001 * 199
+
+
+@contextmanager
+def deadline(seconds):
+    """Raise ``TimeoutError`` here after ``seconds``, so a writer that
+    deadlocks on its pipes fails its test instead of hanging the suite."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _exit_3_in_workers(monkeypatch):
+    parent, exit_ = os.getpid(), os._exit
+    monkeypatch.setattr(os, "_exit", lambda status: exit_(3 if os.getpid() != parent else status))
+
+
+@pytest.mark.parametrize("fault, message", [
+    (fail_in_workers, "worker stopped before sending its block"),
+    (_exit_3_in_workers, r"workers \[\d+, \d+\] exited with an error"),
+    (None, "No space left on device"),
+], ids=["worker_raises", "worker_exits_nonzero", "parent_write_fails"])
+def test_trajectory_csv_failure_raises_oserror_and_reaps_every_worker(
+        tmp_path, monkeypatch, fault, message):
+    # 5 blocks of 41 README-sized states on 3 processes.  Without a fault the
+    # parent's own write fails: a block's text (~200 KB) outgrows both the
+    # output buffer and a pipe, so writing it to a full device fails at once,
+    # while the workers wait on their full pipes
+    target = tmp_path / "traj.csv" if fault else Path("/dev/full")
+    if not fault and not target.exists():
+        pytest.skip("no full device to write to")
+    streamed = readme_sized_binary(tmp_path / "streamed.bin", K=200)
+    if fault:
+        fault(monkeypatch)
+    with forced_cores(3) as forks, deadline(30), pytest.raises(OSError, match=message):
+        write_trajectory_csv(streamed, target)
+    assert len(forks) == 2
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert {p.name for p in tmp_path.iterdir()} <= {"streamed.bin", "traj.csv"}
 
 
 def _savetxt_field_csv(field):
@@ -192,20 +299,39 @@ def test_corrupt_trajectory_binary_raises_before_any_csv_byte(tmp_path, raw):
         read_trajectory_bin(streamed)
 
 
+#: Writes a trajectory CSV on 2 processes in a fresh interpreter and prints
+#: the largest resident set of its reaped children, in KiB.
+WORKER_RSS_SCRIPT = """
+import os, resource, sys
+from nonlocal_heat import io as nio
+nio.MIN_VALUES_PER_WORKER = 1
+os.sched_getaffinity = lambda pid: {0, 1}
+nio.write_trajectory_csv(sys.argv[1], sys.argv[2])
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
+
+
 def test_trajectory_csv_writer_memory_does_not_grow_with_steps(tmp_path):
-    rng = np.random.default_rng(33)
-    peaks = []
+    src = str(Path(nio.__file__).resolve().parents[1])
+    peaks, worker_rss = [], []
     for K in (1000, 4000):
-        streamed = tmp_path / f"K{K}.bin"
-        streamed.write_bytes(trajectory_binary(
-            (199,), 1e-4 * np.arange(K + 1), rng.standard_normal((K + 1, 199))))
+        streamed = readme_sized_binary(tmp_path / f"K{K}.bin", K=K, seed=33)
         tracemalloc.start()
         try:
-            write_trajectory_csv(streamed, tmp_path / "traj.csv")
+            with forced_cores(2) as forks:
+                write_trajectory_csv(streamed, tmp_path / "traj.csv")
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
+        assert len(forks) == 1
+        proc = subprocess.run([sys.executable, "-c", WORKER_RSS_SCRIPT, str(streamed),
+                               str(tmp_path / "traj.csv")],
+                              env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        worker_rss.append(int(proc.stdout))
     assert abs(peaks[1] - peaks[0]) < 0.1 * peaks[0]
+    assert 0 < worker_rss[0] and abs(worker_rss[1] - worker_rss[0]) < 0.1 * worker_rss[0]
 
 
 def test_trajectory_bin_roundtrip(tmp_path, collector):
