@@ -4,11 +4,15 @@ One outer iterate freezes the potential field ``w = phi(v)``; the inner
 problem ``du/dt + (L + diag(w)) u = 0`` is then advanced by implicit Euler
 or Crank-Nicolson.  The map output is the trapezoidal time integral over
 every step, accumulated while stepping.  Only the first and last states
-are kept; the others reach an optional sink block by block.
+are kept; the others reach an optional sink block by block.  Where ``w`` is
+a nonnegative constant, the step operator is diagonal in the stencil's sine
+basis, and ``phi_map`` can form the same integral there without stepping
+(see ``sweep_multipliers``).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +27,10 @@ SCHEMES = (IMPLICIT_EULER, CRANK_NICOLSON)
 
 #: Size of the block of consecutive states that ``evolve`` reduces at once.
 BLOCK_BYTES = 1 << 20
+
+#: Bound on ``max|u0| (1 + dt (lambda_max + c))`` below which ``phi_map``
+#: forms the map for a constant potential ``c`` in the sine basis.
+SPECTRAL_LIMIT = 2.0**1000
 
 
 @dataclass(frozen=True)
@@ -187,6 +195,94 @@ def evolve(
     return Trajectory(lap.grid, dt * steps, np.stack((u0.values, u)), integral, bounds)
 
 
+def _quotient(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """``num / den``, and 1 where ``den`` is 0 (the limit of each caller's ratio)."""
+    out = np.ones_like(den)
+    nonzero = den != 0.0
+    out[nonzero] = num[nonzero] / den[nonzero]
+    return out
+
+
+def sweep_multipliers(mu: np.ndarray, cfg: EvolutionConfig) -> np.ndarray:
+    """The trapezoid sum ``m = dt (1/2 + r + ... + r^(K-1) + r^K/2)`` of the
+    step factor ``r = r(dt mu)`` of ``cfg.scheme``, for eigenvalues ``mu >= 0``.
+
+    ``evolve`` with a constant ``w = c >= 0`` multiplies the sine coefficient
+    of ``u0`` for the eigenvalue ``lambda`` by ``r^k`` at step k, so the map
+    output is ``apply_spectral(u0, m(lambda + c))``, at a cost that does not
+    depend on K.  With ``a = dt mu``, implicit Euler has ``r = 1/(1 + a)`` and
+    ``m = dt (1/a + 1/2) (1 - r^K)``; Crank-Nicolson has
+    ``r = (1 - a/2)/(1 + a/2)`` and ``m = dt (1 - r^K)/a``.
+
+    No ratio is formed that overflows or cancels, and each branch is computed
+    only on its own entries:
+
+    - ``r`` near 1 (``a <= 1``, or ``a/2 < 1`` for Crank-Nicolson):
+      ``1 - r^K = -expm1(-x)`` with ``x = -K log r`` from ``log1p``, and ``m``
+      is ``dt K`` times the ratios ``log1p(a)/a`` (or ``-log1p(-q)/q`` for
+      ``q = 1 - r``) and ``-expm1(-x)/x``, each 1 at 0, so a subnormal ``a``
+      gives ``m = T`` instead of an overflowing ``1/a``;
+    - implicit Euler with ``a > 1``: the closed form above;
+    - Crank-Nicolson with ``1 <= a/2 <= 3`` (``-1/2 <= r <= 0``): ``r^K`` as
+      a power;
+    - Crank-Nicolson with ``a/2 > 3``: ``|r| = 1 - 2/(1 + a/2)``, near 1, and
+      ``1 - r^K`` is ``-expm1(K log|r|)`` for even K and ``1 + |r|^K`` for odd.
+    """
+    dt, K = cfg.dt, cfg.steps
+    with np.errstate(over="ignore"):  # an infinite a gives the limit r = 0 (or -1)
+        a = dt * mu
+    m = np.empty_like(a)
+    if cfg.scheme == IMPLICIT_EULER:
+        near = a <= 1.0
+        s = a[near]
+        log_r = np.log1p(s)
+        x = K * log_r
+        m[near] = (dt * K) * (1.0 + 0.5 * s) * _quotient(log_r, s) * _quotient(-np.expm1(-x), x)
+        s = a[~near]
+        m[~near] = dt * (1.0 / s + 0.5) * -np.expm1(-K * np.log1p(s))
+        return m
+    b = 0.5 * a
+    near = b < 1.0
+    s = b[near]
+    q = 2.0 * s / (1.0 + s)  # 1 - r
+    log_r = np.log1p(-q)
+    x = -K * log_r
+    m[near] = (dt * K) * _quotient(-log_r, q) * _quotient(-np.expm1(-x), x) / (1.0 + s)
+    middle = (b >= 1.0) & (b <= 3.0)
+    s = b[middle]
+    m[middle] = dt * (1.0 - (2.0 / (1.0 + s) - 1.0) ** K) / (2.0 * s)
+    far = b > 3.0
+    s = b[far]
+    y = K * np.log1p(-2.0 / (1.0 + s))  # K log|r|
+    m[far] = dt * (-np.expm1(y) if K % 2 == 0 else 1.0 + np.exp(y)) / (2.0 * s)
+    return m
+
+
+def _spectral_integral(lap: DirichletLaplacian, w: np.ndarray, u0: np.ndarray,
+                       cfg: EvolutionConfig) -> np.ndarray | None:
+    """The map output for the frozen potential ``w``, formed in the sine basis
+    (see ``sweep_multipliers``), or None where that does not apply.
+
+    It applies when ``w`` is a constant ``c >= 0`` and
+    ``max|u0| (1 + dt (lambda_max + c))`` is below ``SPECTRAL_LIMIT``.  That
+    product times ``sqrt(N)`` bounds ``(I + dt (L + c)) u`` over the states
+    ``u`` of a stepped sweep, which are no larger than ``u0`` in the 2-norm,
+    so below the limit stepping stays finite on any grid of fewer than
+    ``2**48`` nodes.  Beyond it stepping may overflow, so it is left to
+    decide, and the map fails as it does.
+    ``u0`` is scaled by the power of two that brings ``max|u0|`` into
+    ``[1/2, 1)``, which is exact, so the transform's sums do not overflow.
+    """
+    c = float(w[0])
+    top = float(np.max(np.abs(u0)))
+    if not (c >= 0.0 and np.all(w == c)
+            and top * (1.0 + cfg.dt * (float(np.max(lap.eigenvalues)) + c)) < SPECTRAL_LIMIT):
+        return None
+    exponent = math.frexp(top)[1]
+    multipliers = sweep_multipliers(lap.eigenvalues + c, cfg)
+    return np.ldexp(lap.apply_spectral(np.ldexp(u0, -exponent), multipliers), exponent)
+
+
 def phi_map(
     lap: DirichletLaplacian,
     phi: Potential,
@@ -194,19 +290,29 @@ def phi_map(
     vT: Field,
     cfg: EvolutionConfig,
     sink=None,
-) -> tuple[Field, Trajectory]:
+    spectral: bool = False,
+) -> tuple[Field, Trajectory | None]:
     """One evaluation of the fixed-point map.
 
     Freezes the potential at the trial integral ``vT``, evolves ``u0`` under
     it, passing its states to ``sink`` (see ``evolve``), and returns the
     trapezoidal time integral over every step together with the trajectory.
+    With ``spectral``, a frozen potential that is a nonnegative constant
+    ``c`` is not stepped (unless ``max|u0| (1 + dt (lambda_max + c))``
+    reaches ``SPECTRAL_LIMIT``): the integral is formed in the sine basis,
+    equal to the stepped one up to rounding, the trajectory is None and
+    ``sink`` gets no state.
     Raises :class:`EvaluationError` if the states overflow, which leaves the
     integral non-finite.
     """
     w = nemytskii(phi, vT)
+    trajectory = None
     with np.errstate(over="ignore", invalid="ignore"):  # the integral is checked below
-        trajectory = evolve(lap, w, u0, cfg, sink=sink)
-    if not np.all(np.isfinite(trajectory.integral)):
+        integral = _spectral_integral(lap, w.values, u0.values, cfg) if spectral else None
+        if integral is None:
+            trajectory = evolve(lap, w, u0, cfg, sink=sink)
+            integral = trajectory.integral
+    if not np.all(np.isfinite(integral)):
         raise EvaluationError(
             "the map returned a non-finite time integral: the states overflowed")
-    return Field(lap.grid, trajectory.integral), trajectory
+    return Field(lap.grid, integral), trajectory

@@ -147,10 +147,16 @@ def picard_solve(
     once ``||f_k||_2 / max(||v_k||_2, ||g_k||_2, FLOOR) <= tol`` or after
     ``max_iter`` map evaluations, so a first sweep from the zero start
     reports 1 for a nonzero map output; a start on another grid raises
-    ``ValueError``.  The reported ``uT`` is the map output of the final
-    sweep, the trapezoidal integral over every step of the reported
-    trajectory.  Every sweep passes its states to ``sink`` (see ``evolve``),
-    so the last ones it sees are the reported trajectory's.
+    ``ValueError``.
+
+    A sweep whose frozen potential is a nonnegative constant, such as the
+    first from the zero start, is evaluated in the sine basis
+    (``phi_map``'s ``spectral``), without stepping and without passing
+    states to ``sink``.  The reported sweep is always stepped: if the last
+    sweep was not, its input is stepped once more.  So the reported ``uT`` is
+    the trapezoidal integral over every step of the reported trajectory, the
+    last states ``sink`` sees are that trajectory's, and ``iterations``
+    counts the distinct inputs evaluated.
     Contraction estimates are the map's Lipschitz quotients along the iterates,
     ``||g_k - g_{k-1}||_2 / ||v_k - v_{k-1}||_2``.  An iterate that mixing
     drives out of floating-point range raises :class:`EvaluationError`.
@@ -172,8 +178,9 @@ def picard_solve(
     sup_norms: list[float] = [_norm(grid, v, math.inf)]
     converged = False
     for k in range(pcfg.max_iter):
+        last = Field(grid, v)
         try:
-            uT, trajectory = phi_map(lap, phi, u0, Field(grid, v), ecfg, sink=sink)
+            uT, trajectory = phi_map(lap, phi, u0, last, ecfg, sink=sink, spectral=True)
         except (EvaluationError, SolverFailure) as exc:
             raise _located(exc, residuals)
         g = uT.values
@@ -199,6 +206,11 @@ def picard_solve(
             raise _located(EvaluationError("the mixed iterate overflowed"), residuals)
         sup_norms.append(_norm(grid, v, math.inf))
 
+    if trajectory is None:  # the last sweep was spectral: step its input
+        try:
+            uT, trajectory = phi_map(lap, phi, u0, last, ecfg, sink=sink)
+        except (EvaluationError, SolverFailure) as exc:
+            raise _located(exc, residuals[:-1])
     return FixedPointReport(
         uT=uT,
         trajectory=trajectory,

@@ -25,7 +25,7 @@ formats blocks ``0, W, 2W, ...`` and writes them itself, and forked worker
 as a frame, which this process writes in block order.  So the file holds
 the bytes one process would write, and each process holds at most one
 block of text.  A worker that fails, or a frame that ends short, raises
-``OSError``; no worker outlives the call.
+``OSError``; no worker outlives the call, and no partial CSV is left.
 """
 
 from __future__ import annotations
@@ -236,7 +236,8 @@ def write_trajectory_csv(streamed: str | Path, path: str | Path) -> None:
     and, in block order, those the forked workers send through their pipes.
 
     ``OSError`` if a worker fails or its output ends short; every pipe is
-    closed and every worker reaped before this returns or raises.
+    closed and every worker reaped before this returns or raises, and a
+    failure removes the partial file at ``path``.
     """
     with open(streamed, "rb") as src:
         times, n = _read_header(src)
@@ -252,9 +253,9 @@ def write_trajectory_csv(streamed: str | Path, path: str | Path) -> None:
             return _block_text(fh, states_at, first, times[first:first + per_block].tolist(),
                                tails)
 
-        pipes, pids = [], []
-        with open(path, "wb") as out:
-            try:
+        pipes, pids, written = [], [], False
+        try:
+            with open(path, "wb") as out:
                 for p in range(1, workers):
                     read_end, write_end = os.pipe()
                     pipes.append(open(read_end, "rb"))
@@ -270,10 +271,13 @@ def write_trajectory_csv(streamed: str | Path, path: str | Path) -> None:
                 for b in range(len(firsts)):
                     p = b % workers
                     out.write(_read_frame(pipes[p - 1]) if p else text(src, b))
-            finally:
-                for pipe in pipes:
-                    pipe.close()
-                failed = [pid for pid in pids if os.waitpid(pid, 0)[1]]
+            written = True
+        finally:
+            for pipe in pipes:
+                pipe.close()
+            failed = [pid for pid in pids if os.waitpid(pid, 0)[1]]
+            if (failed or not written) and os.path.isfile(path):  # never a device
+                os.unlink(path)
     if failed:
         raise OSError(f"trajectory CSV workers {failed} exited with an error")
 

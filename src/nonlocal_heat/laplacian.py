@@ -32,6 +32,7 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.fft import rfft
 
 from .mesh import Grid
 
@@ -71,10 +72,11 @@ class SolverFailure(RuntimeError):
 class DirichletLaplacian:
     """Matrix-free stencil operator for -Laplace with zero boundary data.
 
-    The stencil is built once, and on a 2D grid so is its eigenbasis: one
-    orthonormal sine matrix per axis and the eigenvalues.  1D grids build no
-    sine matrix (their solves are tridiagonal).  The operator is not a field,
-    so ``==`` compares grids.
+    The stencil and its ``eigenvalues`` (``dirichlet_eigenvalues``) are built
+    once, and on a 2D grid so is one orthonormal sine matrix per axis.  1D
+    grids build no sine matrix: their sine transform is a real FFT (see
+    ``apply_spectral``).  The operator is not a field, so ``==`` compares
+    grids.
     """
 
     grid: Grid
@@ -87,9 +89,9 @@ class DirichletLaplacian:
             axes.append((c, before + (slice(None, -1),), before + (slice(1, None),)))
         object.__setattr__(self, "_diagonal", sum(2.0 * c for c in coefficients))
         object.__setattr__(self, "_axes", tuple(axes))
+        object.__setattr__(self, "eigenvalues", dirichlet_eigenvalues(self.grid))
         if self.grid.dim == 2:
             object.__setattr__(self, "_basis", tuple(_sine_matrix(m) for m in self.grid.n))
-            object.__setattr__(self, "_eigenvalues", dirichlet_eigenvalues(self.grid))
 
     def apply_array(self, v: np.ndarray) -> np.ndarray:
         """Stencil product on a raw value array (implicit zero boundary):
@@ -102,10 +104,25 @@ class DirichletLaplacian:
         return out.ravel()
 
     def apply_spectral(self, v: np.ndarray, multipliers: np.ndarray) -> np.ndarray:
-        """``f(L) v`` on a 2D grid, for ``multipliers = f(eigenvalues)``: the
-        sine transform ``S0 V S1``, scaled entrywise, transformed back."""
+        """``f(L) v``, for ``multipliers = f(eigenvalues)``: the orthonormal sine
+        transform of ``v``, scaled entrywise, transformed back.  In 1D the
+        transform is ``_sine_transform``, in O(N) memory; in 2D it is
+        ``S0 V S1``, four dense products in all."""
+        if self.grid.dim == 1:
+            return _sine_transform(_sine_transform(v) * multipliers)
         S0, S1 = self._basis
         return (S0 @ ((S0 @ v.reshape(self.grid.n) @ S1) * multipliers) @ S1).ravel()
+
+
+def _sine_transform(x: np.ndarray) -> np.ndarray:
+    """``_sine_matrix(x.size) @ x``, from the real FFT of the odd extension
+    ``0, x, 0, -x reversed``, whose entry ``k`` is
+    ``-2i sum_j x_j sin(pi j k/(m+1))``."""
+    m = x.size
+    odd = np.zeros(2 * (m + 1))
+    odd[1:m + 1] = x
+    odd[m + 2:] = -x[::-1]
+    return -math.sqrt(0.5 / (m + 1)) * rfft(odd)[1:m + 1].imag
 
 
 def _sine_matrix(m: int) -> np.ndarray:
@@ -223,7 +240,7 @@ class _ConjugateGradientSystem:
         self._max_iter = max_iter
         # mean(w) can round outside [min(w), max(w)]
         mean_shift = max(float(np.clip(np.mean(w), w.min(), w.max())), 0.0)
-        self._inverse_eigenvalues = 1.0 / (1.0 + tau * (lap._eigenvalues + mean_shift))
+        self._inverse_eigenvalues = 1.0 / (1.0 + tau * (lap.eigenvalues + mean_shift))
         self._coupling = tau * (w - mean_shift)  # A = M + diag(coupling)
         self._solutions = ()  # the last two, oldest first
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nonlocal_heat import Field, Grid, assemble, cli, picard_solve, uniqueness_threshold
+from nonlocal_heat import Field, Grid, assemble, cli, evolve, picard_solve, uniqueness_threshold
 from nonlocal_heat import io as nio
 from nonlocal_heat.io import read_field_json
 from conftest import fail_in_workers, savetxt_trajectory_csv, trajectory_binary
@@ -634,7 +634,8 @@ def test_trajectory_csv_worker_failure_exits_4_with_one_line(tmp_path, monkeypat
         "i/o failure: a trajectory CSV worker stopped before sending its block"]
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
-    assert not (out / "trajectory.part").exists()
+    # neither the streamed binary nor a truncated CSV is left
+    assert sorted(p.name for p in out.iterdir()) == ["config.json", "ut.csv", "ut.json"]
 
 
 def test_bin_format_writes_trajectory(tmp_path):
@@ -650,6 +651,24 @@ def test_bin_format_writes_trajectory(tmp_path):
     assert states.shape == (101, 49)
     report = json.loads((out / "report.json").read_text())
     assert report["files"]["trajectory_bin"] == "trajectory.bin"
+
+
+def test_constant_potential_files_hold_one_stepped_sweep(tmp_path, collector):
+    # every sweep of a constant potential is formed in the sine basis; the
+    # written states and uT are those of its input stepped once more
+    out = tmp_path / "out"
+    cfg = base_config(out, potential={"name": "constant", "params": [2.5]})
+    cfg["output"]["formats"] = ["csv", "json", "bin"]
+    assert cli.run(write_config(tmp_path, cfg), quiet=True) == 0
+    job = cli.parse_config(cfg)
+    sink = collector(job.u0)
+    stepped = evolve(assemble(job.grid), Field.constant(job.grid, 2.5), job.u0, job.ecfg,
+                     sink=sink)
+    times, states, _ = nio.read_trajectory_bin(out / "trajectory.bin")
+    assert np.array_equal(states, sink.states)
+    assert (out / "trajectory.csv").read_bytes() == savetxt_trajectory_csv(times, sink.states)
+    assert np.array_equal(read_field_json(out / "ut.json").values, stepped.integral)
+    assert json.loads((out / "report.json").read_text())["iterations"] == 2
 
 
 def test_main_entry_point(tmp_path, capsys):

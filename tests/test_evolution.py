@@ -10,6 +10,7 @@ from nonlocal_heat import (
     EvolutionConfig,
     Field,
     Grid,
+    SolverFailure,
     assemble,
     catalog,
     dirichlet_lambda1_discrete,
@@ -311,6 +312,54 @@ def test_phi_map_constant_potential_closed_form(c):
     coeff = -math.expm1(-lam * T) / lam
     exact = coeff * u0
     assert norm_lp(uT - exact, 2) / norm_lp(exact, 2) <= 2e-3
+
+
+SPECTRAL_GRIDS = [Grid((1.0,), (1,)), Grid((1.0,), (2,)), Grid((1.0,), (49,)),
+                  Grid((1.0,), (799,)), Grid((1.0, 1.0), (15, 15)), Grid((1.0, 2.0), (31, 17))]
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("grid", SPECTRAL_GRIDS, ids=lambda g: "x".join(map(str, g.n)))
+@pytest.mark.parametrize("c", [0.0, 2.5, 1e3])
+@pytest.mark.parametrize("steps", [50, 51])
+def test_constant_potential_map_in_the_sine_basis_matches_stepping(scheme, grid, c, steps):
+    # dt near 0.002: Crank-Nicolson's dt*lambda_max/2 is 2.0 at 15x15, 10 at
+    # n = 49 and 2.6e3 at n = 799, so r < 0 there, with odd and even K
+    rng = np.random.default_rng(grid.num_nodes)
+    L = assemble(grid)
+    u0 = Field(grid, rng.standard_normal(grid.num_nodes))
+    v = Field(grid, rng.standard_normal(grid.num_nodes))
+    cfg = EvolutionConfig(T=0.1, steps=steps, scheme=scheme)
+    closed, none = phi_map(L, catalog("constant", [c]), u0, v, cfg, spectral=True)
+    stepped, trajectory = phi_map(L, catalog("constant", [c]), u0, v, cfg)
+    assert none is None and trajectory is not None
+    scale = np.max(np.abs(stepped.values))
+    assert np.max(np.abs(closed.values - stepped.values)) <= 1e-11 * scale
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_sweep_multipliers_of_a_subnormal_step_are_the_final_time(scheme):
+    # dt*lambda at 0 or subnormal, as on a domain of length 1e154: the sums
+    # are ratios of log1p/expm1 forms, so no 1/(dt*lambda) overflows
+    cfg = EvolutionConfig(T=0.3, steps=7, scheme=scheme)
+    mu = np.array([0.0, 5e-324, 1e-310, 1e-300])
+    assert np.allclose(evolution.sweep_multipliers(mu, cfg), cfg.T, rtol=1e-15, atol=0.0)
+
+
+def test_spectral_map_steps_unless_the_potential_is_a_nonnegative_constant(collector):
+    g = Grid((1.0,), (49,))
+    L = assemble(g)
+    u0, v = sine_datum(g), 0.5 * sine_datum(g)
+    cfg = EvolutionConfig(T=0.1, steps=40)
+    sink = collector(u0)
+    _, trajectory = phi_map(L, catalog("constant", [2.5]), u0, v, cfg, sink=sink, spectral=True)
+    assert trajectory is None and len(sink.rows) == 1  # the sink saw no state
+    for phi in (catalog("constant", [-1.0]), catalog("quadratic")):
+        sink = collector(u0)
+        _, trajectory = phi_map(L, phi, u0, v, cfg, sink=sink, spectral=True)
+        assert trajectory is not None and len(sink.rows) == cfg.steps + 1
+    with pytest.raises(SolverFailure, match="not positive definite"):
+        phi_map(L, catalog("constant", [-2000.0]), u0, v, cfg, spectral=True)
 
 
 def test_phi_map_output_bound():

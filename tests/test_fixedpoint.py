@@ -15,6 +15,7 @@ from nonlocal_heat import (
     SolverFailure,
     assemble,
     catalog,
+    evolve,
     norm_lp,
     phi_map,
     picard_solve,
@@ -72,6 +73,44 @@ def test_constant_potential_converges_in_exactly_two_iterations():
     report2 = picard_solve(LAP, catalog("constant", [1.0]), sine_datum(), ECFG, start=guess)
     assert report2.converged and report2.iterations == 2
     assert np.allclose(report.uT.values, report2.uT.values, rtol=0, atol=1e-15)
+
+
+def test_reported_sweep_is_stepped_and_closed_form_sweeps_send_no_states():
+    # the first sweep from the zero start freezes the constant phi(0), so it
+    # is formed in the sine basis and the sink sees no state of it
+    u0, phi = sine_datum(0.5), catalog("quadratic")
+    starts = []
+    report = picard_solve(LAP, phi, u0, ECFG, sink=lambda start, block: starts.append(start))
+    assert report.iterations >= 3 and starts.count(0) == report.iterations - 1
+
+    # a constant potential: both sweeps are closed-form, and the input of the
+    # last is stepped once more for the reported uT, trajectory and states
+    starts = []
+    report = picard_solve(LAP, catalog("constant", [1.0]), u0, ECFG,
+                          sink=lambda start, block: starts.append(start))
+    assert report.iterations == 2 and starts.count(0) == 1
+    stepped = evolve(LAP, Field.constant(GRID, 1.0), u0, ECFG)
+    assert np.array_equal(report.uT.values, stepped.integral)
+    assert np.array_equal(report.trajectory.final().values, stepped.final().values)
+    assert report.trajectory.bounds == stepped.bounds
+
+    # max_iter = 1: the one closed-form sweep's input, zero, is stepped
+    report = picard_solve(LAP, phi, u0, ECFG, PicardConfig(max_iter=1))
+    assert report.iterations == 1 and not report.converged
+    stepped, _ = phi_map(LAP, phi, u0, Field.zeros(GRID), ECFG)
+    assert np.array_equal(report.uT.values, stepped.values)
+
+
+def test_failure_of_the_reported_sweep_names_the_last_evaluation(monkeypatch):
+    def failing_stepped(*args, spectral=False, **kwargs):
+        if not spectral:
+            raise SolverFailure("the stepped sweep fails")
+        return phi_map(*args, spectral=spectral, **kwargs)
+
+    monkeypatch.setattr(fixedpoint, "phi_map", failing_stepped)
+    with pytest.raises(SolverFailure, match="stepped") as raised:
+        picard_solve(LAP, catalog("constant", [1.0]), sine_datum(), ECFG)
+    assert raised.value.iteration == 2 and len(raised.value.residual_history) == 1
 
 
 def test_zero_start_first_residual_is_relative_to_the_map_output():

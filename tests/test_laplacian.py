@@ -26,6 +26,7 @@ from nonlocal_heat.laplacian import (
     DirichletLaplacian,
     _ConjugateGradientSystem,
     _sine_matrix,
+    _sine_transform,
     dirichlet_eigenvalues,
     shifted_system,
 )
@@ -158,12 +159,23 @@ def test_sine_matrix_is_symmetric_and_its_own_inverse(m):
     assert np.max(np.abs(S @ S - np.eye(m))) <= 1e-13
 
 
+@pytest.mark.parametrize("m", [1, 2, 49, 799])
+def test_1d_sine_transform_is_the_sine_matrix_product_by_fft(m):
+    x = np.random.default_rng(m).standard_normal(m)
+    assert np.max(np.abs(_sine_transform(x) - _sine_matrix(m) @ x)) <= 1e-14 * math.sqrt(m)
+    # so the 1D sine-basis product with the eigenvalues is the stencil
+    lap = assemble(Grid((2.5,), (m,)))
+    assert np.allclose(lap.apply_spectral(x, lap.eigenvalues), lap.apply_array(x),
+                       rtol=0.0, atol=1e-12 * np.max(np.abs(lap.apply_array(x))))
+
+
 def test_sine_basis_diagonalizes_the_2d_stencil():
     # with the eigenvalues as multipliers, the sine-basis product is the stencil
     g = Grid((1.0, 2.5), (5, 4))
     lap = assemble(g)
+    assert np.array_equal(lap.eigenvalues, dirichlet_eigenvalues(g))
     v = np.random.default_rng(2).standard_normal(g.num_nodes)
-    assert np.allclose(lap.apply_spectral(v, dirichlet_eigenvalues(g)), lap.apply_array(v),
+    assert np.allclose(lap.apply_spectral(v, lap.eigenvalues), lap.apply_array(v),
                        rtol=0.0, atol=1e-12 * np.max(np.abs(lap.apply_array(v))))
 
 
