@@ -269,6 +269,8 @@ def parse_config(cfg: dict) -> Job:
         raise
     except ValueError as exc:  # the datum's values are not all finite
         _fail("initial", f"gives no valid datum: {exc}")
+    except MemoryError as exc:  # the datum is the first array of num_nodes values
+        _fail("domain.n", f"must give a grid that can be allocated, got {n}: {exc}")
 
     fp = _get(cfg, "fixedpoint", "object", {})
     if "initial_guess" in fp:

@@ -143,16 +143,14 @@ def evolve(
 
     Each step makes one solve: implicit Euler sets
     ``u_{k+1} = (I + dt*(L+W))^{-1} u_k`` and Crank-Nicolson sets
-    ``u_{k+1} = 2 (I + dt/2*(L+W))^{-1} u_k - u_k``, which equals
+    ``u_{k+1} = (I/2 + dt/4*(L+W))^{-1} u_k - u_k``, which equals
     ``(I + dt/2*(L+W))^{-1} (I - dt/2*(L+W)) u_k`` without its stencil product.
     Implicit Euler preserves positivity and is non-expansive for ``w >= 0``;
     Crank-Nicolson trades those guarantees for second-order accuracy.
-
-    The factor 2 lives in the Crank-Nicolson system (``shifted_system``'s
-    ``double``), whose solve returns ``2 (I + dt/2*(L+W))^{-1} u_k`` exactly,
-    a power-of-two scaling; each step is then one subtraction written into
-    its row of the block, bit for bit ``2.0 * y - u_k``.  An implicit Euler
-    step copies its solve into its row.
+    The Crank-Nicolson operator is ``I + dt/2*(L+W)`` with every entry
+    halved, which is exact, so its solve is bit for bit ``2.0 *`` that
+    operator's; a step is that solve and one subtraction, written into its
+    row of the block.
 
     States ``u_1 .. u_K`` are reduced in blocks of ``BLOCK_BYTES`` (fewer
     when there are fewer steps) into the trapezoidal integral and the state
@@ -166,7 +164,8 @@ def evolve(
     num_nodes = lap.grid.num_nodes
     u = u0.values
     reflect = cfg.scheme == CRANK_NICOLSON
-    solve = shifted_system(lap, w.values, 0.5 * dt if reflect else dt, double=reflect).solve
+    solve = (shifted_system(lap, w.values, 0.25 * dt, identity=0.5) if reflect
+             else shifted_system(lap, w.values, dt)).solve
 
     rows = max(1, min(steps, BLOCK_BYTES // (8 * num_nodes)))
     scratch = np.empty((rows, num_nodes))

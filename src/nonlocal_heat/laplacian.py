@@ -154,8 +154,10 @@ def dirichlet_eigenvalues(grid: Grid) -> np.ndarray:
     """
     out = 0.0
     for axis, (h, L, m) in enumerate(zip(grid.h, grid.lengths, grid.n)):
-        # math.sin entry by entry: the smallest entry is then the scalar
-        # closed form of dirichlet_lambda1_discrete, bit for bit
+        # math.sin on each scalar argument: the C library's rounding, not that
+        # of whichever SIMD kernel numpy's sin dispatches to on the running
+        # CPU, so the eigenvalues (and report.json's lambda1_discrete) do not
+        # depend on that dispatch
         axis_values = np.array([(4.0 / h**2) * math.sin(math.pi * k * h / (2.0 * L)) ** 2
                                 for k in range(1, m + 1)])
         out = out + axis_values.reshape((m,) + (1,) * (grid.dim - 1 - axis))
@@ -171,35 +173,26 @@ class _TridiagonalSystem:
     """Symmetric tridiagonal system, factored as ``L D L^T`` (LAPACK pttrf).
 
     The factorization exists, with ``D > 0``, exactly when the matrix is
-    positive definite, which ``I + tau*(L + diag(w))`` is for ``w >= 0``;
-    otherwise it raises :class:`SolverFailure`.  With ``double``, the pivots
-    ``D`` are halved after that check, so ``pttrs`` solves with half the
-    matrix and returns twice the solution.  Halving a pivot is exact (for
-    ``w >= 0`` every pivot is at least 1).  ``pttrs`` runs the forward
-    recurrence on the unchanged multipliers ``L``, divides by ``D`` and runs
-    the backward recurrence, in which every term then carries the factor 2;
-    so the result is ``2.0 *`` the plain solve bit for bit wherever no
-    value overflows or leaves the normal range.
+    positive definite, which ``identity*I + tau*(L + diag(w))`` is for
+    ``identity > 0`` and ``w >= 0``; otherwise it raises :class:`SolverFailure`.
     """
 
-    def __init__(self, diag: np.ndarray, off: float, double: bool = False):
+    def __init__(self, diag: np.ndarray, off: float):
         # LAPACK reads no off-diagonal at n = 1, but scipy rejects an empty one
         self._d, self._e, info = _pttrf(diag, np.full(max(diag.size - 1, 1), off))
         if info != 0:
             raise SolverFailure(
                 "the step operator I + tau*(L + diag(w)) is not positive definite "
                 f"(leading minor {info} of {diag.size}): w is too negative")
-        if double:
-            self._d *= 0.5
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         return _pttrs(self._d, self._e, b)[0]
 
 
 class _ConjugateGradientSystem:
-    """Preconditioned CG for ``A x = b``, ``A = I + tau*(L + diag(w))``, in 2D.
+    """Preconditioned CG for ``A x = b``, ``A = identity*I + tau*(L + diag(w))``, in 2D.
 
-    The preconditioner is the exact inverse of ``M = I + tau*(L + c)``,
+    The preconditioner is the exact inverse of ``M = identity*I + tau*(L + c)``,
     diagonal in the stencil's sine basis, so the iteration count does not
     grow with the grid.  The shift ``c`` is ``mean(w)``, kept within
     ``[min(w), max(w)]`` against rounding (so it is ``w`` itself for a
@@ -216,12 +209,8 @@ class _ConjugateGradientSystem:
 
     Each solve runs on ``b`` scaled by a power of two that brings ``max|b|``
     into ``[1/2, 1)``, which is exact, so norms and curvatures neither
-    overflow nor underflow.  With ``double``, the solution is scaled back by
-    twice that power, which returns ``2.0 *`` the plain solution bit for bit.
-    The kept solutions are then doubled too, and the start divides their
-    extrapolation by the extra 2, so it equals the plain start exactly and
-    every solve takes the plain iterations.  Convergence is judged on the
-    unpreconditioned residual, ``||b - A x|| <= CG_RTOL * ||b||``.  A direction with
+    overflow nor underflow.  Convergence is judged on the unpreconditioned
+    residual, ``||b - A x|| <= CG_RTOL * ||b||``.  A direction with
     ``p^T A p <= 0`` proves the operator indefinite, and a restart whose true
     residual is not below the previous restart's (the start's, for the
     first) shows that rounding keeps the residual above the target: both
@@ -232,15 +221,14 @@ class _ConjugateGradientSystem:
     """
 
     def __init__(self, lap: DirichletLaplacian, w: np.ndarray, tau: float, max_iter: int,
-                 double: bool = False):
+                 identity: float = 1.0):
         self._lap = lap
-        self._gain = int(double)  # log2 of the factor the returned solutions carry
-        self._shift = 1.0 + tau * w
+        self._shift = identity + tau * w
         self._tau = tau
         self._max_iter = max_iter
         # mean(w) can round outside [min(w), max(w)]
         mean_shift = max(float(np.clip(np.mean(w), w.min(), w.max())), 0.0)
-        self._inverse_eigenvalues = 1.0 / (1.0 + tau * (lap.eigenvalues + mean_shift))
+        self._inverse_eigenvalues = 1.0 / (identity + tau * (lap.eigenvalues + mean_shift))
         self._coupling = tau * (w - mean_shift)  # A = M + diag(coupling)
         self._solutions = ()  # the last two, oldest first
 
@@ -257,7 +245,7 @@ class _ConjugateGradientSystem:
                 g = (self._solutions[-1] if len(self._solutions) == 1
                      else 2.0 * self._solutions[-1] - self._solutions[-2])
                 x = self._precondition(
-                    b - self._coupling * np.ldexp(g, -exponent - self._gain))
+                    b - self._coupling * np.ldexp(g, -exponent))
             if np.isfinite(x).all():
                 return x
         return self._precondition(b)
@@ -271,8 +259,7 @@ class _ConjugateGradientSystem:
         else:
             exponent = math.frexp(top)[1]
             scaled = np.ldexp(b, -exponent)
-            x = np.ldexp(self._iterate(scaled, self._start(scaled, exponent)),
-                         exponent + self._gain)
+            x = np.ldexp(self._iterate(scaled, self._start(scaled, exponent)), exponent)
         self._solutions = (*self._solutions[-1:], x)
         return x
 
@@ -322,22 +309,20 @@ class _ConjugateGradientSystem:
 
 
 def shifted_system(lap: DirichletLaplacian, w: np.ndarray, tau: float,
-                   double: bool = False):
-    """Prepare ``(I + tau*(L + diag(w)))`` for repeated solves.
+                   identity: float = 1.0):
+    """Prepare ``identity*I + tau*(L + diag(w))`` for repeated solves.
 
-    With ``double``, ``solve(b)`` returns ``2 (I + tau*(L + diag(w)))^{-1} b``,
-    bit for bit ``2.0 *`` the plain solve wherever nothing overflows or
-    leaves the normal range: the 1D factorization halves its pivots, and the
-    2D solve scales its result by one more power of two.  Crank-Nicolson
-    steps with it (see ``evolution.evolve``).
+    Implicit Euler steps with ``I + dt*(L + diag(w))``, and Crank-Nicolson
+    with ``I/2 + (dt/4)*(L + diag(w))``, whose solve is twice that of
+    ``I + (dt/2)*(L + diag(w))`` (see ``evolution.evolve``).
 
     1D grids get an ``L D L^T`` tridiagonal factorization; 2D grids get CG
-    preconditioned by the exact inverse of ``I + tau*(L + c)``, ``c`` the
-    mean of ``w`` clipped at 0, in the sine basis, with relative tolerance
-    ``CG_RTOL`` and an iteration cap of ``10 * num_nodes``.  A 2D system
-    starts each solve from the extrapolation of its last two solutions, so
-    one system serves one sequence of right-hand sides, such as the steps
-    of one evolution.
+    preconditioned by the exact inverse of ``identity*I + tau*(L + c)``,
+    ``c`` the mean of ``w`` clipped at 0, in the sine basis, with relative
+    tolerance ``CG_RTOL`` and an iteration cap of ``10 * num_nodes``.  A 2D
+    system starts each solve from the extrapolation of its last two
+    solutions, so one system serves one sequence of right-hand sides, such
+    as the steps of one evolution.
     """
     if tau <= 0.0:
         raise ValueError(f"tau must be positive, got {tau}")
@@ -346,7 +331,6 @@ def shifted_system(lap: DirichletLaplacian, w: np.ndarray, tau: float,
         raise ValueError("shift vector does not match the grid")
     if g.dim == 1:
         inv = 1.0 / g.h[0] ** 2
-        diag = 1.0 + tau * (2.0 * inv + w)
-        return _TridiagonalSystem(diag, -tau * inv, double)
-    return _ConjugateGradientSystem(lap, w, tau, 10 * g.num_nodes, double)
-
+        diag = identity + tau * (2.0 * inv + w)
+        return _TridiagonalSystem(diag, -tau * inv)
+    return _ConjugateGradientSystem(lap, w, tau, 10 * g.num_nodes, identity)

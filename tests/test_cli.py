@@ -186,6 +186,20 @@ def test_invalid_configs_exit_3(tmp_path, capsys, mutate):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("n", [[10**16], [1, 10**16]], ids=["1d", "2d"])
+def test_unallocatable_grid_exits_3_with_one_line(tmp_path, capsys, n):
+    # 10**16 nodes take 71 PiB, beyond any address space, so the datum's
+    # first array fails to allocate and nothing is allocated
+    out = tmp_path / "out"
+    cfg = base_config(out, domain={"dim": len(n), "lengths": [1.0] * len(n), "n": n})
+    assert cli.run(write_config(tmp_path, cfg), quiet=True) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"invalid config: domain.n must give a grid that can be allocated, "
+                          f"got {n}: ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_invalid_mode_settings_exit_3_before_any_write(tmp_path):
     first = tmp_path / "first"
     assert cli.run(write_config(tmp_path, base_config(first), "c0.json"), quiet=True) == 0

@@ -1,4 +1,5 @@
 import math
+import re
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -266,12 +267,13 @@ def test_solve_matches_dense_oracle_2d():
     w = rng.uniform(0.0, 3.0, g.num_nodes)
     b = rng.standard_normal(g.num_nodes)
     tau = 0.05
-    x = shifted_system(L, w, tau).solve(b)
-    A = np.eye(g.num_nodes) + tau * (dense_matrix(L) + np.diag(w))
-    oracle = np.linalg.solve(A, b)
-    assert np.max(np.abs(x - oracle)) <= 1e-9
-    residual = np.linalg.norm(A @ x - b)
-    assert residual <= 1e-10 * np.linalg.norm(b)
+    for identity in (1.0, 0.5):
+        x = shifted_system(L, w, tau, identity=identity).solve(b)
+        A = identity * np.eye(g.num_nodes) + tau * (dense_matrix(L) + np.diag(w))
+        oracle = np.linalg.solve(A, b)
+        assert np.max(np.abs(x - oracle)) <= 1e-9
+        residual = np.linalg.norm(A @ x - b)
+        assert residual <= 1e-10 * np.linalg.norm(b)
 
 
 def test_solve_residual_contract_1d():
@@ -281,9 +283,10 @@ def test_solve_residual_contract_1d():
     w = rng.uniform(0.0, 5.0, 33)
     b = rng.standard_normal(33)
     tau = 0.2
-    x = shifted_system(L, w, tau).solve(b)
-    Ax = x + tau * (L.apply_array(x) + w * x)
-    assert np.linalg.norm(Ax - b) <= 1e-10 * np.linalg.norm(b)
+    for identity in (1.0, 0.5):
+        x = shifted_system(L, w, tau, identity=identity).solve(b)
+        Ax = identity * x + tau * (L.apply_array(x) + w * x)
+        assert np.linalg.norm(Ax - b) <= 1e-10 * np.linalg.norm(b)
 
 
 @pytest.mark.parametrize("grid", [Grid((1.0,), (25,)), Grid((1.0, 1.0), (9, 9))])
@@ -353,45 +356,57 @@ def test_indefinite_step_operator_raises(n):
 @given(w=st.lists(st.floats(0.0, 1e6), min_size=1, max_size=80),
        tau=st.floats(1e-9, 1e3), seed=st.integers(0, 2**32 - 1))
 def test_doubled_tridiagonal_solve_is_twice_the_plain_one_bitwise(w, tau, seed):
-    # halving the pivots is exact, and every pivot of I + tau*(L + diag(w))
-    # is at least 1 for w >= 0, so the halved ones stay far from the normal range's edge
+    # every entry of I/2 + (tau/2)*(L + diag(w)) is exactly half that of
+    # I + tau*(L + diag(w)), so pttrf gives half the pivots and the same
+    # multipliers; every plain pivot is at least 1 for w >= 0, so the halved
+    # ones stay far from the normal range's edge
     g = Grid((1.0,), (len(w),))
     lap, w = assemble(g), np.array(w)
-    plain, doubled = shifted_system(lap, w, tau), shifted_system(lap, w, tau, double=True)
+    plain, halved = shifted_system(lap, w, tau), shifted_system(lap, w, 0.5 * tau, identity=0.5)
     assert plain._d.min() >= 1.0
-    assert np.array_equal(doubled._d, 0.5 * plain._d)
-    assert np.array_equal(doubled._e, plain._e)
+    assert np.array_equal(halved._d, 0.5 * plain._d)
+    # pttrs reads n - 1 multipliers: at n = 1, _e is a placeholder pttrf leaves as given
+    multipliers = slice(g.num_nodes - 1)
+    assert np.array_equal(halved._e[multipliers], plain._e[multipliers])
     b = np.random.default_rng(seed).standard_normal(g.num_nodes)
-    assert np.array_equal(doubled.solve(b), 2.0 * plain.solve(b))
+    assert np.array_equal(halved.solve(b), 2.0 * plain.solve(b))
 
 
 @given(amplitude=st.floats(0.0, 3600.0), tau=st.floats(1e-4, 1e-1))
 def test_doubled_cg_solves_a_sequence_at_twice_the_plain_one_bitwise(amplitude, tau):
-    # the doubled system keeps doubled solutions and undoes the factor in its
-    # extrapolated start, so each solve takes the plain system's iterations
+    # the halved operator's kept solutions, and so its extrapolated starts,
+    # are exactly twice the plain ones, so each solve takes the plain
+    # system's iterations
     g = Grid((1.0, 1.0), (15, 15))
     lap, w = assemble(g), sine_squared_bump(g, amplitude)
-    plain, doubled = shifted_system(lap, w, tau), shifted_system(lap, w, tau, double=True)
+    plain, halved = shifted_system(lap, w, tau), shifted_system(lap, w, 0.5 * tau, identity=0.5)
     b = sine_squared_bump(g, 1.0) ** 0.5
     rhs = [b * 0.9**j + 1e-3 * j * sine_squared_bump(g, 1.0) for j in range(6)]
     rhs.insert(3, np.zeros(g.num_nodes))
     for b in rhs:
-        assert np.array_equal(doubled.solve(b), 2.0 * plain.solve(b))
+        assert np.array_equal(halved.solve(b), 2.0 * plain.solve(b))
 
 
 @pytest.mark.parametrize("n", [49, 1, pytest.param((31, 31), id="31x31")])
 def test_doubled_system_reports_an_indefinite_operator_as_the_plain_one(n):
-    # the 1D pivots are checked before they are halved
+    # the halved 1D operator fails at the same leading minor; CG reports
+    # p^T A p of the operator it solves, exactly twice the plain one's for
+    # the halved operator, whose direction is twice the plain one
     n = n if isinstance(n, tuple) else (n,)
     g = Grid((1.0,) * len(n), n)
     lap, w, b = assemble(g), np.full(g.num_nodes, -2000.0), np.ones(g.num_nodes)
     messages = []
-    for double in (False, True):
+    for tau, identity in ((1e-3, 1.0), (5e-4, 0.5)):
         with pytest.raises(SolverFailure) as raised:
-            shifted_system(lap, w, 1e-3, double=double).solve(b)
+            shifted_system(lap, w, tau, identity=identity).solve(b)
         messages.append(str(raised.value))
-    assert messages[0] == messages[1]
+    curvature = re.compile(r"(?<=p\^T A p = )\S+(?=\))")
+    assert curvature.sub("", messages[0]) == curvature.sub("", messages[1])
     assert "not positive definite" in messages[0]
+    values = [float(value) for text in messages for value in curvature.findall(text)]
+    assert len(values) == (2 if len(n) == 2 else 0)
+    if values:
+        assert values[1] == pytest.approx(2.0 * values[0], rel=1e-3)
 
 
 def test_cg_returns_nan_for_a_right_hand_side_with_a_non_finite_entry(monkeypatch):
@@ -525,12 +540,12 @@ def evolve_counting_products(monkeypatch, w, cfg, fresh=False):
     products = count_stencil_applies(monkeypatch)
     counts = []
 
-    def build(lap, w, tau, double=False):
-        system = shifted_system(lap, w, tau, double)
+    def build(lap, w, tau, identity=1.0):
+        system = shifted_system(lap, w, tau, identity)
 
         def solve(b):
             before = products[0]
-            x = (shifted_system(lap, w, tau, double) if fresh else system).solve(b)
+            x = (shifted_system(lap, w, tau, identity) if fresh else system).solve(b)
             counts.append(products[0] - before)
             return x
         return SimpleNamespace(solve=solve)
