@@ -31,7 +31,7 @@ from .fixedpoint import (
     uniqueness_probe,
     uniqueness_threshold,
 )
-from .laplacian import SolverFailure, assemble
+from .laplacian import DirichletLaplacian, SolverFailure
 from .mesh import FLOOR, Field, Grid, norm_lp, restrict
 from .potential import EvaluationError, Potential, catalog
 from .verify import verify_all
@@ -144,12 +144,13 @@ def load_config(path: str | Path) -> dict:
 class Job:
     """A config parsed into the objects one run needs.
 
-    ``threshold`` is the problem's small-data uniqueness check, evaluated
-    once here and read by every report of the run.  Only the active mode's
-    own settings are read from the config: ``starts`` (probe), ``levels``
-    (convergence_study: one solve job per level, coarsest first, each built
-    here) and ``axis`` and ``values`` (sweep, sorted); the other modes'
-    settings are None.
+    ``lap``, the stencil operator on ``grid``, is built here, so a grid whose
+    operator cannot be allocated is an invalid config.  ``threshold`` is the
+    problem's small-data uniqueness check, evaluated once here and read by
+    every report of the run.  Only the active mode's own settings are read
+    from the config: ``starts`` (probe), ``levels`` (convergence_study: one
+    solve job per level, coarsest first, each built here) and ``axis`` and
+    ``values`` (sweep, sorted); the other modes' settings are None.
     """
 
     mode: str
@@ -157,6 +158,7 @@ class Job:
     out_dir: Path
     formats: list[str]
     grid: Grid
+    lap: DirichletLaplacian
     phi: Potential
     u0: Field
     ecfg: EvolutionConfig
@@ -265,11 +267,12 @@ def parse_config(cfg: dict) -> Job:
     initial = _get(cfg, "initial", "object")
     try:
         u0 = _initial_datum(initial, grid)
+        lap = DirichletLaplacian(grid)
     except ConfigError:
         raise
     except ValueError as exc:  # the datum's values are not all finite
         _fail("initial", f"gives no valid datum: {exc}")
-    except MemoryError as exc:  # the datum is the first array of num_nodes values
+    except MemoryError as exc:  # the datum's num_nodes values, or a 2D axis's sine matrix
         _fail("domain.n", f"must give a grid that can be allocated, got {n}: {exc}")
 
     fp = _get(cfg, "fixedpoint", "object", {})
@@ -299,7 +302,7 @@ def parse_config(cfg: dict) -> Job:
         if refine == "space_time" and initial["name"] == "from_file":
             _fail("study.refine", "must be 'time_only' for a from_file datum, "
                                   "which holds one grid")
-        coarsest = Job("solve", seed, out_dir, formats, grid, phi, u0, ecfg, pcfg, threshold)
+        coarsest = Job("solve", seed, out_dir, formats, grid, lap, phi, u0, ecfg, pcfg, threshold)
         settings["levels"] = (coarsest,) + tuple(
             _derived_job(cfg, {"mode": "solve", **_refined_config(cfg, level, refine)})
             for level in range(1, levels))
@@ -313,7 +316,8 @@ def parse_config(cfg: dict) -> Job:
             _fail("sweep.values", "must not be empty")
         settings.update(axis=axis, values=tuple(sorted(float(v) for v in values)))
 
-    return Job(mode, seed, out_dir, formats, grid, phi, u0, ecfg, pcfg, threshold, **settings)
+    return Job(mode, seed, out_dir, formats, grid, lap, phi, u0, ecfg, pcfg, threshold,
+               **settings)
 
 
 def _derived_job(cfg: dict, changes: dict) -> Job:
@@ -386,9 +390,8 @@ def _run_header(cfg: dict, job: Job) -> dict:
     }
 
 
-def _solve(job: Job, sink=None):
-    lap = assemble(job.grid)
-    return lap, picard_solve(lap, job.phi, job.u0, job.ecfg, job.pcfg, sink=sink)
+def _solve(job: Job, sink=None) -> FixedPointReport:
+    return picard_solve(job.lap, job.phi, job.u0, job.ecfg, job.pcfg, sink=sink)
 
 
 def _summary_line(report: FixedPointReport, thr: UniquenessThreshold, verification) -> str:
@@ -411,8 +414,8 @@ def run_solve(cfg: dict, job: Job, quiet: bool) -> bool:
     try:
         with (nio.trajectory_stream(streamed, job.u0, job.ecfg)
               if any(f in TRAJECTORY_FORMATS for f in job.formats) else nullcontext()) as sink:
-            lap, report = _solve(job, sink)
-        verification = verify_all(report, job.phi, lap)
+            report = _solve(job, sink)
+        verification = verify_all(report, job.phi, job.lap)
 
         payload = _run_header(cfg, job)
         payload.update(report.scalar_diagnostics())
@@ -434,7 +437,7 @@ def run_solve(cfg: dict, job: Job, quiet: bool) -> bool:
 
 def run_probe(cfg: dict, job: Job, quiet: bool) -> bool:
     probe = uniqueness_probe(
-        assemble(job.grid), job.phi, job.u0, job.ecfg, job.pcfg,
+        job.lap, job.phi, job.u0, job.ecfg, job.pcfg,
         n_starts=job.starts, seed=job.seed,
     )
     payload = _run_header(cfg, job)
@@ -460,11 +463,11 @@ def run_convergence_study(cfg: dict, job: Job, quiet: bool) -> bool:
     runs = []
     for level, level_job in enumerate(job.levels):
         try:
-            lap, report = _solve(level_job)
+            report = _solve(level_job)
         except NUMERICAL_FAILURES as exc:
             exc.level = level
             raise
-        verification = verify_all(report, level_job.phi, lap)
+        verification = verify_all(report, level_job.phi, level_job.lap)
         runs.append((level_job.grid, level_job.ecfg, report, verification))
 
     finest_report = runs[-1][2]
@@ -502,7 +505,7 @@ def run_sweep(cfg: dict, job: Job, quiet: bool) -> bool:
                    else {"initial": {"params": {key: value}}})
         try:
             row_job = _derived_job(cfg, changes)
-            _, report = _solve(row_job)
+            report = _solve(row_job)
             thr = row_job.threshold
             product = f"{thr.product:.10e}" if thr.applicable else "n/a"
             return (f"{value:.10g},{report.converged},{report.iterations},{product},"

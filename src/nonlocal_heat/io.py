@@ -17,15 +17,15 @@ states at a time, so its memory does not grow with ``K``; a binary whose
 size differs from the one its header implies raises ``ValueError`` before
 any CSV byte is written.
 
-The blocks are dealt round-robin to ``W`` processes, ``W`` the least of the
+The blocks are split into ``W`` contiguous shares, ``W`` the least of the
 cores this process may run on, the number of blocks and the values over
-``MIN_VALUES_PER_WORKER`` (1 where the platform cannot fork): this one
-formats blocks ``0, W, 2W, ...`` and writes them itself, and forked worker
-``p`` formats blocks ``p, p + W, ...`` and sends each through its own pipe
-as a frame, which this process writes in block order.  So the file holds
-the bytes one process would write, and each process holds at most one
-block of text.  A worker that fails, or a frame that ends short, raises
-``OSError``; no worker outlives the call, and no partial CSV is left.
+``MIN_VALUES_PER_WORKER`` (1 where the platform cannot fork): this process
+formats share 0 straight into the CSV, and each forked worker formats its
+share into an anonymous temporary file beside the binary, which this
+process then appends in share order.  So the file holds the bytes one
+process would write, and each process holds at most one block of text.  A
+worker that fails raises ``OSError``; no worker outlives the call, and no
+partial CSV is left.
 """
 
 from __future__ import annotations
@@ -33,6 +33,8 @@ from __future__ import annotations
 import json
 import math
 import os
+import shutil
+import tempfile
 import warnings
 from contextlib import contextmanager
 from pathlib import Path
@@ -192,52 +194,33 @@ def _block_text(src, states_at: int, first: int, times: list[float], tails: list
                    for t, state in zip(times, block.reshape(-1, N))).encode("ascii")
 
 
-def _send_blocks(sink, pipes: list, streamed: str | Path, blocks: range, text) -> None:
-    """The body of a forked worker: send ``text(own, b)`` for each ``b`` in
-    ``blocks`` through ``sink`` as a frame, its byte count as 8 little-endian
-    bytes and then the text, and exit, with status 0 only if every frame went.
-
-    The worker closes its copies of the parent's read ends, so that a parent
-    that stops reading makes its writes fail; it reads through its own
-    handle on ``streamed``, since an inherited one shares the parent's
-    offset; and it leaves through ``os._exit`` whatever happens, so it never
-    returns into the caller or flushes the parent's buffers.
-    """
+def _format_share(spool, streamed: str | Path, blocks: range, text) -> None:
+    """The body of a forked worker: write ``text(own, b)`` for each of
+    ``blocks`` to ``spool``, ``own`` its own handle on ``streamed`` (an
+    inherited one shares the caller's offset), flush, and leave through
+    ``os._exit``, with status 0 only if every block went, so it never returns
+    into the caller or flushes the caller's buffers."""
     status = 1
     try:
-        for pipe in pipes:
-            pipe.close()
         with open(streamed, "rb") as own:
             for b in blocks:
-                frame = text(own, b)
-                sink.write(len(frame).to_bytes(8, "little"))
-                sink.write(frame)
-        sink.flush()
+                spool.write(text(own, b))
+        spool.flush()
         status = 0
     finally:
         os._exit(status)
 
 
-def _read_frame(pipe) -> bytes:
-    """The next frame a worker sent through ``pipe``; ``OSError`` if it ends short."""
-    head = pipe.read(8)
-    if len(head) == 8:
-        size = int.from_bytes(head, "little")
-        frame = pipe.read(size)
-        if len(frame) == size:
-            return frame
-    raise OSError("a trajectory CSV worker stopped before sending its block")
-
-
 def write_trajectory_csv(streamed: str | Path, path: str | Path) -> None:
     """Rows ``t,node,value`` for every sample and node of the binary ``streamed``,
-    formatted ``BLOCK_BYTES`` of states at a time, block ``b`` by process
-    ``b % W`` of ``W = _worker_count(...)``: this one writes its own blocks
-    and, in block order, those the forked workers send through their pipes.
+    formatted ``BLOCK_BYTES`` of states at a time in ``W = _worker_count(...)``
+    contiguous shares of the blocks: this process writes share 0 to ``path``,
+    each forked worker its own share to an anonymous file beside ``streamed``,
+    and this process appends those files in share order.
 
-    ``OSError`` if a worker fails or its output ends short; every pipe is
-    closed and every worker reaped before this returns or raises, and a
-    failure removes the partial file at ``path``.
+    ``OSError`` if a worker fails; every worker is reaped and every spool
+    file closed before this returns or raises, and a failure removes the
+    partial file at ``path``.
     """
     with open(streamed, "rb") as src:
         times, n = _read_header(src)
@@ -247,39 +230,43 @@ def write_trajectory_csv(streamed: str | Path, path: str | Path) -> None:
         per_block = max(1, BLOCK_BYTES // (N * _F8.itemsize))
         firsts = range(0, times.size, per_block)
         workers = _worker_count(len(firsts), times.size * N)
+        shares = [range(len(firsts) * p // workers, len(firsts) * (p + 1) // workers)
+                  for p in range(workers)]
 
         def text(fh, b: int) -> bytes:
             first = firsts[b]
             return _block_text(fh, states_at, first, times[first:first + per_block].tolist(),
                                tails)
 
-        pipes, pids, written = [], [], False
+        spools, pids, written = [], [], False
         try:
             with open(path, "wb") as out:
-                for p in range(1, workers):
-                    read_end, write_end = os.pipe()
-                    pipes.append(open(read_end, "rb"))
-                    with open(write_end, "wb") as sink, warnings.catch_warnings():
-                        # Python 3.12+ warns of forking beside BLAS threads; a worker calls no BLAS
-                        warnings.simplefilter("ignore", DeprecationWarning)
-                        pid = os.fork()
+                try:
+                    for share in shares[1:]:
+                        spools.append(tempfile.TemporaryFile(dir=Path(streamed).parent))
+                        with warnings.catch_warnings():
+                            # Python 3.12+ warns of a fork beside BLAS threads; workers call no BLAS
+                            warnings.simplefilter("ignore", DeprecationWarning)
+                            pid = os.fork()
                         if pid == 0:
-                            _send_blocks(sink, pipes, streamed, range(p, len(firsts), workers),
-                                         text)
-                    pids.append(pid)
-                out.write(b"t,node,value\n")
-                for b in range(len(firsts)):
-                    p = b % workers
-                    out.write(_read_frame(pipes[p - 1]) if p else text(src, b))
+                            _format_share(spools[-1], streamed, share, text)
+                        pids.append(pid)
+                    out.write(b"t,node,value\n")
+                    for b in shares[0]:
+                        out.write(text(src, b))
+                finally:
+                    failed = [pid for pid in pids if os.waitpid(pid, 0)[1]]
+                if failed:
+                    raise OSError(f"trajectory CSV workers {failed} exited with an error")
+                for spool in spools:
+                    spool.seek(0)
+                    shutil.copyfileobj(spool, out)
             written = True
         finally:
-            for pipe in pipes:
-                pipe.close()
-            failed = [pid for pid in pids if os.waitpid(pid, 0)[1]]
-            if (failed or not written) and os.path.isfile(path):  # never a device
+            for spool in spools:
+                spool.close()
+            if not written and os.path.isfile(path):  # never a device
                 os.unlink(path)
-    if failed:
-        raise OSError(f"trajectory CSV workers {failed} exited with an error")
 
 
 def write_trajectory_bin(streamed: str | Path, path: str | Path) -> None:

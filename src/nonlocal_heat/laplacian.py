@@ -169,21 +169,28 @@ def dirichlet_lambda1_discrete(grid: Grid) -> float:
     return float(np.min(dirichlet_eigenvalues(grid)))
 
 
+def _not_positive_definite(identity: float, tau: float, where: str) -> SolverFailure:
+    """``identity*I + tau*(L + diag(w))``, named by its coefficients, found
+    indefinite at ``where``."""
+    return SolverFailure(f"the step operator {identity:g}*I + {tau:g}*(L + diag(w)) is not "
+                         f"positive definite ({where}): w is too negative")
+
+
 class _TridiagonalSystem:
-    """Symmetric tridiagonal system, factored as ``L D L^T`` (LAPACK pttrf).
+    """``identity*I + tau*(L + diag(w))`` in 1D, factored as ``L D L^T`` (LAPACK pttrf).
 
     The factorization exists, with ``D > 0``, exactly when the matrix is
-    positive definite, which ``identity*I + tau*(L + diag(w))`` is for
-    ``identity > 0`` and ``w >= 0``; otherwise it raises :class:`SolverFailure`.
+    positive definite, which it is for ``identity > 0`` and ``w >= 0``;
+    otherwise it raises :class:`SolverFailure`.
     """
 
-    def __init__(self, diag: np.ndarray, off: float):
+    def __init__(self, lap: DirichletLaplacian, w: np.ndarray, tau: float, identity: float):
+        inv = 1.0 / lap.grid.h[0] ** 2
+        diag = identity + tau * (2.0 * inv + w)
         # LAPACK reads no off-diagonal at n = 1, but scipy rejects an empty one
-        self._d, self._e, info = _pttrf(diag, np.full(max(diag.size - 1, 1), off))
+        self._d, self._e, info = _pttrf(diag, np.full(max(diag.size - 1, 1), -tau * inv))
         if info != 0:
-            raise SolverFailure(
-                "the step operator I + tau*(L + diag(w)) is not positive definite "
-                f"(leading minor {info} of {diag.size}): w is too negative")
+            raise _not_positive_definite(identity, tau, f"leading minor {info} of {diag.size}")
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         return _pttrs(self._d, self._e, b)[0]
@@ -224,6 +231,7 @@ class _ConjugateGradientSystem:
                  identity: float = 1.0):
         self._lap = lap
         self._shift = identity + tau * w
+        self._identity = identity
         self._tau = tau
         self._max_iter = max_iter
         # mean(w) can round outside [min(w), max(w)]
@@ -277,9 +285,8 @@ class _ConjugateGradientSystem:
             Ap = self._matvec(p)
             curvature = float(p @ Ap)
             if curvature <= 0.0:
-                raise SolverFailure(
-                    "the step operator I + tau*(L + diag(w)) is not positive definite "
-                    f"(CG direction {k} has p^T A p = {curvature:.3e}): w is too negative")
+                raise _not_positive_definite(
+                    self._identity, self._tau, f"CG direction {k} has p^T A p = {curvature:.3e}")
             alpha = rz / curvature
             x += alpha * p
             r -= alpha * Ap
@@ -330,7 +337,5 @@ def shifted_system(lap: DirichletLaplacian, w: np.ndarray, tau: float,
     if w.shape != (g.num_nodes,):
         raise ValueError("shift vector does not match the grid")
     if g.dim == 1:
-        inv = 1.0 / g.h[0] ** 2
-        diag = identity + tau * (2.0 * inv + w)
-        return _TridiagonalSystem(diag, -tau * inv)
+        return _TridiagonalSystem(lap, w, tau, identity)
     return _ConjugateGradientSystem(lap, w, tau, 10 * g.num_nodes, identity)

@@ -1,8 +1,8 @@
 """Shared test settings, a sink that collects the states ``evolve`` drops, a
 trapezoidal time quadrature over collected states, the tests' oracle for
 the integral ``evolve`` accumulates, the trajectory file oracles: the
-binary built by hand and the CSV built by ``np.savetxt``, and a fault for
-the trajectory CSV writer's forked workers.
+binary built by hand and the CSV built by ``np.savetxt``, a fault for the
+trajectory CSV writer's forked workers, and a deadline for tests that fork.
 
 Property tests run under one registered ``hypothesis`` profile: examples are
 derived from each test's source (``derandomize``), so every run checks the
@@ -12,6 +12,8 @@ and a bounded example count, so the property tests stay a few seconds.
 
 import io
 import os
+import signal
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -109,3 +111,19 @@ def fail_in_workers(monkeypatch):
         return block_text(*args)
 
     monkeypatch.setattr(nio, "_block_text", failing)
+
+
+@contextmanager
+def deadline(seconds):
+    """Raise ``TimeoutError`` here after ``seconds``, so a writer that
+    hangs fails its test instead of hanging the suite."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)

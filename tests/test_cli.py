@@ -13,7 +13,7 @@ import pytest
 from nonlocal_heat import Field, Grid, assemble, cli, evolve, picard_solve, uniqueness_threshold
 from nonlocal_heat import io as nio
 from nonlocal_heat.io import read_field_json
-from conftest import fail_in_workers, savetxt_trajectory_csv, trajectory_binary
+from conftest import deadline, fail_in_workers, savetxt_trajectory_csv, trajectory_binary
 
 
 def base_config(out_dir, **overrides):
@@ -186,10 +186,13 @@ def test_invalid_configs_exit_3(tmp_path, capsys, mutate):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("n", [[10**16], [1, 10**16]], ids=["1d", "2d"])
+@pytest.mark.parametrize("n", [[10**16], [1, 10**16], [1, 10**6]],
+                         ids=["1d", "2d", "2d_operator"])
 def test_unallocatable_grid_exits_3_with_one_line(tmp_path, capsys, n):
     # 10**16 nodes take 71 PiB, beyond any address space, so the datum's
-    # first array fails to allocate and nothing is allocated
+    # first array fails to allocate and nothing is allocated; 10**6 nodes
+    # give an 8 MB datum, but the operator's 10**6 x 10**6 sine matrix
+    # (7.28 TiB) is refused at once
     out = tmp_path / "out"
     cfg = base_config(out, domain={"dim": len(n), "lengths": [1.0] * len(n), "n": n})
     assert cli.run(write_config(tmp_path, cfg), quiet=True) == 3
@@ -643,9 +646,12 @@ def test_trajectory_csv_worker_failure_exits_4_with_one_line(tmp_path, monkeypat
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
     fail_in_workers(monkeypatch)
     out = tmp_path / "out"
-    assert cli.run(write_config(tmp_path, base_config(out)), quiet=True) == 4
-    assert capfd.readouterr().err.splitlines() == [
-        "i/o failure: a trajectory CSV worker stopped before sending its block"]
+    with deadline(30):
+        assert cli.run(write_config(tmp_path, base_config(out)), quiet=True) == 4
+    err = capfd.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert re.fullmatch(r"i/o failure: trajectory CSV workers \[\d+, \d+\] exited with an error",
+                        err[0])
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     # neither the streamed binary nor a truncated CSV is left
@@ -700,6 +706,10 @@ def sine(amplitude):
 
 GRID_2D = {"domain": {"dim": 2, "lengths": [1.0, 1.0], "n": [31, 31]}}
 CN = {"time": {"T": 0.1, "steps": 100, "scheme": "crank_nicolson"}}
+# Crank-Nicolson at dt = 2e-3 solves I/2 + (dt/4)(L + diag(w)), which
+# constant(-2000) makes indefinite at n = 49 and at 31x31
+CN_INDEFINITE = ({"time": {"T": 0.2, "steps": 100, "scheme": "crank_nicolson"}},
+                 "the step operator 0.5*I + 0.0005*(L + diag(w)) is not positive definite (")
 
 
 @pytest.mark.parametrize("initial,potential,datum,overrides,error,cause,at", [
@@ -723,7 +733,11 @@ CN = {"time": {"T": 0.1, "steps": 100, "scheme": "crank_nicolson"}}
     # Crank-Nicolson's 2 y - u overflows in 2D: CG returns NaN for the next
     # state, as pttrs does in 1D, and the integral check names the overflow
     (sine(1e308), "quadratic", None, {**GRID_2D, **CN}, "EvaluationError", "non-finite", 1),
-], ids=[f"initial{i}" for i in range(10)])
+    # the failure names the operator solved, with Crank-Nicolson's coefficients
+    (sine(1.0), "constant", None, CN_INDEFINITE[0], "SolverFailure", CN_INDEFINITE[1], 1),
+    (sine(1.0), "constant", None, {**GRID_2D, **CN_INDEFINITE[0]}, "SolverFailure",
+     CN_INDEFINITE[1], 1),
+], ids=[f"initial{i}" for i in range(12)])
 def test_numerical_failure_exits_5_with_report(
         tmp_path, capsys, initial, potential, datum, overrides, error, cause, at):
     if datum is not None:

@@ -2,7 +2,6 @@ import io
 import math
 import os
 import re
-import signal
 import subprocess
 import sys
 import tracemalloc
@@ -25,7 +24,7 @@ from nonlocal_heat.io import (
     write_trajectory_bin,
     write_trajectory_csv,
 )
-from conftest import fail_in_workers, savetxt_trajectory_csv, trajectory_binary
+from conftest import deadline, fail_in_workers, savetxt_trajectory_csv, trajectory_binary
 
 #: Values whose ``%.17g`` text is easy to get wrong: signed zero, the least
 #: subnormal, the least normal, extremes of either sign, and non-finite ones.
@@ -154,6 +153,8 @@ def test_trajectory_csv_layout(tmp_path, collector, monkeypatch):
             write_trajectory_csv(streamed, path)
         assert path.read_bytes() == savetxt_trajectory_csv(times, states)
         assert len(forks) == min(cores, 3) - 1
+    # the last write ran on 3 processes, whose spool files had no name
+    assert {p.name for p in tmp_path.iterdir()} == {"streamed.bin", "traj.csv"}
     # a platform without fork writes in one process
     with forced_cores(3) as forks, pytest.MonkeyPatch.context() as mp:
         mp.delattr(os, "fork")
@@ -207,38 +208,22 @@ def test_readme_sized_trajectory_csv_is_the_same_on_one_and_two_cores(tmp_path):
     assert texts[0].count(b"\n") == 1 + 1001 * 199
 
 
-@contextmanager
-def deadline(seconds):
-    """Raise ``TimeoutError`` here after ``seconds``, so a writer that
-    deadlocks on its pipes fails its test instead of hanging the suite."""
-    def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 def _exit_3_in_workers(monkeypatch):
     parent, exit_ = os.getpid(), os._exit
     monkeypatch.setattr(os, "_exit", lambda status: exit_(3 if os.getpid() != parent else status))
 
 
 @pytest.mark.parametrize("fault, message", [
-    (fail_in_workers, "worker stopped before sending its block"),
+    (fail_in_workers, r"workers \[\d+, \d+\] exited with an error"),
     (_exit_3_in_workers, r"workers \[\d+, \d+\] exited with an error"),
     (None, "No space left on device"),
 ], ids=["worker_raises", "worker_exits_nonzero", "parent_write_fails"])
 def test_trajectory_csv_failure_raises_oserror_and_reaps_every_worker(
         tmp_path, monkeypatch, fault, message):
-    # 5 blocks of 41 README-sized states on 3 processes.  Without a fault the
-    # parent's own write fails: a block's text (~200 KB) outgrows both the
-    # output buffer and a pipe, so writing it to a full device fails at once,
-    # while the workers wait on their full pipes
+    # 5 blocks of 41 README-sized states in shares of 1, 2 and 2 blocks on 3
+    # processes.  Without a fault the parent's own write fails: a block's
+    # text (~200 KB) outgrows the output buffer, so writing it to a full
+    # device fails at once, while the workers format their shares
     target = tmp_path / "traj.csv" if fault else Path("/dev/full")
     if not fault and not target.exists():
         pytest.skip("no full device to write to")
