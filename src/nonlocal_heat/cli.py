@@ -3,10 +3,11 @@
 Configs are JSON.  Exit codes: 0 success, 2 when any fixed-point run the
 mode made did not converge, a failed sweep row included (artifacts are still
 written), 3 invalid config, 4 I/O failure, 5 numerical failure
-(``report.json`` names the error).  A config
-is parsed once, before anything is written, into the objects its run needs.
-All randomness is seeded, and reports contain no timestamps or absolute
-paths, so identical config + seed reproduces byte-identical JSON artifacts.
+(``report.json`` names the error).  A config is parsed once, before anything
+is written, into one solve job; a study level or sweep row replaces only the
+entries it changes.  All randomness is seeded, and reports contain no
+timestamps or absolute paths, so identical config + seed reproduces
+byte-identical JSON artifacts.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ import json
 import math
 import sys
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -145,12 +147,11 @@ class Job:
     """A config parsed into the objects one run needs.
 
     ``lap``, the stencil operator on ``grid``, is built here, so a grid whose
-    operator cannot be allocated is an invalid config.  ``threshold`` is the
-    problem's small-data uniqueness check, evaluated once here and read by
-    every report of the run.  Only the active mode's own settings are read
-    from the config: ``starts`` (probe), ``levels`` (convergence_study: one
-    solve job per level, coarsest first, each built here) and ``axis`` and
-    ``values`` (sweep, sorted); the other modes' settings are None.
+    operator cannot be allocated is an invalid config.  Only the active
+    mode's own settings are read from the config: ``starts`` (probe),
+    ``levels`` (convergence_study: one solve job per level, coarsest first,
+    the finer ones ``replace``s of it) and ``axis`` and ``values`` (sweep,
+    sorted); the other modes' settings are None.
     """
 
     mode: str
@@ -163,11 +164,15 @@ class Job:
     u0: Field
     ecfg: EvolutionConfig
     pcfg: PicardConfig
-    threshold: UniquenessThreshold
     starts: int | None = None
     levels: tuple[Job, ...] | None = None
     axis: str | None = None
     values: tuple[float, ...] | None = None
+
+    @cached_property
+    def threshold(self) -> UniquenessThreshold:
+        """The small-data uniqueness check, evaluated on first use by each job."""
+        return uniqueness_threshold(self.phi, self.u0, self.ecfg.T)
 
 
 def _initial_datum(sec: dict, grid: Grid) -> Field:
@@ -221,12 +226,35 @@ def _initial_datum(sec: dict, grid: Grid) -> Field:
     return field
 
 
+def _datum_and_operator(sec: dict, grid: Grid, lap: DirichletLaplacian | None = None):
+    """The datum of ``sec`` on ``grid`` and ``lap`` (built when None); a datum
+    that is not finite or a grid that cannot be allocated raises ``ConfigError``."""
+    try:
+        return _initial_datum(sec, grid), lap if lap is not None else DirichletLaplacian(grid)
+    except ConfigError:
+        raise
+    except ValueError as exc:  # the datum's values are not all finite
+        _fail("initial", f"gives no valid datum: {exc}")
+    except MemoryError as exc:  # the datum's num_nodes values, or a 2D axis's sine matrix
+        _fail("domain.n", f"must give a grid that can be allocated, got {list(grid.n)}: {exc}")
+
+
+def _study_level(job: Job, sec: dict, level: int, refine: str) -> Job:
+    """Level ``level`` of a study of the solve ``job``, whose datum is ``sec``."""
+    if refine == "time_only":
+        return replace(job, ecfg=_build("time", replace, job.ecfg, steps=job.ecfg.steps * 2**level))
+    grid = _build("domain", Grid, job.grid.lengths, [(m + 1) * 2**level - 1 for m in job.grid.n])
+    ecfg = _build("time", replace, job.ecfg, steps=job.ecfg.steps * 4**level)
+    u0, lap = _datum_and_operator(sec, grid)
+    return replace(job, grid=grid, lap=lap, u0=u0, ecfg=ecfg)
+
+
 def parse_config(cfg: dict) -> Job:
     """Check a whole config and build its objects; raises ``ConfigError``.
 
     Only JSON types are checked here; range checks belong to ``Grid``,
     ``EvolutionConfig`` and ``PicardConfig``, whose messages get the
-    section prepended.  A study's levels are parsed here too, so every
+    section prepended.  A study's levels are built here too, so every
     problem the run solves is checked before anything is written.
     """
     mode = _get(cfg, "mode", "string", "solve")
@@ -244,8 +272,7 @@ def parse_config(cfg: dict) -> Job:
     dom = _get(cfg, "domain", "object")
     dim = _get(dom, "domain.dim", "integer")
     lengths = _get_list(dom, "domain.lengths", "number", length=dim)
-    n = _get_list(dom, "domain.n", "integer", length=dim)
-    grid = _build("domain", Grid, tuple(float(v) for v in lengths), tuple(n))
+    grid = _build("domain", Grid, lengths, _get_list(dom, "domain.n", "integer", length=dim))
 
     time = _get(cfg, "time", "object")
     ecfg = _build(
@@ -265,15 +292,7 @@ def parse_config(cfg: dict) -> Job:
         _fail("potential", f"is invalid: {exc}")
 
     initial = _get(cfg, "initial", "object")
-    try:
-        u0 = _initial_datum(initial, grid)
-        lap = DirichletLaplacian(grid)
-    except ConfigError:
-        raise
-    except ValueError as exc:  # the datum's values are not all finite
-        _fail("initial", f"gives no valid datum: {exc}")
-    except MemoryError as exc:  # the datum's num_nodes values, or a 2D axis's sine matrix
-        _fail("domain.n", f"must give a grid that can be allocated, got {n}: {exc}")
+    u0, lap = _datum_and_operator(initial, grid)
 
     fp = _get(cfg, "fixedpoint", "object", {})
     if "initial_guess" in fp:
@@ -285,7 +304,7 @@ def parse_config(cfg: dict) -> Job:
         damping=_get(fp, "fixedpoint.damping", "number", 1.0),
     )
 
-    threshold = uniqueness_threshold(phi, u0, ecfg.T)
+    job = Job("solve", seed, out_dir, formats, grid, lap, phi, u0, ecfg, pcfg)
     settings = {}
     if mode == "probe":
         settings["starts"] = _get(fp, "fixedpoint.starts", "integer", 5)
@@ -300,12 +319,9 @@ def parse_config(cfg: dict) -> Job:
         if refine not in REFINEMENTS:
             _fail("study.refine", f"must be one of {REFINEMENTS}, got {refine!r}")
         if refine == "space_time" and initial["name"] == "from_file":
-            _fail("study.refine", "must be 'time_only' for a from_file datum, "
-                                  "which holds one grid")
-        coarsest = Job("solve", seed, out_dir, formats, grid, lap, phi, u0, ecfg, pcfg, threshold)
-        settings["levels"] = (coarsest,) + tuple(
-            _derived_job(cfg, {"mode": "solve", **_refined_config(cfg, level, refine)})
-            for level in range(1, levels))
+            _fail("study.refine", "must be 'time_only' for a from_file datum, which holds one grid")
+        settings["levels"] = (job,) + tuple(_study_level(job, initial, level, refine)
+                                            for level in range(1, levels))
     elif mode == "sweep":
         sweep = _get(cfg, "sweep", "object")
         axis = _get(sweep, "sweep.axis", "string")
@@ -316,28 +332,7 @@ def parse_config(cfg: dict) -> Job:
             _fail("sweep.values", "must not be empty")
         settings.update(axis=axis, values=tuple(sorted(float(v) for v in values)))
 
-    return Job(mode, seed, out_dir, formats, grid, lap, phi, u0, ecfg, pcfg, threshold,
-               **settings)
-
-
-def _derived_job(cfg: dict, changes: dict) -> Job:
-    """The job of ``cfg`` with the nested entries of ``changes`` set over it;
-    ``cfg`` itself is not modified."""
-    def merged(base: dict, over: dict) -> dict:
-        out = dict(base)
-        for key, value in over.items():
-            out[key] = merged(base.get(key, {}), value) if isinstance(value, dict) else value
-        return out
-
-    return parse_config(merged(cfg, changes))
-
-
-def _refined_config(cfg: dict, level: int, refine: str) -> dict:
-    """The entries a study level changes, as ``_derived_job`` takes them."""
-    if refine == "space_time":
-        return {"domain": {"n": [(m + 1) * 2**level - 1 for m in cfg["domain"]["n"]]},
-                "time": {"steps": cfg["time"]["steps"] * 4**level}}
-    return {"time": {"steps": cfg["time"]["steps"] * 2**level}}  # time_only
+    return replace(job, mode=mode, **settings)
 
 
 def _finite_or_null(obj):
@@ -497,14 +492,19 @@ def run_convergence_study(cfg: dict, job: Job, quiet: bool) -> bool:
 
 
 def run_sweep(cfg: dict, job: Job, quiet: bool) -> bool:
-    key = {"constant": "value", "from_file": "scale"}.get(cfg["initial"]["name"], "amplitude")
+    """One solve per value: a ``T`` row replaces ``job.ecfg``, an ``amplitude``
+    row rebuilds only the datum (at ``key``); every row shares ``job.lap``."""
+    initial = cfg["initial"]
+    key = {"constant": "value", "from_file": "scale"}.get(initial["name"], "amplitude")
 
     def row(value: float) -> tuple[str, bool]:
         """The CSV line of one value and whether its run converged."""
-        changes = ({"time": {"T": value}} if job.axis == "T"
-                   else {"initial": {"params": {key: value}}})
         try:
-            row_job = _derived_job(cfg, changes)
+            if job.axis == "T":
+                row_job = replace(job, ecfg=_build("time", replace, job.ecfg, T=value))
+            else:
+                sec = {**initial, "params": {**initial.get("params", {}), key: value}}
+                row_job = replace(job, u0=_datum_and_operator(sec, job.grid, job.lap)[0])
             report = _solve(row_job)
             thr = row_job.threshold
             product = f"{thr.product:.10e}" if thr.applicable else "n/a"

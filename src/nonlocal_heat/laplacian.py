@@ -89,9 +89,9 @@ class DirichletLaplacian:
             axes.append((c, before + (slice(None, -1),), before + (slice(1, None),)))
         object.__setattr__(self, "_diagonal", sum(2.0 * c for c in coefficients))
         object.__setattr__(self, "_axes", tuple(axes))
-        object.__setattr__(self, "eigenvalues", dirichlet_eigenvalues(self.grid))
-        if self.grid.dim == 2:
+        if self.grid.dim == 2:  # before the eigenvalues: an unallocatable matrix fails at once
             object.__setattr__(self, "_basis", tuple(_sine_matrix(m) for m in self.grid.n))
+        object.__setattr__(self, "eigenvalues", dirichlet_eigenvalues(self.grid))
 
     def apply_array(self, v: np.ndarray) -> np.ndarray:
         """Stencil product on a raw value array (implicit zero boundary):

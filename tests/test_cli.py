@@ -10,7 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nonlocal_heat import Field, Grid, assemble, cli, evolve, picard_solve, uniqueness_threshold
+from nonlocal_heat import (DirichletLaplacian, Field, Grid, assemble, cli, evolve, laplacian,
+                           picard_solve, uniqueness_threshold)
 from nonlocal_heat import io as nio
 from nonlocal_heat.io import read_field_json
 from conftest import deadline, fail_in_workers, savetxt_trajectory_csv, trajectory_binary
@@ -188,14 +189,20 @@ def test_invalid_configs_exit_3(tmp_path, capsys, mutate):
 
 @pytest.mark.parametrize("n", [[10**16], [1, 10**16], [1, 10**6]],
                          ids=["1d", "2d", "2d_operator"])
-def test_unallocatable_grid_exits_3_with_one_line(tmp_path, capsys, n):
+def test_unallocatable_grid_exits_3_with_one_line(tmp_path, capsys, monkeypatch, n):
     # 10**16 nodes take 71 PiB, beyond any address space, so the datum's
     # first array fails to allocate and nothing is allocated; 10**6 nodes
     # give an 8 MB datum, but the operator's 10**6 x 10**6 sine matrix
-    # (7.28 TiB) is refused at once
+    # (7.28 TiB) is refused at once, before the eigenvalues' loop over the
+    # nodes of each axis runs
+    eigenvalue_calls = []
+    eigenvalues = laplacian.dirichlet_eigenvalues
+    monkeypatch.setattr(laplacian, "dirichlet_eigenvalues",
+                        lambda grid: eigenvalue_calls.append(grid) or eigenvalues(grid))
     out = tmp_path / "out"
     cfg = base_config(out, domain={"dim": len(n), "lengths": [1.0] * len(n), "n": n})
     assert cli.run(write_config(tmp_path, cfg), quiet=True) == 3
+    assert eigenvalue_calls == []
     err = capsys.readouterr().err
     assert err.startswith(f"invalid config: domain.n must give a grid that can be allocated, "
                           f"got {n}: ")
@@ -221,9 +228,10 @@ def test_invalid_mode_settings_exit_3_before_any_write(tmp_path):
     assert cli.run(write_config(tmp_path, file_study), quiet=True) == 0
 
 
-def test_study_reads_a_from_file_datum_once_per_level(tmp_path, monkeypatch):
+def test_study_reads_a_from_file_datum_once(tmp_path, monkeypatch):
     # level 0 is the study's own problem, built by the one parse of its
-    # config; each finer level parses its own
+    # config; a time_only level replaces only its time discretization, so
+    # every level shares the datum and the operator
     first = tmp_path / "first"
     assert cli.run(write_config(tmp_path, base_config(first), "c0.json"), quiet=True) == 0
     reads = []
@@ -238,11 +246,43 @@ def test_study_reads_a_from_file_datum_once_per_level(tmp_path, monkeypatch):
     cfg = base_config(tmp_path / "out", mode="convergence_study", initial=from_file,
                       study={"levels": 2, "refine": "time_only"})
     job = cli.parse_config(cfg)
-    assert len(reads) == 2
+    assert len(reads) == 1
     assert [level.mode for level in job.levels] == ["solve", "solve"]
     assert [level.ecfg.steps for level in job.levels] == [100, 200]
-    assert job.levels[0].u0 is job.u0 and job.levels[0].threshold is job.threshold
+    assert all(level.u0 is job.u0 and level.lap is job.lap for level in job.levels)
+    assert job.levels[0].threshold == job.threshold
     assert job.levels[0].levels is None
+
+
+def test_jobs_build_one_operator_per_grid(tmp_path, monkeypatch):
+    # sweep rows share the sweep's grid and a time_only study's levels the
+    # study's, so each builds one stencil operator, and such a study reads a
+    # from_file datum once; a space_time study builds one operator per level
+    builds, reads = [], []
+    post_init, read_field = DirichletLaplacian.__post_init__, nio.read_field
+    monkeypatch.setattr(DirichletLaplacian, "__post_init__",
+                        lambda lap: builds.append(lap.grid.n) or post_init(lap))
+    monkeypatch.setattr(nio, "read_field", lambda path, grid: reads.append(path)
+                        or read_field(path, grid))
+    path = tmp_path / "datum.json"
+    nio.write_field_json(Field.from_function(Grid((1.0,), (9,)), lambda x: x * (1 - x)), path)
+    from_file = {"name": "from_file", "params": {"path": str(path)}}
+    cases = [
+        (dict(mode="sweep", sweep={"axis": "T", "values": [0.05, 0.1, 0.2]}), [(9,)], 0),
+        (dict(mode="sweep", sweep={"axis": "amplitude", "values": [0.5, 1.0, 2.0]}), [(9,)], 0),
+        (dict(mode="convergence_study", initial=from_file,
+              study={"levels": 3, "refine": "time_only"}), [(9,)], 1),
+        (dict(mode="convergence_study", study={"levels": 3, "refine": "space_time"}),
+         [(9,), (19,), (39,)], 0),
+    ]
+    for i, (overrides, built, read) in enumerate(cases):
+        builds.clear()
+        reads.clear()
+        cfg = base_config(tmp_path / f"out{i}", **overrides)
+        cfg["domain"]["n"] = [9]
+        cfg["time"]["steps"] = 20
+        assert cli.run(write_config(tmp_path, cfg, f"c{i}.json"), quiet=True) == 0
+        assert (builds, len(reads)) == (built, read)
 
 
 def test_negative_seed_exits_3_before_any_write(tmp_path, capsys):
@@ -507,6 +547,52 @@ def test_sweep_failed_row_records_the_failing_map_evaluation(tmp_path):
     cfg["initial"]["params"]["amplitude"] = 1e200
     assert cli.run(write_config(tmp_path, cfg), quiet=True) == 5
     assert json.loads((out / "report.json").read_text())["error"]["iteration"] == 2
+
+
+@pytest.mark.parametrize("initial, axis, values", [
+    ({"name": "sine_mode", "params": {"k": 1, "amplitude": 0.5}}, "amplitude", [0.25, 2.0]),
+    ({"name": "gaussian", "params": {"width": 0.1}}, "amplitude", [0.5, 3.0]),
+    ({"name": "constant", "params": {"value": 1.0}}, "amplitude", [0.5, 3.0]),
+    ({"name": "from_file", "params": {"scale": 2.0}}, "amplitude", [0.5, 3.0]),
+    ({"name": "sine_mode", "params": {"k": 2, "amplitude": 2.0}}, "T", [0.05, 0.3]),
+], ids=["sine_mode", "gaussian", "constant", "from_file", "T"])
+def test_sweep_rows_match_solves_at_their_values(tmp_path, initial, axis, values):
+    # a row is the solve of the config with the swept entry set to the row's
+    # value: time.T, or the datum's amplitude, which is the value of a
+    # constant datum and the scale of a from_file one
+    initial = copy.deepcopy(initial)
+    if initial["name"] == "from_file":
+        path = tmp_path / "datum.json"
+        nio.write_field_json(Field.from_function(Grid((1.0,), (49,)), lambda x: x * (1 - x)), path)
+        initial["params"]["path"] = str(path)
+    cfg = base_config(tmp_path / "sweep", mode="sweep", initial=initial,
+                      sweep={"axis": axis, "values": values})
+    assert cli.run(write_config(tmp_path, cfg, "sweep.json"), quiet=True) == 0
+    rows = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()[1:]
+    key = {"constant": "value", "from_file": "scale"}.get(initial["name"], "amplitude")
+    for i, (value, row) in enumerate(zip(values, rows)):
+        solve = copy.deepcopy(cfg)
+        solve.update(mode="solve", output={"dir": str(tmp_path / f"solve{i}")})
+        if axis == "T":
+            solve["time"]["T"] = value
+        else:
+            solve["initial"]["params"][key] = value
+        assert cli.run(write_config(tmp_path, solve, f"solve{i}.json"), quiet=True) == 0
+        report = json.loads((tmp_path / f"solve{i}" / "report.json").read_text())
+        assert row.split(",") == [f"{value:.10g}", "True", str(report["iterations"]),
+                                  f"{report['threshold']['product']:.10e}",
+                                  f"{report['final_residual']:.10e}", ""]
+
+
+def test_sweep_records_a_row_rejected_by_sign_check(tmp_path):
+    out = tmp_path / "out"
+    initial = {"name": "gaussian", "params": {"width": 0.1}, "sign_check": True}
+    cfg = base_config(out, mode="sweep", initial=initial,
+                      sweep={"axis": "amplitude", "values": [1.0, -1.0]})
+    assert cli.run(write_config(tmp_path, cfg), quiet=True) == 2
+    lines = (out / "sweep.csv").read_text().splitlines()
+    assert lines[1] == "-1,,,,,initial.sign_check rejects the datum: it has negative entries"
+    assert lines[2].startswith("1,True,")
 
 
 def test_sweep_row_lets_an_undocumented_error_propagate(tmp_path, monkeypatch):

@@ -64,8 +64,11 @@ def test_grid_rejects_bad_input(lengths, n):
 def test_grid_refine_nests():
     # one level of a space_time convergence study
     g = Grid((1.0, 2.0), (3, 5))
-    cfg = {"domain": {"n": list(g.n)}, "time": {"steps": 10}}
-    f = Grid(g.lengths, cli._refined_config(cfg, 1, "space_time")["domain"]["n"])
+    cfg = {"mode": "convergence_study", "study": {"refine": "space_time"},
+           "domain": {"dim": 2, "lengths": list(g.lengths), "n": list(g.n)},
+           "time": {"T": 0.1, "steps": 10}, "potential": {"name": "zero"},
+           "initial": {"name": "sine_mode"}}
+    f = cli.parse_config(cfg).levels[1].grid
     assert f.n == (7, 11)
     assert f.h == (g.h[0] / 2, g.h[1] / 2)
 
