@@ -18,7 +18,7 @@ import math
 import sys
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
 
 import numpy as np
@@ -175,7 +175,17 @@ class Job:
         return uniqueness_threshold(self.phi, self.u0, self.ecfg.T)
 
 
-def _initial_datum(sec: dict, grid: Grid) -> Field:
+def _datum_file(path: str, grid: Grid) -> Field:
+    """The field of a ``from_file`` datum, before its ``scale``."""
+    try:
+        return nio.read_field(path, grid)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        _fail("initial.params.path", f"cannot be loaded as a field: {type(exc).__name__}: {exc}")
+
+
+def _initial_datum(sec: dict, grid: Grid, read=_datum_file) -> Field:
+    """The datum of ``sec`` on ``grid``; ``read(path, grid)`` gives a
+    ``from_file`` datum's field before its ``scale``."""
     name = _get(sec, "initial.name", "string")
     params = _get(sec, "initial.params", "object", {})
     if name == "sine_mode":
@@ -211,12 +221,7 @@ def _initial_datum(sec: dict, grid: Grid) -> Field:
     elif name == "constant":
         field = Field.constant(grid, _get(params, "initial.params.value", "number"))
     elif name == "from_file":
-        path = _get(params, "initial.params.path", "string")
-        try:
-            field = nio.read_field(path, grid)
-        except (OSError, ValueError, KeyError, TypeError) as exc:
-            _fail("initial.params.path",
-                  f"cannot be loaded as a field: {type(exc).__name__}: {exc}")
+        field = read(_get(params, "initial.params.path", "string"), grid)
         with np.errstate(over="ignore"):  # an overflow is a non-finite datum, rejected below
             field = float(_get(params, "initial.params.scale", "number", 1.0)) * field
     else:
@@ -226,11 +231,19 @@ def _initial_datum(sec: dict, grid: Grid) -> Field:
     return field
 
 
-def _datum_and_operator(sec: dict, grid: Grid, lap: DirichletLaplacian | None = None):
-    """The datum of ``sec`` on ``grid`` and ``lap`` (built when None); a datum
-    that is not finite or a grid that cannot be allocated raises ``ConfigError``."""
+def _datum_and_operator(sec: dict, grid: Grid, lap: DirichletLaplacian | None = None,
+                        read=_datum_file):
+    """The datum of ``sec`` on ``grid`` (see ``_initial_datum``) and ``lap``,
+    built first when None, so that a grid whose operator cannot be allocated
+    is refused before its datum is allocated; a datum that is not finite or
+    a grid that cannot be allocated raises ``ConfigError``."""
     try:
-        return _initial_datum(sec, grid), lap if lap is not None else DirichletLaplacian(grid)
+        if lap is None:
+            try:
+                lap = DirichletLaplacian(grid)
+            except ValueError as exc:  # numpy's refusal of a size beyond the address space
+                raise MemoryError(str(exc)) from None
+        return _initial_datum(sec, grid, read), lap
     except ConfigError:
         raise
     except ValueError as exc:  # the datum's values are not all finite
@@ -493,9 +506,12 @@ def run_convergence_study(cfg: dict, job: Job, quiet: bool) -> bool:
 
 def run_sweep(cfg: dict, job: Job, quiet: bool) -> bool:
     """One solve per value: a ``T`` row replaces ``job.ecfg``, an ``amplitude``
-    row rebuilds only the datum (at ``key``); every row shares ``job.lap``."""
+    row rebuilds only the datum (at ``key``); every row shares ``job.lap``.
+    A ``from_file`` datum's file is read once for all rows (by each row
+    while the read fails, so that each such row records the failure)."""
     initial = cfg["initial"]
     key = {"constant": "value", "from_file": "scale"}.get(initial["name"], "amplitude")
+    read = cache(_datum_file)
 
     def row(value: float) -> tuple[str, bool]:
         """The CSV line of one value and whether its run converged."""
@@ -504,7 +520,7 @@ def run_sweep(cfg: dict, job: Job, quiet: bool) -> bool:
                 row_job = replace(job, ecfg=_build("time", replace, job.ecfg, T=value))
             else:
                 sec = {**initial, "params": {**initial.get("params", {}), key: value}}
-                row_job = replace(job, u0=_datum_and_operator(sec, job.grid, job.lap)[0])
+                row_job = replace(job, u0=_datum_and_operator(sec, job.grid, job.lap, read)[0])
             report = _solve(row_job)
             thr = row_job.threshold
             product = f"{thr.product:.10e}" if thr.applicable else "n/a"

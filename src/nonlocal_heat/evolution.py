@@ -4,10 +4,14 @@ One outer iterate freezes the potential field ``w = phi(v)``; the inner
 problem ``du/dt + (L + diag(w)) u = 0`` is then advanced by implicit Euler
 or Crank-Nicolson.  The map output is the trapezoidal time integral over
 every step, accumulated while stepping.  Only the first and last states
-are kept; the others reach an optional sink block by block.  Where ``w`` is
-a nonnegative constant, the step operator is diagonal in the stencil's sine
-basis, and ``phi_map`` can form the same integral there without stepping
-(see ``sweep_multipliers``).
+are kept; the others reach an optional sink block by block.
+
+The integral is ``m(L + diag w) u0`` for the closed-form trapezoid sum ``m``
+of the step factors (``sweep_multipliers``), and ``phi_map`` can form it
+without stepping (``_spectral_integral``): in the stencil's sine basis where
+``w`` is a nonnegative constant, and by shift-and-invert Lanczos where ``w``
+is nonnegative, not constant and on a 1D grid.  Any other sweep, and one
+whose Lanczos basis does not converge within its cap, is stepped.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .laplacian import DirichletLaplacian, shifted_system
+from .laplacian import DirichletLaplacian, _stevd, shifted_system
 from .mesh import Field, Grid
 from .potential import EvaluationError, Potential, nemytskii
 
@@ -28,9 +32,18 @@ SCHEMES = (IMPLICIT_EULER, CRANK_NICOLSON)
 #: Size of the block of consecutive states that ``evolve`` reduces at once.
 BLOCK_BYTES = 1 << 20
 
-#: Bound on ``max|u0| (1 + dt (lambda_max + c))`` below which ``phi_map``
-#: forms the map for a constant potential ``c`` in the sine basis.
+#: Bound on ``max|u0| (1 + dt (lambda_max + max w))`` below which ``phi_map``
+#: may form the map for a nonnegative potential ``w`` without stepping.
 SPECTRAL_LIMIT = 2.0**1000
+
+#: Most Lanczos vectors ``phi_map`` spends on a sweep with a non-constant
+#: potential before it steps the sweep instead; a sweep of K steps gets at
+#: most K // 40.
+LANCZOS_VECTORS = 64
+
+#: Bound on the relative change of a sweep's Lanczos estimate from one
+#: vector to the next; two successive changes within it end the iteration.
+LANCZOS_RTOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -257,29 +270,108 @@ def sweep_multipliers(mu: np.ndarray, cfg: EvolutionConfig) -> np.ndarray:
     return m
 
 
+def _lanczos_integral(lap: DirichletLaplacian, w: np.ndarray, u0: np.ndarray,
+                      cfg: EvolutionConfig, vectors: int) -> np.ndarray | None:
+    """``m(A_w) u0``, ``m = sweep_multipliers`` and ``A_w = L + diag(w)`` with
+    ``w >= 0`` on a 1D grid, by Lanczos on ``B = (I + gamma A_w)^{-1}``,
+    ``gamma = T/10`` (shift-and-invert; van den Eshof & Hochbruck, SIAM J. Sci.
+    Comput. 27, 2006), or None if it does not converge within ``vectors``
+    Lanczos vectors.
+
+    ``B`` is one tridiagonal factorization, so each vector costs one solve,
+    and each is orthogonalised twice against the whole basis.  With ``theta,
+    S`` the eigenpairs of the ``j x j`` Lanczos matrix (LAPACK ``dstevd``),
+    the estimate is ``|u0| V^T S (m(lambda) * S[0])`` at the Ritz values
+    ``lambda = max((1/theta - 1)/gamma, 0)`` of ``A_w``.  It is accepted once
+    two successive changes of the estimate are each at most ``LANCZOS_RTOL``
+    relative (the basis is orthonormal, so they are measured on the
+    coefficients ``S (m(lambda) * S[0])``), or when the Krylov space is
+    invariant.  One small change is not enough: a Ritz value can settle for
+    a step before the next one appears, and a sweep of the ``probe_hard_1d``
+    benchmark stopped that way 6.9e-13 from stepping, against 8e-14 for the
+    worst sweep under the two-step test.
+    """
+    gamma = 0.1 * cfg.T
+    solve = shifted_system(lap, w, gamma).solve
+    basis = np.empty((vectors + 1, u0.size))
+    norm = float(np.linalg.norm(u0))
+    basis[0] = u0 / norm
+    alpha, beta = np.empty(vectors), np.empty(vectors)
+    previous, settled = None, False
+    for j in range(vectors):
+        z = solve(basis[j])
+        known = basis[:j + 1]
+        first = known @ z
+        z -= first @ known
+        second = known @ z
+        z -= second @ known
+        alpha[j] = first[j] + second[j]
+        beta[j] = float(np.linalg.norm(z))
+        # LAPACK reads no off-diagonal at j = 0, but scipy rejects an empty one
+        theta, S, _ = _stevd(alpha[:j + 1], beta[:max(j, 1)])
+        lam = np.maximum((1.0 / theta - 1.0) / gamma, 0.0)
+        coefficients = S @ (sweep_multipliers(lam, cfg) * S[0])
+        close = previous is not None and (np.linalg.norm(coefficients[:j] - previous)
+                                          <= LANCZOS_RTOL * np.linalg.norm(coefficients))
+        if beta[j] == 0.0 or settled and close:
+            return norm * (coefficients @ known)
+        if not math.isfinite(beta[j]):
+            return None
+        previous, settled = coefficients, close
+        basis[j + 1] = z / beta[j]
+    return None
+
+
 def _spectral_integral(lap: DirichletLaplacian, w: np.ndarray, u0: np.ndarray,
                        cfg: EvolutionConfig) -> np.ndarray | None:
-    """The map output for the frozen potential ``w``, formed in the sine basis
-    (see ``sweep_multipliers``), or None where that does not apply.
+    """The map output for the frozen potential ``w``, formed without stepping,
+    or None, so that the sweep is stepped, where that does not apply.
 
-    It applies when ``w`` is a constant ``c >= 0`` and
-    ``max|u0| (1 + dt (lambda_max + c))`` is below ``SPECTRAL_LIMIT``.  That
-    product times ``sqrt(N)`` bounds ``(I + dt (L + c)) u`` over the states
-    ``u`` of a stepped sweep, which are no larger than ``u0`` in the 2-norm,
-    so below the limit stepping stays finite on any grid of fewer than
-    ``2**48`` nodes.  Beyond it stepping may overflow, so it is left to
-    decide, and the map fails as it does.
+    It applies when ``min w >= 0`` and ``max|u0| (1 + dt (lambda_max +
+    max w))`` is below ``SPECTRAL_LIMIT``.  That product times ``sqrt(N)``
+    bounds ``(I + dt (L + diag w)) u`` over the states ``u`` of a stepped
+    sweep, which are no larger than ``u0`` in the 2-norm, so below the limit
+    stepping stays finite on any grid of fewer than ``2**48`` nodes.  Beyond
+    it stepping may overflow, so it is left to decide, and the map fails as
+    it does.  Then:
+
+    - a constant ``w = c`` is formed in the sine basis (see
+      ``sweep_multipliers``), on either grid;
+    - a non-constant ``w`` on a 1D grid is formed by ``_lanczos_integral``
+      with at most ``min(LANCZOS_VECTORS, K // 40)`` vectors, so an attempt
+      that does not converge costs at most about the stepped sweep that
+      follows it (0.31 against 0.31 ms at n=49, K=400; 6.1 against 79 ms
+      at n=799, K=16000; 2-core x86-64).
+      Crank-Nicolson is left to stepping where ``b = dt (lambda_max + max w)/2
+      > 1`` and ``|r|^K = (1 - 2/(1 + b))^K`` exceeds ``e^-40``: its step
+      factor ``r`` near -1 at the top of the spectrum is not a function that
+      a few Lanczos vectors resolve;
+    - a non-constant ``w`` on a 2D grid is stepped.
+
     ``u0`` is scaled by the power of two that brings ``max|u0|`` into
-    ``[1/2, 1)``, which is exact, so the transform's sums do not overflow.
+    ``[1/2, 1)``, which is exact, so the transform's and the Lanczos
+    estimate's sums do not overflow.
     """
-    c = float(w[0])
+    low, high = float(np.min(w)), float(np.max(w))
     top = float(np.max(np.abs(u0)))
-    if not (c >= 0.0 and np.all(w == c)
-            and top * (1.0 + cfg.dt * (float(np.max(lap.eigenvalues)) + c)) < SPECTRAL_LIMIT):
+    rate = cfg.dt * (float(np.max(lap.eigenvalues)) + high)  # dt (lambda_max + max w)
+    if not (low >= 0.0 and top * (1.0 + rate) < SPECTRAL_LIMIT):
         return None
     exponent = math.frexp(top)[1]
-    multipliers = sweep_multipliers(lap.eigenvalues + c, cfg)
-    return np.ldexp(lap.apply_spectral(np.ldexp(u0, -exponent), multipliers), exponent)
+    scaled = np.ldexp(u0, -exponent)
+    if low == high:
+        integral = lap.apply_spectral(scaled, sweep_multipliers(lap.eigenvalues + low, cfg))
+    elif lap.grid.dim == 2 or (cfg.scheme == CRANK_NICOLSON and 0.5 * rate > 1.0
+                               and cfg.steps * math.log1p(-2.0 / (1.0 + 0.5 * rate)) > -40.0):
+        return None
+    elif top == 0.0:
+        return np.zeros_like(u0)
+    else:
+        integral = _lanczos_integral(lap, w, scaled, cfg,
+                                     min(LANCZOS_VECTORS, cfg.steps // 40))
+        if integral is None:
+            return None
+    return np.ldexp(integral, exponent)
 
 
 def phi_map(
@@ -296,11 +388,14 @@ def phi_map(
     Freezes the potential at the trial integral ``vT``, evolves ``u0`` under
     it, passing its states to ``sink`` (see ``evolve``), and returns the
     trapezoidal time integral over every step together with the trajectory.
-    With ``spectral``, a frozen potential that is a nonnegative constant
-    ``c`` is not stepped (unless ``max|u0| (1 + dt (lambda_max + c))``
-    reaches ``SPECTRAL_LIMIT``): the integral is formed in the sine basis,
-    equal to the stepped one up to rounding, the trajectory is None and
-    ``sink`` gets no state.
+    With ``spectral``, the sweep is not stepped where ``_spectral_integral``
+    applies: for a nonnegative constant frozen potential (sine basis) and,
+    on a 1D grid, for a nonnegative non-constant one whose Lanczos basis
+    converges within its cap.  Then the integral equals the stepped one up
+    to rounding, the trajectory is None and ``sink`` gets no state.
+    Otherwise (a negative potential, a 2D non-constant one, a
+    Crank-Nicolson sweep with a non-negligible ``|r|^K`` at the top of the
+    spectrum, states near overflow, an unconverged basis) it is stepped.
     Raises :class:`EvaluationError` if the states overflow, which leaves the
     integral non-finite.
     """

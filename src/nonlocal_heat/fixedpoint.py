@@ -149,14 +149,17 @@ def picard_solve(
     reports 1 for a nonzero map output; a start on another grid raises
     ``ValueError``.
 
-    A sweep whose frozen potential is a nonnegative constant, such as the
-    first from the zero start, is evaluated in the sine basis
-    (``phi_map``'s ``spectral``), without stepping and without passing
-    states to ``sink``.  The reported sweep is always stepped: if the last
-    sweep was not, its input is stepped once more.  So the reported ``uT`` is
-    the trapezoidal integral over every step of the reported trajectory, the
-    last states ``sink`` sees are that trajectory's, and ``iterations``
-    counts the distinct inputs evaluated.
+    Each sweep is evaluated through ``phi_map``'s ``spectral``: a frozen
+    potential that is a nonnegative constant, such as the first from the
+    zero start, in the sine basis, and on a 1D grid a nonnegative
+    non-constant one by Lanczos, without stepping and without passing
+    states to ``sink``; the other sweeps are stepped.  Convergence is judged
+    on the evaluated sweep.  The reported sweep is always stepped: if the
+    last sweep was not, its input is stepped once more.  So the reported
+    ``uT`` is the trapezoidal integral over every step of the reported
+    trajectory, the last states ``sink`` sees are that trajectory's (in 1D
+    usually the only ones), and ``iterations`` counts the distinct inputs
+    evaluated.
     Contraction estimates are the map's Lipschitz quotients along the iterates,
     ``||g_k - g_{k-1}||_2 / ||v_k - v_{k-1}||_2``.  An iterate that mixing
     drives out of floating-point range raises :class:`EvaluationError`.
@@ -206,7 +209,7 @@ def picard_solve(
             raise _located(EvaluationError("the mixed iterate overflowed"), residuals)
         sup_norms.append(_norm(grid, v, math.inf))
 
-    if trajectory is None:  # the last sweep was spectral: step its input
+    if trajectory is None:  # the last sweep was not stepped: step its input
         try:
             uT, trajectory = phi_map(lap, phi, u0, last, ecfg, sink=sink)
         except (EvaluationError, SolverFailure) as exc:

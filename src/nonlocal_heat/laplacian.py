@@ -8,8 +8,9 @@ symmetric positive definite M-matrix, so ``I + tau*(L + diag(w))`` with
 and the Euclidean norm.  Its eigenvectors are the products of sines
 ``prod_i sin(pi k_i x_i / L_i)`` (see ``dirichlet_eigenvalues``).
 
-The 1D solve calls LAPACK ``dpttrf``/``dpttrs``, the only code taken from
-scipy.  scipy remains a dependency for its compiled wrapper module
+The 1D solve calls LAPACK ``dpttrf``/``dpttrs``, and ``evolution``'s
+Lanczos sweep ``dstevd``: the only code taken from scipy.  scipy remains a
+dependency for its compiled wrapper module
 ``scipy.linalg._flapack``, which is loaded from scipy's ``linalg``
 directory as a file, so the ``scipy.linalg`` package is not imported: its
 ``__init__`` imports scipy's array-API layer, and with it ``numpy.f2py``,
@@ -58,7 +59,7 @@ def _load_flapack():
 
 
 _flapack = _load_flapack()
-_pttrf, _pttrs = _flapack.dpttrf, _flapack.dpttrs
+_pttrf, _pttrs, _stevd = _flapack.dpttrf, _flapack.dpttrs, _flapack.dstevd
 
 #: Relative residual target for the 2D conjugate-gradient solve.
 CG_RTOL = 1e-10
@@ -89,9 +90,13 @@ class DirichletLaplacian:
             axes.append((c, before + (slice(None, -1),), before + (slice(1, None),)))
         object.__setattr__(self, "_diagonal", sum(2.0 * c for c in coefficients))
         object.__setattr__(self, "_axes", tuple(axes))
-        if self.grid.dim == 2:  # before the eigenvalues: an unallocatable matrix fails at once
+        # every array is allocated before the loops that fill them, so a grid
+        # whose operator cannot be allocated is refused at once
+        if self.grid.dim == 2:
             object.__setattr__(self, "_basis", tuple(_sine_matrix(m) for m in self.grid.n))
-        object.__setattr__(self, "eigenvalues", dirichlet_eigenvalues(self.grid))
+        eigenvalues = np.empty(self.grid.n)
+        eigenvalues[...] = dirichlet_eigenvalues(self.grid)
+        object.__setattr__(self, "eigenvalues", eigenvalues)
 
     def apply_array(self, v: np.ndarray) -> np.ndarray:
         """Stencil product on a raw value array (implicit zero boundary):
@@ -130,9 +135,12 @@ def _sine_matrix(m: int) -> np.ndarray:
     ``j, k = 1..m``: symmetric, and its own inverse.  ``j*k`` is reduced
     modulo the period ``2(m+1)`` in integers, so ``sin`` sees arguments below
     ``2 pi``."""
+    out = np.empty((m, m))  # first, so that an unallocatable matrix allocates nothing
     k = np.arange(1, m + 1)
     phase = np.outer(k, k) % (2 * (m + 1))
-    return math.sqrt(2.0 / (m + 1)) * np.sin((math.pi / (m + 1)) * phase)
+    np.sin((math.pi / (m + 1)) * phase, out=out)
+    out *= math.sqrt(2.0 / (m + 1))
+    return out
 
 
 def assemble(grid: Grid) -> DirichletLaplacian:

@@ -12,6 +12,7 @@ import pytest
 
 from nonlocal_heat import (DirichletLaplacian, Field, Grid, assemble, cli, evolve, laplacian,
                            picard_solve, uniqueness_threshold)
+from nonlocal_heat import evolution, fixedpoint
 from nonlocal_heat import io as nio
 from nonlocal_heat.io import read_field_json
 from conftest import deadline, fail_in_workers, savetxt_trajectory_csv, trajectory_binary
@@ -187,22 +188,26 @@ def test_invalid_configs_exit_3(tmp_path, capsys, mutate):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("n", [[10**16], [1, 10**16], [1, 10**6]],
-                         ids=["1d", "2d", "2d_operator"])
+@pytest.mark.parametrize("n", [[10**16], [1, 10**16], [1, 10**6], [1, 10**8]],
+                         ids=["1d", "2d", "2d_operator", "2d_datum"])
 def test_unallocatable_grid_exits_3_with_one_line(tmp_path, capsys, monkeypatch, n):
-    # 10**16 nodes take 71 PiB, beyond any address space, so the datum's
-    # first array fails to allocate and nothing is allocated; 10**6 nodes
-    # give an 8 MB datum, but the operator's 10**6 x 10**6 sine matrix
-    # (7.28 TiB) is refused at once, before the eigenvalues' loop over the
-    # nodes of each axis runs
-    eigenvalue_calls = []
-    eigenvalues = laplacian.dirichlet_eigenvalues
+    # the operator is built before the datum, and allocates each array
+    # before the loop that fills it: 10**16 nodes take 71 PiB, beyond any
+    # address space, so the operator's first array fails to allocate and
+    # nothing is allocated; 10**6 and 10**8 nodes give an 8 MB and an 800 MB
+    # datum, but the operator's sine matrix of that axis (7.28 TiB, 71 PiB)
+    # is refused at once, before the eigenvalues' loop over the nodes of
+    # each axis runs and before the datum is built
+    eigenvalue_calls, datum_calls = [], []
+    eigenvalues, initial_datum = laplacian.dirichlet_eigenvalues, cli._initial_datum
     monkeypatch.setattr(laplacian, "dirichlet_eigenvalues",
                         lambda grid: eigenvalue_calls.append(grid) or eigenvalues(grid))
+    monkeypatch.setattr(cli, "_initial_datum",
+                        lambda *args: datum_calls.append(args) or initial_datum(*args))
     out = tmp_path / "out"
     cfg = base_config(out, domain={"dim": len(n), "lengths": [1.0] * len(n), "n": n})
     assert cli.run(write_config(tmp_path, cfg), quiet=True) == 3
-    assert eigenvalue_calls == []
+    assert eigenvalue_calls == [] and datum_calls == []
     err = capsys.readouterr().err
     assert err.startswith(f"invalid config: domain.n must give a grid that can be allocated, "
                           f"got {n}: ")
@@ -595,6 +600,46 @@ def test_sweep_records_a_row_rejected_by_sign_check(tmp_path):
     assert lines[2].startswith("1,True,")
 
 
+@pytest.mark.parametrize("values", [[2.0], [0.5, 1.0, 2.0], [-1.0, 0.5, 1.0, 1e308, 2.0]],
+                         ids=["1row", "3rows", "5rows"])
+def test_from_file_amplitude_sweep_reads_its_file_twice(tmp_path, monkeypatch, values):
+    # once for the parse of the config, once for every row; each row scales
+    # the field and checks it as the parse does: sign_check rejects -1, and
+    # 1e308 times the datum's maximum, 1.98, is not finite
+    path = tmp_path / "datum.json"
+    nio.write_field_json(Field.from_function(Grid((1.0,), (49,)), lambda x: 1.0 + x), path)
+    initial = {"name": "from_file", "params": {"path": str(path)}, "sign_check": True}
+    cfg = base_config(tmp_path / "out", mode="sweep", initial=initial,
+                      sweep={"axis": "amplitude", "values": values})
+    reads = []
+    read_field = nio.read_field
+    monkeypatch.setattr(nio, "read_field", lambda path, grid: reads.append(path)
+                        or read_field(path, grid))
+    cli.run(write_config(tmp_path, cfg), quiet=True)
+    assert len(reads) == 2
+    rows = (tmp_path / "out" / "sweep.csv").read_text().splitlines()[1:]
+    errors = {float(row.split(",")[0]): row.split(",", 5)[5] for row in rows}
+    expected = {-1.0: "initial.sign_check rejects the datum: it has negative entries",
+                1e308: "initial gives no valid datum: field values must be finite"}
+    assert errors == {v: expected.get(v, "") for v in values}
+
+
+def test_from_file_sweep_rows_record_a_failed_read(tmp_path):
+    # a read that fails is not kept: each row reads again and records it
+    path = tmp_path / "datum.json"
+    nio.write_field_json(Field.from_function(Grid((1.0,), (49,)), lambda x: x * (1 - x)), path)
+    initial = {"name": "from_file", "params": {"path": str(path)}}
+    cfg = base_config(tmp_path / "out", mode="sweep", initial=initial,
+                      sweep={"axis": "amplitude", "values": [1.0, 2.0]})
+    job = cli.parse_config(cfg)
+    path.unlink()
+    job.out_dir.mkdir()
+    assert not cli.run_sweep(cfg, job, quiet=True)
+    rows = (tmp_path / "out" / "sweep.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[5].split(":")[0] for row in rows] == [
+        "initial.params.path cannot be loaded as a field"] * 2
+
+
 def test_sweep_row_lets_an_undocumented_error_propagate(tmp_path, monkeypatch):
     # a row records only invalid values and numerical failures; any other
     # exception is a fault of the program, not a row outcome
@@ -775,6 +820,50 @@ def test_constant_potential_files_hold_one_stepped_sweep(tmp_path, collector):
     assert (out / "trajectory.csv").read_bytes() == savetxt_trajectory_csv(times, sink.states)
     assert np.array_equal(read_field_json(out / "ut.json").values, stepped.integral)
     assert json.loads((out / "report.json").read_text())["iterations"] == 2
+
+
+def counted_sweeps(monkeypatch):
+    """Lists of the ``sink`` of every ``evolve`` call and the ``spectral``
+    flag of every ``phi_map`` call that ``picard_solve`` makes."""
+    sinks, flags = [], []
+    stepped, evaluated = evolution.evolve, fixedpoint.phi_map
+
+    def evolve_counted(lap, w, u0, cfg, sink=None):
+        sinks.append(sink)
+        return stepped(lap, w, u0, cfg, sink=sink)
+
+    def phi_map_counted(*args, spectral=False, **kwargs):
+        flags.append(spectral)
+        return evaluated(*args, spectral=spectral, **kwargs)
+
+    monkeypatch.setattr(evolution, "evolve", evolve_counted)
+    monkeypatch.setattr(fixedpoint, "phi_map", phi_map_counted)
+    return sinks, flags
+
+
+def test_each_study_level_steps_only_its_reported_sweep(tmp_path, monkeypatch):
+    # the README solve with Crank-Nicolson in a 3-level space_time study
+    # (n 199 -> 799, K 1000 -> 16000): each level's first sweep is formed in
+    # the sine basis and the others by Lanczos, so each level steps once, the
+    # re-step of its last input
+    sinks, flags = counted_sweeps(monkeypatch)
+    cfg = readme_config(tmp_path / "out")
+    cfg["time"]["scheme"] = "crank_nicolson"
+    cfg.update(mode="convergence_study", study={"levels": 3, "refine": "space_time"})
+    assert cli.run(write_config(tmp_path, cfg), quiet=True) == 0
+    assert flags.count(True) == 12 and flags.count(False) == 3
+    assert len(sinks) == 3
+
+
+def test_readme_solve_sink_sees_one_sweep(tmp_path, monkeypatch):
+    # 4 map evaluations, of which only the reported one is stepped, with the
+    # trajectory writers' sink
+    sinks, flags = counted_sweeps(monkeypatch)
+    out = tmp_path / "out"
+    assert cli.run(write_config(tmp_path, readme_config(out)), quiet=True) == 0
+    assert flags == [True] * 4 + [False]
+    assert len(sinks) == 1 and sinks[0] is not None
+    assert json.loads((out / "report.json").read_text())["iterations"] == 4
 
 
 def test_main_entry_point(tmp_path, capsys):

@@ -346,20 +346,115 @@ def test_sweep_multipliers_of_a_subnormal_step_are_the_final_time(scheme):
     assert np.allclose(evolution.sweep_multipliers(mu, cfg), cfg.T, rtol=1e-15, atol=0.0)
 
 
-def test_spectral_map_steps_unless_the_potential_is_a_nonnegative_constant(collector):
+def lanczos_operands(n, kind):
+    """A datum and a nonnegative non-constant potential on ``n`` nodes:
+    ``random_rough`` (normal datum, uniform ``w`` in [0, 10]), ``spike_smooth``
+    (a unit spike, ``w = 50 sin^2(pi x)``) or ``gaussian_huge`` (a Gaussian,
+    uniform ``w`` in [0, 1e8])."""
+    rng = np.random.default_rng(n)
+    x = Grid((1.0,), (n,)).axis_coordinates(0)
+    if kind == "random_rough":
+        return rng.standard_normal(n), rng.uniform(0.0, 10.0, n)
+    if kind == "spike_smooth":
+        return np.eye(n)[n // 3], 50.0 * np.sin(math.pi * x) ** 2
+    return np.exp(-((x - 0.4) / 0.1) ** 2), 1e8 * rng.uniform(0.0, 1.0, n)
+
+
+@pytest.mark.parametrize("n, steps, scheme, kind", [
+    (99, 2000, "implicit_euler", "random_rough"),
+    (99, 2000, "implicit_euler", "spike_smooth"),
+    (99, 2000, "implicit_euler", "gaussian_huge"),
+    (199, 1000, "crank_nicolson", "random_rough"),
+    (199, 2000, "crank_nicolson", "spike_smooth"),
+    (1023, 2000, "implicit_euler", "random_rough"),
+    (1023, 2000, "implicit_euler", "gaussian_huge"),
+    (4095, 2000, "implicit_euler", "random_rough"),
+    (4095, 2000, "implicit_euler", "spike_smooth"),
+    (799, 16000, "crank_nicolson", "random_rough"),
+    (799, 16000, "crank_nicolson", "spike_smooth"),
+    (799, 16000, "crank_nicolson", "gaussian_huge"),
+])
+def test_lanczos_map_matches_stepping(n, steps, scheme, kind):
+    # a non-constant potential on a 1D grid is evaluated by shift-and-invert
+    # Lanczos; worst seen 2.1e-12 (n = 4095, random_rough)
+    grid = Grid((1.0,), (n,))
+    L = assemble(grid)
+    u0, w = lanczos_operands(n, kind)
+    cfg = EvolutionConfig(T=0.1, steps=steps, scheme=scheme)
+    closed = evolution._spectral_integral(L, w, u0, cfg)
+    stepped = evolve(L, Field(grid, w), Field(grid, u0), cfg).integral
+    assert closed is not None
+    assert np.linalg.norm(closed - stepped) <= 1e-11 * np.linalg.norm(stepped)
+
+
+def test_spectral_map_steps_where_no_closed_form_applies(collector):
     g = Grid((1.0,), (49,))
     L = assemble(g)
     u0, v = sine_datum(g), 0.5 * sine_datum(g)
-    cfg = EvolutionConfig(T=0.1, steps=40)
-    sink = collector(u0)
-    _, trajectory = phi_map(L, catalog("constant", [2.5]), u0, v, cfg, sink=sink, spectral=True)
-    assert trajectory is None and len(sink.rows) == 1  # the sink saw no state
-    for phi in (catalog("constant", [-1.0]), catalog("quadratic")):
+    cfg = EvolutionConfig(T=0.1, steps=2000)
+    # closed-form: a nonnegative constant potential (sine basis) and a
+    # non-constant one on a 1D grid (Lanczos); the sink sees no state
+    for phi in (catalog("constant", [2.5]), catalog("quadratic")):
         sink = collector(u0)
         _, trajectory = phi_map(L, phi, u0, v, cfg, sink=sink, spectral=True)
-        assert trajectory is not None and len(sink.rows) == cfg.steps + 1
+        assert trajectory is None and len(sink.rows) == 1
+    # stepped: a negative potential, and a sweep of 40 steps, whose one
+    # Lanczos vector (40 // 40) cannot meet the stopping test
+    for phi, steps in ((catalog("constant", [-1.0]), 2000), (catalog("quadratic"), 40)):
+        sink = collector(u0)
+        _, trajectory = phi_map(L, phi, u0, v, replace(cfg, steps=steps), sink=sink,
+                                spectral=True)
+        assert trajectory is not None and len(sink.rows) == steps + 1
     with pytest.raises(SolverFailure, match="not positive definite"):
-        phi_map(L, catalog("constant", [-2000.0]), u0, v, cfg, spectral=True)
+        phi_map(L, catalog("constant", [-2000.0]), u0, v, replace(cfg, steps=40), spectral=True)
+
+    # stepped: a non-constant potential on a 2D grid
+    g2 = Grid((1.0, 1.0), (9, 7))
+    L2 = assemble(g2)
+    _, trajectory = phi_map(L2, catalog("quadratic"), sine_datum(g2), 0.5 * sine_datum(g2),
+                            cfg, spectral=True)
+    assert trajectory is not None
+
+
+def test_lanczos_fallbacks_return_none():
+    grid = Grid((1.0,), (4095,))
+    L = assemble(grid)
+    u0, w = lanczos_operands(4095, "random_rough")
+    ie = EvolutionConfig(T=0.1, steps=2000)
+    cn = replace(ie, scheme="crank_nicolson")
+    assert evolution._spectral_integral(L, w, u0, ie) is not None
+    # Crank-Nicolson with dt (lambda_max + max w)/2 = 1678: |r|^K = e^-2.4 at
+    # the top of the spectrum is not negligible (unguarded, Lanczos stops
+    # 1.8e-6 away from stepping there)
+    assert evolution._spectral_integral(L, w, u0, cn) is None
+    # a negative entry anywhere
+    assert evolution._spectral_integral(L, np.r_[w[:-1], -1e-300], u0, ie) is None
+    # max|u0| (1 + dt (lambda_max + max w)) beyond SPECTRAL_LIMIT
+    top = 2.0 * evolution.SPECTRAL_LIMIT / (1.0 + ie.dt * (L.eigenvalues.max() + w.max()))
+    assert evolution._spectral_integral(L, w, top * u0 / np.abs(u0).max(), ie) is None
+    # a basis too small to meet the stopping test
+    assert evolution._lanczos_integral(L, w, u0 / np.abs(u0).max(), ie, 2) is None
+    assert evolution._lanczos_integral(L, w, u0 / np.abs(u0).max(), ie, 64) is not None
+    # a non-constant potential on a 2D grid
+    g2 = Grid((1.0, 1.0), (63, 65))
+    assert evolution._spectral_integral(assemble(g2), w[:g2.num_nodes], u0[:g2.num_nodes],
+                                        ie) is None
+
+
+def test_lanczos_basis_is_bounded_by_the_vector_cap():
+    # K // 40 = 50 vectors of 4095 nodes: the basis is 51 * 4095 floats, and
+    # what else the evaluation holds is a few more vectors
+    grid = Grid((1.0,), (4095,))
+    L = assemble(grid)
+    u0, w = lanczos_operands(4095, "random_rough")
+    cfg = EvolutionConfig(T=0.1, steps=2000)
+    tracemalloc.start()
+    try:
+        assert evolution._spectral_integral(L, w, u0, cfg) is not None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (cfg.steps // 40 + 1) * 4095 * 8 <= peak <= (cfg.steps // 40 + 1 + 10) * 4095 * 8
 
 
 def test_phi_map_output_bound():

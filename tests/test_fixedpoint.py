@@ -22,7 +22,7 @@ from nonlocal_heat import (
     uniqueness_probe,
     uniqueness_threshold,
 )
-from nonlocal_heat import fixedpoint
+from nonlocal_heat import evolution, fixedpoint
 from conftest import trapezoid_time_integral
 
 GRID = Grid((1.0,), (99,))
@@ -77,11 +77,24 @@ def test_constant_potential_converges_in_exactly_two_iterations():
 
 def test_reported_sweep_is_stepped_and_closed_form_sweeps_send_no_states():
     # the first sweep from the zero start freezes the constant phi(0), so it
-    # is formed in the sine basis and the sink sees no state of it
+    # is formed in the sine basis, and the later ones, whose potential is
+    # not constant, by Lanczos: the sink sees only the re-step of the last
+    # input, whose integral is the reported uT
     u0, phi = sine_datum(0.5), catalog("quadratic")
-    starts = []
-    report = picard_solve(LAP, phi, u0, ECFG, sink=lambda start, block: starts.append(start))
-    assert report.iterations >= 3 and starts.count(0) == report.iterations - 1
+    starts, inputs = [], []
+
+    def recording(lap, phi, u0, vT, cfg, sink=None, spectral=False):
+        inputs.append(vT)
+        return phi_map(lap, phi, u0, vT, cfg, sink=sink, spectral=spectral)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fixedpoint, "phi_map", recording)
+        report = picard_solve(LAP, phi, u0, ECFG, sink=lambda start, block: starts.append(start))
+    assert report.iterations >= 3 and starts.count(0) == 1
+    assert len(inputs) == report.iterations + 1 and inputs[-1] is inputs[-2]
+    stepped, trajectory = phi_map(LAP, phi, u0, inputs[-1], ECFG)
+    assert np.array_equal(report.uT.values, stepped.values)
+    assert report.trajectory.bounds == trajectory.bounds
 
     # a constant potential: both sweeps are closed-form, and the input of the
     # last is stepped once more for the reported uT, trajectory and states
@@ -126,7 +139,7 @@ def test_first_sweep_is_the_damped_step():
     # ||Phi(v0) - v0|| / max(||v0||, ||Phi(v0)||) does not depend on the damping
     phi, u0 = catalog("quadratic"), sine_datum(0.5)
     v0 = ECFG.T * u0
-    g0, _ = phi_map(LAP, phi, u0, v0, ECFG)
+    g0, _ = phi_map(LAP, phi, u0, v0, ECFG, spectral=True)
     for damping in (1.0, 0.5):
         report = picard_solve(LAP, phi, u0, ECFG, PicardConfig(max_iter=1, damping=damping),
                               start=v0)
@@ -165,6 +178,31 @@ def test_hard_probe_map_evaluation_budget():
     assert probe.all_converged
     assert probe.max_pairwise_relative <= 1e-8
     assert sum(run.iterations for run in probe.runs) <= 75
+
+
+def test_hard_probe_lanczos_sweeps_match_stepping(monkeypatch):
+    # the same probe: every sweep but the zero start's first freezes a
+    # non-constant potential and is formed by Lanczos (at most 400 // 40 = 10
+    # vectors), each within 2e-13 of stepping (worst seen 8e-14); stopping at
+    # the first change below LANCZOS_RTOL left one sweep 6.9e-13 away
+    errors = []
+    closed_form = evolution._spectral_integral
+
+    def compared(lap, w, u0, cfg):
+        integral = closed_form(lap, w, u0, cfg)
+        if integral is not None and np.ptp(w) > 0.0:
+            stepped = evolve(lap, Field(lap.grid, w), Field(lap.grid, u0), cfg).integral
+            errors.append(np.linalg.norm(integral - stepped) / np.linalg.norm(stepped))
+        return integral
+
+    monkeypatch.setattr(evolution, "_spectral_integral", compared)
+    grid = Grid((1.0,), (99,))
+    u0 = Field.from_function(grid, lambda x: 60.0 * np.sin(math.pi * x))
+    probe = uniqueness_probe(assemble(grid), catalog("quadratic"), u0,
+                             EvolutionConfig(T=1.0, steps=400), PicardConfig(max_iter=300),
+                             n_starts=5, seed=0)
+    assert sum(run.iterations for run in probe.runs) == 57
+    assert len(errors) == 56 and max(errors) <= 2e-13
 
 
 def test_mixed_iterate_overflow_is_a_numerical_failure(monkeypatch):
