@@ -8,10 +8,10 @@ are kept; the others reach an optional sink block by block.
 
 The integral is ``m(L + diag w) u0`` for the closed-form trapezoid sum ``m``
 of the step factors (``sweep_multipliers``), and ``phi_map`` can form it
-without stepping (``_spectral_integral``): in the stencil's sine basis where
-``w`` is a nonnegative constant, and by shift-and-invert Lanczos where ``w``
-is nonnegative, not constant and on a 1D grid.  Any other sweep, and one
-whose Lanczos basis does not converge within its cap, is stepped.
+without stepping (``_spectral_integral``), on either grid: in the stencil's
+sine basis where ``w`` is a nonnegative constant, and by shift-and-invert
+Lanczos where ``w`` is nonnegative and not constant.  Any other sweep, and
+one whose Lanczos basis does not converge within its cap, is stepped.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .laplacian import DirichletLaplacian, _stevd, shifted_system
+from .laplacian import DirichletLaplacian, SolverFailure, _stevd, shifted_system
 from .mesh import Field, Grid
 from .potential import EvaluationError, Potential, nemytskii
 
@@ -273,13 +273,17 @@ def sweep_multipliers(mu: np.ndarray, cfg: EvolutionConfig) -> np.ndarray:
 def _lanczos_integral(lap: DirichletLaplacian, w: np.ndarray, u0: np.ndarray,
                       cfg: EvolutionConfig, vectors: int) -> np.ndarray | None:
     """``m(A_w) u0``, ``m = sweep_multipliers`` and ``A_w = L + diag(w)`` with
-    ``w >= 0`` on a 1D grid, by Lanczos on ``B = (I + gamma A_w)^{-1}``,
-    ``gamma = T/10`` (shift-and-invert; van den Eshof & Hochbruck, SIAM J. Sci.
-    Comput. 27, 2006), or None if it does not converge within ``vectors``
-    Lanczos vectors.
+    ``w >= 0``, by Lanczos on ``B = (I + gamma A_w)^{-1}``, ``gamma = T/10``
+    (shift-and-invert; van den Eshof & Hochbruck, SIAM J. Sci. Comput. 27,
+    2006), or None if it does not converge within ``vectors`` Lanczos
+    vectors or a solve with ``B`` raises :class:`SolverFailure`.
 
-    ``B`` is one tridiagonal factorization, so each vector costs one solve,
-    and each is orthogonalised twice against the whole basis.  With ``theta,
+    ``B`` is ``shifted_system(lap, w, gamma)``: one tridiagonal factorization
+    in 1D, preconditioned CG to ``CG_RTOL`` in 2D.  Each vector costs one
+    solve and is orthogonalised twice against the whole basis, which holds
+    at most ``(vectors + 1) N`` floats.  A solve that fails ends the attempt,
+    as a basis that does not converge does, so that stepping, whose own
+    failure is the map's, decides the sweep.  With ``theta,
     S`` the eigenpairs of the ``j x j`` Lanczos matrix (LAPACK ``dstevd``),
     the estimate is ``|u0| V^T S (m(lambda) * S[0])`` at the Ritz values
     ``lambda = max((1/theta - 1)/gamma, 0)`` of ``A_w``.  It is accepted once
@@ -299,7 +303,10 @@ def _lanczos_integral(lap: DirichletLaplacian, w: np.ndarray, u0: np.ndarray,
     alpha, beta = np.empty(vectors), np.empty(vectors)
     previous, settled = None, False
     for j in range(vectors):
-        z = solve(basis[j])
+        try:
+            z = solve(basis[j])
+        except SolverFailure:  # stepping decides whether the sweep fails
+            return None
         known = basis[:j + 1]
         first = known @ z
         z -= first @ known
@@ -337,16 +344,19 @@ def _spectral_integral(lap: DirichletLaplacian, w: np.ndarray, u0: np.ndarray,
 
     - a constant ``w = c`` is formed in the sine basis (see
       ``sweep_multipliers``), on either grid;
-    - a non-constant ``w`` on a 1D grid is formed by ``_lanczos_integral``
-      with at most ``min(LANCZOS_VECTORS, K // 40)`` vectors, so an attempt
-      that does not converge costs at most about the stepped sweep that
-      follows it (0.31 against 0.31 ms at n=49, K=400; 6.1 against 79 ms
-      at n=799, K=16000; 2-core x86-64).
+    - a non-constant ``w`` is formed by ``_lanczos_integral``, on either
+      grid, with at most ``min(LANCZOS_VECTORS, K // 40)`` vectors, so its
+      basis holds at most ``(min(LANCZOS_VECTORS, K // 40) + 1) N`` floats
+      (8.4 MB at 127 x 127, 34 MB at 255 x 255) and an attempt that does
+      not converge costs at most about the stepped sweep that follows it
+      (0.31 against 0.31 ms at n=49, K=400; 6.1 against 79 ms at n=799,
+      K=16000; 2-core x86-64).  In 2D each vector is a CG solve: a sweep of
+      the ``solve_2d_127`` benchmark takes 5 vectors of 3 stencil products
+      each, 9-16 ms against 170-230 ms stepped (one BLAS thread).
       Crank-Nicolson is left to stepping where ``b = dt (lambda_max + max w)/2
       > 1`` and ``|r|^K = (1 - 2/(1 + b))^K`` exceeds ``e^-40``: its step
       factor ``r`` near -1 at the top of the spectrum is not a function that
-      a few Lanczos vectors resolve;
-    - a non-constant ``w`` on a 2D grid is stepped.
+      a few Lanczos vectors resolve.
 
     ``u0`` is scaled by the power of two that brings ``max|u0|`` into
     ``[1/2, 1)``, which is exact, so the transform's and the Lanczos
@@ -361,8 +371,8 @@ def _spectral_integral(lap: DirichletLaplacian, w: np.ndarray, u0: np.ndarray,
     scaled = np.ldexp(u0, -exponent)
     if low == high:
         integral = lap.apply_spectral(scaled, sweep_multipliers(lap.eigenvalues + low, cfg))
-    elif lap.grid.dim == 2 or (cfg.scheme == CRANK_NICOLSON and 0.5 * rate > 1.0
-                               and cfg.steps * math.log1p(-2.0 / (1.0 + 0.5 * rate)) > -40.0):
+    elif (cfg.scheme == CRANK_NICOLSON and 0.5 * rate > 1.0
+          and cfg.steps * math.log1p(-2.0 / (1.0 + 0.5 * rate)) > -40.0):
         return None
     elif top == 0.0:
         return np.zeros_like(u0)
@@ -389,13 +399,13 @@ def phi_map(
     it, passing its states to ``sink`` (see ``evolve``), and returns the
     trapezoidal time integral over every step together with the trajectory.
     With ``spectral``, the sweep is not stepped where ``_spectral_integral``
-    applies: for a nonnegative constant frozen potential (sine basis) and,
-    on a 1D grid, for a nonnegative non-constant one whose Lanczos basis
+    applies, on either grid: for a nonnegative constant frozen potential
+    (sine basis) and for a nonnegative non-constant one whose Lanczos basis
     converges within its cap.  Then the integral equals the stepped one up
     to rounding, the trajectory is None and ``sink`` gets no state.
-    Otherwise (a negative potential, a 2D non-constant one, a
-    Crank-Nicolson sweep with a non-negligible ``|r|^K`` at the top of the
-    spectrum, states near overflow, an unconverged basis) it is stepped.
+    Otherwise (a negative potential, a Crank-Nicolson sweep with a
+    non-negligible ``|r|^K`` at the top of the spectrum, states near
+    overflow, an unconverged basis or a failed solve in it) it is stepped.
     Raises :class:`EvaluationError` if the states overflow, which leaves the
     integral non-finite.
     """

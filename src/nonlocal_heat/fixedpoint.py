@@ -151,15 +151,14 @@ def picard_solve(
 
     Each sweep is evaluated through ``phi_map``'s ``spectral``: a frozen
     potential that is a nonnegative constant, such as the first from the
-    zero start, in the sine basis, and on a 1D grid a nonnegative
-    non-constant one by Lanczos, without stepping and without passing
-    states to ``sink``; the other sweeps are stepped.  Convergence is judged
-    on the evaluated sweep.  The reported sweep is always stepped: if the
-    last sweep was not, its input is stepped once more.  So the reported
-    ``uT`` is the trapezoidal integral over every step of the reported
-    trajectory, the last states ``sink`` sees are that trajectory's (in 1D
-    usually the only ones), and ``iterations`` counts the distinct inputs
-    evaluated.
+    zero start, in the sine basis, and a nonnegative non-constant one by
+    Lanczos, on either grid, without stepping and without passing states to
+    ``sink``; the other sweeps are stepped.  Convergence is judged on the
+    evaluated sweep.  The reported sweep is always stepped: if the last
+    sweep was not, its input is stepped once more.  So the reported ``uT``
+    is the trapezoidal integral over every step of the reported trajectory,
+    the last states ``sink`` sees are that trajectory's (usually the only
+    ones), and ``iterations`` counts the distinct inputs evaluated.
     Contraction estimates are the map's Lipschitz quotients along the iterates,
     ``||g_k - g_{k-1}||_2 / ||v_k - v_{k-1}||_2``.  An iterate that mixing
     drives out of floating-point range raises :class:`EvaluationError`.

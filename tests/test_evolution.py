@@ -15,10 +15,11 @@ from nonlocal_heat import (
     catalog,
     dirichlet_lambda1_discrete,
     evolve,
+    nemytskii,
     norm_lp,
     phi_map,
 )
-from nonlocal_heat import evolution
+from nonlocal_heat import evolution, laplacian
 from nonlocal_heat.evolution import CRANK_NICOLSON, SCHEMES, StateBounds
 from nonlocal_heat.laplacian import shifted_system
 from nonlocal_heat.io import read_trajectory_bin, trajectory_stream
@@ -346,18 +347,21 @@ def test_sweep_multipliers_of_a_subnormal_step_are_the_final_time(scheme):
     assert np.allclose(evolution.sweep_multipliers(mu, cfg), cfg.T, rtol=1e-15, atol=0.0)
 
 
-def lanczos_operands(n, kind):
-    """A datum and a nonnegative non-constant potential on ``n`` nodes:
-    ``random_rough`` (normal datum, uniform ``w`` in [0, 10]), ``spike_smooth``
-    (a unit spike, ``w = 50 sin^2(pi x)``) or ``gaussian_huge`` (a Gaussian,
-    uniform ``w`` in [0, 1e8])."""
+def lanczos_operands(grid, kind):
+    """A datum and a nonnegative non-constant potential on the ``N`` nodes of
+    a unit-length grid: ``random_rough`` (normal datum, uniform ``w`` in
+    [0, 10]), ``spike_smooth`` (a unit spike at node ``N // 3``,
+    ``w = 50 prod_i sin^2(pi x_i)``) or ``gaussian_huge`` (a Gaussian of width
+    0.1 centred at 0.4 on each axis, uniform ``w`` in [0, 1e8])."""
+    n = grid.num_nodes
     rng = np.random.default_rng(n)
-    x = Grid((1.0,), (n,)).axis_coordinates(0)
+    xs = grid.coordinates()
     if kind == "random_rough":
         return rng.standard_normal(n), rng.uniform(0.0, 10.0, n)
     if kind == "spike_smooth":
-        return np.eye(n)[n // 3], 50.0 * np.sin(math.pi * x) ** 2
-    return np.exp(-((x - 0.4) / 0.1) ** 2), 1e8 * rng.uniform(0.0, 1.0, n)
+        return np.eye(n)[n // 3], 50.0 * np.prod([np.sin(math.pi * x) ** 2 for x in xs], axis=0)
+    return (np.exp(-sum(((x - 0.4) / 0.1) ** 2 for x in xs)),
+            1e8 * rng.uniform(0.0, 1.0, n))
 
 
 @pytest.mark.parametrize("n, steps, scheme, kind", [
@@ -379,7 +383,7 @@ def test_lanczos_map_matches_stepping(n, steps, scheme, kind):
     # Lanczos; worst seen 2.1e-12 (n = 4095, random_rough)
     grid = Grid((1.0,), (n,))
     L = assemble(grid)
-    u0, w = lanczos_operands(n, kind)
+    u0, w = lanczos_operands(grid, kind)
     cfg = EvolutionConfig(T=0.1, steps=steps, scheme=scheme)
     closed = evolution._spectral_integral(L, w, u0, cfg)
     stepped = evolve(L, Field(grid, w), Field(grid, u0), cfg).integral
@@ -387,39 +391,61 @@ def test_lanczos_map_matches_stepping(n, steps, scheme, kind):
     assert np.linalg.norm(closed - stepped) <= 1e-11 * np.linalg.norm(stepped)
 
 
-def test_spectral_map_steps_where_no_closed_form_applies(collector):
-    g = Grid((1.0,), (49,))
-    L = assemble(g)
-    u0, v = sine_datum(g), 0.5 * sine_datum(g)
-    cfg = EvolutionConfig(T=0.1, steps=2000)
-    # closed-form: a nonnegative constant potential (sine basis) and a
-    # non-constant one on a 1D grid (Lanczos); the sink sees no state
-    for phi in (catalog("constant", [2.5]), catalog("quadratic")):
-        sink = collector(u0)
-        _, trajectory = phi_map(L, phi, u0, v, cfg, sink=sink, spectral=True)
-        assert trajectory is None and len(sink.rows) == 1
-    # stepped: a negative potential, and a sweep of 40 steps, whose one
-    # Lanczos vector (40 // 40) cannot meet the stopping test
-    for phi, steps in ((catalog("constant", [-1.0]), 2000), (catalog("quadratic"), 40)):
-        sink = collector(u0)
-        _, trajectory = phi_map(L, phi, u0, v, replace(cfg, steps=steps), sink=sink,
-                                spectral=True)
-        assert trajectory is not None and len(sink.rows) == steps + 1
-    with pytest.raises(SolverFailure, match="not positive definite"):
-        phi_map(L, catalog("constant", [-2000.0]), u0, v, replace(cfg, steps=40), spectral=True)
+@pytest.mark.parametrize("steps, scheme, kind", [
+    (200, "implicit_euler", "random_rough"),
+    (200, "crank_nicolson", "random_rough"),
+    (200, "implicit_euler", "spike_smooth"),
+    (200, "crank_nicolson", "spike_smooth"),
+    (10, "implicit_euler", "gaussian_huge"),
+])
+def test_lanczos_map_matches_stepping_2d(monkeypatch, steps, scheme, kind):
+    # on a 2D grid each Lanczos vector is a CG solve to CG_RTOL, so the map
+    # is compared with stepping to 1e-14 and held to 100 CG_RTOL; worst seen
+    # 1.5e-10 here (random_rough, Crank-Nicolson) and 1.3e-9 at 63x63
+    # (spike_smooth, Crank-Nicolson, K = 200).
+    # The basis gets LANCZOS_VECTORS whatever K, so K stays small: the cap
+    # K // 40 would need K = 1000 for random_rough's 25 vectors, and a
+    # gaussian_huge step takes hundreds of CG iterations
+    bound = 100 * laplacian.CG_RTOL
+    grid = Grid((1.0, 1.0), (31, 31))
+    L = assemble(grid)
+    u0, w = lanczos_operands(grid, kind)
+    u0 /= np.abs(u0).max()
+    cfg = EvolutionConfig(T=0.1, steps=steps, scheme=scheme)
+    closed = evolution._lanczos_integral(L, w, u0, cfg, evolution.LANCZOS_VECTORS)
+    monkeypatch.setattr(laplacian, "CG_RTOL", 1e-14)
+    stepped = evolve(L, Field(grid, w), Field(grid, u0), cfg).integral
+    assert closed is not None
+    assert np.linalg.norm(closed - stepped) <= bound * np.linalg.norm(stepped)
 
-    # stepped: a non-constant potential on a 2D grid
-    g2 = Grid((1.0, 1.0), (9, 7))
-    L2 = assemble(g2)
-    _, trajectory = phi_map(L2, catalog("quadratic"), sine_datum(g2), 0.5 * sine_datum(g2),
-                            cfg, spectral=True)
-    assert trajectory is not None
+
+def test_spectral_map_steps_where_no_closed_form_applies(collector):
+    cfg = EvolutionConfig(T=0.1, steps=2000)
+    for grid in (Grid((1.0,), (49,)), Grid((1.0, 1.0), (9, 7))):
+        L = assemble(grid)
+        u0, v = sine_datum(grid), 0.5 * sine_datum(grid)
+        # closed-form, in either dimension: a nonnegative constant potential
+        # (sine basis) and a non-constant one (Lanczos); the sink sees no state
+        for phi in (catalog("constant", [2.5]), catalog("quadratic")):
+            sink = collector(u0)
+            _, trajectory = phi_map(L, phi, u0, v, cfg, sink=sink, spectral=True)
+            assert trajectory is None and len(sink.rows) == 1
+        # stepped: a negative potential, and a sweep of 40 steps, whose one
+        # Lanczos vector (40 // 40) cannot meet the stopping test
+        for phi, steps in ((catalog("constant", [-1.0]), 2000), (catalog("quadratic"), 40)):
+            sink = collector(u0)
+            _, trajectory = phi_map(L, phi, u0, v, replace(cfg, steps=steps), sink=sink,
+                                    spectral=True)
+            assert trajectory is not None and len(sink.rows) == steps + 1
+        with pytest.raises(SolverFailure, match="not positive definite"):
+            phi_map(L, catalog("constant", [-2000.0]), u0, v, replace(cfg, steps=40),
+                    spectral=True)
 
 
 def test_lanczos_fallbacks_return_none():
     grid = Grid((1.0,), (4095,))
     L = assemble(grid)
-    u0, w = lanczos_operands(4095, "random_rough")
+    u0, w = lanczos_operands(grid, "random_rough")
     ie = EvolutionConfig(T=0.1, steps=2000)
     cn = replace(ie, scheme="crank_nicolson")
     assert evolution._spectral_integral(L, w, u0, ie) is not None
@@ -435,26 +461,60 @@ def test_lanczos_fallbacks_return_none():
     # a basis too small to meet the stopping test
     assert evolution._lanczos_integral(L, w, u0 / np.abs(u0).max(), ie, 2) is None
     assert evolution._lanczos_integral(L, w, u0 / np.abs(u0).max(), ie, 64) is not None
-    # a non-constant potential on a 2D grid
-    g2 = Grid((1.0, 1.0), (63, 65))
-    assert evolution._spectral_integral(assemble(g2), w[:g2.num_nodes], u0[:g2.num_nodes],
-                                        ie) is None
+
+    # 2D: a non-constant potential is formed by Lanczos, and the same two
+    # guards hold; a 31 x 31 grid on a 1 x 0.01 rectangle has lambda_max 4.1e7
+    grid = Grid((1.0, 0.01), (31, 31))
+    L = assemble(grid)
+    u0, w = lanczos_operands(grid, "random_rough")
+    assert evolution._spectral_integral(L, w, u0, ie) is not None
+    # Crank-Nicolson with dt (lambda_max + max w)/2 = 1022: |r|^K = e^-3.9 at
+    # the top of the spectrum (unguarded, the basis does not converge within
+    # 64 vectors)
+    assert evolution._spectral_integral(L, w, u0, cn) is None
+    assert evolution._spectral_integral(L, np.r_[w[:-1], -1e-300], u0, ie) is None
+
+
+def test_lanczos_attempt_that_a_cg_solve_fails_is_stepped(monkeypatch):
+    # a SolverFailure of a CG solve in the Lanczos basis (tau = T/10) ends
+    # the attempt, and stepping (tau = dt) decides the sweep
+    grid = Grid((1.0, 1.0), (9, 7))
+    L = assemble(grid)
+    u0, v = sine_datum(grid), 0.5 * sine_datum(grid)
+    cfg = EvolutionConfig(T=0.1, steps=400)
+    phi = catalog("quadratic")
+    assert phi_map(L, phi, u0, v, cfg, spectral=True)[1] is None
+    solve = laplacian._ConjugateGradientSystem.solve
+
+    def failing_in_the_basis(system, b):
+        if system._tau == 0.1 * cfg.T:
+            raise SolverFailure("CG failed in the Lanczos basis")
+        return solve(system, b)
+
+    monkeypatch.setattr(laplacian._ConjugateGradientSystem, "solve", failing_in_the_basis)
+    assert evolution._lanczos_integral(L, nemytskii(phi, v).values, u0.values, cfg, 10) is None
+    uT, trajectory = phi_map(L, phi, u0, v, cfg, spectral=True)
+    stepped, _ = phi_map(L, phi, u0, v, cfg)
+    assert trajectory is not None and np.array_equal(uT.values, stepped.values)
 
 
 def test_lanczos_basis_is_bounded_by_the_vector_cap():
     # K // 40 = 50 vectors of 4095 nodes: the basis is 51 * 4095 floats, and
-    # what else the evaluation holds is a few more vectors
-    grid = Grid((1.0,), (4095,))
-    L = assemble(grid)
-    u0, w = lanczos_operands(4095, "random_rough")
+    # what else the evaluation holds is a few more vectors; 17 in 2D, where
+    # the CG system keeps its shifts, its preconditioner and its last two
+    # solutions, and a solve its iterates and the sine transform's products
     cfg = EvolutionConfig(T=0.1, steps=2000)
-    tracemalloc.start()
-    try:
-        assert evolution._spectral_integral(L, w, u0, cfg) is not None
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert (cfg.steps // 40 + 1) * 4095 * 8 <= peak <= (cfg.steps // 40 + 1 + 10) * 4095 * 8
+    basis = min(evolution.LANCZOS_VECTORS, cfg.steps // 40) + 1
+    for grid, extra in ((Grid((1.0,), (4095,)), 10), (Grid((1.0, 1.0), (63, 65)), 20)):
+        L = assemble(grid)
+        u0, w = lanczos_operands(grid, "random_rough")
+        tracemalloc.start()
+        try:
+            assert evolution._spectral_integral(L, w, u0, cfg) is not None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert basis * grid.num_nodes * 8 <= peak <= (basis + extra) * grid.num_nodes * 8
 
 
 def test_phi_map_output_bound():

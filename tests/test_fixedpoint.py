@@ -114,6 +114,35 @@ def test_reported_sweep_is_stepped_and_closed_form_sweeps_send_no_states():
     assert np.array_equal(report.uT.values, stepped.values)
 
 
+def test_2d_solve_steps_only_its_reported_sweep(monkeypatch):
+    # 31 x 31, K = 200: every sweep is closed-form (the first in the sine
+    # basis, the others by Lanczos within 200 // 40 = 5 vectors), so evolve
+    # runs once, for the re-step of the last input, which is the reported
+    # sweep; 4 map evaluations, as when the 2D Lanczos sweeps were stepped
+    grid = Grid((1.0, 1.0), (31, 31))
+    lap, phi, ecfg = assemble(grid), catalog("quadratic"), EvolutionConfig(T=0.1, steps=200)
+    u0 = Field.from_function(grid, lambda x, y: 2.0 * np.sin(math.pi * x) * np.sin(math.pi * y))
+    starts, inputs, evolved = [], [], []
+
+    def recording(lap, phi, u0, vT, cfg, sink=None, spectral=False):
+        inputs.append(vT)
+        return phi_map(lap, phi, u0, vT, cfg, sink=sink, spectral=spectral)
+
+    def counted(*args, **kwargs):
+        evolved.append(args)
+        return evolve(*args, **kwargs)
+
+    monkeypatch.setattr(fixedpoint, "phi_map", recording)
+    monkeypatch.setattr(evolution, "evolve", counted)
+    report = picard_solve(lap, phi, u0, ecfg, sink=lambda start, block: starts.append(start))
+    assert report.converged and report.iterations == 4
+    assert starts.count(0) == 1 and len(evolved) == 1
+    assert len(inputs) == 5 and inputs[-1] is inputs[-2]
+    stepped, trajectory = phi_map(lap, phi, u0, inputs[-1], ecfg)
+    assert np.array_equal(report.uT.values, stepped.values)
+    assert report.trajectory.bounds == trajectory.bounds
+
+
 def test_failure_of_the_reported_sweep_names_the_last_evaluation(monkeypatch):
     def failing_stepped(*args, spectral=False, **kwargs):
         if not spectral:
