@@ -278,8 +278,10 @@ def _lanczos_integral(lap: DirichletLaplacian, w: np.ndarray, u0: np.ndarray,
     2006), or None if it does not converge within ``vectors`` Lanczos
     vectors or a solve with ``B`` raises :class:`SolverFailure`.
 
-    ``B`` is ``shifted_system(lap, w, gamma)``: one tridiagonal factorization
-    in 1D, preconditioned CG to ``CG_RTOL`` in 2D.  Each vector costs one
+    ``B`` is ``shifted_system(lap, w, gamma, sequence=False)``: one
+    tridiagonal factorization in 1D, preconditioned CG to ``CG_RTOL`` in 2D,
+    where each solve starts from ``M^{-1} b``, since no earlier solution
+    predicts the next of an orthonormal basis.  Each vector costs one
     solve and is orthogonalised twice against the whole basis, which holds
     at most ``(vectors + 1) N`` floats.  A solve that fails ends the attempt,
     as a basis that does not converge does, so that stepping, whose own
@@ -296,7 +298,7 @@ def _lanczos_integral(lap: DirichletLaplacian, w: np.ndarray, u0: np.ndarray,
     worst sweep under the two-step test.
     """
     gamma = 0.1 * cfg.T
-    solve = shifted_system(lap, w, gamma).solve
+    solve = shifted_system(lap, w, gamma, sequence=False).solve
     basis = np.empty((vectors + 1, u0.size))
     norm = float(np.linalg.norm(u0))
     basis[0] = u0 / norm
@@ -351,8 +353,8 @@ def _spectral_integral(lap: DirichletLaplacian, w: np.ndarray, u0: np.ndarray,
       not converge costs at most about the stepped sweep that follows it
       (0.31 against 0.31 ms at n=49, K=400; 6.1 against 79 ms at n=799,
       K=16000; 2-core x86-64).  In 2D each vector is a CG solve: a sweep of
-      the ``solve_2d_127`` benchmark takes 5 vectors of 3 stencil products
-      each, 9-16 ms against 170-230 ms stepped (one BLAS thread).
+      the ``solve_2d_127`` benchmark takes 5 vectors of 2 stencil products
+      each, 9-11 ms against 130-150 ms stepped (one BLAS thread).
       Crank-Nicolson is left to stepping where ``b = dt (lambda_max + max w)/2
       > 1`` and ``|r|^K = (1 - 2/(1 + b))^K`` exceeds ``e^-40``: its step
       factor ``r`` near -1 at the top of the spectrum is not a function that

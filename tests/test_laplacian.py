@@ -14,16 +14,20 @@ from nonlocal_heat import (
     Grid,
     SolverFailure,
     assemble,
+    catalog,
     dirichlet_lambda1,
     dirichlet_lambda1_discrete,
     evolve,
     inner_product,
+    nemytskii,
     norm_lp,
 )
 from nonlocal_heat import evolution, laplacian
 from nonlocal_heat.evolution import CRANK_NICOLSON, SCHEMES
 from nonlocal_heat.laplacian import (
     CG_RTOL,
+    START_MARGIN,
+    START_ROUNDING,
     DirichletLaplacian,
     _ConjugateGradientSystem,
     _sine_matrix,
@@ -464,25 +468,26 @@ def test_cg_stops_once_a_restart_does_not_lower_the_true_residual(monkeypatch):
 
 def test_cg_returns_its_start_when_it_meets_the_tolerance(monkeypatch):
     # for a constant w >= 0 the preconditioner is the exact inverse, so the
-    # start M^{-1} b meets the tolerance: one product (its residual), no
-    # iteration, and the dense solution to round-off
+    # start M^{-1} b meets the tolerance: no product (its residual comes from
+    # the splitting identity), no iteration, and the dense solution to round-off
     g = Grid((1.0, 2.0), (5, 7))
     lap = assemble(g)
     w, tau = np.full(g.num_nodes, 3.0), 0.05
     b = np.random.default_rng(1).standard_normal(g.num_nodes)
     products = count_stencil_applies(monkeypatch)
     x = shifted_system(lap, w, tau).solve(b)
-    assert products[0] == 1
+    assert products[0] == 0
     A = np.eye(g.num_nodes) + tau * (dense_matrix(lap) + np.diag(w))
     oracle = np.linalg.solve(A, b)
     assert np.max(np.abs(x - oracle)) <= 1e-14 * np.max(np.abs(oracle))
 
 
 def test_cg_restarts_when_the_recursive_residual_drifts():
-    # the first step-operator product inside the iteration (the second call)
-    # is off by 1e-6 relative, so the recursive residual drifts from the true
-    # one; the solve must see that at its true-residual check, restart from
-    # the true residual, and return only an x that meets the target
+    # the first step-operator product inside the iteration (the first call:
+    # the start's residual comes from the splitting identity) is off by 1e-6
+    # relative, so the recursive residual drifts from the true one; the solve
+    # must see that at its true-residual check, restart from the true
+    # residual, and return only an x that meets the target
     g = Grid((1.0, 1.0), (15, 15))
     system = shifted_system(assemble(g), sine_squared_bump(g, 36.0), 5e-3)
     exact = system._matvec
@@ -490,12 +495,115 @@ def test_cg_restarts_when_the_recursive_residual_drifts():
 
     def drifting(v):
         calls[0] += 1
-        return exact(v) * (1.0 + 1e-6) if calls[0] == 2 else exact(v)
+        return exact(v) * (1.0 + 1e-6) if calls[0] == 1 else exact(v)
 
     system._matvec = drifting
     b = np.random.default_rng(0).standard_normal(g.num_nodes)
     x = system.solve(b)
     assert np.linalg.norm(b - exact(x)) <= CG_RTOL * np.linalg.norm(b)
+
+
+def long_double_operator(lap, w, tau, identity):
+    """``identity*I + tau*(L + diag(w))`` as a dense ``np.longdouble`` matrix."""
+    N = lap.grid.num_nodes
+    return (identity * np.eye(N, dtype=np.longdouble) + np.longdouble(tau)
+            * (dense_matrix(lap).astype(np.longdouble) + np.diag(w.astype(np.longdouble))))
+
+
+@given(shape=st.tuples(st.integers(1, 10), st.integers(1, 10)),
+       identity=st.sampled_from([1.0, 0.5]), tau=st.floats(1e-6, 1e3),
+       w_exponent=st.floats(0.0, 8.0), extrapolated=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_cg_start_residual_from_the_splitting_is_within_its_rounding_bound(
+        shape, identity, tau, w_exponent, extrapolated, seed):
+    # x0 = M^{-1}(b - coupling*g) has the residual coupling*(g - x0) up to
+    # START_ROUNDING ((kappa + 1) ||b - coupling*g|| + ||b||), for
+    # kappa = 1 + tau (lambda_max + max|w|)/identity, here against b - A x0
+    # in long double; the start takes that residual exactly where the bound
+    # is at most CG_RTOL ||b|| / START_MARGIN, and a stencil product elsewhere
+    g = Grid((1.0, 1.0), shape)
+    lap = assemble(g)
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(0.0, 10.0**w_exponent, g.num_nodes)
+    system = shifted_system(lap, w, tau, identity)
+    b = rng.standard_normal(g.num_nodes)
+    guess = rng.standard_normal(g.num_nodes) if extrapolated else None
+    x, r, rounding = system._start(b, guess)
+    coupling = system._coupling
+    d = b if guess is None else b - coupling * guess
+    split = coupling * (-x if guess is None else guess - x)
+    kappa = 1.0 + tau * (np.max(lap.eigenvalues) + np.max(w)) / identity
+    bound = START_ROUNDING * ((kappa + 1.0) * np.linalg.norm(d) + np.linalg.norm(b))
+    exact = b.astype(np.longdouble) - long_double_operator(lap, w, tau, identity) @ x
+    assert np.linalg.norm((exact - split).astype(float)) <= bound
+    if bound <= CG_RTOL * np.linalg.norm(b) / START_MARGIN:
+        assert np.array_equal(r, split) and rounding == pytest.approx(bound, rel=1e-12)
+    else:
+        assert np.array_equal(r, b - system._matvec(x)) and rounding == 0.0
+
+
+@given(shape=st.tuples(st.integers(1, 10), st.integers(1, 10)),
+       identity=st.sampled_from([1.0, 0.5]), tau=st.floats(1e-6, 1e3),
+       w_exponent=st.floats(0.0, 8.0), seed=st.integers(0, 2**32 - 1))
+@pytest.mark.parametrize("case", ["drawn", "large_tau_lambda_max", "w_to_1e8"])
+def test_every_cg_solution_meets_the_target_on_a_long_double_residual(
+        case, shape, identity, tau, w_exponent, seed):
+    # a sequence of related right-hand sides, so both kinds of start occur;
+    # the two fixed cases lie where the splitting's bound does not hold and
+    # the start's residual is a stencil product
+    if case == "large_tau_lambda_max":
+        shape, tau, w_exponent = (10, 10), 100.0, 0.0
+    elif case == "w_to_1e8":
+        shape, tau, w_exponent = (10, 10), 1e-3, 8.0
+    g = Grid((1.0, 1.0), shape)
+    lap = assemble(g)
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(0.0, 10.0**w_exponent, g.num_nodes)
+    A = long_double_operator(lap, w, tau, identity)
+    system = shifted_system(lap, w, tau, identity)
+    b = rng.standard_normal(g.num_nodes)
+    for j in range(4):
+        b_j = (1.0 - 0.01 * j) * b + 1e-3 * j * rng.standard_normal(g.num_nodes)
+        x = system.solve(b_j)
+        residual = b_j.astype(np.longdouble) - A @ x
+        assert np.linalg.norm(residual.astype(float)) <= CG_RTOL * np.linalg.norm(b_j)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_stepped_2d_sweep_makes_stencil_products_only_where_a_start_iterates(
+        monkeypatch, scheme):
+    # a 31^2 sweep of 50 steps under quadratic(0.005 sin sin): the first two
+    # solves iterate once each (a product and the true-residual check), and
+    # every later one converges at its extrapolated start, whose residual
+    # comes from the splitting identity: 4 products, against 54 when each
+    # start's residual was a stencil product.  At T = 100, tau*lambda_max =
+    # 16,344 puts the splitting's bound above CG_RTOL / START_MARGIN, so each
+    # start's residual is a stencil product: with w = 0 every start M^{-1} b
+    # is the solution, at one product per solve
+    g = Grid((1.0, 1.0), (31, 31))
+    lap = assemble(g)
+    sine = Field(g, sine_squared_bump(g, 1.0) ** 0.5)
+    products = count_stencil_applies(monkeypatch)
+    w = nemytskii(catalog("quadratic"), 0.005 * sine)
+    evolve(lap, w, 0.5 * sine, EvolutionConfig(T=0.1, steps=50, scheme=scheme))
+    assert products[0] <= 6
+    products[0] = 0
+    evolve(lap, Field.zeros(g), 0.5 * sine, EvolutionConfig(T=100.0, steps=50, scheme=scheme))
+    assert products[0] == 50
+
+
+def test_a_system_without_sequence_solves_each_right_hand_side_as_a_new_one():
+    # as for the orthonormal vectors of a Lanczos basis: every solve starts
+    # from M^{-1} b and the system keeps no solution
+    g = Grid((1.0, 1.0), (15, 15))
+    lap = assemble(g)
+    w, tau = sine_squared_bump(g, 36.0), 5e-3
+    system = shifted_system(lap, w, tau, sequence=False)
+    b = sine_squared_bump(g, 1.0) ** 0.5
+    for j in range(4):
+        b_j = 0.9**j * b + 1e-3 * j * sine_squared_bump(g, 1.0)
+        assert system.solve(b_j).tobytes() == shifted_system(lap, w, tau).solve(b_j).tobytes()
+    assert system._solutions is None
 
 
 def test_cg_converges_for_a_negative_mean_w_with_a_positive_definite_operator():
@@ -520,7 +628,7 @@ def test_cg_converges_for_a_negative_mean_w_with_a_positive_definite_operator():
 
 def test_cg_products_per_solve_do_not_grow_with_the_grid(monkeypatch):
     # preconditioned by the sine-basis inverse, a solve with w up to 36 takes
-    # the same number of step-operator products at 31^2 and 127^2 (6 here);
+    # the same number of step-operator products at 31^2 and 127^2 (5 here);
     # plain CG took 24 and 94
     products = count_stencil_applies(monkeypatch)
     counts = {}
@@ -566,8 +674,8 @@ def evolve_counting_products(monkeypatch, w, cfg, fresh=False):
                          ids=["36 sin^2 sin^2", "(0.022 sin sin)^2"])
 def test_extrapolated_start_saves_stencil_products(monkeypatch, scheme, amplitude):
     # from the third solve on, the start extrapolated from the last two
-    # solutions needs fewer products than M^{-1} b: measured 4 against 6 for
-    # the large w, and 1 against 3 for the small one
+    # solutions needs fewer products than M^{-1} b: measured 3 against 5 for
+    # the large w, and 0 against 2 for the small one (implicit Euler)
     g = Grid((1.0, 1.0), (31, 31))
     w = Field(g, sine_squared_bump(g, amplitude))
     cfg = EvolutionConfig(T=0.1, steps=200, scheme=scheme)
