@@ -239,6 +239,10 @@ def sweep_multipliers(mu: np.ndarray, cfg: EvolutionConfig) -> np.ndarray:
       a power;
     - Crank-Nicolson with ``a/2 > 3``: ``|r| = 1 - 2/(1 + a/2)``, near 1, and
       ``1 - r^K`` is ``-expm1(K log|r|)`` for even K and ``1 + |r|^K`` for odd.
+
+    This is the array evaluation, for eigenvalues of any shape, that the
+    sine basis uses.  A Lanczos sweep evaluates the same branches on its few
+    Ritz values as Python floats (``_ritz_multipliers``).
     """
     dt, K = cfg.dt, cfg.steps
     with np.errstate(over="ignore"):  # an infinite a gives the limit r = 0 (or -1)
@@ -270,6 +274,46 @@ def sweep_multipliers(mu: np.ndarray, cfg: EvolutionConfig) -> np.ndarray:
     return m
 
 
+def _ritz_multipliers(mu: list[float], cfg: EvolutionConfig) -> list[float]:
+    """``sweep_multipliers(np.array(mu), cfg)``, one Python float at a time.
+
+    The branches and formulas are ``sweep_multipliers``'s, with ``math``'s
+    ``log1p``, ``expm1``, ``exp`` and ``**`` in place of numpy's.  A Lanczos
+    sweep evaluates its at most ``LANCZOS_VECTORS`` Ritz values once per
+    vector, where numpy's ~40 ufunc calls on 7 entries take 25 us and this
+    loop 2.9 us (2-core x86-64).  The two agree within 4 units in the last
+    place: numpy's SIMD ``log1p``, ``expm1`` and power differ from the C
+    library's on some inputs.
+    """
+    dt, K = cfg.dt, cfg.steps
+    out = []
+    if cfg.scheme == IMPLICIT_EULER:
+        for value in mu:
+            a = dt * value  # an infinite a gives the limit r = 0
+            if a <= 1.0:
+                log_r = math.log1p(a)
+                x = K * log_r
+                out.append((dt * K) * (1.0 + 0.5 * a) * (log_r / a if a != 0.0 else 1.0)
+                           * (-math.expm1(-x) / x if x != 0.0 else 1.0))
+            else:
+                out.append(dt * (1.0 / a + 0.5) * -math.expm1(-K * math.log1p(a)))
+        return out
+    for value in mu:
+        b = 0.5 * (dt * value)
+        if b < 1.0:
+            q = 2.0 * b / (1.0 + b)  # 1 - r
+            log_r = math.log1p(-q)
+            x = -K * log_r
+            out.append((dt * K) * (-log_r / q if q != 0.0 else 1.0)
+                       * (-math.expm1(-x) / x if x != 0.0 else 1.0) / (1.0 + b))
+        elif b <= 3.0:
+            out.append(dt * (1.0 - (2.0 / (1.0 + b) - 1.0) ** K) / (2.0 * b))
+        else:  # b > 3, or NaN
+            y = K * math.log1p(-2.0 / (1.0 + b))  # K log|r|
+            out.append(dt * (-math.expm1(y) if K % 2 == 0 else 1.0 + math.exp(y)) / (2.0 * b))
+    return out
+
+
 def _lanczos_integral(lap: DirichletLaplacian, w: np.ndarray, u0: np.ndarray,
                       cfg: EvolutionConfig, vectors: int) -> np.ndarray | None:
     """``m(A_w) u0``, ``m = sweep_multipliers`` and ``A_w = L + diag(w)`` with
@@ -292,7 +336,11 @@ def _lanczos_integral(lap: DirichletLaplacian, w: np.ndarray, u0: np.ndarray,
     two successive changes of the estimate are each at most ``LANCZOS_RTOL``
     relative (the basis is orthonormal, so they are measured on the
     coefficients ``S (m(lambda) * S[0])``), or when the Krylov space is
-    invariant.  One small change is not enough: a Ritz value can settle for
+    invariant.  ``m(lambda)`` is ``_ritz_multipliers``, and each 2-norm is
+    ``math.sqrt(x @ x)``, which is ``np.linalg.norm`` of a real vector
+    without its wrapper: at n = 99 a vector's arithmetic is a few
+    microseconds, so numpy's per-call overhead would be most of its cost.
+    One small change is not enough: a Ritz value can settle for
     a step before the next one appears, and a sweep of the ``probe_hard_1d``
     benchmark stopped that way 6.9e-13 from stepping, against 8e-14 for the
     worst sweep under the two-step test.
@@ -300,7 +348,7 @@ def _lanczos_integral(lap: DirichletLaplacian, w: np.ndarray, u0: np.ndarray,
     gamma = 0.1 * cfg.T
     solve = shifted_system(lap, w, gamma, sequence=False).solve
     basis = np.empty((vectors + 1, u0.size))
-    norm = float(np.linalg.norm(u0))
+    norm = math.sqrt(u0 @ u0)
     basis[0] = u0 / norm
     alpha, beta = np.empty(vectors), np.empty(vectors)
     previous, settled = None, False
@@ -315,13 +363,17 @@ def _lanczos_integral(lap: DirichletLaplacian, w: np.ndarray, u0: np.ndarray,
         second = known @ z
         z -= second @ known
         alpha[j] = first[j] + second[j]
-        beta[j] = float(np.linalg.norm(z))
+        beta[j] = math.sqrt(z @ z)
         # LAPACK reads no off-diagonal at j = 0, but scipy rejects an empty one
         theta, S, _ = _stevd(alpha[:j + 1], beta[:max(j, 1)])
         lam = np.maximum((1.0 / theta - 1.0) / gamma, 0.0)
-        coefficients = S @ (sweep_multipliers(lam, cfg) * S[0])
-        close = previous is not None and (np.linalg.norm(coefficients[:j] - previous)
-                                          <= LANCZOS_RTOL * np.linalg.norm(coefficients))
+        coefficients = S @ (np.array(_ritz_multipliers(lam.tolist(), cfg)) * S[0])
+        if previous is None:
+            close = False
+        else:
+            change = coefficients[:j] - previous
+            close = (math.sqrt(change @ change)
+                     <= LANCZOS_RTOL * math.sqrt(coefficients @ coefficients))
         if beta[j] == 0.0 or settled and close:
             return norm * (coefficients @ known)
         if not math.isfinite(beta[j]):
@@ -347,7 +399,9 @@ def _spectral_integral(lap: DirichletLaplacian, w: np.ndarray, u0: np.ndarray,
     - a constant ``w = c`` is formed in the sine basis (see
       ``sweep_multipliers``), on either grid;
     - a non-constant ``w`` is formed by ``_lanczos_integral``, on either
-      grid, with at most ``min(LANCZOS_VECTORS, K // 40)`` vectors, so its
+      grid, with at most ``min(LANCZOS_VECTORS, K // 40)`` vectors (a sweep
+      of fewer than 40 steps is stepped before any Lanczos system is
+      built), so its
       basis holds at most ``(min(LANCZOS_VECTORS, K // 40) + 1) N`` floats
       (8.4 MB at 127 x 127, 34 MB at 255 x 255) and an attempt that does
       not converge costs at most about the stepped sweep that follows it
@@ -366,7 +420,7 @@ def _spectral_integral(lap: DirichletLaplacian, w: np.ndarray, u0: np.ndarray,
     """
     low, high = float(np.min(w)), float(np.max(w))
     top = float(np.max(np.abs(u0)))
-    rate = cfg.dt * (float(np.max(lap.eigenvalues)) + high)  # dt (lambda_max + max w)
+    rate = cfg.dt * (lap.lambda_max + high)  # dt (lambda_max + max w)
     if not (low >= 0.0 and top * (1.0 + rate) < SPECTRAL_LIMIT):
         return None
     exponent = math.frexp(top)[1]
@@ -378,6 +432,8 @@ def _spectral_integral(lap: DirichletLaplacian, w: np.ndarray, u0: np.ndarray,
         return None
     elif top == 0.0:
         return np.zeros_like(u0)
+    elif cfg.steps < 40:  # no Lanczos vector: build no system for one
+        return None
     else:
         integral = _lanczos_integral(lap, w, scaled, cfg,
                                      min(LANCZOS_VECTORS, cfg.steps // 40))

@@ -26,7 +26,7 @@ from numpy.random import default_rng
 
 from .laplacian import (
     DirichletLaplacian, SolverFailure, dirichlet_lambda1, dirichlet_lambda1_discrete)
-from .mesh import FLOOR, Field, Grid, norm_lp
+from .mesh import FLOOR, Field, _lp_norm, norm_lp
 from .evolution import EvolutionConfig, Trajectory, phi_map
 from .potential import EvaluationError, Potential
 
@@ -114,10 +114,6 @@ class FixedPointReport:
         }
 
 
-def _norm(grid: Grid, values: np.ndarray, p: float = 2.0) -> float:
-    return norm_lp(Field(grid, values), p)
-
-
 def _located(exc: Exception, residuals: list[float]) -> Exception:
     """``exc`` with the map evaluation it stopped and the residuals before it."""
     exc.iteration, exc.residual_history = len(residuals) + 1, list(residuals)
@@ -160,8 +156,11 @@ def picard_solve(
     the last states ``sink`` sees are that trajectory's (usually the only
     ones), and ``iterations`` counts the distinct inputs evaluated.
     Contraction estimates are the map's Lipschitz quotients along the iterates,
-    ``||g_k - g_{k-1}||_2 / ||v_k - v_{k-1}||_2``.  An iterate that mixing
-    drives out of floating-point range raises :class:`EvaluationError`.
+    ``||g_k - g_{k-1}||_2 / ||v_k - v_{k-1}||_2``.  These norms are
+    ``norm_lp``'s, bit for bit, taken on the raw arrays without building a
+    :class:`Field` for each.  A residual ``g_k - v_k`` that overflows, and
+    an iterate that mixing drives out of floating-point range, raise
+    :class:`EvaluationError`.
     Such an error, or a :class:`SolverFailure`, leaves with two attributes:
     ``iteration``, the 1-based map evaluation that failed (for an overflow
     of the mixing, the one its iterate was for), and ``residual_history``,
@@ -177,7 +176,7 @@ def picard_solve(
 
     residuals: list[float] = []
     lipschitz: list[float] = []
-    sup_norms: list[float] = [_norm(grid, v, math.inf)]
+    sup_norms: list[float] = [_lp_norm(grid, v, math.inf)]
     converged = False
     for k in range(pcfg.max_iter):
         last = Field(grid, v)
@@ -186,16 +185,19 @@ def picard_solve(
         except (EvaluationError, SolverFailure) as exc:
             raise _located(exc, residuals)
         g = uT.values
-        f = g - v
-        residuals.append(_norm(grid, f) / max(_norm(grid, v), norm_lp(uT, 2), FLOOR))
+        with np.errstate(over="ignore"):  # checked below
+            f = g - v
+        if not np.all(np.isfinite(f)):
+            raise _located(EvaluationError("the residual Phi(v) - v overflowed"), residuals)
+        residuals.append(_lp_norm(grid, f) / max(_lp_norm(grid, v), _lp_norm(grid, g), FLOOR))
         if k > 0:
             slot = (k - 1) % ANDERSON_DEPTH
             np.subtract(f, f_prev, out=d_f[slot])
             np.subtract(g, g_prev, out=d_g[slot])
-            lipschitz.append(_norm(grid, d_g[slot]) / max(_norm(grid, v - v_prev), FLOOR))
+            lipschitz.append(_lp_norm(grid, d_g[slot]) / max(_lp_norm(grid, v - v_prev), FLOOR))
         if residuals[-1] <= pcfg.tol:
             converged = True
-            sup_norms.append(_norm(grid, g, math.inf))
+            sup_norms.append(_lp_norm(grid, g, math.inf))
             break
         used = min(k, ANDERSON_DEPTH)
         # lstsq's default cutoff, eps * max(N, used), drops singular
@@ -206,7 +208,7 @@ def picard_solve(
             v = g - gamma @ d_g[:used] - (1.0 - pcfg.damping) * (f - gamma @ d_f[:used])
         if not np.all(np.isfinite(v)):
             raise _located(EvaluationError("the mixed iterate overflowed"), residuals)
-        sup_norms.append(_norm(grid, v, math.inf))
+        sup_norms.append(_lp_norm(grid, v, math.inf))
 
     if trajectory is None:  # the last sweep was not stepped: step its input
         try:

@@ -82,8 +82,9 @@ class SolverFailure(RuntimeError):
 class DirichletLaplacian:
     """Matrix-free stencil operator for -Laplace with zero boundary data.
 
-    The stencil and its ``eigenvalues`` (``dirichlet_eigenvalues``) are built
-    once, and on a 2D grid so is one orthonormal sine matrix per axis.  1D
+    The stencil and its ``eigenvalues`` (``dirichlet_eigenvalues``), with
+    their extremes ``lambda_min`` and ``lambda_max``, are built once, and on
+    a 2D grid so is one orthonormal sine matrix per axis.  1D
     grids build no sine matrix: their sine transform is a real FFT (see
     ``apply_spectral``).  The operator is not a field, so ``==`` compares
     grids.
@@ -106,6 +107,8 @@ class DirichletLaplacian:
         eigenvalues = np.empty(self.grid.n)
         eigenvalues[...] = dirichlet_eigenvalues(self.grid)
         object.__setattr__(self, "eigenvalues", eigenvalues)
+        object.__setattr__(self, "lambda_min", float(np.min(eigenvalues)))
+        object.__setattr__(self, "lambda_max", float(np.max(eigenvalues)))
 
     def apply_array(self, v: np.ndarray) -> np.ndarray:
         """Stencil product on a raw value array (implicit zero boundary):
@@ -239,17 +242,20 @@ class _ConjugateGradientSystem:
     ``b - A x0 = coupling*(g - x0)`` (``-coupling*x0`` for ``M^{-1} b``).
     The identity drops the rounding of the computed ``x0``, which ``M``
     amplifies by up to ``||M||``, and that of ``d = b - coupling*g``.  With
-    ``kappa = 1 + tau*(lambda_max + max|w|)/identity``, which bounds
-    ``||M|| ||M^{-1}||``, the two residuals differ by at most
+    ``kappa = (identity + tau*(lambda_max + c)) / (identity + tau*(lambda_min
+    + c))``, the condition number ``||M|| ||M^{-1}||`` of ``M``, the two
+    residuals differ by at most
     ``START_ROUNDING * ((kappa + 1) ||d|| + ||b||)``: 16 units of roundoff,
-    where at most 2.6 per unit of ``kappa ||b||`` were measured against long
-    double on grids from 7 x 7 to 255 x 255 (the standard worst-case bound
-    on the four dense products grows like ``m^1.5`` and is far above both).
+    where at most 5.2 were measured against long double on grids from
+    7 x 7 to 255 x 255, growing with the grid (2.0 at 7 x 7, 3.8 at
+    127 x 127; the standard worst-case bound on the four dense products
+    grows like ``m^1.5`` and is far above both).
     A start takes its residual from the identity only where that bound is
     at most ``CG_RTOL ||b|| / START_MARGIN``, and is accepted as the solution
     only if that residual is below the target by the bound.  Elsewhere (a
-    very large ``tau*lambda_max`` or ``tau*max|w|``, or a ``d`` much larger
-    than ``b``) the residual is ``b - A x0``, one stencil product.  So a
+    ``kappa`` above about 3,500, which takes ``tau*lambda_max`` large
+    against ``identity + tau*(lambda_min + c)``, or a ``d`` much larger than
+    ``b``) the residual is ``b - A x0``, one stencil product.  So a
     solve that converges at its start costs one preconditioner application
     and about ten vector operations, and the stagnation test below never
     compares residuals that differ by more than ``1/START_MARGIN`` of the
@@ -282,9 +288,9 @@ class _ConjugateGradientSystem:
         mean_shift = max(float(np.clip(np.mean(w), w.min(), w.max())), 0.0)
         self._inverse_eigenvalues = 1.0 / (identity + tau * (lap.eigenvalues + mean_shift))
         self._coupling = tau * (w - mean_shift)  # A = M + diag(coupling)
-        # bounds ||M|| ||M^{-1}||: c <= max|w|, and M >= identity*I since c >= 0
-        self._kappa = 1.0 + tau * (float(np.max(lap.eigenvalues))
-                                   + float(np.max(np.abs(w)))) / identity
+        # ||M|| ||M^{-1}||: M's eigenvalues are identity + tau*(lambda + c)
+        self._kappa = ((identity + tau * (lap.lambda_max + mean_shift))
+                       / (identity + tau * (lap.lambda_min + mean_shift)))
         # the last two, oldest first; None for a system that keeps none
         self._solutions = () if sequence else None
 

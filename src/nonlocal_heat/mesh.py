@@ -21,7 +21,9 @@ class Grid:
     """Uniform grid of interior nodes on (0, L1) in 1D or (0, L1) x (0, L2) in 2D.
 
     ``n`` counts interior nodes per axis, so the spacing is
-    ``h[i] = lengths[i] / (n[i] + 1)``.
+    ``h[i] = lengths[i] / (n[i] + 1)``.  ``h`` and ``cell_measure`` are
+    computed once, when the grid is built; they are not fields, so grids
+    compare and hash by ``lengths`` and ``n`` alone.
     """
 
     lengths: tuple[float, ...]
@@ -40,6 +42,7 @@ class Grid:
             raise ValueError(f"lengths must be positive, got {lengths}")
         if any(v < 1 for v in n):
             raise ValueError(f"n must be >= 1 on every axis, got {n}")
+        object.__setattr__(self, "_h", tuple(L / (m + 1) for L, m in zip(lengths, n)))
         # 1/L**2 is positive where L*L is finite; 4*sum(1/h**2) bounds the
         # stencil's values on a field of magnitude 1 (float products give inf
         # or 0.0 where ** would raise)
@@ -47,6 +50,7 @@ class Grid:
                 and 4.0 * sum(1.0 / (h * h) for h in self.h) < math.inf):
             raise ValueError(f"lengths must keep every 1/L**2 positive and 4*sum(1/h**2) "
                              f"finite, got {lengths} with n = {n}")
+        object.__setattr__(self, "_cell_measure", float(np.prod(self.h)))
 
     @property
     def dim(self) -> int:
@@ -54,7 +58,7 @@ class Grid:
 
     @property
     def h(self) -> tuple[float, ...]:
-        return tuple(L / (m + 1) for L, m in zip(self.lengths, self.n))
+        return self._h
 
     @property
     def num_nodes(self) -> int:
@@ -63,7 +67,7 @@ class Grid:
     @property
     def cell_measure(self) -> float:
         """Quadrature weight of one interior node (product of spacings)."""
-        return float(np.prod(self.h))
+        return self._cell_measure
 
     def axis_coordinates(self, axis: int) -> np.ndarray:
         """Interior node coordinates along one axis."""
@@ -137,11 +141,17 @@ def norm_lp(f: Field, p: float) -> float:
     p = float(p)
     if not (math.isinf(p) or p >= 1.0):
         raise ValueError(f"p must be >= 1 or inf, got {p}")
-    a = np.abs(f.values)
+    return _lp_norm(f.grid, f.values, p)
+
+
+def _lp_norm(grid: Grid, values: np.ndarray, p: float = 2.0) -> float:
+    """``norm_lp`` of the grid function ``values``, for a float ``p >= 1`` or
+    inf, without building a :class:`Field` (no copy, no finiteness scan)."""
+    a = np.abs(values)
     top = float(np.max(a))
     if math.isinf(p) or top == 0.0:
         return top
-    return top * float((f.grid.cell_measure * np.sum((a / top) ** p)) ** (1.0 / p))
+    return top * float((grid.cell_measure * np.sum((a / top) ** p)) ** (1.0 / p))
 
 
 def inner_product(f: Field, g: Field) -> float:

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from nonlocal_heat import (
     EvolutionConfig,
@@ -339,13 +340,66 @@ def test_constant_potential_map_in_the_sine_basis_matches_stepping(scheme, grid,
     assert np.max(np.abs(closed.values - stepped.values)) <= 1e-11 * scale
 
 
+def array_and_scalar_multipliers(mu, cfg):
+    """``sweep_multipliers`` (the sine basis's) and ``_ritz_multipliers`` (the
+    Lanczos sweep's) of the eigenvalues ``mu``, as two arrays."""
+    return (evolution.sweep_multipliers(np.array(mu, dtype=float), cfg),
+            np.array(evolution._ritz_multipliers([float(m) for m in mu], cfg)))
+
+
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_sweep_multipliers_of_a_subnormal_step_are_the_final_time(scheme):
     # dt*lambda at 0 or subnormal, as on a domain of length 1e154: the sums
-    # are ratios of log1p/expm1 forms, so no 1/(dt*lambda) overflows
+    # are ratios of log1p/expm1 forms, so no 1/(dt*lambda) overflows; both
+    # evaluations
     cfg = EvolutionConfig(T=0.3, steps=7, scheme=scheme)
-    mu = np.array([0.0, 5e-324, 1e-310, 1e-300])
-    assert np.allclose(evolution.sweep_multipliers(mu, cfg), cfg.T, rtol=1e-15, atol=0.0)
+    for m in array_and_scalar_multipliers([0.0, 5e-324, 1e-310, 1e-300], cfg):
+        assert np.allclose(m, cfg.T, rtol=1e-15, atol=0.0)
+
+
+def branch_values(low, high):
+    """``a = dt mu`` strictly inside ``(low, high)``."""
+    return st.floats(low, high, exclude_min=True, exclude_max=True)
+
+
+@given(scheme=st.sampled_from(SCHEMES),
+       half=st.integers(1, 12) | st.integers(1, 2**39),
+       exponent=st.integers(-40, 10),
+       inside=st.tuples(branch_values(0.0, 1.0), branch_values(1.0, 2.0),
+                        branch_values(2.0, 6.0), branch_values(6.0, 1e290)))
+@pytest.mark.parametrize("parity", [0, 1], ids=["even_K", "odd_K"])
+def test_scalar_and_array_multipliers_agree_to_a_few_ulp(parity, scheme, half, exponent,
+                                                          inside):
+    # every branch of both schemes in one example, with dt = 2**exponent so
+    # that a = dt*mu is exact: implicit Euler a <= 1 and a > 1; Crank-
+    # Nicolson b = a/2 < 1, 1 <= b <= 3 and b > 3, whose r^K changes sign
+    # with K; the boundaries a = 1 (b = 1/2), a = 2 (b = 1) and a = 6 (b = 3)
+    # and their neighbours; a = 0 and subnormal a.  The two differ only
+    # where numpy's SIMD log1p, expm1 or power rounds differently from the C
+    # library's (1.5-2.5% of values, up to 4 ulp, on an AVX-512 machine)
+    steps = 2 * half + parity
+    dt = math.ldexp(1.0, exponent)
+    cfg = EvolutionConfig(T=steps * dt, steps=steps, scheme=scheme)
+    assert cfg.dt == dt
+    boundaries = [0.0, 5e-324, 1e-310, 1e-300]
+    for edge in (1.0, 2.0, 6.0):
+        boundaries += [np.nextafter(edge, 0.0), edge, np.nextafter(edge, 7.0)]
+    mu = [math.ldexp(a, -exponent) for a in (*boundaries, *inside)]
+    array, scalar = array_and_scalar_multipliers(mu, cfg)
+    assert np.array_equal(np.isfinite(array), np.isfinite(scalar))
+    ulp = np.spacing(np.maximum(np.abs(array), np.abs(scalar)))
+    assert np.all(np.abs(array - scalar) <= 4.0 * ulp)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("steps", [6, 7])
+def test_multipliers_where_dt_mu_overflows_are_the_limit(scheme, steps):
+    # dt = 2 and mu = the largest float: a = dt*mu overflows to inf, the
+    # limit r = 0 (implicit Euler; m = dt/2) or r = -1 (Crank-Nicolson; the
+    # sum divided by an infinite a is 0), in both evaluations
+    cfg = EvolutionConfig(T=2.0 * steps, steps=steps, scheme=scheme)
+    for m in array_and_scalar_multipliers([np.finfo(float).max], cfg):
+        assert m[0] == (1.0 if scheme == "implicit_euler" else 0.0)
 
 
 def lanczos_operands(grid, kind):
@@ -474,6 +528,32 @@ def test_lanczos_fallbacks_return_none():
     # 64 vectors)
     assert evolution._spectral_integral(L, w, u0, cn) is None
     assert evolution._spectral_integral(L, np.r_[w[:-1], -1e-300], u0, ie) is None
+
+
+@pytest.mark.parametrize("grid", [Grid((1.0,), (49,)), Grid((1.0, 1.0), (11, 11))],
+                         ids=["1d", "2d"])
+def test_sweep_too_short_for_a_lanczos_vector_builds_no_lanczos_system(monkeypatch, grid):
+    # K = 39 gives K // 40 = 0 vectors: the sweep is stepped without first
+    # building the shift-and-invert system (a factorization in 1D, a CG
+    # system in 2D), so the one system built is evolve's; K = 40 gives one
+    # vector, too few to converge, after which the sweep is stepped too
+    L = assemble(grid)
+    u0 = Field(grid, lanczos_operands(grid, "random_rough")[0])
+    v = Field(grid, np.random.default_rng(1).uniform(0.5, 3.0, grid.num_nodes))
+    built = []
+
+    def counted(*args, **kwargs):
+        built.append(None)
+        return shifted_system(*args, **kwargs)
+
+    monkeypatch.setattr(evolution, "shifted_system", counted)
+    for steps, systems in ((39, 1), (40, 2)):
+        cfg = EvolutionConfig(T=0.1, steps=steps)
+        del built[:]
+        closed, trajectory = phi_map(L, catalog("quadratic"), u0, v, cfg, spectral=True)
+        assert len(built) == systems and trajectory is not None
+        stepped, _ = phi_map(L, catalog("quadratic"), u0, v, cfg)
+        assert closed.values.tobytes() == stepped.values.tobytes()
 
 
 @pytest.mark.parametrize("kind", ["spike_smooth", "gaussian_huge"])

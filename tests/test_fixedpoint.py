@@ -234,6 +234,28 @@ def test_hard_probe_lanczos_sweeps_match_stepping(monkeypatch):
     assert len(errors) == 56 and max(errors) <= 2e-13
 
 
+@pytest.mark.parametrize("p", [2.0, math.inf])
+@pytest.mark.parametrize("grid", [GRID, Grid((1.0, 3.0), (6, 5))], ids=["1d", "2d"])
+@pytest.mark.parametrize("scale", [0.0, 1.0, 1e300, -1.7e308])
+def test_picard_norms_on_raw_values_equal_norm_lp_bit_for_bit(p, grid, scale):
+    # picard_solve's residual, contraction and sup norms skip the Field a
+    # norm_lp call builds; they are the same numbers, also for the zero field
+    # and for values whose squares overflow
+    values = scale * np.random.default_rng(2).uniform(-1.0, 1.0, grid.num_nodes)
+    assert fixedpoint._lp_norm(grid, values, p) == norm_lp(Field(grid, values), p)
+
+
+def test_residual_overflow_is_a_numerical_failure(monkeypatch):
+    # a map output and an iterate near the top of the float range with
+    # opposite signs: Phi(v) - v overflows, which ends the run with
+    # EvaluationError (CLI exit 5) before any norm is taken of it
+    top = Field.constant(GRID, 1.5e308)
+    monkeypatch.setattr(fixedpoint, "phi_map", lambda *args, **kwargs: (top, None))
+    with pytest.raises(EvaluationError, match="residual") as raised:
+        picard_solve(LAP, catalog("quadratic"), sine_datum(0.5), ECFG, start=-1.0 * top)
+    assert raised.value.iteration == 1 and raised.value.residual_history == []
+
+
 def test_mixed_iterate_overflow_is_a_numerical_failure(monkeypatch):
     # a non-finite mixing coefficient ends the run with EvaluationError (CLI
     # exit 5), not with a non-finite Field raising ValueError

@@ -517,10 +517,12 @@ def long_double_operator(lap, w, tau, identity):
 def test_cg_start_residual_from_the_splitting_is_within_its_rounding_bound(
         shape, identity, tau, w_exponent, extrapolated, seed):
     # x0 = M^{-1}(b - coupling*g) has the residual coupling*(g - x0) up to
-    # START_ROUNDING ((kappa + 1) ||b - coupling*g|| + ||b||), for
-    # kappa = 1 + tau (lambda_max + max|w|)/identity, here against b - A x0
-    # in long double; the start takes that residual exactly where the bound
-    # is at most CG_RTOL ||b|| / START_MARGIN, and a stencil product elsewhere
+    # START_ROUNDING ((kappa + 1) ||b - coupling*g|| + ||b||), for kappa =
+    # (identity + tau (lambda_max + c)) / (identity + tau (lambda_min + c)),
+    # the condition number of M = identity*I + tau*(L + c), c = mean(w),
+    # here against b - A x0 in long double; the start takes that residual
+    # exactly where the bound is at most CG_RTOL ||b|| / START_MARGIN, and a
+    # stencil product elsewhere
     g = Grid((1.0, 1.0), shape)
     lap = assemble(g)
     rng = np.random.default_rng(seed)
@@ -532,7 +534,9 @@ def test_cg_start_residual_from_the_splitting_is_within_its_rounding_bound(
     coupling = system._coupling
     d = b if guess is None else b - coupling * guess
     split = coupling * (-x if guess is None else guess - x)
-    kappa = 1.0 + tau * (np.max(lap.eigenvalues) + np.max(w)) / identity
+    c = min(max(np.mean(w), np.min(w)), np.max(w))
+    kappa = ((identity + tau * (np.max(lap.eigenvalues) + c))
+             / (identity + tau * (np.min(lap.eigenvalues) + c)))
     bound = START_ROUNDING * ((kappa + 1.0) * np.linalg.norm(d) + np.linalg.norm(b))
     exact = b.astype(np.longdouble) - long_double_operator(lap, w, tau, identity) @ x
     assert np.linalg.norm((exact - split).astype(float)) <= bound
@@ -576,10 +580,12 @@ def test_stepped_2d_sweep_makes_stencil_products_only_where_a_start_iterates(
     # solves iterate once each (a product and the true-residual check), and
     # every later one converges at its extrapolated start, whose residual
     # comes from the splitting identity: 4 products, against 54 when each
-    # start's residual was a stencil product.  At T = 100, tau*lambda_max =
-    # 16,344 puts the splitting's bound above CG_RTOL / START_MARGIN, so each
-    # start's residual is a stencil product: with w = 0 every start M^{-1} b
-    # is the solution, at one product per solve
+    # start's residual was a stencil product.  At T = 100 with w = 0, every
+    # start M^{-1} b is the solution.  On 31^2 M's condition number kappa is
+    # 404 (IE) / 394 (CN), so the splitting's bound admits each start: no
+    # product.  On 127^2 kappa is 6,476 / 6,319, above the about 3,500 where
+    # the bound exceeds CG_RTOL / START_MARGIN, so each start's residual is
+    # a stencil product: one per solve
     g = Grid((1.0, 1.0), (31, 31))
     lap = assemble(g)
     sine = Field(g, sine_squared_bump(g, 1.0) ** 0.5)
@@ -587,8 +593,13 @@ def test_stepped_2d_sweep_makes_stencil_products_only_where_a_start_iterates(
     w = nemytskii(catalog("quadratic"), 0.005 * sine)
     evolve(lap, w, 0.5 * sine, EvolutionConfig(T=0.1, steps=50, scheme=scheme))
     assert products[0] <= 6
+    long_sweep = EvolutionConfig(T=100.0, steps=50, scheme=scheme)
     products[0] = 0
-    evolve(lap, Field.zeros(g), 0.5 * sine, EvolutionConfig(T=100.0, steps=50, scheme=scheme))
+    evolve(lap, Field.zeros(g), 0.5 * sine, long_sweep)
+    assert products[0] == 0
+    g = Grid((1.0, 1.0), (127, 127))
+    sine = Field(g, sine_squared_bump(g, 1.0) ** 0.5)
+    evolve(assemble(g), Field.zeros(g), 0.5 * sine, long_sweep)
     assert products[0] == 50
 
 

@@ -1,4 +1,6 @@
 import math
+import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -32,6 +34,21 @@ def test_grid_basic_1d():
     coords = g.coordinates()
     assert isinstance(coords, tuple) and len(coords) == 1
     assert np.array_equal(coords[0], g.axis_coordinates(0))
+
+
+def test_grid_caches_spacing_and_cell_measure_outside_its_fields():
+    # h and cell_measure are computed once per grid; equality and hashing
+    # still read lengths and n only, and replace() builds a fresh cache
+    g = Grid((1.0, 2.0), (3, 7))
+    assert g.h is g.h and g.h == (0.25, 0.25) and g.cell_measure == 0.0625
+    twin = Grid((1, 2), [3, 7])
+    assert g == twin and hash(g) == hash(twin) and {g: "g"}[twin] == "g"
+    assert pickle.loads(pickle.dumps(g)) == g
+    wider = replace(g, lengths=(2.0, 2.0))
+    assert wider.h == (0.5, 0.25) and wider.cell_measure == 0.125
+    finer = replace(g, n=(7, 15))
+    assert finer.h == (0.125, 0.125) and finer.cell_measure == 0.125**2
+    assert wider != g and finer != g and g.h == (0.25, 0.25)
 
 
 def test_grid_basic_2d():
