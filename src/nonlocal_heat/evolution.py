@@ -7,8 +7,9 @@ every step, accumulated while stepping.  Only the first and last states
 are kept; the others reach an optional sink block by block.
 
 The integral is ``m(L + diag w) u0`` for the closed-form trapezoid sum ``m``
-of the step factors (``sweep_multipliers``), and ``phi_map`` can form it
-without stepping (``_spectral_integral``), on either grid: in the stencil's
+of the step factors, which one routine evaluates (``_trapezoid_multipliers``;
+``sweep_multipliers`` on an array), and ``phi_map`` can form it without
+stepping (``_spectral_integral``), on either grid: in the stencil's
 sine basis where ``w`` is a nonnegative constant, and by shift-and-invert
 Lanczos where ``w`` is nonnegative and not constant.  Any other sweep, and
 one whose Lanczos basis does not converge within its cap, is stepped.
@@ -78,6 +79,9 @@ class EvolutionConfig:
             raise ValueError(
                 f"store_every={self.store_every} must divide steps={self.steps}"
             )
+        if self.dt < np.finfo(float).tiny:  # so dt, dt/4 and T/10 are positive
+            raise ValueError(f"T must give a step T/steps of at least {np.finfo(float).tiny}, "
+                             f"got {self.T}/{self.steps} = {self.dt}")
 
     @property
     def dt(self) -> float:
@@ -207,27 +211,28 @@ def evolve(
     return Trajectory(lap.grid, dt * steps, np.stack((u0.values, u)), integral, bounds)
 
 
-def _quotient(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    """``num / den``, and 1 where ``den`` is 0 (the limit of each caller's ratio)."""
-    out = np.ones_like(den)
-    nonzero = den != 0.0
-    out[nonzero] = num[nonzero] / den[nonzero]
-    return out
-
-
 def sweep_multipliers(mu: np.ndarray, cfg: EvolutionConfig) -> np.ndarray:
-    """The trapezoid sum ``m = dt (1/2 + r + ... + r^(K-1) + r^K/2)`` of the
-    step factor ``r = r(dt mu)`` of ``cfg.scheme``, for eigenvalues ``mu >= 0``.
+    """``_trapezoid_multipliers`` of the eigenvalues ``mu >= 0``, an array of
+    any shape, in that shape.
 
     ``evolve`` with a constant ``w = c >= 0`` multiplies the sine coefficient
     of ``u0`` for the eigenvalue ``lambda`` by ``r^k`` at step k, so the map
     output is ``apply_spectral(u0, m(lambda + c))``, at a cost that does not
-    depend on K.  With ``a = dt mu``, implicit Euler has ``r = 1/(1 + a)`` and
-    ``m = dt (1/a + 1/2) (1 - r^K)``; Crank-Nicolson has
-    ``r = (1 - a/2)/(1 + a/2)`` and ``m = dt (1 - r^K)/a``.
+    depend on K.  The sine basis calls this on ``grid.n``-shaped eigenvalues;
+    a Lanczos sweep calls ``_trapezoid_multipliers`` on its Ritz values.
+    """
+    return np.array(_trapezoid_multipliers(mu.ravel().tolist(), cfg)).reshape(mu.shape)
 
-    No ratio is formed that overflows or cancels, and each branch is computed
-    only on its own entries:
+
+def _trapezoid_multipliers(mu: list[float], cfg: EvolutionConfig) -> list[float]:
+    """The trapezoid sum ``m = dt (1/2 + r + ... + r^(K-1) + r^K/2)`` of the
+    step factor ``r = r(dt mu)`` of ``cfg.scheme``, for each of the
+    eigenvalues ``mu >= 0``.
+
+    With ``a = dt mu``, implicit Euler has ``r = 1/(1 + a)`` and
+    ``m = dt (1/a + 1/2) (1 - r^K)``; Crank-Nicolson has
+    ``r = (1 - a/2)/(1 + a/2)`` and ``m = dt (1 - r^K)/a``.  No ratio is
+    formed that overflows or cancels:
 
     - ``r`` near 1 (``a <= 1``, or ``a/2 < 1`` for Crank-Nicolson):
       ``1 - r^K = -expm1(-x)`` with ``x = -K log r`` from ``log1p``, and ``m``
@@ -240,50 +245,12 @@ def sweep_multipliers(mu: np.ndarray, cfg: EvolutionConfig) -> np.ndarray:
     - Crank-Nicolson with ``a/2 > 3``: ``|r| = 1 - 2/(1 + a/2)``, near 1, and
       ``1 - r^K`` is ``-expm1(K log|r|)`` for even K and ``1 + |r|^K`` for odd.
 
-    This is the array evaluation, for eigenvalues of any shape, that the
-    sine basis uses.  A Lanczos sweep evaluates the same branches on its few
-    Ritz values as Python floats (``_ritz_multipliers``).
-    """
-    dt, K = cfg.dt, cfg.steps
-    with np.errstate(over="ignore"):  # an infinite a gives the limit r = 0 (or -1)
-        a = dt * mu
-    m = np.empty_like(a)
-    if cfg.scheme == IMPLICIT_EULER:
-        near = a <= 1.0
-        s = a[near]
-        log_r = np.log1p(s)
-        x = K * log_r
-        m[near] = (dt * K) * (1.0 + 0.5 * s) * _quotient(log_r, s) * _quotient(-np.expm1(-x), x)
-        s = a[~near]
-        m[~near] = dt * (1.0 / s + 0.5) * -np.expm1(-K * np.log1p(s))
-        return m
-    b = 0.5 * a
-    near = b < 1.0
-    s = b[near]
-    q = 2.0 * s / (1.0 + s)  # 1 - r
-    log_r = np.log1p(-q)
-    x = -K * log_r
-    m[near] = (dt * K) * _quotient(-log_r, q) * _quotient(-np.expm1(-x), x) / (1.0 + s)
-    middle = (b >= 1.0) & (b <= 3.0)
-    s = b[middle]
-    m[middle] = dt * (1.0 - (2.0 / (1.0 + s) - 1.0) ** K) / (2.0 * s)
-    far = b > 3.0
-    s = b[far]
-    y = K * np.log1p(-2.0 / (1.0 + s))  # K log|r|
-    m[far] = dt * (-np.expm1(y) if K % 2 == 0 else 1.0 + np.exp(y)) / (2.0 * s)
-    return m
-
-
-def _ritz_multipliers(mu: list[float], cfg: EvolutionConfig) -> list[float]:
-    """``sweep_multipliers(np.array(mu), cfg)``, one Python float at a time.
-
-    The branches and formulas are ``sweep_multipliers``'s, with ``math``'s
-    ``log1p``, ``expm1``, ``exp`` and ``**`` in place of numpy's.  A Lanczos
-    sweep evaluates its at most ``LANCZOS_VECTORS`` Ritz values once per
-    vector, where numpy's ~40 ufunc calls on 7 entries take 25 us and this
-    loop 2.9 us (2-core x86-64).  The two agree within 4 units in the last
-    place: numpy's SIMD ``log1p``, ``expm1`` and power differ from the C
-    library's on some inputs.
+    This is the only evaluation of ``m``.  It runs on Python floats with the
+    C library's ``log1p``, ``expm1``, ``exp`` and ``**``, so, like
+    ``dirichlet_eigenvalues``, it does not depend on which SIMD kernels
+    numpy dispatches to on the running CPU.  On a Lanczos sweep's few Ritz
+    values, once per vector, this loop takes 2.9 us where numpy's ~40 ufunc
+    calls on 7 entries take 25 us (2-core x86-64).
     """
     dt, K = cfg.dt, cfg.steps
     out = []
@@ -299,7 +266,7 @@ def _ritz_multipliers(mu: list[float], cfg: EvolutionConfig) -> list[float]:
                 out.append(dt * (1.0 / a + 0.5) * -math.expm1(-K * math.log1p(a)))
         return out
     for value in mu:
-        b = 0.5 * (dt * value)
+        b = 0.5 * (dt * value)  # an infinite b gives the limit r = -1
         if b < 1.0:
             q = 2.0 * b / (1.0 + b)  # 1 - r
             log_r = math.log1p(-q)
@@ -316,7 +283,7 @@ def _ritz_multipliers(mu: list[float], cfg: EvolutionConfig) -> list[float]:
 
 def _lanczos_integral(lap: DirichletLaplacian, w: np.ndarray, u0: np.ndarray,
                       cfg: EvolutionConfig, vectors: int) -> np.ndarray | None:
-    """``m(A_w) u0``, ``m = sweep_multipliers`` and ``A_w = L + diag(w)`` with
+    """``m(A_w) u0``, ``m = _trapezoid_multipliers`` and ``A_w = L + diag(w)`` with
     ``w >= 0``, by Lanczos on ``B = (I + gamma A_w)^{-1}``, ``gamma = T/10``
     (shift-and-invert; van den Eshof & Hochbruck, SIAM J. Sci. Comput. 27,
     2006), or None if it does not converge within ``vectors`` Lanczos
@@ -336,9 +303,9 @@ def _lanczos_integral(lap: DirichletLaplacian, w: np.ndarray, u0: np.ndarray,
     two successive changes of the estimate are each at most ``LANCZOS_RTOL``
     relative (the basis is orthonormal, so they are measured on the
     coefficients ``S (m(lambda) * S[0])``), or when the Krylov space is
-    invariant.  ``m(lambda)`` is ``_ritz_multipliers``, and each 2-norm is
-    ``math.sqrt(x @ x)``, which is ``np.linalg.norm`` of a real vector
-    without its wrapper: at n = 99 a vector's arithmetic is a few
+    invariant.  ``m(lambda)`` is taken on the Ritz values as Python floats,
+    and each 2-norm is ``math.sqrt(x @ x)``, which is ``np.linalg.norm`` of a
+    real vector without its wrapper: at n = 99 a vector's arithmetic is a few
     microseconds, so numpy's per-call overhead would be most of its cost.
     One small change is not enough: a Ritz value can settle for
     a step before the next one appears, and a sweep of the ``probe_hard_1d``
@@ -367,7 +334,7 @@ def _lanczos_integral(lap: DirichletLaplacian, w: np.ndarray, u0: np.ndarray,
         # LAPACK reads no off-diagonal at j = 0, but scipy rejects an empty one
         theta, S, _ = _stevd(alpha[:j + 1], beta[:max(j, 1)])
         lam = np.maximum((1.0 / theta - 1.0) / gamma, 0.0)
-        coefficients = S @ (np.array(_ritz_multipliers(lam.tolist(), cfg)) * S[0])
+        coefficients = S @ (np.array(_trapezoid_multipliers(lam.tolist(), cfg)) * S[0])
         if previous is None:
             close = False
         else:

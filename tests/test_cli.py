@@ -528,12 +528,14 @@ def test_sweep_records_failed_rows(tmp_path):
     cfg = base_config(out, mode="sweep")
     cfg["domain"]["n"] = [9]
     cfg["time"]["steps"] = 20
-    cfg["sweep"] = {"axis": "T", "values": [0.1, -1, 1e308]}
+    cfg["sweep"] = {"axis": "T", "values": [0.1, -1, 1e-321, 1e308]}
     assert cli.run(write_config(tmp_path, cfg), quiet=True) == 2
     lines = (out / "sweep.csv").read_text().splitlines()
     assert lines[1] == "-1,,,,,time.T must be positive and finite; got -1.0"
-    assert lines[2].startswith("0.1,True,4,") and lines[2].endswith(",")
-    assert lines[3] == ("1e+308,,1,,,the map returned a non-finite time integral: "
+    assert lines[2] == ("9.980126046e-322,,,,,time.T must give a step T/steps of at least "
+                        "2.2250738585072014e-308; got 1e-321/20 = 5e-323")
+    assert lines[3].startswith("0.1,True,4,") and lines[3].endswith(",")
+    assert lines[4] == ("1e+308,,1,,,the map returned a non-finite time integral: "
                         "the states overflowed")
 
 
@@ -1110,6 +1112,11 @@ def steps_study(cfg):
     # a step count float64 cannot hold exactly: dt = 1e-301 would never finish
     (lambda c: c["time"].update(steps=10**300), 3, "time.steps"),
     (steps_study, 3, "time.steps"),  # a study's finest level, before any write
+    # T/steps underflows to 0: no step, dt/4 or Lanczos shift T/10 may be 0
+    (lambda c: c["time"].update(T=1e-321, steps=1000), 3, "time.T"),
+    (lambda c: (c["domain"].update(dim=2, lengths=[1.0, 1.0], n=[7, 7]),
+                c["time"].update(T=1e-321, steps=1000)), 3, "time.T"),
+    (lambda c: c["time"].update(T=1e-321, steps=1000, scheme="crank_nicolson"), 3, "time.T"),
     (lambda c: c.update(potential={"name": "constant", "params": [-1e308]}), 5, None),
     *[(huge(field, *spec), 3, field) for field, spec in HUGE_FIELDS.items()],
     # a config that named a start must not silently start from zero
@@ -1122,7 +1129,7 @@ def steps_study(cfg):
 ], ids=["length1e300", "length1e-300", "axis1e-300", "length1e-155", "length1e154",
         "study1e-152",
         "width1e200", "width1e-300", "width1e-160", "probe1e307", "T1e308", "steps1e300",
-        "study_steps_2pow54",
+        "study_steps_2pow54", "dt_underflow", "dt_underflow_7x7", "dt_underflow_cn",
         "constant-1e308", *[f"huge-{field}" for field in HUGE_FIELDS], "initial_guess",
         *[f"from_file{suffix}-{axis}" for suffix in ("csv", "json")
           for axis in ("n", "length", "dim")],

@@ -2,11 +2,11 @@ import math
 import re
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from nonlocal_heat import (
     EvolutionConfig,
@@ -340,55 +340,61 @@ def test_constant_potential_map_in_the_sine_basis_matches_stepping(scheme, grid,
     assert np.max(np.abs(closed.values - stepped.values)) <= 1e-11 * scale
 
 
-def array_and_scalar_multipliers(mu, cfg):
-    """``sweep_multipliers`` (the sine basis's) and ``_ritz_multipliers`` (the
-    Lanczos sweep's) of the eigenvalues ``mu``, as two arrays."""
-    return (evolution.sweep_multipliers(np.array(mu, dtype=float), cfg),
-            np.array(evolution._ritz_multipliers([float(m) for m in mu], cfg)))
-
-
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_sweep_multipliers_of_a_subnormal_step_are_the_final_time(scheme):
     # dt*lambda at 0 or subnormal, as on a domain of length 1e154: the sums
-    # are ratios of log1p/expm1 forms, so no 1/(dt*lambda) overflows; both
-    # evaluations
+    # are ratios of log1p/expm1 forms, so no 1/(dt*lambda) overflows
     cfg = EvolutionConfig(T=0.3, steps=7, scheme=scheme)
-    for m in array_and_scalar_multipliers([0.0, 5e-324, 1e-310, 1e-300], cfg):
-        assert np.allclose(m, cfg.T, rtol=1e-15, atol=0.0)
+    m = evolution.sweep_multipliers(np.array([0.0, 5e-324, 1e-310, 1e-300]), cfg)
+    assert np.allclose(m, cfg.T, rtol=1e-15, atol=0.0)
 
 
-def branch_values(low, high):
-    """``a = dt mu`` strictly inside ``(low, high)``."""
-    return st.floats(low, high, exclude_min=True, exclude_max=True)
+def exact_trapezoid_sum(a, dt, steps, scheme):
+    """``dt (1/2 + r + ... + r^(K-1) + r^K/2)`` in exact rational arithmetic,
+    for the step factor ``r`` of ``scheme`` at ``a = dt mu``."""
+    a = Fraction(a)
+    r = 1 / (1 + a) if scheme == "implicit_euler" else (1 - a / 2) / (1 + a / 2)
+    p, q = r.numerator, r.denominator  # r^k = p^k q^(K-k) / q^K, summed as integers
+    terms = [p**k * q**(steps - k) for k in range(steps + 1)]
+    return Fraction(dt) * Fraction(2 * sum(terms) - terms[0] - terms[-1], 2 * q**steps)
 
 
-@given(scheme=st.sampled_from(SCHEMES),
-       half=st.integers(1, 12) | st.integers(1, 2**39),
-       exponent=st.integers(-40, 10),
-       inside=st.tuples(branch_values(0.0, 1.0), branch_values(1.0, 2.0),
-                        branch_values(2.0, 6.0), branch_values(6.0, 1e290)))
-@pytest.mark.parametrize("parity", [0, 1], ids=["even_K", "odd_K"])
-def test_scalar_and_array_multipliers_agree_to_a_few_ulp(parity, scheme, half, exponent,
-                                                          inside):
-    # every branch of both schemes in one example, with dt = 2**exponent so
-    # that a = dt*mu is exact: implicit Euler a <= 1 and a > 1; Crank-
-    # Nicolson b = a/2 < 1, 1 <= b <= 3 and b > 3, whose r^K changes sign
-    # with K; the boundaries a = 1 (b = 1/2), a = 2 (b = 1) and a = 6 (b = 3)
-    # and their neighbours; a = 0 and subnormal a.  The two differ only
-    # where numpy's SIMD log1p, expm1 or power rounds differently from the C
-    # library's (1.5-2.5% of values, up to 4 ulp, on an AVX-512 machine)
-    steps = 2 * half + parity
+@pytest.mark.parametrize("exponent", [-20, -8, -3, 0, 3])
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_trapezoid_multipliers_match_exact_sums(scheme, exponent):
+    # dt = 2**exponent, so that a = dt*mu is exact; K from 2 to 25, odd and
+    # even (Crank-Nicolson's r^K changes sign with K once r < 0).  Every
+    # branch of both schemes: implicit Euler a <= 1 and a > 1; Crank-Nicolson
+    # b = a/2 < 1, 1 <= b <= 3 and b > 3; the boundaries a = 1 (b = 1/2),
+    # a = 2 (b = 1) and a = 6 (b = 3) and their neighbours; a = 0 and
+    # subnormal a
     dt = math.ldexp(1.0, exponent)
-    cfg = EvolutionConfig(T=steps * dt, steps=steps, scheme=scheme)
-    assert cfg.dt == dt
-    boundaries = [0.0, 5e-324, 1e-310, 1e-300]
+    values = [0.0, 5e-324, 1e-310, 1e-300, 0.3, 1.7, 3.9, 40.0, 1e5]
     for edge in (1.0, 2.0, 6.0):
-        boundaries += [np.nextafter(edge, 0.0), edge, np.nextafter(edge, 7.0)]
-    mu = [math.ldexp(a, -exponent) for a in (*boundaries, *inside)]
-    array, scalar = array_and_scalar_multipliers(mu, cfg)
-    assert np.array_equal(np.isfinite(array), np.isfinite(scalar))
-    ulp = np.spacing(np.maximum(np.abs(array), np.abs(scalar)))
-    assert np.all(np.abs(array - scalar) <= 4.0 * ulp)
+        values += [math.nextafter(edge, 0.0), edge, math.nextafter(edge, 7.0)]
+    mu = [math.ldexp(a, -exponent) for a in values]
+    for steps in range(2, 26):
+        cfg = EvolutionConfig(T=steps * dt, steps=steps, scheme=scheme)
+        assert cfg.dt == dt
+        for value, m in zip(mu, evolution._trapezoid_multipliers(mu, cfg)):
+            exact = exact_trapezoid_sum(dt * value, dt, steps, scheme)
+            assert abs(Fraction(m) - exact) <= 4 * Fraction(math.ulp(float(exact))), (
+                steps, value)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("grid", [Grid((1.0,), (49,)), Grid((1.0, 1.0), (15, 15)),
+                                  Grid((1.0, 2.0), (31, 17))],
+                         ids=lambda g: "x".join(map(str, g.n)))
+def test_sweep_multipliers_keep_the_eigenvalues_shape(scheme, grid):
+    # the array entry gives each eigenvalue the list routine's value, bit for
+    # bit, at that eigenvalue's index of a grid.n-shaped array
+    lam = assemble(grid).eigenvalues + 2.5
+    cfg = EvolutionConfig(T=0.1, steps=51, scheme=scheme)
+    m = evolution.sweep_multipliers(lam, cfg)
+    assert m.shape == lam.shape == grid.n
+    for index in np.ndindex(grid.n):
+        assert m[index] == evolution._trapezoid_multipliers([float(lam[index])], cfg)[0]
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
@@ -396,10 +402,10 @@ def test_scalar_and_array_multipliers_agree_to_a_few_ulp(parity, scheme, half, e
 def test_multipliers_where_dt_mu_overflows_are_the_limit(scheme, steps):
     # dt = 2 and mu = the largest float: a = dt*mu overflows to inf, the
     # limit r = 0 (implicit Euler; m = dt/2) or r = -1 (Crank-Nicolson; the
-    # sum divided by an infinite a is 0), in both evaluations
+    # sum divided by an infinite a is 0)
     cfg = EvolutionConfig(T=2.0 * steps, steps=steps, scheme=scheme)
-    for m in array_and_scalar_multipliers([np.finfo(float).max], cfg):
-        assert m[0] == (1.0 if scheme == "implicit_euler" else 0.0)
+    m = evolution.sweep_multipliers(np.array([np.finfo(float).max]), cfg)
+    assert m[0] == (1.0 if scheme == "implicit_euler" else 0.0)
 
 
 def lanczos_operands(grid, kind):
