@@ -10,19 +10,16 @@ theorem, not from a contraction, so outside the small-data regime plain
 Picard iteration may crawl or fail, and the start and the damping can
 decide which of several fixed points a run reaches; non-convergence is a
 reported outcome, never an exception.
-
-``numpy.random``, which ``uniqueness_probe`` draws its random starts from,
-is imported with this module, so that its ~11 ms import falls in a run's
-set-up and not in the probe; nothing else the package imports loads it.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+import random
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from numpy.random import default_rng
 
 from .laplacian import (
     DirichletLaplacian, SolverFailure, dirichlet_lambda1, dirichlet_lambda1_discrete)
@@ -30,7 +27,7 @@ from .mesh import FLOOR, Field, _lp_norm, norm_lp
 from .evolution import EvolutionConfig, Trajectory, phi_map
 from .potential import EvaluationError, Potential
 
-RNG_NAME = "numpy-pcg64"
+RNG_NAME = "python-mt19937"
 
 #: Number of past map inputs and outputs the Anderson mixing combines.
 ANDERSON_DEPTH = 5
@@ -300,7 +297,9 @@ def uniqueness_probe(
     """Run ``picard_solve`` from several starts and compare the limits.
 
     The starts are the zero field, the time-scaled datum ``T * u0`` and
-    seeded random fields with entries ``S0 * U(-1, 1)``, ``S0 = T * max|u0|``.
+    random fields with entries ``S0 * U(-1, 1)``, ``S0 = T * max|u0|``, drawn
+    node by node from ``random.Random(seed)``, so in ``[-S0, S0)``; a seed
+    that is not a nonnegative integer raises ``ValueError``.
     All of them are built before the first run: a ``T * u0`` that overflows
     raises :class:`EvaluationError` before any run, and the random starts
     are then finite.  Non-convergent starts are recorded, not fatal;
@@ -310,15 +309,17 @@ def uniqueness_probe(
     """
     if n_starts < 2:
         raise ValueError(f"need at least 2 starts, got {n_starts}")
+    if not isinstance(seed, numbers.Integral) or seed < 0:  # Random(-1) would be Random(1)
+        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
     grid = u0.grid
     with np.errstate(over="ignore"):  # checked below
         scaled = ecfg.T * u0.values
     if not np.all(np.isfinite(scaled)):
         raise EvaluationError("the scaled datum T * u0 overflows")
     s0 = ecfg.T * norm_lp(u0, math.inf)
-    rng = default_rng(seed)
-    starts = [Field.zeros(grid), Field(grid, scaled)] + [
-        Field(grid, s0 * rng.uniform(-1.0, 1.0, grid.num_nodes)) for _ in range(n_starts - 2)]
+    rng = random.Random(int(seed))
+    starts = [Field.zeros(grid), Field(grid, scaled)] + [Field(grid, s0 * np.array(
+        [rng.uniform(-1.0, 1.0) for _ in range(grid.num_nodes)])) for _ in range(n_starts - 2)]
 
     kinds = ["zero", "scaled_datum"] + [f"random_{i}" for i in range(n_starts - 2)]
     runs = []

@@ -105,8 +105,13 @@ def write_field_json(field: Field, path: str | Path) -> None:
 
 
 def read_field_json(path: str | Path) -> Field:
+    """Read a field JSON; a header whose ``dim`` is not its number of axes,
+    or whose ``n`` is not a whole count, raises ``ValueError``."""
     payload = json.loads(Path(path).read_text())
-    grid = Grid(tuple(payload["grid"]["lengths"]), tuple(payload["grid"]["n"]))
+    header = payload["grid"]
+    grid = Grid(tuple(header["lengths"]), tuple(header["n"]))
+    if header["dim"] != grid.dim:
+        raise ValueError(f"'{path}' declares dim {header['dim']} for a grid of {grid.dim} axes")
     return Field(grid, np.asarray(payload["values"], dtype=float))
 
 

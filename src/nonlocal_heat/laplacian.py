@@ -103,7 +103,8 @@ class DirichletLaplacian:
         # every array is allocated before the loops that fill them, so a grid
         # whose operator cannot be allocated is refused at once
         if self.grid.dim == 2:
-            object.__setattr__(self, "_basis", tuple(_sine_matrix(m) for m in self.grid.n))
+            matrices = {m: _sine_matrix(m) for m in set(self.grid.n)}  # shared on a square grid
+            object.__setattr__(self, "_basis", tuple(matrices[m] for m in self.grid.n))
         eigenvalues = np.empty(self.grid.n)
         eigenvalues[...] = dirichlet_eigenvalues(self.grid)
         object.__setattr__(self, "eigenvalues", eigenvalues)

@@ -7,6 +7,7 @@ Dirichlet value 0 and weight 0 in every quadrature.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -21,7 +22,8 @@ class Grid:
     """Uniform grid of interior nodes on (0, L1) in 1D or (0, L1) x (0, L2) in 2D.
 
     ``n`` counts interior nodes per axis, so the spacing is
-    ``h[i] = lengths[i] / (n[i] + 1)``.  ``h`` and ``cell_measure`` are
+    ``h[i] = lengths[i] / (n[i] + 1)``; a count that is not a whole number
+    (9.5, inf, nan) raises ``ValueError``.  ``h`` and ``cell_measure`` are
     computed once, when the grid is built; they are not fields, so grids
     compare and hash by ``lengths`` and ``n`` alone.
     """
@@ -31,6 +33,8 @@ class Grid:
 
     def __post_init__(self) -> None:
         lengths = tuple(float(v) for v in self.lengths)
+        if not all(isinstance(v, numbers.Integral) or float(v).is_integer() for v in self.n):
+            raise ValueError(f"n must count whole nodes on every axis, got {self.n}")
         n = tuple(int(v) for v in self.n)
         object.__setattr__(self, "lengths", lengths)
         object.__setattr__(self, "n", n)

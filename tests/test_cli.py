@@ -441,7 +441,7 @@ def test_probe_mode(tmp_path):
     assert report["probe"]["all_converged"] is True
     assert report["probe"]["max_pairwise_relative"] <= 1e-8
     assert len(report["probe"]["starts"]) == 4
-    assert report["probe"]["generator"] == "numpy-pcg64"
+    assert report["probe"]["generator"] == "python-mt19937"
     assert report["threshold"]["applicable"] is True
     job = cli.parse_config(cfg)
     expected = uniqueness_threshold(job.phi, job.u0, job.ecfg.T).to_dict()
@@ -605,7 +605,7 @@ def test_sweep_records_a_row_rejected_by_sign_check(tmp_path):
 @pytest.mark.parametrize("values", [[2.0], [0.5, 1.0, 2.0], [-1.0, 0.5, 1.0, 1e308, 2.0]],
                          ids=["1row", "3rows", "5rows"])
 def test_from_file_amplitude_sweep_reads_its_file_twice(tmp_path, monkeypatch, values):
-    # once for the parse of the config, once for every row; each row scales
+    # once for the parse of the config, once for all the rows; each row scales
     # the field and checks it as the parse does: sign_check rejects -1, and
     # 1e308 times the datum's maximum, 1.98, is not finite
     path = tmp_path / "datum.json"
@@ -1076,6 +1076,18 @@ def header_only_csv(cfg):
     Path(cfg["initial"]["params"]["path"]).write_text("x,value\n")
 
 
+def json_header(**grid):
+    """An edit that makes the datum a field JSON on the config's grid whose
+    header then says ``grid`` instead."""
+    def edit(cfg):
+        datum_on((1.0,), (49,), ".json")(cfg)
+        path = Path(cfg["initial"]["params"]["path"])
+        payload = json.loads(path.read_text())
+        payload["grid"].update(grid)
+        path.write_text(json.dumps(payload))
+    return edit
+
+
 def overflowing_scale(cfg):
     # scale * 10 lies beyond the float range: numpy must not warn first
     datum_on((1.0,), (49,), ".json", 10.0)(cfg)
@@ -1125,6 +1137,10 @@ def steps_study(cfg):
     # a field file on a grid other than the config's: n, length or dim
     *[(edit, 3, "initial.params.path") for edit in FOREIGN_DATA],
     (header_only_csv, 3, "initial.params.path"),
+    # a JSON header must give whole, finite counts and the dim of its axes
+    (json_header(n=[math.inf]), 3, "initial.params.path"),
+    (json_header(n=[49.5]), 3, "initial.params.path"),
+    (json_header(dim=2), 3, "initial.params.path"),
     (overflowing_scale, 3, "initial"),
 ], ids=["length1e300", "length1e-300", "axis1e-300", "length1e-155", "length1e154",
         "study1e-152",
@@ -1133,7 +1149,8 @@ def steps_study(cfg):
         "constant-1e308", *[f"huge-{field}" for field in HUGE_FIELDS], "initial_guess",
         *[f"from_file{suffix}-{axis}" for suffix in ("csv", "json")
           for axis in ("n", "length", "dim")],
-    "from_file-header_only", "from_file-scale1e308"])
+    "from_file-header_only", "from_file.json-n_inf", "from_file.json-n_fractional",
+    "from_file.json-dim_mismatch", "from_file-scale1e308"])
 def test_extreme_configs_end_in_their_exit_code(tmp_path, capsys, edit, code, field):
     # no traceback and no warning (the suite fails on one), at most one stderr
     # line; an invalid config names its field and writes nothing
@@ -1309,8 +1326,9 @@ print(json.dumps({"after_import": sorted(after_import), "added_by_runs": sorted(
 
 def test_cli_imports_no_scipy_linalg_and_runs_import_nothing_more(tmp_path):
     # a fresh interpreter: scipy.linalg's array-API layer pulls in numpy.f2py,
-    # numpy.testing and numpy.ma; numpy.random, which the probe needs, is
-    # imported up front so that no run pays for an import
+    # numpy.testing and numpy.ma; the probe draws its starts from the standard
+    # library's random, so numpy.random and the OpenSSL that its secrets
+    # import loads stay out of every run
     small_2d = {"domain": {"dim": 2, "lengths": [1.0, 1.0], "n": [15, 15]},
                 "time": {"T": 0.1, "steps": 20, "scheme": "implicit_euler"}}
     # the README solve's 199,199-value trajectory CSV is formatted on forked workers
@@ -1326,5 +1344,5 @@ def test_cli_imports_no_scipy_linalg_and_runs_import_nothing_more(tmp_path):
     after_import = set(modules["after_import"])
     assert after_import.isdisjoint({"scipy.linalg", "numpy.f2py", "numpy.testing", "numpy.ma",
                                     "multiprocessing", "concurrent.futures"})
-    assert "numpy.random" in after_import
+    assert after_import.union(modules["added_by_runs"]).isdisjoint({"numpy.random", "secrets"})
     assert [m for m in modules["added_by_runs"] if not m.startswith("encodings.")] == []

@@ -481,6 +481,37 @@ def test_probe_seed_reproducibility():
     assert a.max_pairwise_distance == b.max_pairwise_distance
 
 
+def test_probe_random_starts_are_seeded_draws_in_the_s0_box(monkeypatch):
+    # the starts picard_solve receives: one seed gives the same starts bit
+    # for bit, another seed others, every entry lies in [-S0, S0), and a seed
+    # that is not a nonnegative integer is refused (Random(-1) is Random(1))
+    starts, solve = [], fixedpoint.picard_solve
+
+    def recorded(*args, start, **kwargs):
+        starts.append(start)
+        return solve(*args, start=start, **kwargs)
+
+    monkeypatch.setattr(fixedpoint, "picard_solve", recorded)
+    u0 = sine_datum(0.5)
+    s0 = ECFG.T * norm_lp(u0, math.inf)
+
+    def random_starts(seed):
+        starts.clear()
+        uniqueness_probe(LAP, catalog("zero"), u0, ECFG, n_starts=5, seed=seed)
+        return [start.values for start in starts[2:]]
+
+    a, b, c = random_starts(0), random_starts(0), random_starts(1)
+    assert len(a) == len(c) == 3
+    assert all(np.array_equal(x, y) for x, y in zip(a, b))
+    assert not any(np.array_equal(x, y) for x, y in zip(a, c))
+    assert not np.array_equal(a[0], a[1])
+    for x in a + c:
+        assert np.all((-s0 <= x) & (x < s0)) and x.min() < -0.9 * s0 and x.max() > 0.9 * s0
+    for seed in (-1, 1.0):
+        with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+            uniqueness_probe(LAP, catalog("zero"), u0, ECFG, seed=seed)
+
+
 def test_probe_named_starts_match_picard_solve():
     phi, u0 = catalog("quadratic"), sine_datum(0.5)
     probe = uniqueness_probe(LAP, phi, u0, ECFG, n_starts=3, seed=4)

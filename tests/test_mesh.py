@@ -71,11 +71,18 @@ def test_grid_basic_2d():
      ((1.0, 1.0), (2,)),
      # the stencil leaves the float range: 1/L**2 overflows or underflows to 0,
      # or 4*sum(1/h**2) is infinite
-     ((1e300,), (49,)), ((1e-300,), (49,)), ((1.0, 1e-300), (9, 9)), ((1e-155,), (49,))],
+     ((1e300,), (49,)), ((1e-300,), (49,)), ((1.0, 1e-300), (9, 9)), ((1e-155,), (49,)),
+     # a count is a whole number: not truncated, and inf is no OverflowError
+     ((1.0,), (9.5,)), ((1.0,), (math.inf,)), ((1.0,), (math.nan,)), ((1.0, 1.0), (9, 9.7))],
 )
 def test_grid_rejects_bad_input(lengths, n):
     with pytest.raises(ValueError):
         Grid(lengths, n)
+
+
+def test_grid_takes_whole_counts_of_any_number_type():
+    assert Grid((1.0,), (9.0,)) == Grid((1.0,), (np.int64(9),)) == Grid((1.0,), (9,))
+    assert Grid((1.0,), (9.0,)).n == (9,) and type(Grid((1.0,), (9.0,)).n[0]) is int
 
 
 def test_grid_refine_nests():
