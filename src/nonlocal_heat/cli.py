@@ -33,6 +33,7 @@ from .fixedpoint import (
     uniqueness_probe,
     uniqueness_threshold,
 )
+from .io import ConfigError, _build, _fail, _get, _get_list, _read_grid, _typed
 from .laplacian import DirichletLaplacian, SolverFailure
 from .mesh import FLOOR, Field, Grid, norm_lp, restrict
 from .potential import EvaluationError, Potential, catalog
@@ -52,16 +53,6 @@ EXIT_BAD_CONFIG = 3
 EXIT_IO = 4
 EXIT_NUMERICAL = 5
 
-_REQUIRED = object()
-_CONTAINERS = {"object": dict, "list": list, "string": str, "boolean": bool}
-_KINDS = {"object": "an object", "list": "a list", "string": "a string", "boolean": "a boolean",
-          "number": "a number in the float range", "integer": "an integer in the float range"}
-
-
-class ConfigError(ValueError):
-    """Invalid run configuration; the message starts with the offending field."""
-
-
 #: The numerical failures that end a run in ``EXIT_NUMERICAL``.
 NUMERICAL_FAILURES = (EvaluationError, SolverFailure)
 #: Where a numerical failure happened, as the exception carries it into the
@@ -69,53 +60,6 @@ NUMERICAL_FAILURES = (EvaluationError, SolverFailure)
 #: kind, the 1-based map evaluation and the residuals of the evaluations
 #: before it.
 FAILURE_LOCATION = ("level", "start", "iteration", "residual_history")
-
-
-def _fail(field: str, message: str):
-    raise ConfigError(f"{field} {message}")
-
-
-def _build(section: str, make, *args, **kwargs):
-    """Construct a validating object whose ``ValueError`` starts with the field name."""
-    try:
-        return make(*args, **kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"{section}.{exc}") from None
-
-
-def _typed(value, field: str, kind: str):
-    """``value`` checked against a JSON type, one of ``_KINDS``.
-
-    Numbers must lie in the float range: ``json`` accepts NaN, Infinity and
-    integers of any length.  Booleans are not numbers; an integer may be
-    written as an integral float.
-    """
-    if kind in _CONTAINERS:
-        ok = isinstance(value, _CONTAINERS[kind])
-    else:
-        ok = (not isinstance(value, bool) and isinstance(value, (int, float))
-              and abs(value) <= sys.float_info.max and (kind == "number" or int(value) == value))
-    if not ok:
-        _fail(field, f"must be {_KINDS[kind]}, got {value!r}")
-    return int(value) if kind == "integer" else value
-
-
-def _get(section: dict, field: str, kind: str, default=_REQUIRED):
-    """The value of ``field`` (a dotted path ending in the key) in ``section``."""
-    key = field.rsplit(".", 1)[-1]
-    if key not in section:
-        if default is _REQUIRED:
-            _fail(field, "is required")
-        return default
-    return _typed(section[key], field, kind)
-
-
-def _get_list(section: dict, field: str, kind: str, default=_REQUIRED, length=None) -> list:
-    """A list of ``kind`` values, of ``length`` entries when given."""
-    values = _get(section, field, "list", default)
-    if length is not None and len(values) != length:
-        _fail(field, f"must have {length} entries, got {values!r}")
-    return [_typed(v, field, kind) for v in values]
 
 
 def _per_axis(params: dict, field: str, kind: str, default, dim: int) -> list:
@@ -126,6 +70,11 @@ def _per_axis(params: dict, field: str, kind: str, default, dim: int) -> list:
     if len(values) != dim:
         _fail(field, f"must give {dim} value(s), got {value!r}")
     return values
+
+
+def _given(section: dict, name: str, **kinds) -> dict:
+    """The keys of ``kinds`` that ``section`` holds, each checked against its kind."""
+    return {k: _get(section, f"{name}.{k}", kind) for k, kind in kinds.items() if k in section}
 
 
 def load_config(path: str | Path) -> dict:
@@ -179,7 +128,7 @@ def _datum_file(path: str, grid: Grid) -> Field:
     """The field of a ``from_file`` datum, before its ``scale``."""
     try:
         return nio.read_field(path, grid)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError) as exc:
         _fail("initial.params.path", f"cannot be loaded as a field: {type(exc).__name__}: {exc}")
 
 
@@ -265,10 +214,10 @@ def _study_level(job: Job, sec: dict, level: int, refine: str) -> Job:
 def parse_config(cfg: dict) -> Job:
     """Check a whole config and build its objects; raises ``ConfigError``.
 
-    Only JSON types are checked here; range checks belong to ``Grid``,
-    ``EvolutionConfig`` and ``PicardConfig``, whose messages get the
-    section prepended.  A study's levels are built here too, so every
-    problem the run solves is checked before anything is written.
+    Only JSON types are checked here, by the checks field JSON shares; ranges
+    and defaults belong to ``Grid``, ``EvolutionConfig`` and ``PicardConfig``
+    (a key of theirs is passed only when given).  A study's levels are built
+    here too, so every problem the run solves is checked before any write.
     """
     mode = _get(cfg, "mode", "string", "solve")
     if mode not in MODES:
@@ -282,18 +231,14 @@ def parse_config(cfg: dict) -> Job:
     if any(f not in FORMATS for f in formats):
         _fail("output.formats", f"must be a subset of {FORMATS}, got {formats}")
 
-    dom = _get(cfg, "domain", "object")
-    dim = _get(dom, "domain.dim", "integer")
-    lengths = _get_list(dom, "domain.lengths", "number", length=dim)
-    grid = _build("domain", Grid, lengths, _get_list(dom, "domain.n", "integer", length=dim))
+    grid = _read_grid(_get(cfg, "domain", "object"), "domain")
 
     time = _get(cfg, "time", "object")
     ecfg = _build(
         "time", EvolutionConfig,
         T=float(_get(time, "time.T", "number")),
         steps=_get(time, "time.steps", "integer"),
-        scheme=_get(time, "time.scheme", "string", "implicit_euler"),
-        store_every=_get(time, "time.store_every", "integer", 1),
+        **_given(time, "time", scheme="string", store_every="integer"),
     )
 
     pot = _get(cfg, "potential", "object")
@@ -310,12 +255,8 @@ def parse_config(cfg: dict) -> Job:
     fp = _get(cfg, "fixedpoint", "object", {})
     if "initial_guess" in fp:
         _fail("fixedpoint.initial_guess", "is not a config key: a solve starts from zero")
-    pcfg = _build(
-        "fixedpoint", PicardConfig,
-        tol=_get(fp, "fixedpoint.tol", "number", 1e-10),
-        max_iter=_get(fp, "fixedpoint.max_iter", "integer", 200),
-        damping=_get(fp, "fixedpoint.damping", "number", 1.0),
-    )
+    pcfg = _build("fixedpoint", PicardConfig,
+                  **_given(fp, "fixedpoint", tol="number", max_iter="integer", damping="number"))
 
     job = Job("solve", seed, out_dir, formats, grid, lap, phi, u0, ecfg, pcfg)
     settings = {}

@@ -1,7 +1,7 @@
-"""File formats: CSV and JSON for fields, CSV and raw binary for trajectories.
+"""File formats, and the JSON type checks that configs and field JSON share.
 
-Field JSON carries the grid header next to a flat value array and
-round-trips exactly.  The trajectory binary layout is little-endian: int64
+Field JSON carries the grid header next to a flat value array, is read with
+those checks and round-trips exactly.  The trajectory binary is little-endian: int64
 header ``dim, K, n_1 [, n_2]``, then ``K+1`` float64 sample times, then the
 ``(K+1) x N`` state matrix row-major as float64, row k the state at step
 ``k * store_every``.  A trajectory is streamed into that layout while it is
@@ -34,6 +34,7 @@ import json
 import math
 import os
 import shutil
+import sys
 import tempfile
 import warnings
 from contextlib import contextmanager
@@ -46,6 +47,70 @@ from .mesh import Field, Grid
 
 _I8 = np.dtype("<i8")
 _F8 = np.dtype("<f8")
+
+
+_REQUIRED = object()
+_CONTAINERS = {"object": dict, "list": list, "string": str, "boolean": bool}
+_KINDS = {"object": "an object", "list": "a list", "string": "a string", "boolean": "a boolean",
+          "number": "a number in the float range", "integer": "an integer in the float range"}
+
+
+class ConfigError(ValueError):
+    """Invalid run configuration; the message starts with the offending field."""
+
+
+def _fail(field: str, message: str):
+    raise ConfigError(f"{field} {message}")
+
+
+def _build(section: str, make, *args, **kwargs):
+    """Construct a validating object whose ``ValueError`` starts with the field name."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{section}.{exc}") from None
+
+
+def _typed(value, field: str, kind: str):
+    """``value`` checked against a JSON type, one of ``_KINDS``.
+
+    Numbers must lie in the float range: ``json`` accepts NaN, Infinity and
+    integers of any length.  Booleans are not numbers; an integer may be
+    written as an integral float.
+    """
+    if kind in _CONTAINERS:
+        ok = isinstance(value, _CONTAINERS[kind])
+    else:
+        ok = (not isinstance(value, bool) and isinstance(value, (int, float))
+              and abs(value) <= sys.float_info.max and (kind == "number" or int(value) == value))
+    if not ok:
+        _fail(field, f"must be {_KINDS[kind]}, got {value!r}")
+    return int(value) if kind == "integer" else value
+
+
+def _get(section: dict, field: str, kind: str, default=_REQUIRED):
+    """The value of ``field`` (a dotted path ending in the key) in ``section``."""
+    key = field.rsplit(".", 1)[-1]
+    if key not in section:
+        if default is _REQUIRED:
+            _fail(field, "is required")
+        return default
+    return _typed(section[key], field, kind)
+
+
+def _get_list(section: dict, field: str, kind: str, default=_REQUIRED, length=None) -> list:
+    """A list of ``kind`` values, of ``length`` entries when given."""
+    values = _get(section, field, "list", default)
+    if length is not None and len(values) != length:
+        _fail(field, f"must have {length} entries, got {values!r}")
+    return [_typed(v, field, kind) for v in values]
+
+
+def _read_grid(section: dict, name: str) -> Grid:
+    """The ``Grid`` of section ``name``: ``dim``, then ``dim`` ``lengths`` and ``n``."""
+    dim = _get(section, f"{name}.dim", "integer")
+    lengths = _get_list(section, f"{name}.lengths", "number", length=dim)
+    return _build(name, Grid, lengths, _get_list(section, f"{name}.n", "integer", length=dim))
 
 
 #: Names of the coordinate columns of a field CSV, one per axis.
@@ -105,14 +170,15 @@ def write_field_json(field: Field, path: str | Path) -> None:
 
 
 def read_field_json(path: str | Path) -> Field:
-    """Read a field JSON; a header whose ``dim`` is not its number of axes,
-    or whose ``n`` is not a whole count, raises ``ValueError``."""
+    """Read a field JSON, its ``grid`` read as a config's ``domain`` is; a key
+    that is missing or of another JSON type raises ``ConfigError`` naming it."""
     payload = json.loads(Path(path).read_text())
-    header = payload["grid"]
-    grid = Grid(tuple(header["lengths"]), tuple(header["n"]))
-    if header["dim"] != grid.dim:
-        raise ValueError(f"'{path}' declares dim {header['dim']} for a grid of {grid.dim} axes")
-    return Field(grid, np.asarray(payload["values"], dtype=float))
+    for key in ("grid", "values"):  # the file's own keys, not config keys: not read by _get
+        if not isinstance(payload, dict) or key not in payload:
+            _fail(key, "is required")
+    grid = _read_grid(_typed(payload["grid"], "grid", "object"), "grid")
+    values = _typed(payload["values"], "values", "list")
+    return Field(grid, [_typed(v, "values", "number") for v in values])
 
 
 def read_field(path: str | Path, grid: Grid) -> Field:

@@ -146,12 +146,12 @@ def _sine_transform(x: np.ndarray) -> np.ndarray:
 def _sine_matrix(m: int) -> np.ndarray:
     """The orthonormal DST-I matrix ``sqrt(2/(m+1)) sin(pi j k/(m+1))``,
     ``j, k = 1..m``: symmetric, and its own inverse.  ``j*k`` is reduced
-    modulo the period ``2(m+1)`` in integers, so ``sin`` sees arguments below
-    ``2 pi``."""
+    modulo the period ``2(m+1)`` in integers to index a table of the C
+    library's ``sin`` at those phases, not numpy's SIMD-dispatched ``sin``."""
     out = np.empty((m, m))  # first, so that an unallocatable matrix allocates nothing
     k = np.arange(1, m + 1)
-    phase = np.outer(k, k) % (2 * (m + 1))
-    np.sin((math.pi / (m + 1)) * phase, out=out)
+    table = np.array([math.sin((math.pi / (m + 1)) * p) for p in range(2 * (m + 1))])
+    np.take(table, np.outer(k, k) % (2 * (m + 1)), out=out)
     out *= math.sqrt(2.0 / (m + 1))
     return out
 

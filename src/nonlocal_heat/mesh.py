@@ -22,16 +22,19 @@ class Grid:
     """Uniform grid of interior nodes on (0, L1) in 1D or (0, L1) x (0, L2) in 2D.
 
     ``n`` counts interior nodes per axis, so the spacing is
-    ``h[i] = lengths[i] / (n[i] + 1)``; a count that is not a whole number
-    (9.5, inf, nan) raises ``ValueError``.  ``h`` and ``cell_measure`` are
-    computed once, when the grid is built; they are not fields, so grids
-    compare and hash by ``lengths`` and ``n`` alone.
+    ``h[i] = lengths[i] / (n[i] + 1)``; a string or boolean entry, or a count
+    that is not a whole number (9.5, inf, nan), raises ``ValueError``.  ``h``
+    and ``cell_measure`` are computed once, when the grid is built; they are
+    not fields, so grids compare and hash by ``lengths`` and ``n`` alone.
     """
 
     lengths: tuple[float, ...]
     n: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if any(isinstance(v, bool) or not isinstance(v, numbers.Real)
+               for v in (*self.lengths, *self.n)):
+            raise ValueError(f"lengths and n must be numbers, got {self.lengths} and {self.n}")
         lengths = tuple(float(v) for v in self.lengths)
         if not all(isinstance(v, numbers.Integral) or float(v).is_integer() for v in self.n):
             raise ValueError(f"n must count whole nodes on every axis, got {self.n}")

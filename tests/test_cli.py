@@ -106,12 +106,14 @@ def test_parse_config_reads_only_keys_the_readme_names(tmp_path, monkeypatch):
     named = keys(example) | {word for span in re.findall(r"`([^`]+)`", cli_text)
                              for word in re.findall(r"\w+", span)}
     read = set()
-    for name in ("_get", "_get_list", "_per_axis"):
-        def recording(section, field, *args, _original=getattr(cli, name), **kwargs):
+    # the domain's keys are read by the grid reader in io, through io's getters
+    for owner, name in ((cli, "_get"), (cli, "_get_list"), (cli, "_per_axis"),
+                        (nio, "_get"), (nio, "_get_list")):
+        def recording(section, field, *args, _original=getattr(owner, name), **kwargs):
             read.add(field.rsplit(".", 1)[-1])
             return _original(section, field, *args, **kwargs)
 
-        monkeypatch.setattr(cli, name, recording)
+        monkeypatch.setattr(owner, name, recording)
     datum = tmp_path / "datum.json"
     nio.write_field_json(Field.zeros(Grid((1.0,), (49,))), datum)
     data = [sine(0.5), {"name": "gaussian", "params": {"width": 0.1}},
@@ -122,7 +124,7 @@ def test_parse_config_reads_only_keys_the_readme_names(tmp_path, monkeypatch):
             cli.parse_config(base_config(tmp_path / "out", mode=mode, initial=initial,
                                          study={"refine": "time_only"},
                                          sweep={"axis": "T", "values": [0.1]}))
-    assert "refine" in read and "axis" in read and "path" in read
+    assert {"refine", "axis", "path", "dim", "lengths", "n"} <= read
     assert read - named == set()
 
 
@@ -1076,16 +1078,22 @@ def header_only_csv(cfg):
     Path(cfg["initial"]["params"]["path"]).write_text("x,value\n")
 
 
-def json_header(**grid):
+def json_header(payload_edit=None, **grid):
     """An edit that makes the datum a field JSON on the config's grid whose
-    header then says ``grid`` instead."""
+    header then says ``grid`` instead, and whose payload ``payload_edit``
+    then changes."""
     def edit(cfg):
         datum_on((1.0,), (49,), ".json")(cfg)
         path = Path(cfg["initial"]["params"]["path"])
         payload = json.loads(path.read_text())
         payload["grid"].update(grid)
+        if payload_edit is not None:
+            payload_edit(payload)
         path.write_text(json.dumps(payload))
     return edit
+
+
+UNLOADABLE = "initial.params.path cannot be loaded as a field: ConfigError:"
 
 
 def overflowing_scale(cfg):
@@ -1141,6 +1149,16 @@ def steps_study(cfg):
     (json_header(n=[math.inf]), 3, "initial.params.path"),
     (json_header(n=[49.5]), 3, "initial.params.path"),
     (json_header(dim=2), 3, "initial.params.path"),
+    # a JSON header's numbers and the values are JSON numbers, and both keys
+    # are given: the message names the file's offending field
+    (json_header(n=["49"]), 3, f"{UNLOADABLE} grid.n"),
+    (json_header(lengths=["1.0"]), 3, f"{UNLOADABLE} grid.lengths"),
+    (json_header(dim=True), 3, f"{UNLOADABLE} grid.dim"),
+    (json_header(lambda p: p.update(values=[str(v) for v in p["values"]])), 3,
+     f"{UNLOADABLE} values"),
+    (json_header(lambda p: p.update(values=[True] * len(p["values"]))), 3,
+     f"{UNLOADABLE} values"),
+    (json_header(lambda p: p.pop("grid")), 3, f"{UNLOADABLE} grid"),
     (overflowing_scale, 3, "initial"),
 ], ids=["length1e300", "length1e-300", "axis1e-300", "length1e-155", "length1e154",
         "study1e-152",
@@ -1150,7 +1168,9 @@ def steps_study(cfg):
         *[f"from_file{suffix}-{axis}" for suffix in ("csv", "json")
           for axis in ("n", "length", "dim")],
     "from_file-header_only", "from_file.json-n_inf", "from_file.json-n_fractional",
-    "from_file.json-dim_mismatch", "from_file-scale1e308"])
+    "from_file.json-dim_mismatch", "from_file.json-n_string", "from_file.json-length_string",
+    "from_file.json-dim_bool", "from_file.json-values_string", "from_file.json-values_bool",
+    "from_file.json-no_grid", "from_file-scale1e308"])
 def test_extreme_configs_end_in_their_exit_code(tmp_path, capsys, edit, code, field):
     # no traceback and no warning (the suite fails on one), at most one stderr
     # line; an invalid config names its field and writes nothing

@@ -20,6 +20,7 @@ from nonlocal_heat import (
     nemytskii,
     norm_lp,
     phi_map,
+    picard_solve,
 )
 from nonlocal_heat import evolution, laplacian
 from nonlocal_heat.evolution import CRANK_NICOLSON, SCHEMES, StateBounds
@@ -560,6 +561,31 @@ def test_sweep_too_short_for_a_lanczos_vector_builds_no_lanczos_system(monkeypat
         assert len(built) == systems and trajectory is not None
         stepped, _ = phi_map(L, catalog("quadratic"), u0, v, cfg)
         assert closed.values.tobytes() == stepped.values.tobytes()
+
+
+@pytest.mark.parametrize("grid", [Grid((1.0,), (49,)), Grid((1.0, 1.0), (7, 7))],
+                         ids=["1d", "2d"])
+def test_zero_datum_has_a_zero_integral_without_a_system(monkeypatch, grid):
+    # u0 = 0 under a nonnegative non-constant w: the closed form is exactly
+    # zero, with no sweep stepped and no Lanczos system built (whose basis
+    # would start from a zero vector), so a start v = sin + 0.5 is mapped to
+    # 0, and 0 to itself
+    L = assemble(grid)
+    u0 = Field.zeros(grid)
+    v = sine_datum(grid) + Field.constant(grid, 0.5)
+    built = []
+
+    def counted(*args, **kwargs):
+        built.append(None)
+        return shifted_system(*args, **kwargs)
+
+    monkeypatch.setattr(evolution, "shifted_system", counted)
+    cfg = EvolutionConfig(T=0.1, steps=400)
+    image, trajectory = phi_map(L, catalog("quadratic"), u0, v, cfg, spectral=True)
+    assert trajectory is None and not built and not np.any(image.values)
+    report = picard_solve(L, catalog("quadratic"), u0, cfg, start=v)
+    assert report.converged and report.iterations == 2
+    assert report.residual_history == [1.0, 0.0]
 
 
 @pytest.mark.parametrize("kind", ["spike_smooth", "gaussian_huge"])

@@ -106,6 +106,15 @@ def test_field_json_roundtrip_exact(tmp_path):
     assert np.array_equal(back.values, f.values)  # bit-exact via repr round-trip
 
 
+@pytest.mark.parametrize("payload", ["[0.5, 1.5]", "5", '"grid"'], ids=["list", "number", "string"])
+def test_field_json_that_is_not_an_object_names_its_missing_grid(tmp_path, payload):
+    # a short message, not the repr of the file's contents
+    path = tmp_path / "f.json"
+    path.write_text(payload)
+    with pytest.raises(ValueError, match="^grid is required$"):
+        read_field_json(path)
+
+
 def test_read_field_dispatch(tmp_path):
     g = Grid((1.0,), (3,))
     f = Field(g, [1.0, 2.0, 3.0])

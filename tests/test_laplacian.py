@@ -164,6 +164,22 @@ def test_sine_matrix_is_symmetric_and_its_own_inverse(m):
     assert np.max(np.abs(S @ S - np.eye(m))) <= 1e-13
 
 
+@pytest.mark.parametrize("m", [7, 100, 127])
+def test_sine_matrix_takes_its_entries_from_the_c_library_sin(monkeypatch, m):
+    # bit for bit math.sin at each reduced phase, so the matrix does not
+    # depend on the SIMD kernel numpy dispatches np.sin to on the running CPU
+    def numpy_sin(*args, **kwargs):
+        raise AssertionError("the sine matrix evaluated np.sin")
+
+    monkeypatch.setattr(np, "sin", numpy_sin)
+    S = _sine_matrix(m)
+    scale, step = math.sqrt(2.0 / (m + 1)), math.pi / (m + 1)
+    expected = [[scale * math.sin(step * (j * k % (2 * (m + 1)))) for k in range(1, m + 1)]
+                for j in range(1, m + 1)]
+    assert S.tobytes() == np.array(expected).tobytes()
+    assert np.array_equal(S, S.T) and np.max(np.abs(S @ S - np.eye(m))) <= 1e-13
+
+
 @pytest.mark.parametrize("m", [1, 2, 49, 799])
 def test_1d_sine_transform_is_the_sine_matrix_product_by_fft(m):
     x = np.random.default_rng(m).standard_normal(m)

@@ -73,7 +73,9 @@ def test_grid_basic_2d():
      # or 4*sum(1/h**2) is infinite
      ((1e300,), (49,)), ((1e-300,), (49,)), ((1.0, 1e-300), (9, 9)), ((1e-155,), (49,)),
      # a count is a whole number: not truncated, and inf is no OverflowError
-     ((1.0,), (9.5,)), ((1.0,), (math.inf,)), ((1.0,), (math.nan,)), ((1.0, 1.0), (9, 9.7))],
+     ((1.0,), (9.5,)), ((1.0,), (math.inf,)), ((1.0,), (math.nan,)), ((1.0, 1.0), (9, 9.7)),
+     # strings and booleans are not numbers, though float() and int() take them
+     (("1.0",), (49,)), ((1.0,), ("49",)), ((True,), (9,)), ((1.0,), (True,))],
 )
 def test_grid_rejects_bad_input(lengths, n):
     with pytest.raises(ValueError):
