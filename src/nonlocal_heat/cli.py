@@ -18,8 +18,9 @@ import math
 import sys
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
-from functools import cache, cached_property
+from functools import cached_property, partial
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -96,7 +97,11 @@ class Job:
     """A config parsed into the objects one run needs.
 
     ``lap``, the stencil operator on ``grid``, is built here, so a grid whose
-    operator cannot be allocated is an invalid config.  Only the active
+    operator cannot be allocated is an invalid config.  ``datum(a)`` is the
+    config's datum at amplitude ``a`` (the ``amplitude``, ``value`` or
+    ``scale`` that an ``amplitude`` sweep row sets) and ``u0`` is
+    ``datum`` at the config's own; ``datum`` raises ``ConfigError`` for a
+    datum that is not finite or that ``sign_check`` rejects.  Only the active
     mode's own settings are read from the config: ``starts`` (probe),
     ``levels`` (convergence_study: one solve job per level, coarsest first,
     the finer ones ``replace``s of it) and ``axis`` and ``values`` (sweep,
@@ -111,6 +116,7 @@ class Job:
     lap: DirichletLaplacian
     phi: Potential
     u0: Field
+    datum: Callable[[float], Field]
     ecfg: EvolutionConfig
     pcfg: PicardConfig
     starts: int | None = None
@@ -124,33 +130,20 @@ class Job:
         return uniqueness_threshold(self.phi, self.u0, self.ecfg.T)
 
 
-def _datum_file(path: str, grid: Grid) -> Field:
-    """The field of a ``from_file`` datum, before its ``scale``."""
-    try:
-        return nio.read_field(path, grid)
-    except (OSError, ValueError) as exc:
-        _fail("initial.params.path", f"cannot be loaded as a field: {type(exc).__name__}: {exc}")
-
-
-def _initial_datum(sec: dict, grid: Grid, read=_datum_file) -> Field:
-    """The datum of ``sec`` on ``grid``; ``read(path, grid)`` gives a
-    ``from_file`` datum's field before its ``scale``."""
+def _initial_datum(sec: dict, grid: Grid) -> tuple[Field, float]:
+    """The datum of ``sec`` on ``grid`` at amplitude 1, and its amplitude:
+    ``amplitude`` (``sine_mode``, ``gaussian``), ``value`` (``constant``) or
+    ``scale`` (``from_file``, whose file is read here)."""
     name = _get(sec, "initial.name", "string")
     params = _get(sec, "initial.params", "object", {})
     if name == "sine_mode":
         modes = _per_axis(params, "initial.params.k", "integer", 1, grid.dim)
         if min(modes) < 1:
             _fail("initial.params.k", f"must be positive, got {modes}")
-        amp = _get(params, "initial.params.amplitude", "number", 1.0)
-
-        def fn(*coords):
-            out = float(amp) * np.ones_like(coords[0])
-            for axis, x in enumerate(coords):
-                out = out * np.sin(modes[axis] * math.pi * x / grid.lengths[axis])
-            return out
-
-        field = Field.from_function(grid, fn)
-    elif name == "gaussian":
+        unit = Field.from_function(grid, lambda *coords: math.prod(
+            np.sin(k * math.pi * x / length) for k, x, length in zip(modes, coords, grid.lengths)))
+        return unit, _get(params, "initial.params.amplitude", "number", 1.0)
+    if name == "gaussian":
         centers = _per_axis(params, "initial.params.center", "number",
                             [L / 2.0 for L in grid.lengths], grid.dim)
         width = _get(params, "initial.params.width", "number")
@@ -159,44 +152,54 @@ def _initial_datum(sec: dict, grid: Grid, read=_datum_file) -> Field:
         if width <= 0 or not 0.0 < spread < math.inf:
             _fail("initial.params.width",
                   f"must be positive with 2*width**2 a finite positive float, got {width}")
-        amp = _get(params, "initial.params.amplitude", "number", 1.0)
 
         def fn(*coords):
             with np.errstate(over="ignore"):  # a far node's exponent is -inf: exp gives 0
                 r2 = sum((x - float(c)) ** 2 for x, c in zip(coords, centers))
-                return float(amp) * np.exp(-r2 / spread)
+                return np.exp(-r2 / spread)
 
-        field = Field.from_function(grid, fn)
-    elif name == "constant":
-        field = Field.constant(grid, _get(params, "initial.params.value", "number"))
-    elif name == "from_file":
-        field = read(_get(params, "initial.params.path", "string"), grid)
-        with np.errstate(over="ignore"):  # an overflow is a non-finite datum, rejected below
-            field = float(_get(params, "initial.params.scale", "number", 1.0)) * field
-    else:
-        _fail("initial.name", f"is not a known initial datum: {name!r}")
-    if _get(sec, "initial.sign_check", "boolean", False) and float(np.min(field.values)) < 0.0:
+        unit = Field.from_function(grid, fn)
+        return unit, _get(params, "initial.params.amplitude", "number", 1.0)
+    if name == "constant":
+        return Field.constant(grid, 1.0), _get(params, "initial.params.value", "number")
+    if name == "from_file":
+        path = _get(params, "initial.params.path", "string")
+        try:
+            unit = nio.read_field(path, grid)
+        except (OSError, ValueError) as exc:
+            _fail("initial.params.path",
+                  f"cannot be loaded as a field: {type(exc).__name__}: {exc}")
+        return unit, _get(params, "initial.params.scale", "number", 1.0)
+    _fail("initial.name", f"is not a known initial datum: {name!r}")
+
+
+def _datum_at(unit: Field, sign_check: bool, amplitude: float) -> Field:
+    """``amplitude * unit``, refused as a config's datum when it is not
+    finite or, under ``sign_check``, has a negative entry."""
+    with np.errstate(over="ignore"):  # an overflow is a non-finite datum, refused here
+        try:
+            field = float(amplitude) * unit
+        except ValueError as exc:
+            _fail("initial", f"gives no valid datum: {exc}")
+    if sign_check and float(np.min(field.values)) < 0.0:
         _fail("initial.sign_check", "rejects the datum: it has negative entries")
     return field
 
 
-def _datum_and_operator(sec: dict, grid: Grid, lap: DirichletLaplacian | None = None,
-                        read=_datum_file):
-    """The datum of ``sec`` on ``grid`` (see ``_initial_datum``) and ``lap``,
-    built first when None, so that a grid whose operator cannot be allocated
-    is refused before its datum is allocated; a datum that is not finite or
-    a grid that cannot be allocated raises ``ConfigError``."""
+def _datum_and_operator(sec: dict, grid: Grid):
+    """The stencil operator on ``grid``, the datum of ``sec`` on ``grid`` as a
+    function of its amplitude (``Job.datum``) and that datum at the config's
+    amplitude.  The operator is built first, so that a grid whose operator
+    cannot be allocated is refused before its datum is allocated; such a
+    grid, or a datum ``_datum_at`` refuses, raises ``ConfigError``."""
     try:
-        if lap is None:
-            try:
-                lap = DirichletLaplacian(grid)
-            except ValueError as exc:  # numpy's refusal of a size beyond the address space
-                raise MemoryError(str(exc)) from None
-        return _initial_datum(sec, grid, read), lap
-    except ConfigError:
-        raise
-    except ValueError as exc:  # the datum's values are not all finite
-        _fail("initial", f"gives no valid datum: {exc}")
+        try:
+            lap = DirichletLaplacian(grid)
+        except ValueError as exc:  # numpy's refusal of a size beyond the address space
+            raise MemoryError(str(exc)) from None
+        unit, amplitude = _initial_datum(sec, grid)
+        datum = partial(_datum_at, unit, _get(sec, "initial.sign_check", "boolean", False))
+        return lap, datum, datum(amplitude)
     except MemoryError as exc:  # the datum's num_nodes values, or a 2D axis's sine matrix
         _fail("domain.n", f"must give a grid that can be allocated, got {list(grid.n)}: {exc}")
 
@@ -207,8 +210,8 @@ def _study_level(job: Job, sec: dict, level: int, refine: str) -> Job:
         return replace(job, ecfg=_build("time", replace, job.ecfg, steps=job.ecfg.steps * 2**level))
     grid = _build("domain", Grid, job.grid.lengths, [(m + 1) * 2**level - 1 for m in job.grid.n])
     ecfg = _build("time", replace, job.ecfg, steps=job.ecfg.steps * 4**level)
-    u0, lap = _datum_and_operator(sec, grid)
-    return replace(job, grid=grid, lap=lap, u0=u0, ecfg=ecfg)
+    lap, datum, u0 = _datum_and_operator(sec, grid)
+    return replace(job, grid=grid, lap=lap, u0=u0, datum=datum, ecfg=ecfg)
 
 
 def parse_config(cfg: dict) -> Job:
@@ -250,7 +253,7 @@ def parse_config(cfg: dict) -> Job:
         _fail("potential", f"is invalid: {exc}")
 
     initial = _get(cfg, "initial", "object")
-    u0, lap = _datum_and_operator(initial, grid)
+    lap, datum, u0 = _datum_and_operator(initial, grid)
 
     fp = _get(cfg, "fixedpoint", "object", {})
     if "initial_guess" in fp:
@@ -258,7 +261,7 @@ def parse_config(cfg: dict) -> Job:
     pcfg = _build("fixedpoint", PicardConfig,
                   **_given(fp, "fixedpoint", tol="number", max_iter="integer", damping="number"))
 
-    job = Job("solve", seed, out_dir, formats, grid, lap, phi, u0, ecfg, pcfg)
+    job = Job("solve", seed, out_dir, formats, grid, lap, phi, u0, datum, ecfg, pcfg)
     settings = {}
     if mode == "probe":
         settings["starts"] = _get(fp, "fixedpoint.starts", "integer", 5)
@@ -395,8 +398,10 @@ def run_probe(cfg: dict, job: Job, quiet: bool) -> bool:
     files = {"config": "config.json", "report": "report.json"}
     for kind, run in zip(probe.start_kinds, probe.runs):
         if run.converged:
-            files.update(_write_outputs(run.uT, "field", "ut", job))
-            payload["probe"]["ut_from_start"] = kind
+            written = _write_outputs(run.uT, "field", "ut", job)
+            if written:
+                files.update(written)
+                payload["probe"]["ut_from_start"] = kind
             break
     payload["files"] = files
     _write_json(job.out_dir / "report.json", payload)
@@ -447,12 +452,8 @@ def run_convergence_study(cfg: dict, job: Job, quiet: bool) -> bool:
 
 def run_sweep(cfg: dict, job: Job, quiet: bool) -> bool:
     """One solve per value: a ``T`` row replaces ``job.ecfg``, an ``amplitude``
-    row rebuilds only the datum (at ``key``); every row shares ``job.lap``.
-    A ``from_file`` datum's file is read once for all rows (by each row
-    while the read fails, so that each such row records the failure)."""
-    initial = cfg["initial"]
-    key = {"constant": "value", "from_file": "scale"}.get(initial["name"], "amplitude")
-    read = cache(_datum_file)
+    row ``job.u0`` with ``job.datum(value)``; every row shares ``job.lap``,
+    and a ``from_file`` datum's file is read once, by the parse."""
 
     def row(value: float) -> tuple[str, bool]:
         """The CSV line of one value and whether its run converged."""
@@ -460,8 +461,7 @@ def run_sweep(cfg: dict, job: Job, quiet: bool) -> bool:
             if job.axis == "T":
                 row_job = replace(job, ecfg=_build("time", replace, job.ecfg, T=value))
             else:
-                sec = {**initial, "params": {**initial.get("params", {}), key: value}}
-                row_job = replace(job, u0=_datum_and_operator(sec, job.grid, job.lap, read)[0])
+                row_job = replace(job, u0=job.datum(value))
             report = _solve(row_job)
             thr = row_job.threshold
             product = f"{thr.product:.10e}" if thr.applicable else "n/a"

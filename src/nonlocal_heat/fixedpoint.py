@@ -18,6 +18,7 @@ import math
 import numbers
 import random
 from dataclasses import asdict, dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -153,7 +154,9 @@ def picard_solve(
     the last states ``sink`` sees are that trajectory's (usually the only
     ones), and ``iterations`` counts the distinct inputs evaluated.
     Contraction estimates are the map's Lipschitz quotients along the iterates,
-    ``||g_k - g_{k-1}||_2 / ||v_k - v_{k-1}||_2``.  These norms are
+    ``||g_k - g_{k-1}||_2 / ||v_k - v_{k-1}||_2``, and ``iterate_max_norms``
+    the max norms of the iterates ``v_k`` and then of the reported ``uT``
+    (of the next iterate, when the run did not converge).  These norms are
     ``norm_lp``'s, bit for bit, taken on the raw arrays without building a
     :class:`Field` for each.  A residual ``g_k - v_k`` that overflows, and
     an iterate that mixing drives out of floating-point range, raise
@@ -194,7 +197,6 @@ def picard_solve(
             lipschitz.append(_lp_norm(grid, d_g[slot]) / max(_lp_norm(grid, v - v_prev), FLOOR))
         if residuals[-1] <= pcfg.tol:
             converged = True
-            sup_norms.append(_lp_norm(grid, g, math.inf))
             break
         used = min(k, ANDERSON_DEPTH)
         # lstsq's default cutoff, eps * max(N, used), drops singular
@@ -212,6 +214,8 @@ def picard_solve(
             uT, trajectory = phi_map(lap, phi, u0, last, ecfg, sink=sink)
         except (EvaluationError, SolverFailure) as exc:
             raise _located(exc, residuals[:-1])
+    if converged:
+        sup_norms.append(_lp_norm(grid, uT.values, math.inf))
     return FixedPointReport(
         uT=uT,
         trajectory=trajectory,
@@ -300,9 +304,9 @@ def uniqueness_probe(
     random fields with entries ``S0 * U(-1, 1)``, ``S0 = T * max|u0|``, drawn
     node by node from ``random.Random(seed)``, so in ``[-S0, S0)``; a seed
     that is not a nonnegative integer raises ``ValueError``.
-    All of them are built before the first run: a ``T * u0`` that overflows
-    raises :class:`EvaluationError` before any run, and the random starts
-    are then finite.  Non-convergent starts are recorded, not fatal;
+    A ``T * u0`` that overflows raises :class:`EvaluationError` before any
+    run, and the random starts are then finite; each is drawn only as its
+    run begins.  Non-convergent starts are recorded, not fatal;
     distances only compare converged runs.  A numerical failure in a run
     leaves with the attribute ``start``, the kind of its start, besides
     those ``picard_solve`` sets.
@@ -318,12 +322,12 @@ def uniqueness_probe(
         raise EvaluationError("the scaled datum T * u0 overflows")
     s0 = ecfg.T * norm_lp(u0, math.inf)
     rng = random.Random(int(seed))
-    starts = [Field.zeros(grid), Field(grid, scaled)] + [Field(grid, s0 * np.array(
-        [rng.uniform(-1.0, 1.0) for _ in range(grid.num_nodes)])) for _ in range(n_starts - 2)]
+    randoms = (Field(grid, s0 * np.array([rng.uniform(-1.0, 1.0) for _ in range(grid.num_nodes)]))
+               for _ in range(n_starts - 2))
 
     kinds = ["zero", "scaled_datum"] + [f"random_{i}" for i in range(n_starts - 2)]
     runs = []
-    for kind, start in zip(kinds, starts):
+    for kind, start in zip(kinds, chain([Field.zeros(grid), Field(grid, scaled)], randoms)):
         try:
             runs.append(picard_solve(lap, phi, u0, ecfg, pcfg, start=start))
         except (EvaluationError, SolverFailure) as exc:

@@ -451,6 +451,24 @@ def test_probe_mode(tmp_path):
     assert (out / "ut.json").exists()
 
 
+@pytest.mark.parametrize("formats", [[], ["bin"], ["json"]])
+def test_probe_names_the_start_of_a_ut_file_only_when_one_is_written(tmp_path, formats):
+    # bin has no field writer, so only json writes ut, from the first
+    # converged start
+    out = tmp_path / "out"
+    cfg = base_config(out, mode="probe", output={"dir": str(out), "formats": formats})
+    assert cli.run(write_config(tmp_path, cfg), quiet=True) == 0
+    report = json.loads((out / "report.json").read_text())
+    if formats == ["json"]:
+        first = next(s["kind"] for s in report["probe"]["starts"] if s["converged"])
+        assert report["probe"]["ut_from_start"] == first
+        assert report["files"]["ut_json"] == "ut.json" and (out / "ut.json").exists()
+    else:
+        assert "ut_from_start" not in report["probe"]
+        assert report["files"] == {"config": "config.json", "report": "report.json"}
+        assert sorted(p.name for p in out.iterdir()) == ["config.json", "report.json"]
+
+
 def test_probe_reproducible_with_seed(tmp_path):
     cfg1 = base_config(tmp_path / "a", mode="probe")
     cfg2 = base_config(tmp_path / "b", mode="probe")
@@ -606,10 +624,10 @@ def test_sweep_records_a_row_rejected_by_sign_check(tmp_path):
 
 @pytest.mark.parametrize("values", [[2.0], [0.5, 1.0, 2.0], [-1.0, 0.5, 1.0, 1e308, 2.0]],
                          ids=["1row", "3rows", "5rows"])
-def test_from_file_amplitude_sweep_reads_its_file_twice(tmp_path, monkeypatch, values):
-    # once for the parse of the config, once for all the rows; each row scales
-    # the field and checks it as the parse does: sign_check rejects -1, and
-    # 1e308 times the datum's maximum, 1.98, is not finite
+def test_from_file_amplitude_sweep_reads_its_file_once(tmp_path, monkeypatch, values):
+    # by the parse of the config; each row scales the parsed field and
+    # checks it as the parse does: sign_check rejects -1, and 1e308 times
+    # the datum's maximum, 1.98, is not finite
     path = tmp_path / "datum.json"
     nio.write_field_json(Field.from_function(Grid((1.0,), (49,)), lambda x: 1.0 + x), path)
     initial = {"name": "from_file", "params": {"path": str(path)}, "sign_check": True}
@@ -620,7 +638,7 @@ def test_from_file_amplitude_sweep_reads_its_file_twice(tmp_path, monkeypatch, v
     monkeypatch.setattr(nio, "read_field", lambda path, grid: reads.append(path)
                         or read_field(path, grid))
     cli.run(write_config(tmp_path, cfg), quiet=True)
-    assert len(reads) == 2
+    assert len(reads) == 1
     rows = (tmp_path / "out" / "sweep.csv").read_text().splitlines()[1:]
     errors = {float(row.split(",")[0]): row.split(",", 5)[5] for row in rows}
     expected = {-1.0: "initial.sign_check rejects the datum: it has negative entries",
@@ -628,20 +646,48 @@ def test_from_file_amplitude_sweep_reads_its_file_twice(tmp_path, monkeypatch, v
     assert errors == {v: expected.get(v, "") for v in values}
 
 
-def test_from_file_sweep_rows_record_a_failed_read(tmp_path):
-    # a read that fails is not kept: each row reads again and records it
+@pytest.mark.parametrize("initial", [
+    {"name": "sine_mode", "params": {"k": 2}},
+    {"name": "gaussian", "params": {"width": 0.1, "amplitude": 3.0}},
+    {"name": "constant", "params": {"value": 0.2}},
+], ids=["sine_mode", "gaussian", "constant"])
+def test_amplitude_sweep_builds_its_datum_once(tmp_path, monkeypatch, initial):
+    # by the parse; each row is that datum scaled to the row's amplitude
+    calls, initial_datum = [], cli._initial_datum
+    monkeypatch.setattr(cli, "_initial_datum",
+                        lambda *args: calls.append(args) or initial_datum(*args))
+    solved, solve = [], cli._solve
+    monkeypatch.setattr(cli, "_solve", lambda job, sink=None: solved.append(job) or solve(job))
+    cfg = base_config(tmp_path / "out", mode="sweep", initial=initial,
+                      sweep={"axis": "amplitude", "values": [0.5, 0.25, 1.0]})
+    assert cli.run(write_config(tmp_path, cfg), quiet=True) == 0
+    assert len(calls) == 1
+    unit = solved[0].datum(1.0)
+    for job, value in zip(solved, [0.25, 0.5, 1.0]):
+        assert np.array_equal(job.u0.values, value * unit.values)
+
+
+def test_from_file_sweep_rows_run_on_the_parsed_datum_after_the_file_is_gone(tmp_path):
+    # the rows scale the field the parse read, so the file is not needed
+    # again: each row's run matches a solve of the scaled datum
+    grid = Grid((1.0,), (49,))
     path = tmp_path / "datum.json"
-    nio.write_field_json(Field.from_function(Grid((1.0,), (49,)), lambda x: x * (1 - x)), path)
+    field = Field.from_function(grid, lambda x: x * (1 - x))
+    nio.write_field_json(field, path)
     initial = {"name": "from_file", "params": {"path": str(path)}}
     cfg = base_config(tmp_path / "out", mode="sweep", initial=initial,
                       sweep={"axis": "amplitude", "values": [1.0, 2.0]})
     job = cli.parse_config(cfg)
     path.unlink()
     job.out_dir.mkdir()
-    assert not cli.run_sweep(cfg, job, quiet=True)
+    assert cli.run_sweep(cfg, job, quiet=True)
     rows = (tmp_path / "out" / "sweep.csv").read_text().splitlines()[1:]
-    assert [row.split(",")[5].split(":")[0] for row in rows] == [
-        "initial.params.path cannot be loaded as a field"] * 2
+    for row, value in zip(rows, [1.0, 2.0]):
+        u0 = value * field
+        report = picard_solve(job.lap, job.phi, u0, job.ecfg, job.pcfg)
+        product = uniqueness_threshold(job.phi, u0, job.ecfg.T).product
+        assert row == (f"{value:.10g},True,{report.iterations},{product:.10e},"
+                       f"{report.final_residual:.10e},")
 
 
 def test_sweep_row_lets_an_undocumented_error_propagate(tmp_path, monkeypatch):

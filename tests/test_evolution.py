@@ -632,6 +632,31 @@ def test_lanczos_attempt_that_a_cg_solve_fails_is_stepped(monkeypatch):
     assert trajectory is not None and np.array_equal(uT.values, stepped.values)
 
 
+def test_lanczos_attempt_whose_basis_is_not_finite_is_stepped(monkeypatch):
+    # on an axis of 1e-152, gamma * 2/h^2 overflows, so the tridiagonal
+    # factors of B = (I + gamma A_w)^{-1} are NaN: the first solve leaves a
+    # non-finite beta, which ends the attempt (without the check it would
+    # spend all K // 40 = 25 vectors), and stepping decides the sweep
+    grid = Grid((1e-152,), (49,))
+    L = assemble(grid)
+    u0 = sine_datum(grid, 1e-7)
+    v = sine_datum(grid, 1e-5) + Field.constant(grid, 1e-6)
+    cfg = EvolutionConfig(T=100.0, steps=1000)
+    phi = catalog("quadratic")
+    solves = []
+
+    def counted(lap, w, tau, *args, **kwargs):
+        system = shifted_system(lap, w, tau, *args, **kwargs)
+        if tau != 0.1 * cfg.T:  # a stepping system
+            return system
+        return SimpleNamespace(solve=lambda b: solves.append(None) or system.solve(b))
+
+    monkeypatch.setattr(evolution, "shifted_system", counted)
+    uT, trajectory = phi_map(L, phi, u0, v, cfg, spectral=True)
+    assert len(solves) == 1 and trajectory is not None
+    assert np.array_equal(uT.values, evolve(L, nemytskii(phi, v), u0, cfg).integral)
+
+
 def test_lanczos_basis_is_bounded_by_the_vector_cap():
     # K // 40 = 50 vectors of 4095 nodes: the basis is 51 * 4095 floats, and
     # what else the evaluation holds is a few more vectors; 16.3 in 2D, where

@@ -1,5 +1,7 @@
 import math
+import random
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -289,6 +291,19 @@ def test_numerical_failure_carries_the_failing_evaluation(monkeypatch, error):
     assert raised.value.residual_history == reference.residual_history[:3]
 
 
+@pytest.mark.parametrize("grid, steps", [(GRID, 250), (Grid((1.0, 1.0), (63, 63)), 200)],
+                         ids=["1d", "2d"])
+def test_last_iterate_max_norm_is_the_reported_integrals(grid, steps):
+    # the converged sweep was formed without stepping and its input stepped
+    # again; the list ends with the max norm of that stepped, reported uT
+    u0 = Field.from_function(grid, lambda *xs: 0.5 * math.prod(np.sin(math.pi * x) for x in xs))
+    report = picard_solve(assemble(grid), catalog("quadratic"), u0,
+                          EvolutionConfig(T=0.1, steps=steps))
+    assert report.converged
+    assert report.iterate_max_norms[-1] == norm_lp(report.uT, math.inf)
+    assert len(report.iterate_max_norms) == report.iterations + 1
+
+
 def test_report_integral_matches_trajectory(collector):
     sink = collector(sine_datum(0.5))
     report = picard_solve(LAP, catalog("quadratic"), sine_datum(0.5), ECFG, sink=sink)
@@ -510,6 +525,43 @@ def test_probe_random_starts_are_seeded_draws_in_the_s0_box(monkeypatch):
     for seed in (-1, 1.0):
         with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
             uniqueness_probe(LAP, catalog("zero"), u0, ECFG, seed=seed)
+
+
+def test_probe_draws_each_random_start_as_its_run_begins(monkeypatch):
+    # 31 draws per random start, made only when that start's run begins, so
+    # a run that fails at the scaled_datum start leaves all three undrawn
+    grid = Grid((1.0,), (31,))
+    lap, u0 = assemble(grid), Field.from_function(grid, lambda x: 0.5 * np.sin(math.pi * x))
+    draws, drawn_at_run = [], []
+
+    class Counted(random.Random):
+        def uniform(self, a, b):
+            draws.append(None)
+            return super().uniform(a, b)
+
+    monkeypatch.setattr(fixedpoint, "random", SimpleNamespace(Random=Counted))
+    solve = fixedpoint.picard_solve
+
+    def recorded(*args, **kwargs):
+        drawn_at_run.append(len(draws))
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(fixedpoint, "picard_solve", recorded)
+    uniqueness_probe(lap, catalog("quadratic"), u0, ECFG, n_starts=5, seed=3)
+    assert drawn_at_run == [0, 0, 31, 62, 93]
+
+    def failing_second(*args, **kwargs):
+        drawn_at_run.append(len(draws))
+        if len(drawn_at_run) == 2:
+            raise SolverFailure("the scaled_datum run fails")
+        return solve(*args, **kwargs)
+
+    draws.clear()
+    drawn_at_run.clear()
+    monkeypatch.setattr(fixedpoint, "picard_solve", failing_second)
+    with pytest.raises(SolverFailure) as raised:
+        uniqueness_probe(lap, catalog("quadratic"), u0, ECFG, n_starts=5, seed=3)
+    assert raised.value.start == "scaled_datum" and draws == []
 
 
 def test_probe_named_starts_match_picard_solve():
