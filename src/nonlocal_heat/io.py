@@ -7,15 +7,30 @@ header ``dim, K, n_1 [, n_2]``, then ``K+1`` float64 sample times, then the
 ``k * store_every``.  A trajectory is streamed into that layout while it is
 stepped.
 
-Both CSVs print every float with ``%.17g`` (17 significant digits, so each
-value reads back exactly) and end lines in a bare line feed.  Field CSV
-rows are ``x[,y],value``, one per interior node; trajectory CSV rows are
-``t,node,value``, node the row-major node index.  A field file is read
-against the run's grid; a CSV coordinate may be off its node by a relative
-1e-9.  The trajectory CSV is formatted from the binary ``BLOCK_BYTES`` of
-states at a time, so its memory does not grow with ``K``; a binary whose
-size differs from the one its header implies raises ``ValueError`` before
-any CSV byte is written.
+Both CSVs print every float as ``%.17g`` does (17 significant digits, so
+each value reads back exactly) and end lines in a bare line feed.  Field
+CSV rows are ``x[,y],value``, one per interior node; trajectory CSV rows
+are ``t,node,value``, node the row-major node index.
+
+Those bytes come from ``_float_chars``, which formats a whole array at once
+with float64 arithmetic.  For ``|v|`` in ``[1e-6, 1e17)`` with ``e`` its
+decimal exponent as ``floor(log10)`` estimates it, the 17 digits are
+``q = |v| * 10**(16 - e)`` rounded half to even, as ``%`` rounds.  Dekker's
+exact product (Veltkamp halves, no fused multiply-add) gives it as
+``y + err``; the value is taken only if that exact sum is at least
+``10**16`` (``y > 1e16``, or ``y == 1e16`` and ``err >= 0``: the rounded
+``y`` or ``q`` would pass ``nextafter(1e-6, 0)``, whose product
+``1e16 - 0.5`` rounds up) and ``q`` is below ``10**17``.  Then ``y`` is an
+even integer and ``|err|`` at most half its ulp, so ``q = y + rint(err)``
+exactly, and an estimate of ``e`` that is one off is refused, whichever
+``log10`` kernel numpy runs.  Zeros, subnormals, ``nan``, ``inf``, values
+outside ``[1e-6, 1e17)`` and refused ones go through ``%`` one by one.
+
+A field file is read against the run's grid; a CSV coordinate may be off
+its node by a relative 1e-9.  The trajectory CSV is formatted from the
+binary ``BLOCK_BYTES`` of states at a time, so its memory does not grow
+with ``K``; a binary whose size differs from the one its header implies
+raises ``ValueError`` before any CSV byte is written.
 
 The blocks are split into ``W`` contiguous shares, ``W`` the least of the
 cores this process may run on, the number of blocks and the values over
@@ -116,29 +131,167 @@ def _read_grid(section: dict, name: str) -> Grid:
 #: Names of the coordinate columns of a field CSV, one per axis.
 _AXES = ("x", "y")
 
-#: Format of every float in a CSV: enough digits to read back exactly.
-_FLOAT = "%.17g"
+#: Format of every float in a CSV: enough digits to read back exactly.  The
+#: CSV writers apply it by ``_float_chars``, which leaves to ``%`` only the
+#: values outside its exact fast path.
+_FLOAT = b"%.17g"
 
-#: Bytes of binary states the trajectory CSV writer reads per block.
+#: Bytes of binary states the trajectory CSV writer reads per block, and
+#: values per block of the field CSV writer.
 BLOCK_BYTES = 1 << 16
 
-#: Fewest values a trajectory CSV worker process is forked for: about 25 ms
-#: of ``%.17g`` formatting, against about 2 ms to fork and reap one.
+#: Fewest values a trajectory CSV worker process is forked for: about 12 ms
+#: of formatting at about 250 ns a value (``_float_chars`` and the row
+#: text), against about 1.5 ms to fork and reap one.  On a shared 2-core
+#: x86-64, the README-sized writer (199,199 values) took a median of
+#: 50-76 ms on 1 process and 42-70 ms on 2, in five alternating sets of 15
+#: writes: 2 processes were faster in 3 sets and slower in 2, as the second
+#: core came and went.  That does not favour another value.
 MIN_VALUES_PER_WORKER = 50_000
 
+#: Veltkamp's splitting constant: ``_split`` halves a float64 into two of
+#: at most 26 significant bits, whose products are exact.
+_SPLIT = 2.0 ** 27 + 1
 
-def _csv_rows(lead: str, tails: list[str], values: np.ndarray) -> str:
-    """CSV rows ``lead + tails[i]``, each tail a row's end with one ``%.17g``
-    field, filled with ``values[i]`` by a single ``%`` call."""
-    return (lead + lead.join(tails)) % tuple(values.tolist())
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split of ``a``: ``(hi, lo)`` with ``hi + lo == a`` exactly."""
+    t = a * _SPLIT
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+#: ``10**p`` for ``p`` in 0..22, each exact in float64, and its split.
+_POW10 = np.array([float(10 ** p) for p in range(23)])
+_POW10_HI, _POW10_LO = _split(_POW10)
+
+#: A ``_float_chars`` row is built in 32 bytes: the sign in byte 1, the
+#: ``0.`` and zeros of a fixed form below 1 in bytes 2-6, the 17 digits in
+#: bytes 7-23, and the exponent of a scientific form in bytes 25-28; a
+#: point inside the digits moves those after it one byte on.  Bytes 1-28
+#: are the row.
+_DIGITS = slice(7, 24)
+_ROW = slice(1, 29)
+_WIDTH = _ROW.stop - _ROW.start
+_COLUMNS = np.arange(17)
+
+#: Bytes 4-23 of a row are 5 words of 4 digits, each word looked up by the
+#: 4 digits' value; word 1, whose first 3 bytes belong to the sign and the
+#: ``0.000``, by ``10_000`` plus its one digit.
+_DIGIT_WORDS = np.zeros((10_010, 4), np.uint8)
+_DIGIT_WORDS[:10_000] = np.indices((10,) * 4, np.uint8).reshape(4, -1).T + ord("0")
+_DIGIT_WORDS[10_000:, 3] = np.arange(ord("0"), ord("9") + 1)
+_DIGIT_WORDS = _DIGIT_WORDS.view(np.uint32).ravel()
+
+#: Row ``u``: the order of the digits and the byte after them once a point
+#: (placed in that byte) follows digit ``u``.
+_POINTED = np.array([[*range(u + 1), 17, *range(u + 1, 17)] for u in range(16)])
+
+#: Per decimal exponent ``e`` in -6..16 (row ``e + 6``): the row of constant
+#: characters, and the units digit, which a point follows (-1: none, the
+#: ``0.`` of a fixed form below 1).  ``%.17g`` writes ``e`` from -4 on in
+#: fixed form, -6 and -5 in scientific form.
+_FRAMES = np.zeros((23, 32), np.uint8)
+_UNITS = np.zeros(23, np.intp)
+for _e in range(-6, 17):
+    if _e < -4:
+        _FRAMES[_e + 6, 25:29] = list(b"e%+03d" % _e)
+    elif _e < 0:
+        _prefix = b"0." + b"0" * (-_e - 1)
+        _FRAMES[_e + 6, 7 - len(_prefix):7] = list(_prefix)
+        _UNITS[_e + 6] = -1
+    else:
+        _UNITS[_e + 6] = _e
+_FRAMES = _FRAMES.view(np.uint64)
+del _e, _prefix
+
+_COMMA = np.frombuffer(b",", np.uint8)
+_NEWLINE = np.frombuffer(b"\n", np.uint8)
+
+
+def _float_chars(x: np.ndarray) -> np.ndarray:
+    """The characters of ``_FLOAT % v`` for each ``v`` of ``x``: row ``i`` of
+    the ``(x.size, _WIDTH)`` uint8 result holds those of ``x[i]`` in order,
+    with NUL bytes between and after them.
+
+    The fast path and its exactness are set out in the module docstring.
+    It takes no ``q`` of ``10**17``: no float64 rounds up to the next power
+    of ten at 17 digits (the gap below ``10**k`` is at least
+    ``2**-53 * 10**k``, over twice the 17th digit's half unit), so only an
+    estimate of ``e`` one too low makes one, and ``%`` formats that value.
+    """
+    x = np.asarray(x, dtype=np.float64).ravel()
+    a = np.abs(x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e = np.floor(np.log10(a))
+    fast = np.flatnonzero((e >= -6) & (e <= 16))
+    a, e = a[fast], e[fast].astype(np.intp)
+    p = 16 - e
+    y = a * _POW10[p]
+    ah, al = _split(a)
+    err = al * _POW10_LO[p] - (((y - ah * _POW10_HI[p]) - al * _POW10_HI[p]) - ah * _POW10_LO[p])
+    q = y.astype(np.int64) + np.rint(err).astype(np.int64)
+    ok = ((y > 1e16) | ((y == 1e16) & (err >= 0))) & (q < 10 ** 17)
+    fast, q, e = fast[ok], q[ok], e[ok]
+
+    quads = np.empty((q.size, 5), np.intp)
+    for k in range(4, 0, -1):
+        rest = q // 10_000
+        quads[:, k] = q - rest * 10_000
+        q = rest
+    quads[:, 0] = q + 10_000
+    words = _FRAMES.take(e + 6, axis=0)
+    words.view(np.uint32)[:, 1:6] |= _DIGIT_WORDS.take(quads)
+    chars = words.view(np.uint8)
+    chars[np.signbit(x[fast]), 1] = ord("-")
+    units, last = _UNITS[e + 6], np.full(q.size, 16)  # last: the last nonzero digit
+    zeros = np.flatnonzero(chars[:, _DIGITS.stop - 1] == ord("0"))
+    if zeros.size:
+        digits = chars[zeros, _DIGITS]
+        last[zeros] = 16 - np.argmax(digits[:, ::-1] != ord("0"), axis=1)
+        kept = _COLUMNS <= np.maximum(last[zeros], units[zeros])[:, None]
+        chars[zeros, _DIGITS] = np.where(kept, digits, 0)
+    points = np.flatnonzero((units >= 0) & (last > units))
+    if points.size:
+        u = units[points]
+        chars[points, 7:25] = np.take_along_axis(chars[points, 7:25], _POINTED[u], axis=1)
+        chars[points, 8 + u] = ord(".")
+    if fast.size == x.size:
+        return chars[:, _ROW]
+
+    out = np.zeros((x.size, _WIDTH), np.uint8)
+    out[fast] = chars[:, _ROW]
+    slow = np.ones(x.size, bool)
+    slow[fast] = False
+    slow = np.flatnonzero(slow)
+    # one % call per distinct bit pattern: a block of zeros costs one call
+    _, first, inverse = np.unique(x[slow].view(np.int64), return_index=True,
+                                  return_inverse=True)
+    texts = np.zeros((first.size, _WIDTH), np.uint8)
+    for k, v in enumerate(x[slow[first]].tolist()):
+        text = _FLOAT % v
+        texts[k, :len(text)] = list(text)
+    out[slow] = texts[inverse]
+    return out
+
+
+def _text(shape: tuple[int, ...], *pieces: np.ndarray) -> bytes:
+    """``pieces``, uint8 character matrices with NUL bytes for gaps, each
+    broadcast to ``shape`` rows and laid side by side, NUL bytes deleted."""
+    return np.concatenate([np.broadcast_to(p, (*shape, p.shape[-1])) for p in pieces],
+                          axis=-1).tobytes().translate(None, b"\0")
 
 
 def write_field_csv(field: Field, path: str | Path) -> None:
-    coordinates = zip(*(c.tolist() for c in field.grid.coordinates()))
-    tails = ["".join(_FLOAT % c + "," for c in node) + _FLOAT + "\n" for node in coordinates]
-    header = ",".join((*_AXES[:field.grid.dim], "value"))
-    with open(path, "w", encoding="ascii", newline="\n") as out:
-        out.write(header + "\n" + _csv_rows("", tails, field.values))
+    columns = (*field.grid.coordinates(), field.values)
+    per_block = BLOCK_BYTES // _F8.itemsize
+    with open(path, "wb") as out:
+        out.write(",".join((*_AXES[:field.grid.dim], "value")).encode("ascii") + b"\n")
+        for start in range(0, field.grid.num_nodes, per_block):
+            pieces = [p for c in columns for p in (_float_chars(c[start:start + per_block]),
+                                                   _COMMA)]
+            pieces[-1] = _NEWLINE
+            out.write(_text(pieces[0].shape[:1], *pieces))
 
 
 def read_field_csv(path: str | Path, grid: Grid) -> Field:
@@ -255,14 +408,17 @@ def _worker_count(num_blocks: int, num_values: int) -> int:
                       num_values // MIN_VALUES_PER_WORKER))
 
 
-def _block_text(src, states_at: int, first: int, times: list[float], tails: list[str]) -> bytes:
+def _block_text(src, states_at: int, first: int, times: np.ndarray, nodes: np.ndarray) -> bytes:
     """The CSV rows of samples ``first, first + 1, ...`` at ``times``, their
-    states read from ``src``, whose first state starts at byte ``states_at``."""
-    N = len(tails)
+    states read from ``src``, whose first state starts at byte ``states_at``;
+    row ``j`` of ``nodes`` holds the characters of ``,j,``."""
+    N = nodes.shape[0]
     src.seek(states_at + first * N * _F8.itemsize)
-    block = np.fromfile(src, dtype=_F8, count=len(times) * N)
-    return "".join(_csv_rows(_FLOAT % t, tails, state)
-                   for t, state in zip(times, block.reshape(-1, N))).encode("ascii")
+    block = np.fromfile(src, dtype=_F8, count=times.size * N)
+    stamps = _float_chars(times)
+    stamps = stamps[:, stamps.any(axis=0)]  # columns NUL in every row only add bytes to delete
+    return _text((times.size, N), stamps[:, None], nodes,
+                 _float_chars(block).reshape(times.size, N, _WIDTH), _NEWLINE)
 
 
 def _format_share(spool, streamed: str | Path, blocks: range, text) -> None:
@@ -297,7 +453,7 @@ def write_trajectory_csv(streamed: str | Path, path: str | Path) -> None:
         times, n = _read_header(src)
         states_at = src.tell()
         N = math.prod(n)
-        tails = [f",{j},{_FLOAT}\n" for j in range(N)]
+        nodes = np.array([b",%d," % j for j in range(N)]).view(np.uint8).reshape(N, -1)
         per_block = max(1, BLOCK_BYTES // (N * _F8.itemsize))
         firsts = range(0, times.size, per_block)
         workers = _worker_count(len(firsts), times.size * N)
@@ -306,8 +462,7 @@ def write_trajectory_csv(streamed: str | Path, path: str | Path) -> None:
 
         def text(fh, b: int) -> bytes:
             first = firsts[b]
-            return _block_text(fh, states_at, first, times[first:first + per_block].tolist(),
-                               tails)
+            return _block_text(fh, states_at, first, times[first:first + per_block], nodes)
 
         spools, pids, written = [], [], False
         try:

@@ -916,6 +916,23 @@ def test_readme_solve_sink_sees_one_sweep(tmp_path, monkeypatch):
     assert json.loads((out / "report.json").read_text())["iterations"] == 4
 
 
+def test_readme_trajectory_csv_reads_back_as_its_binary(tmp_path):
+    # the CSV's floats are formatted by float64 arithmetic on whole blocks:
+    # its exactness must not rest on which SIMD kernels this CPU runs
+    out = tmp_path / "out"
+    cfg = readme_config(out)
+    cfg["output"]["formats"] = ["csv", "json", "bin"]
+    assert cli.run(write_config(tmp_path, cfg), quiet=True) == 0
+    times, states, _ = nio.read_trajectory_bin(out / "trajectory.bin")
+    header, *rows = (out / "trajectory.csv").read_text().splitlines()
+    assert header == "t,node,value" and len(rows) == states.size
+    t, node, value = (np.array([float(f) for f in column]) for column in zip(
+        *(row.split(",") for row in rows)))
+    assert np.array_equal(t.view(np.int64), np.repeat(times, states.shape[1]).view(np.int64))
+    assert np.array_equal(node, np.tile(np.arange(states.shape[1]), times.size))
+    assert np.array_equal(value.view(np.int64), states.ravel().view(np.int64))
+
+
 def test_main_entry_point(tmp_path, capsys):
     out = tmp_path / "out"
     cfg = base_config(out)

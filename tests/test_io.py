@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from nonlocal_heat import EvolutionConfig, Field, Grid, assemble, evolve
 from nonlocal_heat import io as nio
@@ -263,6 +265,62 @@ def test_field_csv_bytes_match_savetxt(tmp_path, g):
     f = Field(g, np.resize(finite, g.num_nodes))
     write_field_csv(f, tmp_path / "f.csv")
     assert (tmp_path / "f.csv").read_bytes() == _savetxt_field_csv(f)
+
+
+def _formatted(values):
+    """``nio._float_chars`` of ``values``, one bytes object per value."""
+    chars = nio._float_chars(np.array(values, dtype=float))
+    return [row.tobytes().translate(None, b"\0") for row in chars]
+
+
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                min_size=1, max_size=64))
+def test_float_chars_are_the_bytes_of_percent_17g(values):
+    assert _formatted(values) == [b"%.17g" % v for v in values]
+
+
+def _decade_neighbours():
+    """Each power of ten from 1e-7 to 1e17 and the 64 floats on either side
+    of it, of both signs."""
+    values = []
+    for k in range(-7, 18):
+        below = above = 10.0 ** k
+        values.append(below)
+        for _ in range(64):
+            below, above = math.nextafter(below, 0.0), math.nextafter(above, math.inf)
+            values += [below, above]
+    return values + [-v for v in values]
+
+
+def _exact_ties():
+    """Floats ``m / 2**(p + 1)``, ``m`` odd, with ``e = 16 - p`` in -6..15:
+    each times ``10**p`` lies halfway between two 17-digit integers."""
+    ties = []
+    for p in range(1, 23):
+        least = -(-2 ** (p + 1) * 10 ** 16 // 10 ** p) | 1  # the least odd m with e = 16 - p
+        ties += [m / 2 ** (p + 1) for m in range(least, least + 40, 2)]
+    return ties + [-v for v in ties]
+
+
+def test_float_chars_on_decade_edges_and_ties(monkeypatch):
+    # nextafter(1e-6, 0) times 1e22 is 1e16 - 0.5, which rounds to 1e16: a
+    # value the exact product, not its rounding, must refuse
+    values = _decade_neighbours()
+    assert math.nextafter(1e-6, 0.0) in values
+    assert _formatted(values) == [b"%.17g" % v for v in values]
+    # no float rounds up into the next decade at 17 digits: the gap below
+    # 10**k, at least 2**-53 * 10**k, is over twice the 17th digit's half unit
+    assert all((b"%.17g" % math.nextafter(10.0 ** k, 0.0)).lstrip(b"0.").startswith(b"9")
+               for k in range(-7, 18))
+    # a tie on the fallback path, rounded half to even by % itself
+    assert _formatted([2.0 ** -25]) == [b"2.9802322387695312e-08"]
+    # ties rounded half to even with no value left to %: .75 rounds up
+    # either way, .25 only half to even keeps its 2
+    monkeypatch.setattr(nio, "_FLOAT", None)
+    assert _formatted([1234567890123456.75, 1234567890123456.25, -1234567890123456.25]) == [
+        b"1234567890123456.8", b"1234567890123456.2", b"-1234567890123456.2"]
+    ties = _exact_ties()
+    assert _formatted(ties) == [b"%.17g" % v for v in ties]
 
 
 def _valid_binary():
