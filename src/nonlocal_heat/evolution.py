@@ -1,10 +1,12 @@
 """Frozen-potential linear evolution and the fixed-point map.
 
 One outer iterate freezes the potential field ``w = phi(v)``; the inner
-problem ``du/dt + (L + diag(w)) u = 0`` is then advanced by implicit Euler
-or Crank-Nicolson.  The map output is the trapezoidal time integral over
-every step, accumulated while stepping.  Only the first and last states
-are kept; the others reach an optional sink block by block.
+problem ``du/dt + (L + diag(w)) u = 0`` is then advanced by the theta
+scheme that ``cfg.scheme`` names: implicit Euler (theta = 1) or
+Crank-Nicolson (theta = 1/2); no routine reads more of a scheme than its
+theta.  The map output is the trapezoidal time integral over every step,
+accumulated while stepping.  Only the first and last states are kept; the
+others reach an optional sink block by block.
 
 The integral is ``m(L + diag w) u0`` for the closed-form trapezoid sum ``m``
 of the step factors, which one routine evaluates (``_trapezoid_multipliers``;
@@ -28,7 +30,12 @@ from .potential import EvaluationError, Potential, nemytskii
 
 IMPLICIT_EULER = "implicit_euler"
 CRANK_NICOLSON = "crank_nicolson"
-SCHEMES = (IMPLICIT_EULER, CRANK_NICOLSON)
+
+#: Each scheme is its theta: the step ``(I + theta dt A) u_{k+1} =
+#: (I - (1 - theta) dt A) u_k`` with step factor ``r(a) = (1 - (1 - theta) a)
+#: / (1 + theta a)`` at ``a = dt lambda``.
+_THETA = {IMPLICIT_EULER: 1.0, CRANK_NICOLSON: 0.5}
+SCHEMES = tuple(_THETA)
 
 #: Size of the block of consecutive states that ``evolve`` reduces at once.
 BLOCK_BYTES = 1 << 20
@@ -158,16 +165,18 @@ def evolve(
 ) -> Trajectory:
     """Advance ``u' + (L + diag(w)) u = 0`` from ``u0`` to time T.
 
-    Each step makes one solve: implicit Euler sets
-    ``u_{k+1} = (I + dt*(L+W))^{-1} u_k`` and Crank-Nicolson sets
+    Each step makes one solve, with ``theta I + theta^2 dt (L+W)`` for the
+    theta of ``cfg.scheme``.  That operator is ``I + theta dt (L+W)`` with
+    every entry times theta, a power of two, which is exact, so its solve is
+    bit for bit ``1/theta`` times that operator's.  Implicit Euler (theta =
+    1) sets ``u_{k+1}`` to the solve.  Crank-Nicolson (theta = 1/2, the
+    one theta < 1) subtracts ``u_k`` from it:
     ``u_{k+1} = (I/2 + dt/4*(L+W))^{-1} u_k - u_k``, which equals
-    ``(I + dt/2*(L+W))^{-1} (I - dt/2*(L+W)) u_k`` without its stencil product.
-    Implicit Euler preserves positivity and is non-expansive for ``w >= 0``;
-    Crank-Nicolson trades those guarantees for second-order accuracy.
-    The Crank-Nicolson operator is ``I + dt/2*(L+W)`` with every entry
-    halved, which is exact, so its solve is bit for bit ``2.0 *`` that
-    operator's; a step is that solve and one subtraction, written into its
-    row of the block.
+    ``(I + dt/2*(L+W))^{-1} (I - dt/2*(L+W)) u_k`` without its stencil
+    product.  Implicit Euler preserves positivity and is non-expansive for
+    ``w >= 0``; Crank-Nicolson trades those guarantees for second-order
+    accuracy.  A step is the solve and at most one subtraction, written
+    into its row of the block.
 
     States ``u_1 .. u_K`` are reduced in blocks of ``BLOCK_BYTES`` (fewer
     when there are fewer steps) into the trapezoidal integral and the state
@@ -180,9 +189,8 @@ def evolve(
     dt, steps = cfg.dt, cfg.steps
     num_nodes = lap.grid.num_nodes
     u = u0.values
-    reflect = cfg.scheme == CRANK_NICOLSON
-    solve = (shifted_system(lap, w.values, 0.25 * dt, identity=0.5) if reflect
-             else shifted_system(lap, w.values, dt)).solve
+    theta = _THETA[cfg.scheme]
+    solve = shifted_system(lap, w.values, theta * theta * dt, identity=theta).solve
 
     rows = max(1, min(steps, BLOCK_BYTES // (8 * num_nodes)))
     scratch = np.empty((rows, num_nodes))
@@ -194,7 +202,7 @@ def evolve(
         count = min(rows, steps - start)
         block = scratch[:count]
         for row in block:
-            if reflect:
+            if theta < 1.0:
                 np.subtract(solve(u), u, out=row)
             else:
                 row[...] = solve(u)
@@ -226,58 +234,61 @@ def sweep_multipliers(mu: np.ndarray, cfg: EvolutionConfig) -> np.ndarray:
 
 def _trapezoid_multipliers(mu: list[float], cfg: EvolutionConfig) -> list[float]:
     """The trapezoid sum ``m = dt (1/2 + r + ... + r^(K-1) + r^K/2)`` of the
-    step factor ``r = r(dt mu)`` of ``cfg.scheme``, for each of the
-    eigenvalues ``mu >= 0``.
+    step factor ``r = (1 - (1 - theta) a)/(1 + theta a)``, ``a = dt mu``,
+    theta of ``cfg.scheme``, for each of the eigenvalues ``mu >= 0``.
 
-    With ``a = dt mu``, implicit Euler has ``r = 1/(1 + a)`` and
-    ``m = dt (1/a + 1/2) (1 - r^K)``; Crank-Nicolson has
-    ``r = (1 - a/2)/(1 + a/2)`` and ``m = dt (1 - r^K)/a``.  No ratio is
-    formed that overflows or cancels:
+    One body serves every theta: ``m = dt (1/a + theta - 1/2) (1 - r^K)``,
+    evaluated so that no ratio overflows or cancels:
 
-    - ``r`` near 1 (``a <= 1``, or ``a/2 < 1`` for Crank-Nicolson):
-      ``1 - r^K = -expm1(-x)`` with ``x = -K log r`` from ``log1p``, and ``m``
-      is ``dt K`` times the ratios ``log1p(a)/a`` (or ``-log1p(-q)/q`` for
-      ``q = 1 - r``) and ``-expm1(-x)/x``, each 1 at 0, so a subnormal ``a``
-      gives ``m = T`` instead of an overflowing ``1/a``;
-    - implicit Euler with ``a > 1``: the closed form above;
-    - Crank-Nicolson with ``1 <= a/2 <= 3`` (``-1/2 <= r <= 0``): ``r^K`` as
-      a power;
-    - Crank-Nicolson with ``a/2 > 3``: ``|r| = 1 - 2/(1 + a/2)``, near 1, and
-      ``1 - r^K`` is ``-expm1(K log|r|)`` for even K and ``1 + |r|^K`` for odd.
+    - ``a <= 1`` (so ``0 < r <= 1``): ``1 - r^K = -expm1(-x)`` with ``x =
+      -K log r`` and ``-log r = log1p(theta a) - log1p(-(1 - theta) a)``,
+      and ``m`` is ``dt K (1 + (theta - 1/2) a)`` times the ratios ``-log r
+      / (theta a + (1 - theta) a)`` and ``-expm1(-x)/x``, each 1 at 0, so a
+      subnormal ``a`` gives ``m = T`` instead of an overflowing ``1/a``,
+      also where ``theta a`` underflows (for Crank-Nicolson the two
+      ``log1p`` are more accurate than one of ``a/(1 - (1 - theta) a)``:
+      worst 3.1 against 3.5 ulp over 20,000 random ``a <= 1``);
+    - ``a > 1`` and ``0 < r < 1``: the closed form above, with ``-log r =
+      log1p(a/(1 - (1 - theta) a))``, whose ``1 - (1 - theta) a`` is exact
+      there (``(1 - theta) a`` is 0 or in ``[1/2, 1)``), so one ``log1p``
+      is as accurate as two;
+    - ``-1/2 <= r <= 0``: ``r^K`` as a power;
+    - ``r < -1/2``: ``1 - |r| = 2 (1 + (theta - 1/2) a)/(1 + theta a)``, so
+      ``K log|r|`` is a ``log1p`` even where ``|r|`` is near 1, and
+      ``1 - r^K`` is ``-expm1(K log|r|)`` for even K and ``1 + |r|^K`` for
+      odd;
+    - ``a = inf``: the limit ``dt (theta - 1/2) (1 - (1 - 1/theta)^K)``
+      (``dt/2`` for implicit Euler, 0 for Crank-Nicolson).
 
     This is the only evaluation of ``m``.  It runs on Python floats with the
     C library's ``log1p``, ``expm1``, ``exp`` and ``**``, so, like
     ``dirichlet_eigenvalues``, it does not depend on which SIMD kernels
     numpy dispatches to on the running CPU.  On a Lanczos sweep's few Ritz
-    values, once per vector, this loop takes 2.9 us where numpy's ~40 ufunc
+    values, once per vector, this loop takes 3-4 us where numpy's ~40 ufunc
     calls on 7 entries take 25 us (2-core x86-64).
     """
     dt, K = cfg.dt, cfg.steps
+    theta = _THETA[cfg.scheme]
+    explicit, skew = 1.0 - theta, theta - 0.5
     out = []
-    if cfg.scheme == IMPLICIT_EULER:
-        for value in mu:
-            a = dt * value  # an infinite a gives the limit r = 0
-            if a <= 1.0:
-                log_r = math.log1p(a)
-                x = K * log_r
-                out.append((dt * K) * (1.0 + 0.5 * a) * (log_r / a if a != 0.0 else 1.0)
-                           * (-math.expm1(-x) / x if x != 0.0 else 1.0))
-            else:
-                out.append(dt * (1.0 / a + 0.5) * -math.expm1(-K * math.log1p(a)))
-        return out
     for value in mu:
-        b = 0.5 * (dt * value)  # an infinite b gives the limit r = -1
-        if b < 1.0:
-            q = 2.0 * b / (1.0 + b)  # 1 - r
-            log_r = math.log1p(-q)
-            x = -K * log_r
-            out.append((dt * K) * (-log_r / q if q != 0.0 else 1.0)
-                       * (-math.expm1(-x) / x if x != 0.0 else 1.0) / (1.0 + b))
-        elif b <= 3.0:
-            out.append(dt * (1.0 - (2.0 / (1.0 + b) - 1.0) ** K) / (2.0 * b))
-        else:  # b > 3, or NaN
-            y = K * math.log1p(-2.0 / (1.0 + b))  # K log|r|
-            out.append(dt * (-math.expm1(y) if K % 2 == 0 else 1.0 + math.exp(y)) / (2.0 * b))
+        a = dt * value
+        down, up = explicit * a, theta * a  # r = (1 - down)/(1 + up)
+        if a <= 1.0:
+            decay = math.log1p(up) - math.log1p(-down)  # -log r
+            x = K * decay  # 0 only where up + down is 0, and there m = dt K
+            out.append((dt * K) * (1.0 + skew * a) * (decay / (up + down))
+                       * (-math.expm1(-x) / x) if x != 0.0 else dt * K)
+        elif down < 1.0:  # r > 0 (an infinite a has a NaN or infinite down)
+            out.append(dt * (1.0 / a + skew) * -math.expm1(-K * math.log1p(a / (1.0 - down))))
+        elif down - 0.5 * up <= 1.5:  # r >= -1/2, as 1 - down >= -(1 + up)/2
+            out.append(dt * (1.0 / a + skew) * (1.0 - ((1.0 - down) / (1.0 + up)) ** K))
+        elif a == math.inf:
+            out.append(dt * skew * (1.0 - (1.0 - 1.0 / theta) ** K))
+        else:  # r < -1/2, or NaN
+            y = K * math.log1p(-2.0 * (1.0 + skew * a) / (1.0 + up))  # K log|r|
+            out.append(dt * (1.0 / a + skew)
+                       * (-math.expm1(y) if K % 2 == 0 else 1.0 + math.exp(y)))
     return out
 
 
@@ -376,15 +387,18 @@ def _spectral_integral(lap: DirichletLaplacian, w: np.ndarray, u0: np.ndarray,
       K=16000; 2-core x86-64).  In 2D each vector is a CG solve: a sweep of
       the ``solve_2d_127`` benchmark takes 5 vectors of 2 stencil products
       each, 9-11 ms against 130-150 ms stepped (one BLAS thread).
-      Crank-Nicolson is left to stepping where ``b = dt (lambda_max + max w)/2
-      > 1`` and ``|r|^K = (1 - 2/(1 + b))^K`` exceeds ``e^-40``: its step
-      factor ``r`` near -1 at the top of the spectrum is not a function that
-      a few Lanczos vectors resolve.
+      A sweep is left to stepping where the step factor ``r`` at ``a = dt
+      (lambda_max + max w)`` is negative, ``(1 - theta) a > 1``, and
+      ``|r|^K``, with ``1 - |r| = 2 (1 + (theta - 1/2) a)/(1 + theta a)``,
+      exceeds ``e^-40``: ``r`` near -1 at the top of the spectrum is not a
+      function that a few Lanczos vectors resolve.  Only Crank-Nicolson
+      (theta = 1/2, ``a > 2``) has a negative ``r``.
 
     ``u0`` is scaled by the power of two that brings ``max|u0|`` into
     ``[1/2, 1)``, which is exact, so the transform's and the Lanczos
     estimate's sums do not overflow.
     """
+    theta = _THETA[cfg.scheme]
     low, high = float(np.min(w)), float(np.max(w))
     top = float(np.max(np.abs(u0)))
     rate = cfg.dt * (lap.lambda_max + high)  # dt (lambda_max + max w)
@@ -394,8 +408,9 @@ def _spectral_integral(lap: DirichletLaplacian, w: np.ndarray, u0: np.ndarray,
     scaled = np.ldexp(u0, -exponent)
     if low == high:
         integral = lap.apply_spectral(scaled, sweep_multipliers(lap.eigenvalues + low, cfg))
-    elif (cfg.scheme == CRANK_NICOLSON and 0.5 * rate > 1.0
-          and cfg.steps * math.log1p(-2.0 / (1.0 + 0.5 * rate)) > -40.0):
+    elif ((1.0 - theta) * rate > 1.0  # r(rate) < 0, and |r|^K > e^-40
+          and cfg.steps * math.log1p(-2.0 * (1.0 + (theta - 0.5) * rate)
+                                     / (1.0 + theta * rate)) > -40.0):
         return None
     elif top == 0.0:
         return np.zeros_like(u0)

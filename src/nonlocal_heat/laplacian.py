@@ -401,9 +401,11 @@ def shifted_system(lap: DirichletLaplacian, w: np.ndarray, tau: float,
                    identity: float = 1.0, *, sequence: bool = True):
     """Prepare ``identity*I + tau*(L + diag(w))`` for repeated solves.
 
-    Implicit Euler steps with ``I + dt*(L + diag(w))``, and Crank-Nicolson
-    with ``I/2 + (dt/4)*(L + diag(w))``, whose solve is twice that of
-    ``I + (dt/2)*(L + diag(w))`` (see ``evolution.evolve``).
+    A theta scheme steps with ``identity = theta`` and ``tau = theta^2 dt``:
+    ``I + dt*(L + diag(w))`` for implicit Euler (theta = 1), and
+    ``I/2 + (dt/4)*(L + diag(w))`` for Crank-Nicolson (theta = 1/2), whose
+    solve is twice that of ``I + (dt/2)*(L + diag(w))`` (see
+    ``evolution.evolve``).
 
     1D grids get an ``L D L^T`` tridiagonal factorization; 2D grids get CG
     preconditioned by the exact inverse of ``identity*I + tau*(L + c)``,

@@ -58,13 +58,13 @@ def nemytskii(phi: Potential, v: Field) -> Field:
         node = int(np.argmax(bad))
         raise EvaluationError(
             f"potential '{phi.name}' returned a non-finite value at node {node} "
-            f"(input {v.values[node]!r})"
+            f"(input {float(v.values[node])!r})"
         )
     if phi.nonnegative and np.any(w < -CERTIFICATE_TOL):
         node = int(np.argmax(w < -CERTIFICATE_TOL))
         raise EvaluationError(
             f"potential '{phi.name}' is certified nonnegative but evaluated to "
-            f"{w[node]!r} at node {node}"
+            f"{float(w[node])!r} at node {node}"
         )
     return Field(v.grid, w)
 

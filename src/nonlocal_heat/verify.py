@@ -82,12 +82,14 @@ class EllipticCheck:
 
     The residual is all-discrete, so it has no h^2 part.  With
     ``A_w = L + diag(w)``, w the weight of the last sweep (``phi(uT)`` up
-    to the Picard tolerance), summing every step gives
-    ``A_w uT = u0 - uK + (dt/2) A_w (u0 - uK)`` for implicit
-    Euler and ``A_w uT = u0 - uK`` for Crank-Nicolson.  The residual is therefore
-    ``(dt/2)*||A_w (u0-uK)|| / ||u0-uK||`` plus O(tol) for implicit Euler,
-    and O(tol) for Crank-Nicolson.  It is taken on the scaled states, so it
-    is finite wherever they are.  No fixed pass threshold.
+    to the Picard tolerance), summing every step of the theta scheme gives
+    ``A_w uT = (I + (theta - 1/2) dt A_w)(u0 - uK)`` for both schemes:
+    ``u0 - uK + (dt/2) A_w (u0 - uK)`` for implicit Euler (theta = 1) and
+    ``u0 - uK`` for Crank-Nicolson (theta = 1/2).  The residual is therefore
+    ``(theta - 1/2) dt ||A_w (u0-uK)|| / ||u0-uK||`` plus O(tol): that
+    first term for implicit Euler, and O(tol) alone for Crank-Nicolson.  It
+    is taken on the scaled states, so it is finite wherever they are.  No
+    fixed pass threshold.
     """
 
     relative_residual: float

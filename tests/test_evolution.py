@@ -7,6 +7,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from nonlocal_heat import (
     EvolutionConfig,
@@ -365,10 +367,11 @@ def exact_trapezoid_sum(a, dt, steps, scheme):
 def test_trapezoid_multipliers_match_exact_sums(scheme, exponent):
     # dt = 2**exponent, so that a = dt*mu is exact; K from 2 to 25, odd and
     # even (Crank-Nicolson's r^K changes sign with K once r < 0).  Every
-    # branch of both schemes: implicit Euler a <= 1 and a > 1; Crank-Nicolson
-    # b = a/2 < 1, 1 <= b <= 3 and b > 3; the boundaries a = 1 (b = 1/2),
-    # a = 2 (b = 1) and a = 6 (b = 3) and their neighbours; a = 0 and
-    # subnormal a
+    # branch of the one body, for theta = 1 and 1/2: a <= 1; a > 1 with
+    # r > 0 (implicit Euler at every such a, Crank-Nicolson at 1 < a < 2);
+    # -1/2 <= r <= 0 and r < -1/2 (Crank-Nicolson at 2 <= a <= 6 and a > 6);
+    # the edges a = 1, a = 2 (r = 0) and a = 6 (r = -1/2) and their
+    # neighbours; a = 0 and subnormal a
     dt = math.ldexp(1.0, exponent)
     values = [0.0, 5e-324, 1e-310, 1e-300, 0.3, 1.7, 3.9, 40.0, 1e5]
     for edge in (1.0, 2.0, 6.0):
@@ -381,6 +384,24 @@ def test_trapezoid_multipliers_match_exact_sums(scheme, exponent):
             exact = exact_trapezoid_sum(dt * value, dt, steps, scheme)
             assert abs(Fraction(m) - exact) <= 4 * Fraction(math.ulp(float(exact))), (
                 steps, value)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@settings(max_examples=150)
+@given(binade=st.integers(-1074, 1023), significand=st.floats(1.0, 2.0, exclude_max=True),
+       exponent=st.integers(-20, 3), steps=st.integers(2, 40))
+def test_trapezoid_multipliers_match_exact_sums_at_any_magnitude(
+        scheme, binade, significand, exponent, steps):
+    # a = dt*mu from every binary exponent of binary64, subnormals included
+    # (ldexp rounds below 2**-1022), held to the bound of the fixed grid above
+    dt = math.ldexp(1.0, exponent)
+    mu = math.ldexp(significand, binade) / dt
+    assume(math.isfinite(mu))
+    cfg = EvolutionConfig(T=steps * dt, steps=steps, scheme=scheme)
+    assert cfg.dt == dt
+    [m] = evolution._trapezoid_multipliers([mu], cfg)
+    exact = exact_trapezoid_sum(dt * mu, dt, steps, scheme)
+    assert abs(Fraction(m) - exact) <= 4 * Fraction(math.ulp(float(exact)))
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)

@@ -117,6 +117,21 @@ def test_nemytskii_rejects_broken_nonnegative_certificate():
         nemytskii(lying, v)
 
 
+def test_nemytskii_messages_print_values_as_python_floats():
+    # numpy's repr of a scalar ("np.float64(...)") would tie the message,
+    # which report.json records, to numpy's major version
+    v = Field.constant(GRID, 3.926829327955169e+294)
+    with pytest.raises(EvaluationError) as nonfinite:
+        nemytskii(catalog("quadratic"), v)
+    assert "(input 3.926829327955169e+294)" in str(nonfinite.value)
+    lying = Potential(name="identity", evaluator=lambda s: s, nonnegative=True)
+    with pytest.raises(EvaluationError) as negative:
+        nemytskii(lying, Field.constant(GRID, -1.5))
+    assert "evaluated to -1.5 at node 0" in str(negative.value)
+    for error in (nonfinite, negative):
+        assert "np." not in str(error.value)
+
+
 def test_nemytskii_nonnegative_certificate_tolerance():
     # a -1e-15 wiggle is inside the certificate slack
     phi = Potential(name="wiggle", evaluator=lambda s: np.full_like(s, -1e-15),
