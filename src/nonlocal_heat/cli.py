@@ -41,8 +41,6 @@ from .potential import EvaluationError, Potential, catalog
 from .verify import verify_all
 
 MODES = ("solve", "probe", "convergence_study", "sweep")
-# csv must precede bin: the trajectory CSV is formatted from the streamed
-# file that the bin writer moves into place
 FORMATS = ("csv", "json", "bin")
 TRAJECTORY_FORMATS = ("csv", "bin")
 REFINEMENTS = ("space_time", "time_only")
@@ -96,8 +94,9 @@ def load_config(path: str | Path) -> dict:
 class Job:
     """A config parsed into the objects one run needs.
 
-    ``lap``, the stencil operator on ``grid``, is built here, so a grid whose
-    operator cannot be allocated is an invalid config.  ``datum(a)`` is the
+    ``lap``, the stencil operator on the config's grid, is built here, so a
+    grid whose operator cannot be allocated is an invalid config; ``u0`` is
+    on ``lap.grid``, the job's one grid.  ``datum(a)`` is the
     config's datum at amplitude ``a`` (the ``amplitude``, ``value`` or
     ``scale`` that an ``amplitude`` sweep row sets) and ``u0`` is
     ``datum`` at the config's own; ``datum`` raises ``ConfigError`` for a
@@ -112,7 +111,6 @@ class Job:
     seed: int
     out_dir: Path
     formats: list[str]
-    grid: Grid
     lap: DirichletLaplacian
     phi: Potential
     u0: Field
@@ -208,10 +206,11 @@ def _study_level(job: Job, sec: dict, level: int, refine: str) -> Job:
     """Level ``level`` of a study of the solve ``job``, whose datum is ``sec``."""
     if refine == "time_only":
         return replace(job, ecfg=_build("time", replace, job.ecfg, steps=job.ecfg.steps * 2**level))
-    grid = _build("domain", Grid, job.grid.lengths, [(m + 1) * 2**level - 1 for m in job.grid.n])
+    coarse = job.lap.grid
+    grid = _build("domain", Grid, coarse.lengths, [(m + 1) * 2**level - 1 for m in coarse.n])
     ecfg = _build("time", replace, job.ecfg, steps=job.ecfg.steps * 4**level)
     lap, datum, u0 = _datum_and_operator(sec, grid)
-    return replace(job, grid=grid, lap=lap, u0=u0, datum=datum, ecfg=ecfg)
+    return replace(job, lap=lap, u0=u0, datum=datum, ecfg=ecfg)
 
 
 def parse_config(cfg: dict) -> Job:
@@ -261,7 +260,7 @@ def parse_config(cfg: dict) -> Job:
     pcfg = _build("fixedpoint", PicardConfig,
                   **_given(fp, "fixedpoint", tol="number", max_iter="integer", damping="number"))
 
-    job = Job("solve", seed, out_dir, formats, grid, lap, phi, u0, datum, ecfg, pcfg)
+    job = Job("solve", seed, out_dir, formats, lap, phi, u0, datum, ecfg, pcfg)
     settings = {}
     if mode == "probe":
         settings["starts"] = _get(fp, "fixedpoint.starts", "integer", 5)
@@ -309,13 +308,18 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(text + "\n")
 
 
-def _write_outputs(obj, kind: str, stem: str, job: Job) -> dict:
-    """Write ``obj`` with each ``nio.write_<kind>_<format>`` the job's formats
-    name, looked up at call time; returns the ``files`` entries made."""
+def _write_outputs(job: Job, ut: Field, streamed: Path | None = None) -> dict:
+    """Write each of the job's formats of the field ``ut`` and, if given, of
+    the ``streamed`` trajectory; returns the ``files`` entries made.  The
+    writers run in the order listed, read from ``nio`` at call time: the
+    trajectory CSV is formatted from the streamed file that the ``bin``
+    writer moves into place."""
     files = {}
-    for fmt in FORMATS:
-        write = getattr(nio, f"write_{kind}_{fmt}", None)
-        if fmt in job.formats and write is not None:
+    for stem, fmt, write, obj in (("ut", "csv", nio.write_field_csv, ut),
+                                  ("ut", "json", nio.write_field_json, ut),
+                                  ("trajectory", "csv", nio.write_trajectory_csv, streamed),
+                                  ("trajectory", "bin", nio.write_trajectory_bin, streamed)):
+        if fmt in job.formats and obj is not None:
             write(obj, job.out_dir / f"{stem}.{fmt}")
             files[f"{stem}_{fmt}"] = f"{stem}.{fmt}"
     return files
@@ -330,7 +334,7 @@ def _write_table(path: Path, lines: list[str], quiet: bool) -> None:
 
 
 def _run_header(cfg: dict, job: Job) -> dict:
-    grid, ecfg = job.grid, job.ecfg
+    grid, ecfg = job.lap.grid, job.ecfg
     return {
         "mode": job.mode,
         "seed": job.seed,
@@ -376,8 +380,7 @@ def run_solve(cfg: dict, job: Job, quiet: bool) -> bool:
                        threshold=job.threshold.to_dict())
         payload["verification"] = verification.to_dict()
         files = {"config": "config.json", "report": "report.json"}
-        files.update(_write_outputs(report.uT, "field", "ut", job))
-        files.update(_write_outputs(streamed, "trajectory", "trajectory", job))
+        files.update(_write_outputs(job, report.uT, streamed))
         payload["files"] = files
         _write_json(job.out_dir / "report.json", payload)
     finally:
@@ -398,7 +401,7 @@ def run_probe(cfg: dict, job: Job, quiet: bool) -> bool:
     files = {"config": "config.json", "report": "report.json"}
     for kind, run in zip(probe.start_kinds, probe.runs):
         if run.converged:
-            written = _write_outputs(run.uT, "field", "ut", job)
+            written = _write_outputs(job, run.uT)
             if written:
                 files.update(written)
                 payload["probe"]["ut_from_start"] = kind
@@ -422,7 +425,7 @@ def run_convergence_study(cfg: dict, job: Job, quiet: bool) -> bool:
             exc.level = level
             raise
         verification = verify_all(report, level_job.phi, level_job.lap)
-        runs.append((level_job.grid, level_job.ecfg, report, verification))
+        runs.append((level_job.lap.grid, level_job.ecfg, report, verification))
 
     finest_report = runs[-1][2]
     scale = max(norm_lp(finest_report.uT, 2), FLOOR)

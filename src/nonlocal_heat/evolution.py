@@ -298,7 +298,8 @@ def _lanczos_integral(lap: DirichletLaplacian, w: np.ndarray, u0: np.ndarray,
     ``w >= 0``, by Lanczos on ``B = (I + gamma A_w)^{-1}``, ``gamma = T/10``
     (shift-and-invert; van den Eshof & Hochbruck, SIAM J. Sci. Comput. 27,
     2006), or None if it does not converge within ``vectors`` Lanczos
-    vectors or a solve with ``B`` raises :class:`SolverFailure`.
+    vectors (with 0 vectors, before ``B`` is built) or a solve with ``B``
+    raises :class:`SolverFailure`.
 
     ``B`` is ``shifted_system(lap, w, gamma, sequence=False)``: one
     tridiagonal factorization in 1D, preconditioned CG to ``CG_RTOL`` in 2D,
@@ -323,6 +324,8 @@ def _lanczos_integral(lap: DirichletLaplacian, w: np.ndarray, u0: np.ndarray,
     benchmark stopped that way 6.9e-13 from stepping, against 8e-14 for the
     worst sweep under the two-step test.
     """
+    if vectors == 0:
+        return None
     gamma = 0.1 * cfg.T
     solve = shifted_system(lap, w, gamma, sequence=False).solve
     basis = np.empty((vectors + 1, u0.size))
@@ -414,11 +417,8 @@ def _spectral_integral(lap: DirichletLaplacian, w: np.ndarray, u0: np.ndarray,
         return None
     elif top == 0.0:
         return np.zeros_like(u0)
-    elif cfg.steps < 40:  # no Lanczos vector: build no system for one
-        return None
     else:
-        integral = _lanczos_integral(lap, w, scaled, cfg,
-                                     min(LANCZOS_VECTORS, cfg.steps // 40))
+        integral = _lanczos_integral(lap, w, scaled, cfg, min(LANCZOS_VECTORS, cfg.steps // 40))
         if integral is None:
             return None
     return np.ldexp(integral, exponent)

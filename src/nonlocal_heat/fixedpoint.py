@@ -267,12 +267,11 @@ class ProbeReport:
     max_pairwise_relative: float
     all_converged: bool
     seed: int
-    generator: str
 
     def scalar_diagnostics(self) -> dict:
         return {
             "seed": self.seed,
-            "generator": self.generator,
+            "generator": RNG_NAME,
             "accelerator": dict(ACCELERATOR),
             "all_converged": self.all_converged,
             "max_pairwise_distance": self.max_pairwise_distance,
@@ -347,5 +346,4 @@ def uniqueness_probe(
         max_pairwise_relative=max_dist / max(scale, FLOOR) if converged_uts else 0.0,
         all_converged=all(r.converged for r in runs),
         seed=seed,
-        generator=RNG_NAME,
     )

@@ -15,9 +15,10 @@ dependency for its compiled wrapper module
 directory as a file, so the ``scipy.linalg`` package is not imported: its
 ``__init__`` imports scipy's array-API layer, and with it ``numpy.f2py``,
 ``numpy.testing`` and ``numpy.ma``.  Importing ``scipy.linalg`` takes
-219 ms, and ``import nonlocal_heat.cli`` 341 ms with it against 109 ms
-without; this module, the load included, imports in 5 ms (medians of 11
-``python -X importtime`` runs, 2-core x86-64, scipy 1.17.1).  The routines
+about 430 ms, and ``import nonlocal_heat.cli`` about 455 ms with it against
+about 180 ms without; this module, the load included, imports in 13-14 ms
+(medians of two sets of 11 ``python -X importtime`` runs with a warm
+bytecode cache, shared 2-core x86-64, scipy 1.17.1).  The routines
 are the float64 Fortran objects that ``get_lapack_funcs`` returns.  A scipy
 without ``_flapack`` makes importing this module raise ``ImportError``,
 naming the directory searched.
@@ -272,19 +273,21 @@ class _ConjugateGradientSystem:
     ``p^T A p <= 0`` proves the operator indefinite, and a restart whose true
     residual is not below the previous restart's (the start's, for the
     first) shows that rounding keeps the residual above the target: both
-    raise ``SolverFailure``.  A ``b`` with a non-finite entry, such as an
-    overflowed state, gets an all-NaN solution without a stencil product,
-    as 1D ``pttrs`` returns non-finite values for it; the caller's check on
-    the states (``evolution.phi_map``'s, on the time integral) reports it.
+    raise ``SolverFailure``, as does a solve that reaches the system's cap
+    of ``10 * num_nodes`` iterations.  A ``b`` with a non-finite entry, such
+    as an overflowed state, gets an all-NaN solution without a stencil
+    product, as 1D ``pttrs`` returns non-finite values for it; the caller's
+    check on the states (``evolution.phi_map``'s, on the time integral)
+    reports it.
     """
 
-    def __init__(self, lap: DirichletLaplacian, w: np.ndarray, tau: float, max_iter: int,
-                 identity: float = 1.0, sequence: bool = True):
+    def __init__(self, lap: DirichletLaplacian, w: np.ndarray, tau: float, identity: float,
+                 sequence: bool):
         self._lap = lap
         self._shift = identity + tau * w
         self._identity = identity
         self._tau = tau
-        self._max_iter = max_iter
+        self._max_iter = 10 * lap.grid.num_nodes
         # mean(w) can round outside [min(w), max(w)]
         mean_shift = max(float(np.clip(np.mean(w), w.min(), w.max())), 0.0)
         self._inverse_eigenvalues = 1.0 / (identity + tau * (lap.eigenvalues + mean_shift))
@@ -425,4 +428,4 @@ def shifted_system(lap: DirichletLaplacian, w: np.ndarray, tau: float,
         raise ValueError("shift vector does not match the grid")
     if g.dim == 1:
         return _TridiagonalSystem(lap, w, tau, identity)
-    return _ConjugateGradientSystem(lap, w, tau, 10 * g.num_nodes, identity, sequence)
+    return _ConjugateGradientSystem(lap, w, tau, identity, sequence)

@@ -667,6 +667,29 @@ def test_amplitude_sweep_builds_its_datum_once(tmp_path, monkeypatch, initial):
         assert np.array_equal(job.u0.values, value * unit.values)
 
 
+@pytest.mark.parametrize("overrides, sizes", [
+    ({}, [49]),
+    ({"mode": "convergence_study", "study": {"levels": 3, "refine": "space_time"}},
+     [49, 99, 199]),
+    ({"mode": "convergence_study", "study": {"levels": 3, "refine": "time_only"}},
+     [49, 49, 49]),
+    ({"mode": "sweep", "sweep": {"axis": "T", "values": [0.05, 0.1]}}, [49, 49]),
+    ({"mode": "sweep", "sweep": {"axis": "amplitude", "values": [0.25, 0.5]}}, [49, 49]),
+], ids=["solve", "space_time", "time_only", "T_sweep", "amplitude_sweep"])
+def test_every_job_a_run_solves_has_its_datum_on_its_operators_grid(
+        tmp_path, monkeypatch, overrides, sizes):
+    # a job's one grid is lap.grid: the parse, each study level and each
+    # sweep row put u0 on it
+    solved, solve = [], cli._solve
+    monkeypatch.setattr(cli, "_solve",
+                        lambda job, sink=None: solved.append(job) or solve(job, sink))
+    cfg = base_config(tmp_path / "out", **overrides)
+    assert cli.run(write_config(tmp_path, cfg), quiet=True) == 0
+    assert [job.lap.grid.n[0] for job in solved] == sizes
+    for job in solved:
+        assert job.u0.grid == job.lap.grid
+
+
 def test_from_file_sweep_rows_run_on_the_parsed_datum_after_the_file_is_gone(tmp_path):
     # the rows scale the field the parse read, so the file is not needed
     # again: each row's run matches a solve of the scaled datum
@@ -863,8 +886,8 @@ def test_constant_potential_files_hold_one_stepped_sweep(tmp_path, collector):
     assert cli.run(write_config(tmp_path, cfg), quiet=True) == 0
     job = cli.parse_config(cfg)
     sink = collector(job.u0)
-    stepped = evolve(assemble(job.grid), Field.constant(job.grid, 2.5), job.u0, job.ecfg,
-                     sink=sink)
+    stepped = evolve(assemble(job.lap.grid), Field.constant(job.lap.grid, 2.5), job.u0,
+                     job.ecfg, sink=sink)
     times, states, _ = nio.read_trajectory_bin(out / "trajectory.bin")
     assert np.array_equal(states, sink.states)
     assert (out / "trajectory.csv").read_bytes() == savetxt_trajectory_csv(times, sink.states)
@@ -1314,11 +1337,12 @@ def expected_trajectory_files(cfg, collector):
     header and times by hand, and ``np.savetxt`` with the CSV columns."""
     job = cli.parse_config(cfg)
     sink = collector(job.u0)
-    picard_solve(assemble(job.grid), job.phi, job.u0, job.ecfg, job.pcfg, sink=sink)
+    picard_solve(assemble(job.lap.grid), job.phi, job.u0, job.ecfg, job.pcfg, sink=sink)
     every = job.ecfg.store_every
     states = sink.states[::every]
     times = job.ecfg.dt * every * np.arange(states.shape[0])
-    return trajectory_binary(job.grid.n, times, states), savetxt_trajectory_csv(times, states)
+    return (trajectory_binary(job.lap.grid.n, times, states),
+            savetxt_trajectory_csv(times, states))
 
 
 @pytest.mark.parametrize("every", [1, 4])
@@ -1342,6 +1366,28 @@ def test_streamed_trajectory_files_match_a_collected_reference(
     assert (out / "trajectory.csv").read_bytes() == csv
     assert sorted(p.name for p in out.iterdir()) == [
         "config.json", "report.json", "trajectory.bin", "trajectory.csv", "ut.csv", "ut.json"]
+
+
+def test_trajectory_files_do_not_depend_on_the_listed_format_order(tmp_path):
+    # the writers run in the order cli._write_outputs lists them, so with bin
+    # listed first the CSV is still formatted before the binary is moved
+    csv = {}
+    for formats in (["csv", "bin"], ["bin", "csv"]):
+        out = tmp_path / "_".join(formats)
+        cfg = base_config(out)
+        cfg["time"]["store_every"] = 4
+        cfg["output"]["formats"] = formats
+        assert cli.run(write_config(tmp_path, cfg), quiet=True) == 0
+        csv[formats[0]] = (out / "trajectory.csv").read_bytes()
+        assert sorted(p.name for p in out.iterdir()) == [
+            "config.json", "report.json", "trajectory.bin", "trajectory.csv", "ut.csv"]
+    assert csv["bin"] == csv["csv"]
+    times, states, n = nio.read_trajectory_bin(out / "trajectory.bin")
+    table = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1)
+    assert n == (49,) and states.shape == (26, 49)
+    assert np.array_equal(table[:, 0], np.repeat(times, 49))
+    assert np.array_equal(table[:, 1], np.tile(np.arange(49), 26))
+    assert np.array_equal(table[:, 2], states.ravel())
 
 
 def test_csv_only_solve_leaves_no_binary(tmp_path, collector):

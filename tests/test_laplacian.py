@@ -356,11 +356,13 @@ def test_solve_rejects_bad_tau_and_grids():
 
 
 def test_solver_failure_carries_residual():
-    # the CG budget is 10 * num_nodes through shifted_system; a cap of 1 reaches
-    # it when w is not constant (a nonnegative constant w is solved exactly by
+    # the system caps CG at 10 * num_nodes iterations; a cap of 1 reaches it
+    # when w is not constant (a nonnegative constant w is solved exactly by
     # the start M^{-1} b, before any iteration)
     g = Grid((1.0, 1.0), (12, 12))
-    system = _ConjugateGradientSystem(assemble(g), sine_squared_bump(g, 36.0), 5.0, 1)
+    system = _ConjugateGradientSystem(assemble(g), sine_squared_bump(g, 36.0), 5.0, 1.0, True)
+    assert system._max_iter == 10 * g.num_nodes
+    system._max_iter = 1
     with pytest.raises(SolverFailure, match=r"within 1 iterations \(relative residual "
                                             r"[1-9]\.\d{3}e[-+]\d\d\)"):
         system.solve(np.ones(g.num_nodes))

@@ -94,7 +94,7 @@ def test_grid_refine_nests():
            "domain": {"dim": 2, "lengths": list(g.lengths), "n": list(g.n)},
            "time": {"T": 0.1, "steps": 10}, "potential": {"name": "zero"},
            "initial": {"name": "sine_mode"}}
-    f = cli.parse_config(cfg).levels[1].grid
+    f = cli.parse_config(cfg).levels[1].lap.grid
     assert f.n == (7, 11)
     assert f.h == (g.h[0] / 2, g.h[1] / 2)
 
